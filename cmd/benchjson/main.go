@@ -74,10 +74,11 @@ func (m *Metrics) UnmarshalJSON(data []byte) error {
 }
 
 // benchLine matches one `go test -bench` result line, with the optional
-// -benchmem columns:
+// -benchmem columns. Columns from b.ReportMetric sit between ns/op and
+// B/op and are skipped; their units never start with "B":
 //
-//	BenchmarkName/sub-8   	    1000	   123456 ns/op	  12 B/op	  3 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+//	BenchmarkName/sub-8   	    1000	   123456 ns/op	  4.5 ns/item	  12 B/op	  3 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+[0-9.e+-]+ [^\sB]\S*)*(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // pkgLine matches the package banner `go test` prints before results.
 var pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)

@@ -10,8 +10,8 @@ import (
 
 // sample mimics `go test -bench -benchmem -count=2` output across two
 // packages, with noise lines, per-count variation (the parser keeps the
-// min of every column independently) and one line without -benchmem
-// columns.
+// min of every column independently), one line without -benchmem
+// columns, and one with a b.ReportMetric column before them.
 const sample = `goos: linux
 goarch: amd64
 pkg: prefetch/internal/eventq
@@ -23,7 +23,7 @@ PASS
 ok  	prefetch/internal/eventq	2.153s
 pkg: prefetch/internal/multiclient
 BenchmarkMultiClientRound/N=64-8      	      52	  22512345 ns/op	 1048576 B/op	    4096 allocs/op
-BenchmarkMultiClientRound/N=64-8      	      50	  23012345 ns/op	 1048570 B/op	    4095 allocs/op
+BenchmarkMultiClientRound/N=64-8      	      50	  23012345 ns/op	     35957 ns/client-round	 1048570 B/op	    4095 allocs/op
 PASS
 ok  	prefetch/internal/multiclient	3.001s
 `

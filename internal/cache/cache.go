@@ -9,7 +9,7 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 )
 
 // ErrBadCache reports invalid cache construction or use.
@@ -23,62 +23,99 @@ type Entry struct {
 	LastAccess int64   // logical time of last access
 	Inserted   int64   // logical time of insertion
 
-	// Intrusive recency list: least recent at the head, most recent at the
-	// tail. Maintained on Insert/RecordAccess/Evict so the LRU victim is an
+	// prev/next link the entry's slab slot into the cache's recency list
+	// (while cached) or its free chain (while free), as slot+1 with 0 for
+	// none. Keeping the recency list intrusive makes the LRU victim an
 	// O(1) head read instead of an Entries() copy-and-scan — the dominant
 	// cost of every eviction at fleet scale. The copies handed out by
 	// Entry/Entries have these cleared.
-	prev, next *Entry
+	prev, next int32
 }
+
+// maxCapacity keeps every slot+1 representable in an int32 link.
+const maxCapacity = math.MaxInt32 - 1
 
 // Cache is a fixed-capacity set of equal-size items with usage bookkeeping.
 // It is not safe for concurrent use; the simulators are single-goroutine
 // per replica and merge results afterwards.
+//
+// Item ids are small dense non-negative ints (page ids), so the cache is
+// two arrays rather than a map: a slab of capacity entries allocated once
+// in New, and an index from id to slab slot. Every slot is in exactly one
+// of two chains threaded through Entry.prev/next: the recency list (the
+// slot is cached and index[ID] names it) or the free chain. Probes are
+// array reads, and Entries/IDs walk the index, so they come out ordered by
+// id without a sort.
 type Cache struct {
 	capacity int
-	items    map[int]*Entry
-	clock    int64
+	slab     []Entry
+	// index maps an item id to its slab slot+1, 0 meaning not cached. It
+	// grows on demand to the largest id ever inserted.
+	index []int32
+	n     int // cached items
+	clock int64
 	// freqAll tracks access counts for every item ever seen, cached or not:
 	// the paper's freq_i (delay-saving profit, LFU sub-arbitration) is a
 	// property of the item's access history, not of its cache residency.
+	// It stays a map: it holds every id ever accessed, and a dense array of
+	// them costs more memory than the probes it would save.
 	freqAll map[int]int64
 
-	// head/tail bound the intrusive recency list (head = least recently
-	// accessed). Tick is strictly monotonic, so LastAccess values are
+	// head/tail bound the recency list (head = least recently accessed),
+	// as slot+1. Tick is strictly monotonic, so LastAccess values are
 	// unique and list order is exactly ascending LastAccess — the O(1)
 	// victim below is bit-for-bit the Entries()-scan LRU victim.
-	head, tail *Entry
-	// free recycles evicted Entry structs (bounded by capacity) so steady
-	// state insert/evict churn stops allocating.
-	free []*Entry
+	head, tail int32
+	free       int32 // head of the free chain, slot+1
 }
 
 // New creates a cache with the given capacity (number of items).
 func New(capacity int) (*Cache, error) {
-	if capacity < 0 {
+	if capacity < 0 || capacity > maxCapacity {
 		return nil, fmt.Errorf("%w: capacity %d", ErrBadCache, capacity)
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
-		items:    make(map[int]*Entry, capacity),
+		slab:     make([]Entry, capacity),
 		freqAll:  make(map[int]int64),
-	}, nil
+	}
+	c.resetFree()
+	return c, nil
+}
+
+// resetFree chains every slab slot, in slot order, onto the free chain.
+func (c *Cache) resetFree() {
+	for i := range c.slab {
+		c.slab[i].next = int32(i + 2)
+	}
+	if n := len(c.slab); n > 0 {
+		c.slab[n-1].next = 0
+		c.free = 1
+	}
+}
+
+// at returns the entry in slot (1-based).
+func (c *Cache) at(slot int32) *Entry { return &c.slab[slot-1] }
+
+// slotOf returns id's slot (1-based), 0 when id is not cached.
+func (c *Cache) slotOf(id int) int32 {
+	if uint(id) >= uint(len(c.index)) {
+		return 0
+	}
+	return c.index[id]
 }
 
 // Capacity returns the configured capacity.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of cached items.
-func (c *Cache) Len() int { return len(c.items) }
+func (c *Cache) Len() int { return c.n }
 
 // Free returns the number of free slots.
-func (c *Cache) Free() int { return c.capacity - len(c.items) }
+func (c *Cache) Free() int { return c.capacity - c.n }
 
 // Contains reports whether the item is cached.
-func (c *Cache) Contains(id int) bool {
-	_, ok := c.items[id]
-	return ok
-}
+func (c *Cache) Contains(id int) bool { return c.slotOf(id) != 0 }
 
 // Tick advances the logical clock and returns the new time.
 func (c *Cache) Tick() int64 {
@@ -91,70 +128,75 @@ func (c *Cache) Tick() int64 {
 func (c *Cache) RecordAccess(id int) {
 	c.Tick()
 	c.freqAll[id]++
-	if e, ok := c.items[id]; ok {
+	if slot := c.slotOf(id); slot != 0 {
+		e := c.at(slot)
 		e.Freq++
 		e.LastAccess = c.clock
-		c.moveToTail(e)
+		c.moveToTail(slot)
 	}
 }
 
-// unlink removes e from the recency list.
-func (c *Cache) unlink(e *Entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// unlink removes slot from the recency list.
+func (c *Cache) unlink(slot int32) {
+	e := c.at(slot)
+	if e.prev != 0 {
+		c.at(e.prev).next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		c.at(e.next).prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = 0, 0
 }
 
-// pushTail appends e as the most recently accessed entry.
-func (c *Cache) pushTail(e *Entry) {
-	e.prev, e.next = c.tail, nil
-	if c.tail != nil {
-		c.tail.next = e
+// pushTail appends slot as the most recently accessed entry.
+func (c *Cache) pushTail(slot int32) {
+	e := c.at(slot)
+	e.prev, e.next = c.tail, 0
+	if c.tail != 0 {
+		c.at(c.tail).next = slot
 	} else {
-		c.head = e
+		c.head = slot
 	}
-	c.tail = e
+	c.tail = slot
 }
 
-// moveToTail re-files e as most recently accessed.
-func (c *Cache) moveToTail(e *Entry) {
-	if c.tail == e {
+// moveToTail re-files slot as most recently accessed.
+func (c *Cache) moveToTail(slot int32) {
+	if c.tail == slot {
 		return
 	}
-	c.unlink(e)
-	c.pushTail(e)
+	c.unlink(slot)
+	c.pushTail(slot)
 }
 
 // Freq returns the total observed access count of an item (cached or not).
 func (c *Cache) Freq(id int) int64 { return c.freqAll[id] }
 
-// Insert adds an item; the cache must have a free slot. The entry inherits
-// the item's global frequency so that a re-inserted item keeps its history
-// (WATCHMAN-style delay-saving needs this).
+// Insert adds an item; the cache must have a free slot and the id must be
+// non-negative. The entry inherits the item's global frequency so that a
+// re-inserted item keeps its history (WATCHMAN-style delay-saving needs
+// this).
 func (c *Cache) Insert(id int, retrieval float64) error {
 	if c.Free() <= 0 {
 		return fmt.Errorf("%w: insert %d into full cache (capacity %d)", ErrBadCache, id, c.capacity)
 	}
-	if _, ok := c.items[id]; ok {
+	if id < 0 {
+		return fmt.Errorf("%w: insert negative id %d", ErrBadCache, id)
+	}
+	if c.Contains(id) {
 		return fmt.Errorf("%w: item %d already cached", ErrBadCache, id)
 	}
 	c.Tick()
-	var e *Entry
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-	} else {
-		e = new(Entry)
+	if id >= len(c.index) {
+		c.index = append(c.index, make([]int32, id+1-len(c.index))...)
 	}
+	slot := c.free
+	e := c.at(slot)
+	c.free = e.next
 	*e = Entry{
 		ID:         id,
 		Retrieval:  retrieval,
@@ -162,71 +204,93 @@ func (c *Cache) Insert(id int, retrieval float64) error {
 		LastAccess: c.clock,
 		Inserted:   c.clock,
 	}
-	c.items[id] = e
-	c.pushTail(e)
+	c.index[id] = slot
+	c.pushTail(slot)
+	c.n++
 	return nil
 }
 
 // Evict removes an item from the cache.
 func (c *Cache) Evict(id int) error {
-	e, ok := c.items[id]
-	if !ok {
+	slot := c.slotOf(id)
+	if slot == 0 {
 		return fmt.Errorf("%w: evict non-cached item %d", ErrBadCache, id)
 	}
-	delete(c.items, id)
-	c.unlink(e)
-	if len(c.free) < c.capacity {
-		c.free = append(c.free, e)
-	}
+	c.index[id] = 0
+	c.unlink(slot)
+	c.at(slot).next = c.free
+	c.free = slot
+	c.n--
 	return nil
+}
+
+// InsertLRU caches an item, evicting the least recently used entry when
+// the cache is full, and reports the victim so callers can keep their
+// own attribution state consistent. It is a no-op if the item is already
+// cached, and on a zero-capacity cache, which stores nothing. A negative
+// id is a caller bug and panics.
+func (c *Cache) InsertLRU(id int, retrieval float64) (victim int, evicted bool) {
+	if c.Contains(id) || c.capacity == 0 {
+		return 0, false
+	}
+	if c.Free() == 0 {
+		victim, evicted = c.at(c.head).ID, true
+		if err := c.Evict(victim); err != nil {
+			panic(err)
+		}
+	}
+	if err := c.Insert(id, retrieval); err != nil {
+		panic(err)
+	}
+	return victim, evicted
+}
+
+// public returns a copy of e with the chain links cleared.
+func (e *Entry) public() Entry {
+	out := *e
+	out.prev, out.next = 0, 0
+	return out
 }
 
 // Entry returns a copy of the entry for id.
 func (c *Cache) Entry(id int) (Entry, bool) {
-	e, ok := c.items[id]
-	if !ok {
+	slot := c.slotOf(id)
+	if slot == 0 {
 		return Entry{}, false
 	}
-	out := *e
-	out.prev, out.next = nil, nil
-	return out, true
+	return c.at(slot).public(), true
 }
 
 // Entries returns copies of all entries, sorted by ID for determinism.
 func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, len(c.items))
-	for _, e := range c.items {
-		cp := *e
-		cp.prev, cp.next = nil, nil
-		out = append(out, cp)
+	out := make([]Entry, 0, c.n)
+	for _, slot := range c.index {
+		if slot != 0 {
+			out = append(out, c.at(slot).public())
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // IDs returns the cached item IDs, sorted ascending.
 func (c *Cache) IDs() []int {
-	out := make([]int, 0, len(c.items))
-	for id := range c.items {
-		out = append(out, id)
+	out := make([]int, 0, c.n)
+	for id, slot := range c.index {
+		if slot != 0 {
+			out = append(out, id)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Flush empties the cache (the "prefetch only" simulation flushes after
 // every request). Global frequencies are retained.
 func (c *Cache) Flush() {
-	for e := c.head; e != nil; {
-		next := e.next
-		e.prev, e.next = nil, nil
-		if len(c.free) < c.capacity {
-			c.free = append(c.free, e)
-		}
-		e = next
+	for slot := c.head; slot != 0; slot = c.at(slot).next {
+		c.index[c.at(slot).ID] = 0
 	}
-	c.head, c.tail = nil, nil
-	c.items = make(map[int]*Entry, c.capacity)
+	c.head, c.tail, c.n = 0, 0, 0
+	c.resetFree()
 }
 
 // Victim chooses an eviction victim using the policy; false if empty.
@@ -235,11 +299,11 @@ func (c *Cache) Flush() {
 // head exactly the entry the Entries() scan would pick (the ID tie-break
 // can never fire).
 func (c *Cache) Victim(p Policy) (int, bool) {
-	if len(c.items) == 0 {
+	if c.n == 0 {
 		return 0, false
 	}
 	if _, ok := p.(LRU); ok {
-		return c.head.ID, true
+		return c.at(c.head).ID, true
 	}
 	return p.Victim(c.Entries()), true
 }

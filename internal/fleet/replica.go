@@ -293,7 +293,7 @@ func (r *replica) insertCache(page int, retrieval float64) {
 	if r.cache.Contains(page) {
 		return
 	}
-	if victim, evicted := insertLRU(r.cache, page, retrieval); evicted {
+	if victim, evicted := r.cache.InsertLRU(page, retrieval); evicted {
 		delete(r.warmPages, victim)
 		r.emitCache(obs.KindCacheEvict, victim)
 	}
@@ -425,24 +425,4 @@ func (r *replica) result(elapsed float64) ReplicaResult {
 		Lost:             r.lost,
 		Downtime:         down,
 	}
-}
-
-// insertLRU caches an item, evicting the LRU entry when full and
-// reporting the victim. A no-op if the item is already cached.
-func insertLRU(c *cache.Cache, id int, retrieval float64) (victim int, evicted bool) {
-	if c.Contains(id) {
-		return 0, false
-	}
-	if c.Free() == 0 {
-		if v, ok := c.Victim(cache.LRU{}); ok {
-			if err := c.Evict(v); err != nil {
-				panic(err)
-			}
-			victim, evicted = v, true
-		}
-	}
-	if err := c.Insert(id, retrieval); err != nil {
-		panic(err)
-	}
-	return victim, evicted
 }

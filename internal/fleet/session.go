@@ -152,7 +152,7 @@ func (s *session) store(fr *frequest) {
 		}
 		return
 	}
-	insertLRU(s.cache, fr.page, s.site.Pages[fr.page].Retrieval)
+	s.cache.InsertLRU(fr.page, s.site.Pages[fr.page].Retrieval)
 	if fr.demand {
 		delete(s.specReady, fr.page)
 	} else {

@@ -260,8 +260,10 @@ func TestAdaptiveBadConfigRejected(t *testing.T) {
 // benchmark-regression gate (cmd/benchjson), on allocations as well as
 // time: the sharded core's contract is that per-round work stays
 // allocation-free, and allocs/op is the first thing a regression moves.
+// ns/client-round is the per-client cost; it stays flat in N only while
+// no per-event step scales with the in-flight count (N/4 here).
 func BenchmarkMultiClientRound(b *testing.B) {
-	for _, n := range []int{64, 256, 1024, 4096} {
+	for _, n := range []int{64, 256, 1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Clients = n
@@ -281,6 +283,7 @@ func BenchmarkMultiClientRound(b *testing.B) {
 					b.Fatalf("short run: %d rounds", res.Access.N())
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Clients*cfg.Rounds), "ns/client-round")
 		})
 	}
 }

@@ -194,7 +194,7 @@ func (c *client) store(req request) {
 		}
 		return
 	}
-	insertLRU(c.cache, req.page, c.site.Pages[req.page].Retrieval)
+	c.cache.InsertLRU(req.page, c.site.Pages[req.page].Retrieval)
 	c.specReady[req.page] = !req.demand
 }
 

@@ -262,32 +262,9 @@ func (s *server) insertCache(page int, retrieval float64) {
 	if s.cache.Contains(page) {
 		return
 	}
-	if victim, evicted := insertLRU(s.cache, page, retrieval); evicted {
+	if victim, evicted := s.cache.InsertLRU(page, retrieval); evicted {
 		delete(s.warmPages, victim)
 		s.emitCache(obs.KindCacheEvict, victim)
 	}
 	s.emitCache(obs.KindCacheInsert, page)
-}
-
-// insertLRU caches an item, evicting the least recently used entry when
-// the cache is full and reporting the victim so callers can keep
-// attribution state consistent. A no-op if the item is already cached.
-// Eviction and insert cannot fail on a well-formed cache, so errors are
-// simulator bugs.
-func insertLRU(c *cache.Cache, id int, retrieval float64) (victim int, evicted bool) {
-	if c.Contains(id) {
-		return 0, false
-	}
-	if c.Free() == 0 {
-		if v, ok := c.Victim(cache.LRU{}); ok {
-			if err := c.Evict(v); err != nil {
-				panic(err)
-			}
-			victim, evicted = v, true
-		}
-	}
-	if err := c.Insert(id, retrieval); err != nil {
-		panic(err)
-	}
-	return victim, evicted
 }

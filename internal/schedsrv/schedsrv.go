@@ -206,6 +206,12 @@ type transfer struct {
 	waited    float64 // queueing delay reported to Done
 	cancelled bool    // preempted; the pending completion event is orphaned
 
+	// prev/next link the scheduler's in-flight list. A transfer is on the
+	// list from its start until it completes, is preempted or is failed,
+	// and both links are nil whenever it is off the list — in particular
+	// whenever it sits in the pool.
+	prev, next *transfer
+
 	// fire is the completion callback, allocated once per pooled node and
 	// reused across recycles — the per-transfer closure that used to be
 	// the scheduler's largest allocation site.
@@ -241,10 +247,17 @@ type Scheduler struct {
 	// only a nil check.
 	Tracer obs.Tracer
 
-	nextSeq      int64
-	inFlight     []*transfer
-	deferred     []*Request
-	queuedDemand int
+	nextSeq int64
+	// The in-flight list: every started transfer that has not completed,
+	// been preempted or been failed, in start order (head = oldest). start
+	// appends at the tail and every exit unlinks in O(1), so walking it
+	// from the head visits transfers in exactly the order an
+	// order-preserving slice would — the order preemption, Promote and
+	// Fail scan in. inCount is its length, the occupied-slot count.
+	inHead, inTail *transfer
+	inCount        int
+	deferred       []*Request
+	queuedDemand   int
 
 	// Free-lists for the per-event structs. Requests are recycled after
 	// their Done callback returns (or on an admission drop); transfers
@@ -373,7 +386,7 @@ func (s *Scheduler) Submit(r Request) bool {
 // the backlog (by submission or by promotion of a queued prefetch) while
 // every slot is busy.
 func (s *Scheduler) demandArrived() {
-	if s.cfg.Preempt && len(s.inFlight) == s.cfg.Concurrency {
+	if s.cfg.Preempt && s.inCount == s.cfg.Concurrency {
 		s.preemptSpeculative()
 	}
 }
@@ -393,8 +406,8 @@ func (s *Scheduler) Promote(client, page int) bool {
 		s.dispatch()      // a reordering discipline may now prefer this request
 		return true
 	}
-	for _, tr := range s.inFlight {
-		if !tr.cancelled && !tr.req.Demand && tr.req.Client == client && tr.req.Page == page {
+	for tr := s.inHead; tr != nil; tr = tr.next {
+		if !tr.req.Demand && tr.req.Client == client && tr.req.Page == page {
 			tr.req.Demand = true
 			s.emitPromote(client, page, "inflight")
 			return true
@@ -454,7 +467,7 @@ func (s *Scheduler) push(req *Request) {
 		ev.Demand = req.Demand
 		ev.Service = req.Service
 		ev.Queued = s.disc.Len()
-		ev.InFlight = len(s.inFlight)
+		ev.InFlight = s.inCount
 		s.Tracer.Emit(ev)
 	}
 }
@@ -475,25 +488,24 @@ func (s *Scheduler) emitVerdict(kind obs.Kind, req *Request, util float64) {
 // (the bandwidth really was spent), the remainder is discarded, and the
 // request restarts from scratch at the head of its class queue.
 func (s *Scheduler) preemptSpeculative() {
-	victim := -1
-	for i, tr := range s.inFlight {
-		if tr.cancelled || tr.req.Demand {
+	var tr *transfer
+	for cur := s.inHead; cur != nil; cur = cur.next {
+		if cur.req.Demand {
 			continue
 		}
-		if victim < 0 || tr.startedAt > s.inFlight[victim].startedAt ||
-			(tr.startedAt == s.inFlight[victim].startedAt && tr.req.seq > s.inFlight[victim].req.seq) {
-			victim = i
+		if tr == nil || cur.startedAt > tr.startedAt ||
+			(cur.startedAt == tr.startedAt && cur.req.seq > tr.req.seq) {
+			tr = cur
 		}
 	}
-	if victim < 0 {
+	if tr == nil {
 		return
 	}
 	now := s.clock.Now()
-	tr := s.inFlight[victim]
 	tr.cancelled = true
-	s.removeInFlight(victim)
+	s.unlinkInFlight(tr)
 	s.busyTime += now - tr.startedAt
-	s.util.transition(now, len(s.inFlight))
+	s.util.transition(now, s.inCount)
 	s.preemptions++
 	if s.Tracer != nil {
 		ev := obs.Ev(now, obs.KindPreempt, tr.req.Client)
@@ -514,7 +526,7 @@ func (s *Scheduler) dispatch() {
 	if s.failed {
 		return // stale wake-ups after Fail must not start abandoned work
 	}
-	for len(s.inFlight) < s.cfg.Concurrency {
+	for s.inCount < s.cfg.Concurrency {
 		req, ok := s.disc.Pop(s.clock.Now())
 		if !ok {
 			break
@@ -531,7 +543,7 @@ func (s *Scheduler) dispatch() {
 // time. Work-conserving disciplines never need one (ReadyAt is always
 // now); shaping uses it to resume when a token bucket refills.
 func (s *Scheduler) scheduleWake() {
-	if len(s.inFlight) >= s.cfg.Concurrency {
+	if s.inCount >= s.cfg.Concurrency {
 		return // a completion will re-dispatch
 	}
 	now := s.clock.Now()
@@ -580,8 +592,8 @@ func (s *Scheduler) start(req *Request) {
 		trc := tr
 		tr.fire = func() { s.complete(trc) }
 	}
-	s.inFlight = append(s.inFlight, tr)
-	s.util.transition(now, len(s.inFlight))
+	s.linkInFlight(tr)
+	s.util.transition(now, s.inCount)
 	s.clock.After(service, tr.fire)
 }
 
@@ -603,15 +615,10 @@ func (s *Scheduler) complete(tr *transfer) {
 		s.trPool.Put(tr)
 		return // orphaned by a preemption
 	}
-	for i, cur := range s.inFlight {
-		if cur == tr {
-			s.removeInFlight(i)
-			break
-		}
-	}
+	s.unlinkInFlight(tr)
 	now := s.clock.Now()
 	s.busyTime += tr.service
-	s.util.transition(now, len(s.inFlight))
+	s.util.transition(now, s.inCount)
 	s.completed++
 	if !tr.req.Demand {
 		s.specCompleted++
@@ -627,12 +634,34 @@ func (s *Scheduler) complete(tr *transfer) {
 	s.release(req)
 }
 
-// removeInFlight drops index i preserving order (start-time order matters
-// for deterministic preemption victim selection).
-func (s *Scheduler) removeInFlight(i int) {
-	copy(s.inFlight[i:], s.inFlight[i+1:])
-	s.inFlight[len(s.inFlight)-1] = nil
-	s.inFlight = s.inFlight[:len(s.inFlight)-1]
+// linkInFlight appends a starting transfer at the tail of the in-flight
+// list.
+func (s *Scheduler) linkInFlight(tr *transfer) {
+	tr.prev, tr.next = s.inTail, nil
+	if s.inTail != nil {
+		s.inTail.next = tr
+	} else {
+		s.inHead = tr
+	}
+	s.inTail = tr
+	s.inCount++
+}
+
+// unlinkInFlight removes tr from the in-flight list in O(1), leaving the
+// others in start order, and clears its links.
+func (s *Scheduler) unlinkInFlight(tr *transfer) {
+	if tr.prev != nil {
+		tr.prev.next = tr.next
+	} else {
+		s.inHead = tr.next
+	}
+	if tr.next != nil {
+		tr.next.prev = tr.prev
+	} else {
+		s.inTail = tr.prev
+	}
+	tr.prev, tr.next = nil, nil
+	s.inCount--
 }
 
 // readmitDeferred re-offers deferred requests, oldest first, now that a
@@ -699,7 +728,7 @@ func (s *Scheduler) Snapshot(now float64) Feedback {
 		ev := obs.Ev(now, obs.KindQueueDepth, obs.ServerClient)
 		ev.Queued = s.disc.Len()
 		ev.QueuedDemand = s.queuedDemand
-		ev.InFlight = len(s.inFlight)
+		ev.InFlight = s.inCount
 		ev.Util = s.util.estimate(now)
 		s.Tracer.Emit(ev)
 	}
@@ -716,7 +745,7 @@ func (s *Scheduler) Peek(now float64) Feedback {
 		Utilization:      s.util.estimate(now),
 		Queued:           s.disc.Len(),
 		QueuedDemand:     s.queuedDemand,
-		InFlight:         len(s.inFlight),
+		InFlight:         s.inCount,
 		DeferredNow:      len(s.deferred),
 		DroppedTotal:     s.dropped,
 		DeferredTotal:    s.deferredTotal,
@@ -739,16 +768,15 @@ func (s *Scheduler) Fail() int {
 	}
 	s.failed = true
 	now := s.clock.Now()
-	lost := 0
-	for i, tr := range s.inFlight {
-		if !tr.cancelled {
-			tr.cancelled = true
-			s.busyTime += now - tr.startedAt
-			lost++
-		}
-		s.inFlight[i] = nil
+	lost := s.inCount
+	for tr := s.inHead; tr != nil; {
+		next := tr.next
+		tr.cancelled = true
+		s.busyTime += now - tr.startedAt
+		tr.prev, tr.next = nil, nil
+		tr = next
 	}
-	s.inFlight = s.inFlight[:0]
+	s.inHead, s.inTail, s.inCount = nil, nil, 0
 	s.util.transition(now, 0)
 	// There is no per-request drain API on Discipline; abandon the whole
 	// backlog by swapping in an empty queue, so Queued() reads 0 and the
@@ -774,7 +802,7 @@ func (s *Scheduler) Queued() int { return s.disc.Len() }
 func (s *Scheduler) QueuedDemand() int { return s.queuedDemand }
 
 // InFlight returns the number of occupied transfer slots.
-func (s *Scheduler) InFlight() int { return len(s.inFlight) }
+func (s *Scheduler) InFlight() int { return s.inCount }
 
 // DeferredNow returns the number of currently deferred requests.
 func (s *Scheduler) DeferredNow() int { return len(s.deferred) }

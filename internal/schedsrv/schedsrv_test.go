@@ -826,6 +826,55 @@ func BenchmarkSchedulerDequeue(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerComplete holds the in-flight set at a fixed size and
+// times one completion per op: the transfer finishes at a random position
+// in start order, and its Done callback submits a replacement that starts
+// at once. Service times scale with the size, so completions arrive at
+// the same simulated rate at every size and the utilisation window holds
+// the same number of segments. Whatever else scales with the in-flight
+// count is in the op, so ns/op flat across the sizes (up to the event
+// queue's log factor) shows completion is O(1). Tracked by the
+// benchmark-regression gate.
+func BenchmarkSchedulerComplete(b *testing.B) {
+	for _, n := range []int{64, 1024, 16384} {
+		r := rng.New(17)
+		services := make([]float64, 4096)
+		for i := range services {
+			services[i] = float64(n) / 64 * (1 + r.Float64())
+		}
+		b.Run(fmt.Sprintf("inflight=%d", n), func(b *testing.B) {
+			var clock netsim.Clock
+			s, err := New(&clock, Config{Concurrency: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			next, done := 0, 0
+			submit := func() {
+				s.Submit(Request{Client: next % 64, Page: next, Service: services[next%len(services)]})
+				next++
+			}
+			s.Done = func(*Request, float64, float64) {
+				done++
+				if done == b.N {
+					b.StopTimer() // the remaining n completions only drain the clock
+				}
+				if done < b.N {
+					submit()
+				}
+			}
+			for i := 0; i < n; i++ {
+				submit()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			clock.Run()
+			if s.InFlight() != 0 || int(s.Completed()) != n+b.N-1 {
+				b.Fatalf("completed %d with %d in flight", s.Completed(), s.InFlight())
+			}
+		})
+	}
+}
+
 // TestShapedDrainsSustainedLoad is the regression test for a liveness
 // bug: under a long contended load, a speculative head could end up one
 // float ulp short of its token need at an instant where the computed
