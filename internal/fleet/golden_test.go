@@ -1,0 +1,163 @@
+package fleet
+
+import (
+	"bufio"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
+	"testing"
+
+	"prefetch/internal/adaptive"
+	"prefetch/internal/multiclient"
+	"prefetch/internal/obs"
+	"prefetch/internal/predict"
+	"prefetch/internal/schedsrv"
+)
+
+// goldenPath holds one line per replay configuration: its name, the
+// FNV-64a of its JSONL decision trace and the FNV-64a of its %+v Result.
+const goldenPath = "testdata/golden_fingerprints.txt"
+
+// goldenCase is one replay configuration: run executes it with the given
+// tracer and returns the run's Result for fingerprinting.
+type goldenCase struct {
+	name string
+	run  func(tr obs.Tracer) (any, error)
+}
+
+// goldenBase is the small contended configuration every golden case
+// starts from: enough clients and rounds to queue, preempt and evict,
+// small enough that the whole matrix runs in a few seconds.
+func goldenBase() multiclient.Config {
+	cfg := multiclient.DefaultConfig()
+	cfg.Clients = 6
+	cfg.Rounds = 50
+	cfg.ServerConcurrency = 1
+	cfg.ServerCacheSlots = 12
+	cfg.Seed = 11
+	return cfg
+}
+
+// goldenCases is the replay matrix. Multiclient: every predictor kind ×
+// {fifo, priority+preempt, wfq} × {static, aimd} × drift {off, on}; the
+// shared predictor always warms the server cache, and drifting runs use
+// the per-round prefetch-only client (no client cache). Fleet: every
+// router × {1, 3} replicas × failures {off, on} × {oracle, shared+warm}.
+func goldenCases() []goldenCase {
+	scheds := []struct {
+		name string
+		cfg  schedsrv.Config
+	}{
+		{"fifo", schedsrv.Config{Kind: schedsrv.KindFIFO}},
+		{"priority-preempt", schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}},
+		{"wfq", schedsrv.Config{Kind: schedsrv.KindWFQ}},
+	}
+	var cases []goldenCase
+	for _, pk := range predict.Kinds() {
+		for _, sc := range scheds {
+			for _, ck := range []adaptive.Kind{adaptive.KindStatic, adaptive.KindAIMD} {
+				for _, drift := range []int{0, 7} {
+					cfg := goldenBase()
+					cfg.Predict = predict.Config{Kind: pk}
+					cfg.WarmServerCache = pk == predict.KindShared
+					cfg.Sched = sc.cfg
+					cfg.Adaptive = adaptive.Config{Kind: ck}
+					if drift > 0 {
+						cfg.DriftEvery = drift
+						cfg.ClientCacheSlots = 0
+					}
+					cases = append(cases, goldenCase{
+						name: fmt.Sprintf("mc/%s/%s/%s/drift=%d", pk, sc.name, ck, drift),
+						run: func(tr obs.Tracer) (any, error) {
+							c := cfg
+							c.Tracer = tr
+							return multiclient.Run(c)
+						},
+					})
+				}
+			}
+		}
+	}
+	for _, rk := range Kinds() {
+		for _, reps := range []int{1, 3} {
+			for _, fail := range []bool{false, true} {
+				for _, shared := range []bool{false, true} {
+					cfg := Config{Base: goldenBase(), Replicas: reps, Router: rk}
+					cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
+					pred := "oracle"
+					if shared {
+						pred = "shared-warm"
+						cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
+						cfg.Base.WarmServerCache = true
+					}
+					if fail {
+						cfg.FailEvery, cfg.RecoverAfter = 25, 8
+					}
+					cases = append(cases, goldenCase{
+						name: fmt.Sprintf("fleet/%s/r=%d/fail=%t/%s", rk, reps, fail, pred),
+						run: func(tr obs.Tracer) (any, error) {
+							c := cfg
+							c.Base.Tracer = tr
+							return Run(c)
+						},
+					})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// fingerprint runs one case with a JSONL writer attached and returns the
+// golden line for it.
+func (gc goldenCase) fingerprint() (string, error) {
+	th := fnv.New64a()
+	w := obs.NewWriter(th)
+	res, err := gc.run(w)
+	if err != nil {
+		return "", err
+	}
+	if err := w.Flush(); err != nil {
+		return "", err
+	}
+	rh := fnv.New64a()
+	fmt.Fprintf(rh, "%+v", res)
+	return fmt.Sprintf("%s %016x %016x", gc.name, th.Sum64(), rh.Sum64()), nil
+}
+
+// TestReplayGoldenFingerprints replays the matrix above and compares each
+// decision trace and Result against fingerprints recorded in testdata.
+// Every byte a refactor moves shows up here; a mismatch prints the new
+// line so an intentional change can be reviewed and recorded.
+func TestReplayGoldenFingerprints(t *testing.T) {
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			want[strings.Fields(line)[0]] = line
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cases := goldenCases()
+	if len(want) != len(cases) {
+		t.Errorf("%s has %d fingerprints, the matrix has %d cases", goldenPath, len(want), len(cases))
+	}
+	for _, gc := range cases {
+		got, err := gc.fingerprint()
+		if err != nil {
+			t.Errorf("%s: %v", gc.name, err)
+			continue
+		}
+		if got != want[gc.name] {
+			t.Errorf("fingerprint mismatch:\n got  %s\n want %s", got, want[gc.name])
+		}
+	}
+}
