@@ -211,8 +211,10 @@ func run(args []string, out io.Writer) error {
 	if _, err := parseReplicas(*replicas); err != nil {
 		return err
 	}
-	if err := checkFailureFlags(*failEvery, *recoverAfter); err != nil {
-		return err
+	failCheck := prefetch.DefaultFleetConfig()
+	failCheck.FailEvery, failCheck.RecoverAfter = *failEvery, *recoverAfter
+	if err := failCheck.Validate(); err != nil {
+		return fmt.Errorf("-fail-every/-recover-after: %w", err)
 	}
 	// The drift and predictor tunables are likewise validated in every
 	// mode; PredictConfig treats zeros as "use the default", so explicit
@@ -736,21 +738,6 @@ func parseClients(list string) ([]int, error) { return parseCounts(list, "client
 // parseReplicas parses a single replica count or a comma-separated sweep axis.
 func parseReplicas(list string) ([]int, error) { return parseCounts(list, "replica count") }
 
-// checkFailureFlags validates the fleet failure regime; positive-form
-// checks so NaN is rejected too.
-func checkFailureFlags(failEvery, recoverAfter float64) error {
-	if !(failEvery >= 0) || math.IsInf(failEvery, 0) {
-		return fmt.Errorf("-fail-every must be finite and >= 0 (got %v)", failEvery)
-	}
-	if !(recoverAfter >= 0) || math.IsInf(recoverAfter, 0) {
-		return fmt.Errorf("-recover-after must be finite and >= 0 (got %v)", recoverAfter)
-	}
-	if failEvery > 0 && !(recoverAfter > 0) {
-		return fmt.Errorf("-fail-every needs -recover-after > 0 (failed replicas would never return)")
-	}
-	return nil
-}
-
 // mcConfig validates the multiclient flag values and builds the base
 // config (Clients unset — callers pick from ns) plus the parsed sweep
 // lists. Shared by the multiclient and fleet modes.
@@ -893,17 +880,30 @@ func runMultiClient(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 		return fmt.Errorf("-trace-out/-metrics-out need a single run: drop the sweep axes (clients/discipline/controller/predictor lists)")
 	}
 	cfg.Tracer = tr
+	disc := cfg.Sched.Kind
+	if disc == "" {
+		disc = prefetch.SchedFIFO
+	}
 	if len(preds) > 1 && len(ctls) > 1 {
 		return runPredictorControllerSweep(out, cfg, ns, preds, ctls, reps, driftNote)
 	}
+	// The single-axis sweeps: one table per client count, the axis
+	// swept over the identical seed-replicated workload.
+	tail := fmt.Sprintf(", server concurrency %d, %d reps, %d rounds each\n\n", cfg.ServerConcurrency, reps, cfg.Rounds)
 	if len(preds) > 1 {
-		return runPredictorSweep(out, cfg, ns, preds, reps, ctlNote+driftNote)
+		return runAxisSweep(out, cfg, ns, reps, prefetch.MultiClientPredictorAxis(preds), func(n int) string {
+			return fmt.Sprintf("predictor sweep, %d clients, discipline %s%s", n, disc, ctlNote+driftNote) + tail
+		}, predictorColumns)
 	}
 	if len(ctls) > 1 {
-		return runControllerSweep(out, cfg, ns, ctls, reps, predNote+driftNote)
+		return runAxisSweep(out, cfg, ns, reps, prefetch.MultiClientControllerAxis(ctls), func(n int) string {
+			return fmt.Sprintf("controller sweep, %d clients, discipline %s%s", n, disc, predNote+driftNote) + tail
+		}, controllerColumns)
 	}
 	if len(kinds) > 1 {
-		return runDisciplineSweep(out, cfg, ns, kinds, reps, ctlNote+predNote+driftNote)
+		return runAxisSweep(out, cfg, ns, reps, prefetch.MultiClientDisciplineAxis(kinds), func(n int) string {
+			return fmt.Sprintf("discipline sweep, %d clients%s", n, ctlNote+predNote+driftNote) + tail
+		}, disciplineColumns)
 	}
 
 	if len(ns) == 1 {
@@ -960,122 +960,95 @@ func runMultiClient(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 		return nil
 	}
 
-	points, err := prefetch.SweepMultiClient(cfg, ns, reps, 0)
+	clients, err := prefetch.MultiClientClientsAxis(ns)
+	if err != nil {
+		return err
+	}
+	points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, clients)
 	if err != nil {
 		return err
 	}
 	if extended {
 		fmt.Fprintf(out, "sweep over clients, discipline %s%s%s%s, server concurrency %d, %d reps, %d rounds each\n\n",
 			cfg.Sched.Kind, ctlNote, predNote, driftNote, cfg.ServerConcurrency, reps, cfg.Rounds)
-		fmt.Fprintf(out, "%-8s %10s %10s %12s %10s %10s %10s\n",
-			"clients", "demand T", "mean T", "queue wait", "spec/s", "util%", "improve%")
-		for _, p := range points {
-			fmt.Fprintf(out, "%-8d %10.4f %10.4f %12.4f %10.4f %9.1f%% %9.1f%%\n",
-				p.Clients, p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
-				p.SpecThroughput.Mean(), 100*p.Utilization.Mean(), 100*p.Improvement.Mean())
-		}
+		printTable(out, []column{colClients, colDemandT, colMeanT, colQueueWait, colSpec, colUtil, colImprove}, points)
 		return nil
 	}
 	fmt.Fprintf(out, "sweep over clients%s%s%s, server concurrency %d, %d reps, %d rounds each\n\n",
 		ctlNote, predNote, driftNote, cfg.ServerConcurrency, reps, cfg.Rounds)
-	fmt.Fprintf(out, "%-8s %10s %10s %12s %10s %10s\n",
-		"clients", "mean T", "±95%", "queue wait", "util%", "improve%")
+	printTable(out, []column{colClients, colMeanT, colCI95, colQueueWait, colUtil, colImprove}, points)
+	return nil
+}
+
+// column is one column of a sweep table: its name, the header and row
+// cell formats, and the value a grid cell shows in it.
+type column struct {
+	name      string
+	head, row string
+	val       func(p prefetch.MultiClientPoint) any
+}
+
+// The columns the sweep tables share.
+var (
+	colClients   = column{"clients", "%-8s", "%-8d", func(p prefetch.MultiClientPoint) any { return p.Clients }}
+	colDemandT   = column{"demand T", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.DemandAccess.Mean() }}
+	colMeanT     = column{"mean T", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.Access.Mean() }}
+	colCI95      = column{"±95%", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.Access.CI95() }}
+	colQueueWait = column{"queue wait", "%12s", "%12.4f", func(p prefetch.MultiClientPoint) any { return p.QueueWait.Mean() }}
+	colLambda    = column{"mean λ", "%8s", "%8.3f", func(p prefetch.MultiClientPoint) any { return p.Lambda.Mean() }}
+	colL1        = column{"L1 err", "%8s", "%8.3f", func(p prefetch.MultiClientPoint) any { return p.L1Error.Mean() }}
+	colWaste     = column{"waste%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.WastedFraction.Mean() }}
+	colHit       = column{"hit%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.HitRatio.Mean() }}
+	colSpec      = column{"spec/s", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.SpecThroughput.Mean() }}
+	colDrops     = column{"drops", "%8s", "%8d", func(p prefetch.MultiClientPoint) any { return p.PrefetchDropped }}
+	colPreempt   = column{"preempt", "%8s", "%8d", func(p prefetch.MultiClientPoint) any { return p.Preemptions }}
+	colUtil      = column{"util%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Utilization.Mean() }}
+	colImprove   = column{"improve%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Improvement.Mean() }}
+)
+
+// labelColumn shows each cell's first axis label.
+func labelColumn(name, format string) column {
+	return column{name, format, format, func(p prefetch.MultiClientPoint) any { return p.Labels[0] }}
+}
+
+// The single-axis sweep tables.
+var (
+	disciplineColumns = []column{labelColumn("discipline", "%-10s"), colDemandT, colMeanT, colQueueWait, colSpec, colDrops, colPreempt, colImprove}
+	controllerColumns = []column{labelColumn("controller", "%-15s"), colDemandT, colMeanT, colQueueWait, colLambda, colSpec, colDrops, colImprove}
+	predictorColumns  = []column{labelColumn("predictor", "%-10s"), colDemandT, colMeanT, colL1, colWaste, colHit, colSpec, colImprove}
+)
+
+// printTable writes a header row and one row per grid cell.
+func printTable(out io.Writer, cols []column, points []prefetch.MultiClientPoint) {
+	heads, rows := make([]string, len(cols)), make([]string, len(cols))
+	vals := make([]any, len(cols))
+	for i, c := range cols {
+		heads[i], rows[i], vals[i] = c.head, c.row, c.name
+	}
+	fmt.Fprintf(out, strings.Join(heads, " ")+"\n", vals...)
 	for _, p := range points {
-		fmt.Fprintf(out, "%-8d %10.4f %10.4f %12.4f %9.1f%% %9.1f%%\n",
-			p.Clients, p.Access.Mean(), p.Access.CI95(), p.QueueWait.Mean(),
-			100*p.Utilization.Mean(), 100*p.Improvement.Mean())
+		for i, c := range cols {
+			vals[i] = c.val(p)
+		}
+		fmt.Fprintf(out, strings.Join(rows, " ")+"\n", vals...)
 	}
-	return nil
 }
 
-// runDisciplineSweep tabulates every requested discipline over the
-// identical seed-replicated workload, one table per client count.
-// ctlNote is the caller's non-default-controller header note ("" when
-// the static λ = 0 default is active).
-func runDisciplineSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, kinds []prefetch.SchedKind, reps int, ctlNote string) error {
+// runAxisSweep prints one table per client count: axis swept over the
+// identical seed-replicated workload, each cell with its no-prefetch
+// baseline. title(n) is the header line for n clients.
+func runAxisSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, reps int, axis prefetch.MultiClientAxis, title func(n int) string, cols []column) error {
 	for i, n := range ns {
 		if i > 0 {
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientDisciplines(cfg, kinds, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, axis)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "discipline sweep, %d clients%s, server concurrency %d, %d reps, %d rounds each\n\n",
-			n, ctlNote, cfg.ServerConcurrency, reps, cfg.Rounds)
-		fmt.Fprintf(out, "%-10s %10s %10s %12s %10s %8s %8s %10s\n",
-			"discipline", "demand T", "mean T", "queue wait", "spec/s", "drops", "preempt", "improve%")
-		for _, p := range points {
-			fmt.Fprintf(out, "%-10s %10.4f %10.4f %12.4f %10.4f %8d %8d %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
-				p.SpecThroughput.Mean(), p.PrefetchDropped, p.Preemptions,
-				100*p.Improvement.Mean())
-		}
-	}
-	return nil
-}
-
-// runControllerSweep tabulates every requested λ controller over the
-// identical seed-replicated workload, one table per client count.
-// predNote is the caller's non-default-predictor header note ("" when the
-// oracle default is active).
-func runControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, ctls []prefetch.ControllerKind, reps int, predNote string) error {
-	for i, n := range ns {
-		if i > 0 {
-			fmt.Fprintln(out)
-		}
-		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientControllers(cfg, ctls, reps, 0)
-		if err != nil {
-			return err
-		}
-		disc := cfg.Sched.Kind
-		if disc == "" {
-			disc = prefetch.SchedFIFO
-		}
-		fmt.Fprintf(out, "controller sweep, %d clients, discipline %s%s, server concurrency %d, %d reps, %d rounds each\n\n",
-			n, disc, predNote, cfg.ServerConcurrency, reps, cfg.Rounds)
-		fmt.Fprintf(out, "%-15s %10s %10s %12s %8s %10s %8s %10s\n",
-			"controller", "demand T", "mean T", "queue wait", "mean λ", "spec/s", "drops", "improve%")
-		for _, p := range points {
-			fmt.Fprintf(out, "%-15s %10.4f %10.4f %12.4f %8.3f %10.4f %8d %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
-				p.Lambda.Mean(), p.SpecThroughput.Mean(), p.PrefetchDropped,
-				100*p.Improvement.Mean())
-		}
-	}
-	return nil
-}
-
-// runPredictorSweep tabulates every requested prediction source over the
-// identical seed-replicated workload, one table per client count —
-// the oracle-vs-learned gap under contention. ctlNote is the caller's
-// non-default-controller header note.
-func runPredictorSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, preds []prefetch.PredictorKind, reps int, ctlNote string) error {
-	for i, n := range ns {
-		if i > 0 {
-			fmt.Fprintln(out)
-		}
-		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientPredictors(cfg, preds, reps, 0)
-		if err != nil {
-			return err
-		}
-		disc := cfg.Sched.Kind
-		if disc == "" {
-			disc = prefetch.SchedFIFO
-		}
-		fmt.Fprintf(out, "predictor sweep, %d clients, discipline %s%s, server concurrency %d, %d reps, %d rounds each\n\n",
-			n, disc, ctlNote, cfg.ServerConcurrency, reps, cfg.Rounds)
-		fmt.Fprintf(out, "%-10s %10s %10s %8s %8s %8s %10s %10s\n",
-			"predictor", "demand T", "mean T", "L1 err", "waste%", "hit%", "spec/s", "improve%")
-		for _, p := range points {
-			fmt.Fprintf(out, "%-10s %10.4f %10.4f %8.3f %7.1f%% %7.1f%% %10.4f %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
-				100*p.WastedFraction.Mean(), 100*p.HitRatio.Mean(),
-				p.SpecThroughput.Mean(), 100*p.Improvement.Mean())
-		}
+		fmt.Fprint(out, title(n))
+		printTable(out, cols, points)
 	}
 	return nil
 }
@@ -1092,7 +1065,10 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientPredictorControllers(cfg, preds, ctls, reps, 0)
+		// No baseline leg: the controller comparison is relative, so the
+		// doubled simulation cost would buy nothing.
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, false,
+			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			return err
 		}
@@ -1104,22 +1080,54 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 			n, disc, note, cfg.ServerConcurrency, reps, cfg.Rounds)
 		fmt.Fprintf(out, "(* = on the controller's (demand T, spec/s) Pareto frontier)\n")
 		for ci, ctl := range ctls {
+			group := points[ci*len(preds) : (ci+1)*len(preds)]
+			frontier := markPareto(group)
 			fmt.Fprintf(out, "\ncontroller %s\n", ctl)
 			fmt.Fprintf(out, "%-12s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "mean λ", "L1 err", "waste%", "spec/s", "pareto")
-			for pi := range preds {
-				p := points[ci*len(preds)+pi]
+			for pi, p := range group {
 				mark := ""
-				if p.Pareto {
+				if frontier[pi] {
 					mark = "*"
 				}
 				fmt.Fprintf(out, "%-12s %10.4f %10.4f %8.3f %8.3f %7.1f%% %10.4f %7s\n",
-					p.Predictor, p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(),
+					p.Labels[1], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(),
 					p.L1Error.Mean(), 100*p.WastedFraction.Mean(), p.SpecThroughput.Mean(), mark)
 			}
 		}
 	}
 	return nil
+}
+
+// markPareto reports which cells of one controller group are
+// non-dominated: a cell is dominated when another cell is at least as
+// good on both objectives (demand latency minimised, speculative
+// throughput maximised) and strictly better on one.
+//
+// Tie handling: domination requires a strict improvement on at least one
+// objective, so a cell can never dominate an exact duplicate of itself.
+// Cells with identical (demand latency, spec/s) are therefore always
+// marked together — both on the frontier, or both dominated by a
+// strictly better third cell — and the full pairwise scan makes the
+// result independent of slice order.
+func markPareto(group []prefetch.MultiClientPoint) []bool {
+	frontier := make([]bool, len(group))
+	for i := range group {
+		dominated := false
+		di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
+		for j := range group {
+			if i == j {
+				continue
+			}
+			dj, sj := group[j].DemandAccess.Mean(), group[j].SpecThroughput.Mean()
+			if dj <= di && sj >= si && (dj < di || sj > si) {
+				dominated = true
+				break
+			}
+		}
+		frontier[i] = !dominated
+	}
+	return frontier
 }
 
 // runFleet plays the multiclient workload against an R-replica fleet
@@ -1140,9 +1148,6 @@ func runFleet(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 	}
 	replicas, err := parseReplicas(opt.replicas)
 	if err != nil {
-		return err
-	}
-	if err := checkFailureFlags(opt.failEvery, opt.recoverAfter); err != nil {
 		return err
 	}
 	base.Clients = ns[0]

@@ -48,14 +48,14 @@ func main() {
 	var static16, aimd16 float64
 	for _, n := range ns {
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientControllers(cfg, ctls, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientControllerAxis(ctls))
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, p := range points {
-			row(n, string(p.Kind), p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
+		for i, p := range points {
+			row(n, p.Labels[0], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
 			if n == 16 {
-				switch p.Kind {
+				switch ctls[i] {
 				case prefetch.ControllerStatic:
 					static16 = p.DemandAccess.Mean()
 				case prefetch.ControllerAIMD:
@@ -72,7 +72,8 @@ func main() {
 		cfg.Clients = n
 		cfg.Sched = prefetch.SchedConfig{Kind: prefetch.SchedPriority}
 		cfg.Adaptive = prefetch.ControllerConfig{}
-		points, err := prefetch.SweepMultiClientControllers(cfg, []prefetch.ControllerKind{prefetch.ControllerStatic}, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true,
+			prefetch.MultiClientControllerAxis([]prefetch.ControllerKind{prefetch.ControllerStatic}))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,8 @@ func main() {
 	for _, disc := range discs {
 		c := cfg
 		c.Sched = prefetch.SchedConfig{Kind: disc}
-		points, err := prefetch.SweepMultiClientPredictorControllers(c, preds, ctls, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(c, reps, 0, false,
+			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,14 +62,15 @@ func main() {
 			fmt.Printf("%-10s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "waste%", "L1 err", "hit%", "spec/s", "pareto")
 			gap[disc][ctl] = map[prefetch.PredictorKind]float64{}
+			group := points[ci*len(preds) : (ci+1)*len(preds)]
 			for pi, pred := range preds {
-				p := points[ci*len(preds)+pi]
+				p := group[pi]
 				mark := ""
-				if p.Pareto {
+				if onFrontier(group, pi) {
 					mark = "*"
 				}
 				fmt.Printf("%-10s %10.3f %10.3f %7.1f%% %8.3f %7.1f%% %10.4f %7s\n",
-					p.Predictor, p.DemandAccess.Mean(), p.Access.Mean(),
+					pred, p.DemandAccess.Mean(), p.Access.Mean(),
 					100*p.WastedFraction.Mean(), p.L1Error.Mean(),
 					100*p.HitRatio.Mean(), p.SpecThroughput.Mean(), mark)
 				gap[disc][ctl][pred] = p.DemandAccess.Mean()
@@ -93,4 +95,18 @@ func main() {
 	fmt.Println("masking the Pareto marks expose: the learned rows buy their latency")
 	fmt.Println("with less speculative throughput delivered (and the waste% and L1")
 	fmt.Println("columns show the prediction quality behind it).")
+}
+
+// onFrontier reports whether group[i] is on the group's (demand latency ↓,
+// speculative throughput ↑) Pareto frontier: no other cell is at least as
+// good on both and strictly better on one.
+func onFrontier(group []prefetch.MultiClientPoint, i int) bool {
+	di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
+	for j := range group {
+		dj, sj := group[j].DemandAccess.Mean(), group[j].SpecThroughput.Mean()
+		if j != i && dj <= di && sj >= si && (dj < di || sj > si) {
+			return false
+		}
+	}
+	return true
 }

@@ -43,7 +43,11 @@ func main() {
 }
 
 func report(cfg prefetch.MultiClientConfig, ns []int, reps int) {
-	points, err := prefetch.SweepMultiClient(cfg, ns, reps, 0)
+	clients, err := prefetch.MultiClientClientsAxis(ns)
+	if err != nil {
+		log.Fatal(err)
+	}
+	points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, clients)
 	if err != nil {
 		log.Fatal(err)
 	}

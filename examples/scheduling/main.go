@@ -42,12 +42,12 @@ func main() {
 	header()
 	for _, n := range ns {
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientDisciplines(cfg, kinds, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientDisciplineAxis(kinds))
 		if err != nil {
 			log.Fatal(err)
 		}
 		for _, p := range points {
-			row(n, string(p.Kind), p)
+			row(n, p.Labels[0], p)
 		}
 		fmt.Println()
 	}
@@ -57,7 +57,8 @@ func main() {
 	header()
 	for _, n := range ns {
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientDisciplines(cfg, []prefetch.SchedKind{prefetch.SchedFIFO}, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true,
+			prefetch.MultiClientDisciplineAxis([]prefetch.SchedKind{prefetch.SchedFIFO}))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func header() {
 		"clients", "discipline", "demand T", "mean T", "spec/s", "drops", "improve%")
 }
 
-func row(n int, label string, p prefetch.MultiClientDisciplinePoint) {
+func row(n int, label string, p prefetch.MultiClientPoint) {
 	fmt.Printf("%-8d %-11s %10.3f %10.3f %10.3f %8d %9.1f%%\n",
 		n, label, p.DemandAccess.Mean(), p.Access.Mean(),
 		p.SpecThroughput.Mean(), p.PrefetchDropped, 100*p.Improvement.Mean())

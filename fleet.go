@@ -5,9 +5,10 @@ import (
 	"prefetch/internal/multiclient"
 )
 
-// Multi-server fleet simulation: R replicas, each a full
-// scheduling-arbitrated, cache-equipped server, behind a pluggable
-// request router, with deterministic replica fail/recover injection.
+// Multi-server fleet simulation: the multiclient model spread over R
+// replicas (each the same scheduling-arbitrated, cache-equipped server)
+// behind a pluggable request router, with deterministic replica
+// fail/recover injection.
 // FleetConfig composes the whole stack: the embedded Base is a complete
 // MultiClientConfig (with its nested Sched, Adaptive and Predict
 // sections), and the fleet section adds replica count, router and
@@ -83,11 +84,10 @@ func FleetReplicasAxis(ns []int) (FleetAxis, error) { return fleet.ReplicasAxis(
 // FleetFailEveryAxis sweeps the failure rate (0 disables injection).
 func FleetFailEveryAxis(means []float64) (FleetAxis, error) { return fleet.FailEveryAxis(means) }
 
-// Unified sweep surface for the single-server model: every multiclient
-// sweep is one generic axis-based engine (internal/sweep.Grid), and the
-// per-axis entry points (SweepMultiClient, SweepMultiClientDisciplines,
-// SweepMultiClientControllers, SweepMultiClientPredictors,
-// SweepMultiClientPredictorControllers) are legacy wrappers over it.
+// Sweep surface for the single-server model: every multiclient sweep is
+// one generic axis-based engine (internal/sweep.Grid). Axes compose, so
+// one grid covers a client-count, discipline, controller or predictor
+// sweep and any cross product of them.
 type (
 	// MultiClientAxis is one swept dimension of a MultiClientConfig.
 	MultiClientAxis = multiclient.Axis

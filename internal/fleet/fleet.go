@@ -1,12 +1,18 @@
-// Package fleet scales the multiclient model out: R replicas, each a
-// full scheduling-arbitrated, cache-equipped server (the same machinery
-// as internal/multiclient), behind a pluggable router that places every
-// client request on one of them. The single-server model asks how N
-// sessions contend for one link; the fleet asks where speculation should
-// live when there are several — spread requests for load (round-robin,
-// least-loaded) and every replica sees a diluted access stream, or pin
-// clients to homes (consistent hashing) and each replica's shared
-// predictor and cache specialise on its own clients.
+// Package fleet scales the multiclient model out: R replicas behind a
+// pluggable router that places every client request on one of them. The
+// single-server model asks how N sessions contend for one link; the fleet
+// asks where speculation should live when there are several — spread
+// requests for load (round-robin, least-loaded) and every replica sees a
+// diluted access stream, or pin clients to homes (consistent hashing) and
+// each replica's shared predictor and cache specialise on its own
+// clients.
+//
+// There is no second simulator here. The clients and servers are the
+// multiclient core's (multiclient.RunReplicated), which already owns
+// replication: per-server shared models and caches, replica-stamped
+// tracing, routing, and failure and recovery. This package contributes
+// the configuration, the routers, the result shape and the sweeps; a
+// multiclient run is the same core with one server and no router.
 //
 // Replicas fail. Each one draws an exponential time-to-failure from its
 // own derived RNG stream; a failure loses the scheduler backlog, every
@@ -20,24 +26,19 @@
 // are simply gone, and the page stays demand-fetchable.
 //
 // Determinism: one netsim.Clock, every stream derived from the master
-// seed (clients reuse the multiclient labels; replica i's failure clock
+// seed (clients use the multiclient labels; replica i's failure clock
 // is "replica/i/fail"), routers are pure functions — runs replay bit for
-// bit at any GOMAXPROCS, and a single-replica FIFO fleet with failures
+// bit at any GOMAXPROCS, and a single-replica fleet with failures
 // disabled reproduces the multiclient timeline exactly.
 package fleet
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
-	"prefetch/internal/core"
 	"prefetch/internal/multiclient"
-	"prefetch/internal/netsim"
-	"prefetch/internal/obs"
-	"prefetch/internal/predict"
-	"prefetch/internal/rng"
 	"prefetch/internal/stats"
-	"prefetch/internal/webgraph"
 )
 
 // ErrBadConfig reports an invalid fleet configuration.
@@ -90,10 +91,9 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Replicas < 1:
 		return fmt.Errorf("%w: %d replicas", ErrBadConfig, cfg.Replicas)
-	case !(cfg.FailEvery >= 0):
-		// Positive form so NaN is rejected too.
+	case !finiteNonNeg(cfg.FailEvery):
 		return fmt.Errorf("%w: fail-every %v", ErrBadConfig, cfg.FailEvery)
-	case !(cfg.RecoverAfter >= 0):
+	case !finiteNonNeg(cfg.RecoverAfter):
 		return fmt.Errorf("%w: recover-after %v", ErrBadConfig, cfg.RecoverAfter)
 	case cfg.FailEvery > 0 && !(cfg.RecoverAfter > 0):
 		return fmt.Errorf("%w: failure injection needs recover-after > 0 (got %v)", ErrBadConfig, cfg.RecoverAfter)
@@ -104,27 +104,15 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
+// finiteNonNeg reports whether v is a finite time >= 0. NaN fails the
+// comparison; +Inf would make a failure draw's rate zero (FailEvery) or a
+// repair never end (RecoverAfter).
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // ReplicaResult is one replica's view of the run. Scheduler counters are
 // summed over the replica's incarnations (a failure discards the
 // scheduler; a recovery installs a fresh one).
-type ReplicaResult struct {
-	Replica   int // replica id, 0-based
-	Requests  int64
-	CacheHits int64
-	Busy      float64 // slot-seconds of service across incarnations
-
-	SpecCompleted    int64
-	Preemptions      int64
-	PrefetchDropped  int64
-	PrefetchDeferred int64
-	WarmInserted     int64
-	WarmHits         int64
-
-	Failures   int
-	Recoveries int
-	Lost       int64   // outstanding transfers lost to this replica's failures
-	Downtime   float64 // simulated time spent down
-}
+type ReplicaResult = multiclient.ReplicaResult
 
 // Result aggregates one fleet run. The single-server fields carry the
 // same meaning as multiclient.Result; server-side counters are summed
@@ -229,317 +217,56 @@ func (r Result) HitRatio() float64 {
 	return 1 - float64(r.DemandAccess.N())/float64(r.Access.N())
 }
 
-// failLabel names replica i's derived failure stream.
-func failLabel(i int) string { return fmt.Sprintf("replica/%d/fail", i) }
-
-// clientLabel and driftLabel name session i's derived RNG streams. They
-// are byte-identical to the multiclient labels on purpose: same seed ⇒
-// same workload, so fleet and single-server runs are directly
-// comparable (and equal at one replica without failures).
-func clientLabel(i int) string { return fmt.Sprintf("client/%d", i) }
-func driftLabel(i int) string  { return fmt.Sprintf("client/%d/drift", i) }
-
-// parkedDemand is a demand fetch with nowhere to go: every replica was
-// down when it (re-)routed. Parked demands drain in park order on the
-// next recovery.
-type parkedDemand struct {
-	sess *session
-	page int
-	from int // replica ordinal (1-based) the demand was displaced from, 0 if none
-}
-
-// fleetRun is one simulation in flight: the shared clock, the replicas,
-// the sessions, the router and the failure bookkeeping.
-type fleetRun struct {
-	cfg      *Config
-	clock    *netsim.Clock
-	tr       obs.Tracer
-	site     *webgraph.Site
-	router   Router
-	replicas []*replica
-	sessions []*session
-
-	// scripts is the sharded Phase-A precomputation inherited from the
-	// multiclient core (nil when the config is not scriptable). The rest
-	// is the per-plan scratch the single-threaded event loop reuses: the
-	// candidate buffer, its sorter, the SKP solver (a plan is consumed
-	// before the next Solve) and the inline planner's dense plan-time L1
-	// buffers, one float per page.
-	scripts   *multiclient.Scripts
-	planBuf   []core.Item
-	sorter    core.ItemSorter
-	solver    *core.Solver
-	truth     []float64
-	l1Scratch []float64
-
-	active   int // sessions still browsing; churn stops at 0
-	parked   []parkedDemand
-	reroutes int64
-	lost     int64
-
-	// lastT is the time of the last meaningful event. The clock itself
-	// can run past it: a failure check scheduled beyond the workload's
-	// end fires as a no-op, and counting it would inflate Elapsed.
-	lastT float64
-}
-
-// states builds the router's view of the fleet at now, replicas in id
-// order. Feedback reads use Peek — the untraced Snapshot — so routing a
-// request does not flood the trace with queue_depth samples.
-func (f *fleetRun) states(now float64) []ReplicaState {
-	sts := make([]ReplicaState, len(f.replicas))
-	for i, rep := range f.replicas {
-		sts[i] = ReplicaState{ID: rep.id, Up: rep.up, Feedback: rep.sched.Peek(now)}
-	}
-	return sts
-}
-
-// pick runs the routing decision without tracing.
-func (f *fleetRun) pick(client, page int) (*replica, bool) {
-	id, ok := f.router.Route(client, page, f.states(f.clock.Now()))
-	if !ok {
-		return nil, false
-	}
-	return f.replicas[id], true
-}
-
-// route places a request and traces the decision. It reports false when
-// the whole fleet is down.
-func (f *fleetRun) route(s *session, page int, demand bool) (*replica, bool) {
-	rep, ok := f.pick(s.id, page)
-	if !ok {
-		return nil, false
-	}
-	if f.tr != nil {
-		ev := obs.Ev(f.clock.Now(), obs.KindRoute, s.id)
-		ev.Round = s.round
-		ev.Page = page
-		ev.Demand = demand
-		ev.Replica = rep.id + 1
-		f.tr.Emit(ev)
-	}
-	return rep, true
-}
-
-// rerouteDemand re-places a demand fetch displaced from a failed
-// replica (or parked during a total outage). The reroute event doubles
-// as the new routing decision, so no separate route event is emitted.
-func (f *fleetRun) rerouteDemand(s *session, page, fromOrdinal int) {
-	rep, ok := f.pick(s.id, page)
-	if !ok {
-		f.parked = append(f.parked, parkedDemand{sess: s, page: page, from: fromOrdinal})
-		return
-	}
-	if f.tr != nil {
-		ev := obs.Ev(f.clock.Now(), obs.KindReRoute, s.id)
-		ev.Round = s.round
-		ev.Page = page
-		ev.Replica = rep.id + 1
-		if fromOrdinal > 0 {
-			ev.Note = fmt.Sprintf("from replica %d", fromOrdinal)
-		}
-		f.tr.Emit(ev)
-	}
-	rep.enqueue(&frequest{
-		sess:     s,
-		page:     page,
-		duration: f.site.Pages[page].Retrieval,
-		demand:   true,
-		round:    s.round,
-	})
-}
-
-// handleLost repairs one session's state after its outstanding transfer
-// died with a replica. A lost speculative transfer just stops being
-// pending; a lost transfer the session was blocked on — a demand fetch
-// or a promoted prefetch — re-routes as a fresh demand.
-func (f *fleetRun) handleLost(fr *frequest, from *replica) {
-	s := fr.sess
-	if s.pending[fr.page] == from {
-		delete(s.pending, fr.page)
-	}
-	if s.waitingFor == fr.page {
-		f.reroutes++
-		f.rerouteDemand(s, fr.page, from.id+1)
-	}
-}
-
-// drainParked re-routes demands parked during a total outage, in park
-// order. Called on every recovery; a pick can only fail again if the
-// recovering replica already failed at the same instant, in which case
-// the demand stays parked for the next recovery.
-func (f *fleetRun) drainParked() {
-	if len(f.parked) == 0 {
-		return
-	}
-	pending := f.parked
-	f.parked = nil
-	for _, p := range pending {
-		f.rerouteDemand(p.sess, p.page, p.from)
-	}
-}
-
-// sessionDone retires a finished session; failure injection stops once
-// every session has finished browsing, so the run drains.
-func (f *fleetRun) sessionDone() { f.active-- }
-
 // Run plays the full fleet simulation: all clients start browsing at
 // time zero, replicas fail and recover on their derived schedules, and
-// the event loop drains every transfer.
+// the event loop drains every transfer. The simulation is the multiclient
+// core spread over cfg.Replicas servers behind the configured router.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Base.Seed, "site"), cfg.Base.Site)
-	if err != nil {
-		return Result{}, err
-	}
-	var clock netsim.Clock
-	tr := obs.Active(cfg.Base.Tracer)
 	router, err := NewRouter(cfg.Router, cfg.Replicas)
 	if err != nil {
 		return Result{}, err
 	}
-	f := &fleetRun{
-		cfg:       &cfg,
-		clock:     &clock,
-		tr:        tr,
-		site:      site,
-		router:    router,
-		active:    cfg.Base.Clients,
-		solver:    core.NewSolver(),
-		truth:     make([]float64, len(site.Pages)),
-		l1Scratch: make([]float64, len(site.Pages)),
+	mc, per, reroutes, err := multiclient.RunReplicated(cfg.Base, cfg.Replicas, router, cfg.FailEvery, cfg.RecoverAfter)
+	if err != nil {
+		return Result{}, err
 	}
-	if multiclient.Scriptable(cfg.Base) {
-		// Same client labels, same seed, same draw order: the sharded
-		// Phase-A workers precompute fleet sessions exactly as they do
-		// single-server clients.
-		f.scripts, err = multiclient.GenerateScripts(cfg.Base, site)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	f.replicas = make([]*replica, cfg.Replicas)
-	for i := range f.replicas {
-		rep, err := newReplica(i, f)
-		if err != nil {
-			return Result{}, err
-		}
-		f.replicas[i] = rep
-	}
-	f.sessions = make([]*session, cfg.Base.Clients)
-	for i := range f.sessions {
-		s, err := newSession(i, f)
-		if err != nil {
-			return Result{}, err
-		}
-		f.sessions[i] = s
-	}
-	for _, s := range f.sessions {
-		s := s
-		clock.Schedule(0, func() { s.startRound(0) })
-	}
-	// Failure schedules go on the clock after the session starts so the
-	// workload's t=0 events run before any t=0 failure draw.
-	if cfg.FailEvery > 0 {
-		for _, rep := range f.replicas {
-			rep.failRand = rng.Derive(cfg.Base.Seed, failLabel(rep.id))
-			rep.scheduleFailure(0)
-		}
-	}
-	clock.Run()
-
-	// Wasted-prefetch resolution, as in multiclient: per session in id
-	// order, then issue order, stamped at drain time.
-	if tr != nil {
-		end := clock.Now()
-		for _, s := range f.sessions {
-			for _, sp := range s.specLog {
-				if sp.used {
-					continue
-				}
-				ev := obs.Ev(end, obs.KindSpecWasted, s.id)
-				ev.Page = sp.page
-				ev.Round = sp.round
-				ev.Prob = sp.prob
-				tr.Emit(ev)
-			}
-		}
-	}
-	if cfg.FailEvery == 0 {
-		// No failure events on the clock, so the drain time is the last
-		// meaningful event by construction — and bit-for-bit what the
-		// single-server model reports.
-		f.lastT = clock.Now()
-	}
-
 	res := Result{
-		Clients:     cfg.Base.Clients,
-		Replicas:    cfg.Replicas,
-		Concurrency: cfg.Base.ServerConcurrency,
-		Router:      router.Name(),
-		Discipline:  f.replicas[0].sched.Discipline(),
-		Controller:  f.sessions[0].ctrl.Name(),
-		Predictor:   f.sessions[0].predName,
-		PerClient:   make([]multiclient.ClientResult, cfg.Base.Clients),
-		PerReplica:  make([]ReplicaResult, cfg.Replicas),
-		Elapsed:     f.lastT,
-		ReRoutes:    f.reroutes,
+		Clients:           mc.Clients,
+		Replicas:          cfg.Replicas,
+		Concurrency:       mc.Concurrency,
+		Router:            router.Name(),
+		Discipline:        mc.Discipline,
+		Controller:        mc.Controller,
+		Predictor:         mc.Predictor,
+		PerClient:         mc.PerClient,
+		PerReplica:        per,
+		Access:            mc.Access,
+		DemandAccess:      mc.DemandAccess,
+		QueueWait:         mc.QueueWait,
+		Lambda:            mc.Lambda,
+		L1Error:           mc.L1Error,
+		Elapsed:           mc.Elapsed,
+		ServerBusy:        mc.ServerBusy,
+		ServerRequests:    mc.ServerRequests,
+		ServerCacheHits:   mc.ServerCacheHits,
+		SpecCompleted:     mc.SpecCompleted,
+		Preemptions:       mc.Preemptions,
+		PrefetchDropped:   mc.PrefetchDropped,
+		PrefetchDeferred:  mc.PrefetchDeferred,
+		PrefetchCompleted: mc.PrefetchCompleted,
+		PrefetchUseful:    mc.PrefetchUseful,
+		WarmInserted:      mc.WarmInserted,
+		WarmHits:          mc.WarmHits,
+		ReRoutes:          reroutes,
 	}
-	for i, rep := range f.replicas {
-		rr := rep.result(f.lastT)
-		res.PerReplica[i] = rr
-		res.ServerBusy += rr.Busy
-		res.ServerRequests += rr.Requests
-		res.ServerCacheHits += rr.CacheHits
-		res.SpecCompleted += rr.SpecCompleted
-		res.Preemptions += rr.Preemptions
-		res.PrefetchDropped += rr.PrefetchDropped
-		res.PrefetchDeferred += rr.PrefetchDeferred
-		res.WarmInserted += rr.WarmInserted
-		res.WarmHits += rr.WarmHits
+	for _, rr := range per {
 		res.Failures += int64(rr.Failures)
 		res.Recoveries += int64(rr.Recoveries)
 		res.LostTransfers += rr.Lost
 		res.Downtime += rr.Downtime
 	}
-	for i, s := range f.sessions {
-		if s.access.N() != int64(cfg.Base.Rounds) {
-			return Result{}, fmt.Errorf("fleet: client %d finished %d/%d rounds", i, s.access.N(), cfg.Base.Rounds)
-		}
-		res.PerClient[i] = multiclient.ClientResult{
-			Client:            i,
-			Access:            s.access,
-			DemandAccess:      s.demandAccess,
-			QueueWait:         s.queueWait,
-			Lambda:            s.lambdaTrace,
-			L1Error:           s.l1Trace,
-			PrefetchIssued:    s.prefetchIssued,
-			PrefetchDropped:   s.prefetchDropped,
-			PrefetchCompleted: s.prefetchCompleted,
-			PrefetchUseful:    s.prefetchUseful,
-			DemandFetches:     s.demandFetches,
-			ZeroWaitRounds:    s.zeroWaitRounds,
-		}
-		res.Access.Merge(&s.access)
-		res.DemandAccess.Merge(&s.demandAccess)
-		res.QueueWait.Merge(&s.queueWait)
-		res.Lambda.Merge(&s.lambdaTrace)
-		res.L1Error.Merge(&s.l1Trace)
-		res.PrefetchCompleted += s.prefetchCompleted
-		res.PrefetchUseful += s.prefetchUseful
-	}
 	return res, nil
-}
-
-// newAggregate builds one shared-prediction aggregate per replica when
-// the shared predictor is configured — each replica's model trains only
-// on the accesses of the clients homed there, the state affinity routing
-// specialises.
-func newAggregate(cfg *Config) *predict.Aggregate {
-	if cfg.Base.Predict.Kind != predict.KindShared {
-		return nil
-	}
-	return predict.NewAggregate()
 }

@@ -330,6 +330,8 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 		{"nan fail-every", func(c *Config) { c.FailEvery = math.NaN() }},
 		{"negative recover", func(c *Config) { c.RecoverAfter = -1 }},
 		{"failures without repair", func(c *Config) { c.FailEvery = 10; c.RecoverAfter = 0 }},
+		{"inf fail-every", func(c *Config) { c.FailEvery = math.Inf(1); c.RecoverAfter = 15 }},
+		{"inf recover-after", func(c *Config) { c.FailEvery = 40; c.RecoverAfter = math.Inf(1) }},
 		{"unknown router", func(c *Config) { c.Router = "teleport" }},
 		{"bad base", func(c *Config) { c.Base.Clients = 0 }},
 	}

@@ -50,7 +50,7 @@ func ReplicasAxis(ns []int) (Axis, error) {
 func FailEveryAxis(means []float64) (Axis, error) {
 	ax := Axis{Name: "fail-every"}
 	for _, m := range means {
-		if !(m >= 0) {
+		if !finiteNonNeg(m) {
 			return Axis{}, fmt.Errorf("%w: fail-every %v in sweep axis", ErrBadConfig, m)
 		}
 		m := m

@@ -95,6 +95,9 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	if _, err := FailEveryAxis([]float64{math.NaN()}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("nan fail axis: err = %v, want ErrBadConfig", err)
 	}
+	if _, err := FailEveryAxis([]float64{40, math.Inf(1)}); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("inf fail axis: err = %v, want ErrBadConfig", err)
+	}
 	// A combo invalid only after axes apply: router axis with an unknown
 	// kind fails cell validation before anything runs.
 	if _, err := Sweep(cfg, 1, 0, RouterAxis([]Kind{"teleport"})); !errors.Is(err, ErrBadConfig) {

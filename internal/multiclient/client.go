@@ -17,15 +17,22 @@ import (
 // true next-page distribution, or a model learned online from the access
 // stream), and a private client-side cache. It runs as a callback state
 // machine on the shared clock so any number of clients interleave on the
-// same timeline.
+// same timeline. Every transfer it issues goes to a server: the only one,
+// or the one the run's router picks.
 type client struct {
 	id     int
 	cfg    *Config
 	clock  *netsim.Clock
-	server *server
+	eng    *engine
 	site   *webgraph.Site
 	surfer *webgraph.Surfer
 	rand   *rng.Source
+
+	// home anchors the parts of the model that need one server per
+	// client regardless of where requests land: the shared predictor the
+	// client trains and plans from, the cache its round starts warm, and
+	// the congestion feedback its controller observes.
+	home *server
 
 	// pred is the prediction source the planner consumes. oracle marks
 	// the true-distribution source, whose per-round L1 error is zero by
@@ -47,15 +54,17 @@ type client struct {
 	// arrays replace the seed's maps on the hot path). ready is a round
 	// stamp — ready[p] == round ⇔ a prefetch of p completed this round —
 	// so "clear the set" at round start is free (rounds start at 1, the
-	// zero stamp never matches). pending and specReady are plain flags
-	// with the seed's map semantics.
+	// zero stamp never matches). pending records which server holds each
+	// outstanding prefetch, as 1 + its id (0 = none); specReady is a plain
+	// flag.
 	cache     *cache.Cache // nil ⇒ per-round prefetch-only semantics
 	ready     []int        // prefetches completed this round (cache == nil)
-	pending   []bool       // pages requested from the server, not yet completed
+	pending   []int32      // prefetches requested, not yet completed: 1 + server id
 	specReady []bool       // cached pages whose latest store was speculative and unused
 
 	round       int
 	roundsLeft  int
+	finished    bool // retired from the run's active count
 	waitingFor  int  // page the client is blocked on; -1 when browsing
 	demandRound bool // this round needed a network fetch (shared or own)
 	requestedAt float64
@@ -109,19 +118,24 @@ type specRecord struct {
 	used  bool
 }
 
-func newClient(id int, cfg *Config, clock *netsim.Clock, srv *server, site *webgraph.Site, agg *predict.Aggregate, scripts *Scripts, script *Script, tr obs.Tracer) (*client, error) {
+func newClient(id int, e *engine, scripts *Scripts, script *Script) (*client, error) {
+	cfg, site := e.cfg, e.site
 	c := &client{
 		id:         id,
 		cfg:        cfg,
-		clock:      clock,
-		server:     srv,
+		clock:      &e.clock,
+		eng:        e,
+		home:       e.servers[0],
 		site:       site,
-		tr:         tr,
+		tr:         e.tr,
 		ready:      make([]int, len(site.Pages)),
-		pending:    make([]bool, len(site.Pages)),
+		pending:    make([]int32, len(site.Pages)),
 		specReady:  make([]bool, len(site.Pages)),
 		roundsLeft: cfg.Rounds,
 		waitingFor: -1,
+	}
+	if e.router != nil {
+		c.home = e.servers[e.router.Home(id, len(e.servers))]
 	}
 	c.demandFn = func() { c.request(c.nextPage) }
 	c.oracle = cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle
@@ -142,7 +156,7 @@ func newClient(id int, cfg *Config, clock *netsim.Clock, srv *server, site *webg
 			// current phase, so oracle predictions stay exact across shifts.
 			c.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
 		}
-		pred, err := predict.New(cfg.Predict, id, c.surfer.NextDistributionFrom, agg)
+		pred, err := predict.New(cfg.Predict, id, c.surfer.NextDistributionFrom, c.home.agg)
 		if err != nil {
 			return nil, err
 		}
@@ -202,11 +216,15 @@ func (c *client) store(req request) {
 // this round — the §4.4 stretch generalised to a shared link.
 func (c *client) startRound(now float64) {
 	if c.roundsLeft == 0 {
+		if !c.finished {
+			c.finished = true
+			c.eng.active--
+		}
 		return
 	}
 	// Server-side prefetching piggybacks on round starts: the warmer is
 	// internally rate-limited and a no-op unless cache warming is enabled.
-	c.server.maybeWarm(now)
+	c.home.maybeWarm(now)
 	c.roundsLeft--
 	c.round++ // advancing the round stamp implicitly clears c.ready
 
@@ -239,20 +257,24 @@ func (c *client) startRound(now float64) {
 				ev.Service = it.Retrieval
 				c.tr.Emit(ev)
 			}
-			ok := c.server.enqueue(request{
-				client:   c,
-				page:     it.ID,
-				duration: it.Retrieval,
-				round:    c.round,
-				prob:     it.Prob,
-			})
+			srv, ok := c.target(it.ID, false)
+			if ok {
+				ok = srv.enqueue(request{
+					client:   c,
+					page:     it.ID,
+					duration: it.Retrieval,
+					round:    c.round,
+					prob:     it.Prob,
+				})
+			}
 			if !ok {
-				// Admission control dropped it: no transfer will happen,
-				// so the page must stay requestable on demand.
+				// Admission control dropped it (or every server is down):
+				// no transfer will happen, so the page must stay
+				// requestable on demand.
 				c.prefetchDropped++
 				continue
 			}
-			c.pending[it.ID] = true
+			c.pending[it.ID] = int32(srv.id + 1)
 		}
 	}
 
@@ -277,7 +299,7 @@ func (c *client) observe(now float64) {
 		c.lambdaTrace.Add(c.curLambda)
 		return
 	}
-	snap := c.server.snapshot(now)
+	snap := c.home.feedback(now)
 	fb := adaptive.Feedback{
 		Round:        c.round,
 		Utilization:  snap.Utilization,
@@ -335,35 +357,35 @@ func (c *client) plan(viewing float64) core.Plan {
 			cands = c.script.Cands[c.round-1]
 		}
 		c.l1Trace.Add(l1)
-		items = c.server.planBuf[:0]
+		items = c.eng.planBuf[:0]
 		for i := range cands {
 			if len(items) == c.cfg.MaxCandidates {
 				break
 			}
-			if c.holds(cands[i].ID) || c.pending[cands[i].ID] {
+			if c.holds(cands[i].ID) || c.pending[cands[i].ID] != 0 {
 				continue
 			}
 			items = append(items, cands[i])
 		}
-		c.server.planBuf = items
+		c.eng.planBuf = items
 	} else {
 		state = c.surfer.Current()
 		dist := c.pred.Next(state)
 		if !c.oracle {
-			c.surfer.NextDistributionInto(state, c.server.truth)
-			l1 = predict.L1Dense(dist, c.server.truth, c.server.l1Scratch)
+			c.surfer.NextDistributionInto(state, c.eng.truth)
+			l1 = predict.L1Dense(dist, c.eng.truth, c.eng.l1Scratch)
 		}
 		c.l1Trace.Add(l1)
-		items = c.server.planBuf[:0]
+		items = c.eng.planBuf[:0]
 		for page, prob := range dist {
-			if prob <= 0 || c.holds(page) || c.pending[page] {
+			if prob <= 0 || c.holds(page) || c.pending[page] != 0 {
 				continue
 			}
 			//lint:allow maporder sorted below via the reusable sorter (total-order key: prob desc, id asc)
 			items = append(items, core.Item{ID: page, Prob: prob, Retrieval: c.site.Pages[page].Retrieval})
 		}
-		c.server.planBuf = items // retain any growth for the next plan
-		c.server.sorter.Rank(items)
+		c.eng.planBuf = items // retain any growth for the next plan
+		c.eng.sorter.Rank(items)
 		if len(items) > c.cfg.MaxCandidates {
 			items = items[:c.cfg.MaxCandidates]
 		}
@@ -377,7 +399,7 @@ func (c *client) plan(viewing float64) core.Plan {
 		c.tr.Emit(ev)
 	}
 	problem := core.Problem{Items: items, Viewing: viewing, TotalProb: 1}
-	plan, _, err := c.server.solver.Solve(problem, core.Options{}.WithNetworkLambda(c.curLambda))
+	plan, _, err := c.eng.solver.Solve(problem, core.Options{}.WithNetworkLambda(c.curLambda))
 	if err != nil {
 		// The problem is constructed valid by design; a failure here is a
 		// simulator bug, not a configuration error.
@@ -430,23 +452,44 @@ func (c *client) request(page int) {
 		ev.Page = page
 		c.tr.Emit(ev)
 	}
-	if c.pending[page] {
+	if at := c.pending[page]; at != 0 {
 		// Already queued or in flight as a prefetch: sequential semantics,
 		// the demand waits for the speculative transfer to finish — but the
-		// scheduler learns the transfer is now demand-critical, so
+		// serving scheduler learns the transfer is now demand-critical, so
 		// class-aware disciplines stop deprioritising it. Under FIFO this
 		// is a pure accounting change and reorders nothing.
-		c.server.promote(c.id, page)
+		c.eng.servers[at-1].promote(c.id, page)
 		return
 	}
 	c.demandFetches++
-	c.server.enqueue(request{
+	srv, ok := c.target(page, true)
+	if !ok {
+		// Every server is down: the demand parks until a recovery.
+		c.eng.parked = append(c.eng.parked, parkedDemand{client: c, page: page})
+		return
+	}
+	srv.enqueue(c.demandRequest(page))
+}
+
+// demandRequest is the demand fetch of page in the current round.
+func (c *client) demandRequest(page int) request {
+	return request{
 		client:   c,
 		page:     page,
 		duration: c.site.Pages[page].Retrieval,
 		demand:   true,
 		round:    c.round,
-	})
+	}
+}
+
+// target picks the server for a new transfer of page: the only server
+// when the run has no router, otherwise the router's traced choice. It
+// reports false when every server is down.
+func (c *client) target(page int, demand bool) (*server, bool) {
+	if c.eng.router == nil {
+		return c.home, true
+	}
+	return c.eng.route(c, page, demand)
 }
 
 // markSpecUsed resolves the latest unused speculative transfer of page
@@ -470,7 +513,7 @@ func (c *client) markSpecUsed(page int) {
 
 // onTransferDone is the server's completion callback.
 func (c *client) onTransferDone(req request, waited float64) {
-	c.pending[req.page] = false
+	c.pending[req.page] = 0
 	c.queueWait.Add(waited)
 	if !req.demand {
 		c.prefetchCompleted++
@@ -495,6 +538,7 @@ func (c *client) onTransferDone(req request, waited float64) {
 
 // respond closes the round and immediately begins the next one.
 func (c *client) respond(access float64) {
+	c.eng.lastT = c.clock.Now()
 	if c.tr != nil {
 		ev := obs.Ev(c.clock.Now(), obs.KindRoundEnd, c.id)
 		ev.Round = c.round

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"prefetch/internal/netsim"
 	"prefetch/internal/predict"
 	"prefetch/internal/rng"
 	"prefetch/internal/webgraph"
@@ -166,17 +165,15 @@ func TestWarmCadenceRespected(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var clock netsim.Clock
-	srv, err := newServer(&clock, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := predict.NewAggregate()
-	srv.enableWarming(cfg, agg, site)
+	srv, err := newServer(0, &engine{cfg: &cfg, site: site})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := srv.agg
 	for i := 0; i < 50; i++ {
 		agg.ObserveClient(0, i%10)
 	}
@@ -208,12 +205,11 @@ func TestWarmRejectsUnvalidatedCadence(t *testing.T) {
 	cfg.ServerCacheSlots = 8
 	cfg.Predict = predict.Config{Kind: predict.KindShared}
 	cfg.WarmServerCache = true
-	var clock netsim.Clock
-	srv, err := newServer(&clock, cfg, nil)
+	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
+	srv, err := newServer(0, &engine{cfg: &cfg, site: site})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,56 +219,7 @@ func TestWarmRejectsUnvalidatedCadence(t *testing.T) {
 			t.Error("enableWarming accepted a zero warm cadence")
 		}
 	}()
-	srv.enableWarming(cfg, predict.NewAggregate(), site)
-}
-
-// TestMarkParetoDuplicates: cells with identical (demand latency,
-// spec/s) are marked together — both dominated or both on the frontier —
-// and the marking does not depend on slice order.
-func TestMarkParetoDuplicates(t *testing.T) {
-	mk := func(demand, spec float64) PredictorControllerPoint {
-		var p PredictorControllerPoint
-		p.DemandAccess.Add(demand)
-		p.SpecThroughput.Add(spec)
-		return p
-	}
-	// Dominated duplicates: (3,7) twice, both strictly beaten by (2,9).
-	group := []PredictorControllerPoint{mk(3, 7), mk(2, 9), mk(3, 7)}
-	markPareto(group)
-	if group[0].Pareto || group[2].Pareto || !group[1].Pareto {
-		t.Errorf("dominated duplicates marked inconsistently: %v %v %v",
-			group[0].Pareto, group[1].Pareto, group[2].Pareto)
-	}
-	// Frontier duplicates: (2,9) twice, nothing dominates them.
-	group = []PredictorControllerPoint{mk(2, 9), mk(3, 7), mk(2, 9)}
-	markPareto(group)
-	if !group[0].Pareto || !group[2].Pareto {
-		t.Errorf("frontier duplicates marked inconsistently: %v vs %v",
-			group[0].Pareto, group[2].Pareto)
-	}
-	// Order independence: every rotation of the group yields the same
-	// flags for the same (demand, spec) values.
-	base := []PredictorControllerPoint{mk(1, 5), mk(2, 9), mk(3, 7), mk(2, 9), mk(1.5, 6)}
-	markPareto(base)
-	want := map[[2]float64]bool{}
-	for _, p := range base {
-		want[[2]float64{p.DemandAccess.Mean(), p.SpecThroughput.Mean()}] = p.Pareto
-	}
-	for rot := 1; rot < len(base); rot++ {
-		group := make([]PredictorControllerPoint, 0, len(base))
-		for i := range base {
-			p := base[(i+rot)%len(base)]
-			p.Pareto = false
-			group = append(group, p)
-		}
-		markPareto(group)
-		for i, p := range group {
-			key := [2]float64{p.DemandAccess.Mean(), p.SpecThroughput.Mean()}
-			if p.Pareto != want[key] {
-				t.Errorf("rotation %d point %d (%v): Pareto = %v, want %v", rot, i, key, p.Pareto, want[key])
-			}
-		}
-	}
+	srv.enableWarming()
 }
 
 // TestDriftSweepDeterministic: the predictor sweep over a drifting
@@ -282,19 +229,7 @@ func TestDriftSweepDeterministic(t *testing.T) {
 	cfg := driftTestConfig()
 	cfg.Rounds = 40
 	kinds := []predict.Kind{predict.KindOracle, predict.KindDepGraph, predict.KindDecay}
-	a, err := SweepPredictors(cfg, kinds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepPredictors(cfg, kinds, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Access.Mean() != b[i].Access.Mean() || a[i].L1Error.Mean() != b[i].L1Error.Mean() {
-			t.Errorf("drift sweep point %d differs across worker counts", i)
-		}
-	}
+	sweepDeterministic(t, cfg, 2, true, PredictorAxis(kinds))
 }
 
 // BenchmarkMultiClientRoundDrift is the end-to-end hot path of the

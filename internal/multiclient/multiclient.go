@@ -9,6 +9,13 @@
 // access times, queueing delay, and server utilisation so the single-client
 // curves can be compared against their contention-degraded counterparts.
 //
+// The same core runs replicated: RunReplicated spreads the clients over R
+// servers behind a Router, each server with its own scheduler, cache and
+// shared model, optionally failing and recovering on derived schedules
+// (package fleet drives it). Run is that core with one server, no router
+// and no failures — the routing step is then a direct call, with no route
+// decision, no outstanding-transfer ledger and no replica-stamped tracer.
+//
 // Determinism: everything runs on one netsim.Clock (FIFO tie-breaks), and
 // every random stream is derived up front from one master seed via
 // rng.Derive (the partitioned-RNG idiom) — client i's workload is a pure
@@ -31,12 +38,11 @@ package multiclient
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"prefetch/internal/adaptive"
-	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
-	"prefetch/internal/rng"
 	"prefetch/internal/schedsrv"
 	"prefetch/internal/stats"
 	"prefetch/internal/webgraph"
@@ -152,13 +158,16 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: server hit factor %v (need 0 < f <= 1)", ErrBadConfig, cfg.ServerHitFactor)
 	case cfg.ClientCacheSlots < 0:
 		return fmt.Errorf("%w: client cache slots %d", ErrBadConfig, cfg.ClientCacheSlots)
-	case !(cfg.MeanViewing > 0):
+	case !(cfg.MeanViewing > 0) || math.IsInf(cfg.MeanViewing, 1):
 		// Positive form so a NaN MeanViewing is rejected too: it would
 		// otherwise slip past every comparison and degenerate the warm-
 		// cache cadence (warmEvery = MeanViewing) into never/always firing.
+		// +Inf would make the exponential viewing draw's rate zero.
 		return fmt.Errorf("%w: mean viewing %v", ErrBadConfig, cfg.MeanViewing)
-	case !(cfg.MinViewing >= 0):
+	case !(cfg.MinViewing >= 0) || math.IsInf(cfg.MinViewing, 1):
 		return fmt.Errorf("%w: min viewing %v", ErrBadConfig, cfg.MinViewing)
+	case !(cfg.FollowProb >= 0 && cfg.FollowProb <= 1):
+		return fmt.Errorf("%w: follow probability %v (need 0 <= p <= 1)", ErrBadConfig, cfg.FollowProb)
 	case cfg.MaxCandidates < 1:
 		return fmt.Errorf("%w: max candidates %d", ErrBadConfig, cfg.MaxCandidates)
 	case cfg.DriftEvery < 0:
@@ -300,126 +309,12 @@ func clientLabel(i int) string { return fmt.Sprintf("client/%d", i) }
 // per-client so one surfer's shifts never touch another's.
 func driftLabel(i int) string { return fmt.Sprintf("client/%d/drift", i) }
 
-// Run plays the full simulation: all clients start browsing at time zero
-// and the event loop drains every scheduled transfer, including stale
-// prefetches left over after the last round.
+// Run plays the full simulation on one server: all clients start
+// browsing at time zero and the event loop drains every scheduled
+// transfer, including stale prefetches left over after the last round.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
-	if err != nil {
-		return Result{}, err
-	}
-	var clock netsim.Clock
-	// Normalise the tracer once: a nil (or disabled) tracer stays nil
-	// all the way down, so every emission site is a single branch.
-	tr := obs.Active(cfg.Tracer)
-	srv, err := newServer(&clock, cfg, tr)
-	if err != nil {
-		return Result{}, err
-	}
-	// The shared prediction source is one aggregate model per run: every
-	// client trains it, every client plans from it, and (when enabled) the
-	// server warms its cache from it.
-	var agg *predict.Aggregate
-	if cfg.Predict.Kind == predict.KindShared {
-		agg = predict.NewAggregate()
-		srv.enableWarming(cfg, agg, site)
-	}
-	// Phase A: shard workers precompute every client's workload script in
-	// parallel (a no-op for the shared predictor, which must train in
-	// arrival order and keeps the inline path).
-	var scripts *Scripts
-	if Scriptable(cfg) {
-		scripts, err = GenerateScripts(cfg, site)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	clients := make([]*client, cfg.Clients)
-	for i := range clients {
-		var sc *Script
-		if scripts != nil {
-			sc = &scripts.PerClient[i]
-		}
-		c, err := newClient(i, &cfg, &clock, srv, site, agg, scripts, sc, tr)
-		if err != nil {
-			return Result{}, err
-		}
-		clients[i] = c
-	}
-	for _, c := range clients {
-		c := c
-		clock.Schedule(0, func() { c.startRound(0) })
-	}
-	clock.Run()
-
-	// Wasted-prefetch resolution: only after the event loop drains is
-	// it known which completed speculative transfers never served a
-	// demand. Emitted per client in id order, then issue order, stamped
-	// at end time — deterministic, like everything on the clock.
-	if tr != nil {
-		end := clock.Now()
-		for _, c := range clients {
-			for _, sp := range c.specLog {
-				if sp.used {
-					continue
-				}
-				ev := obs.Ev(end, obs.KindSpecWasted, c.id)
-				ev.Page = sp.page
-				ev.Round = sp.round
-				ev.Prob = sp.prob
-				tr.Emit(ev)
-			}
-		}
-	}
-
-	res := Result{
-		Clients:          cfg.Clients,
-		Concurrency:      cfg.ServerConcurrency,
-		Discipline:       srv.sched.Discipline(),
-		Controller:       clients[0].ctrl.Name(),
-		Predictor:        clients[0].predName,
-		PerClient:        make([]ClientResult, cfg.Clients),
-		Elapsed:          clock.Now(),
-		ServerBusy:       srv.sched.BusyTime(),
-		ServerRequests:   srv.served,
-		ServerCacheHits:  srv.cacheHits,
-		SpecCompleted:    srv.sched.SpecCompleted(),
-		Preemptions:      srv.sched.Preemptions(),
-		PrefetchDropped:  srv.sched.Dropped(),
-		PrefetchDeferred: srv.sched.Deferred(),
-		WarmInserted:     srv.warmInserted,
-		WarmHits:         srv.warmHits,
-	}
-	for i, c := range clients {
-		if c.access.N() != int64(cfg.Rounds) {
-			return Result{}, fmt.Errorf("multiclient: client %d finished %d/%d rounds", i, c.access.N(), cfg.Rounds)
-		}
-		res.PerClient[i] = ClientResult{
-			Client:            i,
-			Access:            c.access,
-			DemandAccess:      c.demandAccess,
-			QueueWait:         c.queueWait,
-			Lambda:            c.lambdaTrace,
-			L1Error:           c.l1Trace,
-			PrefetchIssued:    c.prefetchIssued,
-			PrefetchDropped:   c.prefetchDropped,
-			PrefetchCompleted: c.prefetchCompleted,
-			PrefetchUseful:    c.prefetchUseful,
-			DemandFetches:     c.demandFetches,
-			ZeroWaitRounds:    c.zeroWaitRounds,
-		}
-		res.Access.Merge(&c.access)
-		res.DemandAccess.Merge(&c.demandAccess)
-		res.QueueWait.Merge(&c.queueWait)
-		res.Lambda.Merge(&c.lambdaTrace)
-		res.L1Error.Merge(&c.l1Trace)
-		res.PrefetchCompleted += c.prefetchCompleted
-		res.PrefetchUseful += c.prefetchUseful
-	}
-	return res, nil
+	res, _, _, err := RunReplicated(cfg, 1, nil, 0, 0)
+	return res, err
 }
 
 // Comparison pairs a prefetching run with its no-prefetch baseline over the

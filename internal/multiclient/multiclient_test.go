@@ -3,9 +3,11 @@ package multiclient
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"prefetch/internal/schedsrv"
+	"prefetch/internal/sweep"
 	"prefetch/internal/webgraph"
 )
 
@@ -35,6 +37,11 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.MeanViewing = 0 },
 		func(c *Config) { c.MinViewing = -1 },
 		func(c *Config) { c.MaxCandidates = 0 },
+		func(c *Config) { c.MeanViewing = math.Inf(1) },
+		func(c *Config) { c.MinViewing = math.Inf(1) },
+		func(c *Config) { c.FollowProb = math.NaN() },
+		func(c *Config) { c.FollowProb = 2 },
+		func(c *Config) { c.FollowProb = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -191,14 +198,18 @@ func TestPrefetchImproves(t *testing.T) {
 	}
 }
 
+// TestSweepClients covers the client-count sweep on the grid engine: one
+// point per count, every rep's rounds merged, deterministic across worker
+// counts.
 func TestSweepClients(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	ns := []int{1, 2, 4}
-	a, err := SweepClients(cfg, ns, 2, 0)
+	axis, err := ClientsAxis(ns)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := sweepDeterministic(t, cfg, 2, true, axis)
 	if len(a) != len(ns) {
 		t.Fatalf("got %d points, want %d", len(a), len(ns))
 	}
@@ -209,28 +220,29 @@ func TestSweepClients(t *testing.T) {
 		if want := int64(ns[i] * cfg.Rounds * 2); p.Access.N() != want {
 			t.Errorf("point %d merged %d access observations, want %d", i, p.Access.N(), want)
 		}
-	}
-	// The sweep is deterministic regardless of worker parallelism.
-	b, err := SweepClients(cfg, ns, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Access.Mean() != b[i].Access.Mean() || a[i].Improvement.Mean() != b[i].Improvement.Mean() {
-			t.Errorf("point %d differs across worker counts", i)
+		if p.Improvement.N() != 2 {
+			t.Errorf("point %d has %d improvement observations, want one per rep", i, p.Improvement.N())
 		}
 	}
 }
 
 func TestSweepClientsBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepClients(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	empty, err := ClientsAxis(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SweepClients(cfg, []int{1, 0}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, empty); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
+	}
+	if _, err := ClientsAxis([]int{1, 0}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero clients in axis: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepClients(cfg, []int{1}, 0, 0); !errors.Is(err, ErrBadConfig) {
+	one, err := ClientsAxis([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(cfg, 0, 0, true, one); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }
@@ -388,46 +400,34 @@ func TestShapedReducesSpecThroughput(t *testing.T) {
 }
 
 // TestSweepDisciplines covers the discipline sweep: one point per kind,
-// deterministic across worker counts, FIFO point matching a direct run.
+// labelled in axis order, deterministic across worker counts.
 func TestSweepDisciplines(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	kinds := schedsrv.Kinds()
-	a, err := SweepDisciplines(cfg, kinds, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := sweepDeterministic(t, cfg, 2, true, DisciplineAxis(kinds))
 	if len(a) != len(kinds) {
 		t.Fatalf("got %d points, want %d", len(a), len(kinds))
 	}
 	for i, p := range a {
-		if p.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
-			t.Errorf("point %d = (%s, N=%d, reps=%d)", i, p.Kind, p.Clients, p.Reps)
+		if p.Labels[0] != string(kinds[i]) || p.Config.Sched.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
+			t.Errorf("point %d = (%v, N=%d, reps=%d)", i, p.Labels, p.Clients, p.Reps)
 		}
 		if want := int64(cfg.Clients * cfg.Rounds * 2); p.Access.N() != want {
 			t.Errorf("point %d merged %d access observations, want %d", i, p.Access.N(), want)
-		}
-	}
-	b, err := SweepDisciplines(cfg, kinds, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Access.Mean() != b[i].Access.Mean() || a[i].DemandAccess.Mean() != b[i].DemandAccess.Mean() {
-			t.Errorf("point %d differs across worker counts", i)
 		}
 	}
 }
 
 func TestSweepDisciplinesBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepDisciplines(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, true, DisciplineAxis(nil)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepDisciplines(cfg, []schedsrv.Kind{"lifo"}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, DisciplineAxis([]schedsrv.Kind{"lifo"})); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown kind: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepDisciplines(cfg, schedsrv.Kinds(), 0, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 0, 0, true, DisciplineAxis(schedsrv.Kinds())); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -5,22 +5,20 @@ import (
 	"math"
 
 	"prefetch/internal/cache"
-	"prefetch/internal/core"
-	"prefetch/internal/eventq"
-	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
+	"prefetch/internal/rng"
 	"prefetch/internal/schedsrv"
-	"prefetch/internal/webgraph"
 )
 
-// request is one retrieval submitted to the shared server, demand or
-// speculative, tagged with the client round that issued it so stale
-// prefetch completions can be recognised. It rides through the scheduling
+// request is one retrieval submitted to a server, demand or speculative,
+// tagged with the client round that issued it so stale prefetch
+// completions can be recognised. It rides through the scheduling
 // subsystem as the opaque Tag of a schedsrv.Request — as a pooled pointer,
 // so tagging does not box a fresh copy per submission. The node is
 // recycled when the transfer's lifecycle ends (completion callback done,
-// or refused by admission).
+// or refused by admission); under failure injection the server's
+// outstanding ledger owns it until the ledger lets it go.
 type request struct {
 	client   *client
 	page     int
@@ -28,89 +26,149 @@ type request struct {
 	demand   bool
 	round    int
 	prob     float64 // plan-time candidate probability (speculative only)
+	done     bool    // completed; the ledger keeps it until compaction
 }
 
-// server is the shared bottleneck every client contends for. Since PR 2 it
-// owns only the storage side — the optional shared server-side cache that
-// shortens the service of pages it holds — and delegates every queueing,
-// ordering, shaping and admission decision to a schedsrv.Scheduler, whose
-// discipline is chosen by Config.Sched. The seed behaviour (one FIFO queue
-// over `concurrency` slots, demand and prefetch traffic indistinguishable)
-// is schedsrv.KindFIFO and replays the seed's timelines bit for bit.
+// stampTracer stamps every event a server's machinery emits with the
+// server's 1-based replica ordinal, so one replicated trace can be rolled
+// up per replica. Installed only when a router spreads the run.
+type stampTracer struct {
+	inner obs.Tracer
+	id    int // 0-based server id
+}
+
+func (t stampTracer) Enabled() bool { return true }
+
+func (t stampTracer) Emit(ev obs.Event) {
+	if ev.Replica == 0 {
+		ev.Replica = t.id + 1
+	}
+	t.inner.Emit(ev)
+}
+
+// server is one contended bottleneck clients share. It owns the storage
+// side — the optional server-side cache that shortens the service of
+// pages it holds — and delegates every queueing, ordering, shaping and
+// admission decision to a schedsrv.Scheduler, whose discipline is chosen
+// by Config.Sched. The seed behaviour (one FIFO queue over `concurrency`
+// slots, demand and prefetch traffic indistinguishable) is
+// schedsrv.KindFIFO and replays the seed's timelines bit for bit.
+//
+// A server can fail: the scheduler's backlog, every in-flight transfer
+// and the cache are lost, and after the repair time the server returns
+// with a fresh scheduler and a cold cache. Its aggregate model survives —
+// it models durable popularity state kept off the serving path.
 type server struct {
-	sched     *schedsrv.Scheduler
-	hitFactor float64
-	cache     *cache.Cache // nil ⇒ no shared cache
+	id  int
+	eng *engine
 
-	clock *netsim.Clock
-	tr    obs.Tracer // normalised by Run; nil = tracing disabled
-
-	// reqPool recycles the tag records riding through the scheduler, and
-	// solver is the one branch-and-bound scratch space every client's
-	// plan() shares — the event loop runs clients one at a time and each
-	// plan is consumed before the next Solve, so a single solver is safe.
-	// truth and l1Scratch are the inline planner's dense plan-time L1
-	// buffers (the true next-page distribution and the prediction), one
-	// float per page, shared the same way.
-	reqPool   eventq.FreeList[request]
-	solver    *core.Solver
-	planBuf   []core.Item
-	sorter    core.ItemSorter
-	truth     []float64
-	l1Scratch []float64
+	sched *schedsrv.Scheduler
+	cache *cache.Cache // nil ⇒ no server cache (or down)
+	tr    obs.Tracer   // nil = tracing disabled; replica-stamped under a router
 
 	served    int64
 	cacheHits int64
 
 	// Server-side prefetching (Config.WarmServerCache): the warmer
-	// pre-admits the shared aggregate model's top-probability pages into
-	// the cache on a per-viewing-time cadence, so population-hot pages
-	// are fast before any client's traffic demands them.
+	// pre-admits the top-probability pages of agg — the shared model of
+	// the clients homed here — into the cache on a per-viewing-time
+	// cadence, so population-hot pages are fast before any client's
+	// traffic demands them. agg is nil unless the shared predictor runs.
 	agg          *predict.Aggregate
-	site         *webgraph.Site
 	warmEvery    float64      // minimum simulated time between warm passes
 	warmedAt     float64      // time of the last warm pass
-	warmPages    map[int]bool // resident pages placed by the warmer, not yet evicted
+	warmPages    map[int]bool // resident pages placed by the warmer; nil = warming off
 	warmInserted int64
 	warmHits     int64
+
+	// Outstanding ledger (failure injection only): every accepted
+	// transfer, in issue order, so a failure can enumerate what it lost.
+	// Compacted as entries complete.
+	ledger     []*request
+	ledgerDone int
+
+	// Failure state.
+	up        bool
+	failRand  *rng.Source
+	downSince float64
+	downtime  float64
+	fails     int
+	recovers  int
+	lost      int64
+
+	// Scheduler counters folded across incarnations. folded marks that
+	// the current scheduler's counters are already in the accumulators
+	// (it failed and nothing replaced it yet).
+	accBusy                                      float64
+	accSpec, accPreempt, accDropped, accDeferred int64
+	folded                                       bool
 }
 
-func newServer(clock *netsim.Clock, cfg Config, tr obs.Tracer) (*server, error) {
-	scfg := cfg.Sched
-	scfg.Concurrency = cfg.ServerConcurrency
-	sched, err := schedsrv.New(clock, scfg)
-	if err != nil {
+func newServer(id int, e *engine) (*server, error) {
+	s := &server{id: id, eng: e, up: true, tr: e.tr}
+	if e.tr != nil && e.router != nil {
+		s.tr = stampTracer{inner: e.tr, id: id}
+	}
+	if err := s.build(); err != nil {
 		return nil, err
 	}
-	sched.Tracer = tr
-	s := &server{
-		sched:     sched,
-		hitFactor: cfg.ServerHitFactor,
-		clock:     clock,
-		tr:        tr,
-		solver:    core.NewSolver(),
-		truth:     make([]float64, cfg.Site.Pages),
-		l1Scratch: make([]float64, cfg.Site.Pages),
+	if e.cfg.Predict.Kind == predict.KindShared {
+		s.agg = predict.NewAggregate()
+		if e.cfg.WarmServerCache {
+			s.enableWarming()
+		}
 	}
+	return s, nil
+}
+
+// build installs a fresh scheduler and (when configured) a fresh empty
+// cache — the state one incarnation of the server owns.
+func (s *server) build() error {
+	cfg := s.eng.cfg
+	scfg := cfg.Sched
+	scfg.Concurrency = cfg.ServerConcurrency
+	sched, err := schedsrv.New(&s.eng.clock, scfg)
+	if err != nil {
+		return err
+	}
+	sched.Tracer = s.tr
+	sched.ServiceTime = s.serviceTime
+	sched.Done = s.done
+	s.sched = sched
+	s.cache = nil
 	if cfg.ServerCacheSlots > 0 {
 		c, err := cache.New(cfg.ServerCacheSlots)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.cache = c
 	}
-	sched.ServiceTime = s.serviceTime
-	sched.Done = s.done
-	return s, nil
+	return nil
+}
+
+// enableWarming arms the server-side prefetcher with a cadence of one
+// mean viewing time. Config.Validate guarantees the cache and the shared
+// predictor exist when warming is configured.
+func (s *server) enableWarming() {
+	// maybeWarm fires whenever now >= warmedAt+warmEvery, so a zero (or
+	// NaN) cadence would degenerate into warming on every event (or
+	// never). Config.Validate rejects such MeanViewing values; a config
+	// path that bypasses it is a simulator bug.
+	if mv := s.eng.cfg.MeanViewing; !(mv > 0) {
+		panic(fmt.Sprintf("multiclient: warm cadence %v (need > 0; config not validated?)", mv))
+	}
+	s.warmEvery = s.eng.cfg.MeanViewing
+	s.warmedAt = math.Inf(-1)
+	s.warmPages = map[int]bool{}
 }
 
 // enqueue submits a request to the scheduling subsystem. It reports false
 // when admission control dropped a speculative request: the transfer will
 // never happen and no completion callback will fire. The tag node is
 // recycled immediately on a drop (the scheduler has already detached it)
-// and otherwise lives until done releases it.
+// and otherwise lives until done (or the ledger) releases it.
 func (s *server) enqueue(r request) bool {
-	rq := s.reqPool.Get()
+	rq := s.eng.reqPool.Get()
 	*rq = r
 	if !s.sched.Submit(schedsrv.Request{
 		Client:  r.client.id,
@@ -120,8 +178,11 @@ func (s *server) enqueue(r request) bool {
 		Tag:     rq,
 	}) {
 		*rq = request{} // drop the client pointer before the pool keeps the node
-		s.reqPool.Put(rq)
+		s.eng.reqPool.Put(rq)
 		return false
+	}
+	if s.eng.failEvery > 0 {
+		s.ledger = append(s.ledger, rq)
 	}
 	return true
 }
@@ -133,17 +194,32 @@ func (s *server) promote(clientID, page int) bool {
 	return s.sched.Promote(clientID, page)
 }
 
-// snapshot feeds the scheduler's congestion state back to adaptive
-// clients. Reading it never mutates the scheduler.
-func (s *server) snapshot(now float64) schedsrv.Feedback {
-	return s.sched.Snapshot(now)
+// feedback is the congestion snapshot adaptive clients observe. Reading
+// it never mutates the scheduler. The cumulative counters span
+// incarnations, so a controller watching deferral deltas never sees them
+// jump backwards after a recovery.
+func (s *server) feedback(now float64) schedsrv.Feedback {
+	fb := s.sched.Snapshot(now)
+	if s.folded {
+		// Down server: the current (failed) scheduler's totals are
+		// already inside the accumulators — replacing instead of adding
+		// avoids counting them twice.
+		fb.DroppedTotal = s.accDropped
+		fb.DeferredTotal = s.accDeferred
+		fb.PreemptionsTotal = s.accPreempt
+	} else {
+		fb.DroppedTotal += s.accDropped
+		fb.DeferredTotal += s.accDeferred
+		fb.PreemptionsTotal += s.accPreempt
+	}
+	return fb
 }
 
 // serviceTime is the scheduler's service-start hook: a server-cache hit
-// means the page is already at the server, so only the hitFactor fraction
-// of the origin time is spent. Preemption restarts re-resolve the cache
-// (the second attempt's timing is real) but count as neither a new
-// request nor a new hit — served and cacheHits count logical requests.
+// means the page is already at the server, so only the hit-factor
+// fraction of the origin time is spent. Preemption restarts re-resolve
+// the cache (the second attempt's timing is real) but count as neither a
+// new request nor a new hit — served and cacheHits count logical requests.
 func (s *server) serviceTime(r *schedsrv.Request) float64 {
 	first := r.Attempt() == 1
 	if first {
@@ -152,7 +228,7 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 	service := r.Service
 	if s.cache != nil && s.cache.Contains(r.Page) {
 		s.cache.RecordAccess(r.Page)
-		service *= s.hitFactor
+		service *= s.eng.cfg.ServerHitFactor
 		if first {
 			s.cacheHits++
 			warm := s.warmPages[r.Page]
@@ -160,7 +236,7 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 				s.warmHits++
 			}
 			if s.tr != nil {
-				ev := obs.Ev(s.clock.Now(), obs.KindCacheHit, r.Client)
+				ev := obs.Ev(s.eng.clock.Now(), obs.KindCacheHit, r.Client)
 				ev.Page = r.Page
 				if warm {
 					ev.Note = "warm"
@@ -177,8 +253,9 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 // promoted class — attribution follows why the transfer was requested.
 func (s *server) done(r *schedsrv.Request, service, waited float64) {
 	req := r.Tag.(*request)
+	now := s.eng.clock.Now()
 	if s.tr != nil {
-		ev := obs.Ev(s.clock.Now(), obs.KindTransferDone, req.client.id)
+		ev := obs.Ev(now, obs.KindTransferDone, req.client.id)
 		ev.Round = req.round
 		ev.Page = req.page
 		ev.Demand = req.demand
@@ -189,41 +266,48 @@ func (s *server) done(r *schedsrv.Request, service, waited float64) {
 	if s.cache != nil {
 		s.insertCache(req.page, req.duration)
 	}
+	s.eng.lastT = now
 	req.client.onTransferDone(*req, waited)
-	*req = request{} // drop the client pointer before the pool keeps the node
-	s.reqPool.Put(req)
-}
-
-// enableWarming arms the server-side prefetcher: agg is the run's shared
-// aggregate model and the warm cadence is one mean viewing time. A no-op
-// configuration-wise unless Config.WarmServerCache is set (Validate
-// guarantees the cache and the shared predictor exist when it is).
-func (s *server) enableWarming(cfg Config, agg *predict.Aggregate, site *webgraph.Site) {
-	if !cfg.WarmServerCache {
+	if s.eng.failEvery > 0 {
+		// The ledger still lists the node; compaction releases it.
+		req.done = true
+		s.ledgerDone++
+		if len(s.ledger) >= 64 && s.ledgerDone*2 >= len(s.ledger) {
+			s.compactLedger()
+		}
 		return
 	}
-	// maybeWarm fires whenever now >= warmedAt+warmEvery, so a zero (or
-	// NaN) cadence would degenerate into warming on every event (or
-	// never). Config.Validate rejects such MeanViewing values; a config
-	// path that bypasses it is a simulator bug.
-	if !(cfg.MeanViewing > 0) {
-		panic(fmt.Sprintf("multiclient: warm cadence %v (need > 0; config not validated?)", cfg.MeanViewing))
-	}
-	s.agg = agg
-	s.site = site
-	s.warmEvery = cfg.MeanViewing
-	s.warmedAt = math.Inf(-1)
-	s.warmPages = map[int]bool{}
+	*req = request{} // drop the client pointer before the pool keeps the node
+	s.eng.reqPool.Put(req)
 }
 
-// maybeWarm runs one warm pass if warming is armed and the cadence has
-// elapsed: the aggregate model's current top pages (up to the cache
-// capacity) are pre-admitted, evicting an LRU victim only when the victim
-// is strictly colder in the pooled popularity estimate — so warming
-// converges on the hot set instead of thrashing against demand-warmed
-// entries.
+// compactLedger drops completed entries, keeping issue order, and
+// recycles their nodes.
+func (s *server) compactLedger() {
+	live := s.ledger[:0]
+	for _, rq := range s.ledger {
+		if !rq.done {
+			live = append(live, rq)
+			continue
+		}
+		*rq = request{}
+		s.eng.reqPool.Put(rq)
+	}
+	for i := len(live); i < len(s.ledger); i++ {
+		s.ledger[i] = nil
+	}
+	s.ledger = live
+	s.ledgerDone = 0
+}
+
+// maybeWarm runs one warm pass if warming is armed, the server is up and
+// the cadence has elapsed: the aggregate model's current top pages (up to
+// the cache capacity) are pre-admitted, evicting an LRU victim only when
+// the victim is strictly colder in the pooled popularity estimate — so
+// warming converges on the hot set instead of thrashing against
+// demand-warmed entries.
 func (s *server) maybeWarm(now float64) {
-	if s.agg == nil || now < s.warmedAt+s.warmEvery {
+	if s.warmPages == nil || !s.up || now < s.warmedAt+s.warmEvery {
 		return
 	}
 	s.warmedAt = now
@@ -242,7 +326,7 @@ func (s *server) maybeWarm(now float64) {
 			delete(s.warmPages, victim)
 			s.emitCache(obs.KindCacheEvict, victim)
 		}
-		if err := s.cache.Insert(page, s.site.Pages[page].Retrieval); err != nil {
+		if err := s.cache.Insert(page, s.eng.site.Pages[page].Retrieval); err != nil {
 			panic(err)
 		}
 		s.warmPages[page] = true
@@ -257,7 +341,7 @@ func (s *server) emitCache(kind obs.Kind, page int) {
 	if s.tr == nil {
 		return
 	}
-	ev := obs.Ev(s.clock.Now(), kind, obs.ServerClient)
+	ev := obs.Ev(s.eng.clock.Now(), kind, obs.ServerClient)
 	ev.Page = page
 	s.tr.Emit(ev)
 }
@@ -274,4 +358,144 @@ func (s *server) insertCache(page int, retrieval float64) {
 		s.emitCache(obs.KindCacheEvict, victim)
 	}
 	s.emitCache(obs.KindCacheInsert, page)
+}
+
+// foldSched folds the current scheduler's counters into the
+// cross-incarnation accumulators.
+func (s *server) foldSched() {
+	s.accBusy += s.sched.BusyTime()
+	s.accSpec += s.sched.SpecCompleted()
+	s.accPreempt += s.sched.Preemptions()
+	s.accDropped += s.sched.Dropped()
+	s.accDeferred += s.sched.Deferred()
+}
+
+// scheduleFailure draws this incarnation's time-to-failure and puts it
+// on the clock.
+func (s *server) scheduleFailure(now float64) {
+	gap := s.failRand.Exp(1 / s.eng.failEvery)
+	s.eng.clock.Schedule(now+gap, s.fail)
+}
+
+// fail destroys the server: the scheduler's backlog and in-flight
+// transfers are lost, the cache empties, and every issuing client is
+// repaired in issue order — pending prefetches vanish, blocked demands
+// re-route. The aggregate model survives. Churn stops once the workload
+// has finished (the check makes the stray post-workload failure draw a
+// no-op, so the run drains).
+func (s *server) fail() {
+	e := s.eng
+	if e.active == 0 {
+		return
+	}
+	now := e.clock.Now()
+	lostNow := s.sched.Fail()
+	s.foldSched()
+	s.folded = true
+	s.up = false
+	s.downSince = now
+	s.fails++
+	s.lost += int64(lostNow)
+	e.lastT = now
+
+	// Everything the cache held dies with the machine; warming restarts
+	// from the (surviving) aggregate after recovery.
+	s.cache = nil
+	if s.warmPages != nil {
+		s.warmPages = map[int]bool{}
+		s.warmedAt = math.Inf(-1)
+	}
+
+	ledger := s.ledger
+	s.ledger = nil
+	s.ledgerDone = 0
+	if n := len(ledger) - countDone(ledger); n != lostNow {
+		panic(fmt.Sprintf("multiclient: server %d ledger has %d outstanding, scheduler lost %d", s.id, n, lostNow))
+	}
+
+	if e.tr != nil {
+		ev := obs.Ev(now, obs.KindReplicaFail, obs.ServerClient)
+		ev.Replica = s.id + 1
+		ev.Queued = lostNow
+		e.tr.Emit(ev)
+	}
+	for _, rq := range ledger {
+		if !rq.done {
+			e.handleLost(rq, s)
+		}
+	}
+	for _, rq := range ledger {
+		*rq = request{}
+		e.reqPool.Put(rq)
+	}
+	e.clock.After(e.recoverAfter, s.recover)
+}
+
+// countDone counts the completed entries of a ledger.
+func countDone(ledger []*request) int {
+	n := 0
+	for _, rq := range ledger {
+		if rq.done {
+			n++
+		}
+	}
+	return n
+}
+
+// recover rebuilds the server with a fresh scheduler and a cold cache,
+// drains any demands parked during a total outage, and draws the next
+// failure.
+func (s *server) recover() {
+	e := s.eng
+	now := e.clock.Now()
+	s.downtime += now - s.downSince
+	s.recovers++
+	if err := s.build(); err != nil {
+		// The same configuration built the first incarnation; a failure
+		// here is a simulator bug.
+		panic(err)
+	}
+	s.folded = false
+	s.up = true
+	if e.active == 0 {
+		// Workload already over: close the downtime window but leave
+		// Elapsed and the failure schedule alone.
+		return
+	}
+	e.lastT = now
+	if e.tr != nil {
+		ev := obs.Ev(now, obs.KindReplicaRecover, obs.ServerClient)
+		ev.Replica = s.id + 1
+		e.tr.Emit(ev)
+	}
+	e.drainParked()
+	s.scheduleFailure(now)
+}
+
+// result snapshots the server's totals at the end of the run.
+func (s *server) result(elapsed float64) ReplicaResult {
+	if !s.folded {
+		s.foldSched()
+		s.folded = true
+	}
+	down := s.downtime
+	if !s.up && s.downSince < elapsed {
+		down += elapsed - s.downSince
+	}
+	return ReplicaResult{
+		Replica:          s.id,
+		Requests:         s.served,
+		CacheHits:        s.cacheHits,
+		Busy:             s.accBusy,
+		SpecCompleted:    s.accSpec,
+		Preemptions:      s.accPreempt,
+		PrefetchDropped:  s.accDropped,
+		PrefetchDeferred: s.accDeferred,
+		WarmInserted:     s.warmInserted,
+		WarmHits:         s.warmHits,
+		Failures:         s.fails,
+		Recoveries:       s.recovers,
+		Lost:             s.lost,
+		Downtime:         down,
+	}
 }

@@ -9,29 +9,30 @@ import (
 	"prefetch/internal/schedsrv"
 )
 
-// Regression tests for the PR 6 validatecfg sweep: every sweep entry
-// point must reject an invalid base config on entry, before any task is
-// built or dispatched, rather than letting the error surface from a
-// worker deep inside the parallel sweep (or, worse, letting a partially
+// Regression tests for the PR 6 validatecfg sweep: the sweep engine must
+// reject an invalid base config on entry, whatever the axes, before any
+// task is built or dispatched, rather than letting the error surface from
+// a worker deep inside the parallel sweep (or, worse, letting a partially
 // valid config produce NaN-tainted points).
 func TestSweepsValidateBaseConfig(t *testing.T) {
 	bad := testConfig()
 	bad.MeanViewing = -1 // invalid: Validate requires MeanViewing > 0
 
-	if _, err := SweepClients(bad, []int{1}, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("SweepClients: err = %v, want ErrBadConfig", err)
+	clients, err := ClientsAxis([]int{1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SweepDisciplines(bad, []schedsrv.Kind{schedsrv.KindFIFO}, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("SweepDisciplines: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := SweepControllers(bad, []adaptive.Kind{adaptive.KindStatic}, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("SweepControllers: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := SweepPredictors(bad, []predict.Kind{predict.KindOracle}, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("SweepPredictors: err = %v, want ErrBadConfig", err)
-	}
-	if _, err := SweepPredictorControllers(bad, []predict.Kind{predict.KindOracle},
-		[]adaptive.Kind{adaptive.KindStatic}, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("SweepPredictorControllers: err = %v, want ErrBadConfig", err)
+	for _, axes := range [][]Axis{
+		{clients},
+		{DisciplineAxis([]schedsrv.Kind{schedsrv.KindFIFO})},
+		{ControllerAxis([]adaptive.Kind{adaptive.KindStatic})},
+		{PredictorAxis([]predict.Kind{predict.KindOracle})},
+		{ControllerAxis([]adaptive.Kind{adaptive.KindStatic}), PredictorAxis([]predict.Kind{predict.KindOracle})},
+	} {
+		for _, baseline := range []bool{false, true} {
+			if _, err := Sweep(bad, 1, 0, baseline, axes...); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("Sweep(%s, baseline=%t): err = %v, want ErrBadConfig", axes[0].Name, baseline, err)
+			}
+		}
 	}
 }

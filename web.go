@@ -74,11 +74,6 @@ type (
 	// MultiClientComparison pairs a prefetching run with its no-prefetch
 	// baseline over the identical workload.
 	MultiClientComparison = multiclient.Comparison
-	// MultiClientSweepPoint aggregates seed replications at one client count.
-	MultiClientSweepPoint = multiclient.SweepPoint
-	// MultiClientDisciplinePoint aggregates seed replications of one
-	// scheduling discipline at a fixed client count.
-	MultiClientDisciplinePoint = multiclient.DisciplinePoint
 )
 
 // Server scheduling subsystem: the shared server's queueing discipline,
@@ -131,9 +126,6 @@ type (
 	// SchedFeedback is the scheduler's point-in-time congestion snapshot
 	// the server feeds back to adaptive clients.
 	SchedFeedback = schedsrv.Feedback
-	// MultiClientControllerPoint aggregates seed replications of one λ
-	// controller at a fixed client count and discipline.
-	MultiClientControllerPoint = multiclient.ControllerPoint
 )
 
 // The built-in λ controllers.
@@ -161,27 +153,6 @@ func ControllerKinds() []ControllerKind { return adaptive.Kinds() }
 // config. Reach for NewController only to drive a controller directly.
 func NewController(cfg ControllerConfig) (Controller, error) { return adaptive.New(cfg) }
 
-// SweepMultiClientControllers runs the identical seed-replicated workload
-// under each λ controller, isolating the speculation-control policy:
-// demand latency, speculative traffic and the λ trajectory per
-// controller.
-//
-// Legacy wrapper: new code should call SweepMultiClientGrid with
-// MultiClientControllerAxis, which composes with the other axes.
-func SweepMultiClientControllers(cfg MultiClientConfig, kinds []ControllerKind, reps, workers int) ([]MultiClientControllerPoint, error) {
-	return multiclient.SweepControllers(cfg, kinds, reps, workers)
-}
-
-// SweepMultiClientDisciplines runs the identical seed-replicated workload
-// under each scheduling discipline, isolating the server's arbitration
-// policy: demand latency vs speculative throughput per discipline.
-//
-// Legacy wrapper: new code should call SweepMultiClientGrid with
-// MultiClientDisciplineAxis, which composes with the other axes.
-func SweepMultiClientDisciplines(cfg MultiClientConfig, kinds []SchedKind, reps, workers int) ([]MultiClientDisciplinePoint, error) {
-	return multiclient.SweepDisciplines(cfg, kinds, reps, workers)
-}
-
 // Prediction subsystem: the access model each multiclient client plans
 // over (MultiClientConfig.Predict) — the paper's presupposed knowledge
 // made pluggable, so the oracle-vs-learned gap is a sweepable axis.
@@ -197,12 +168,6 @@ type (
 	// PredictorAggregate is the server-side shared model pooled over all
 	// clients' access streams (also the cache-warming popularity model).
 	PredictorAggregate = predict.Aggregate
-	// MultiClientPredictorPoint aggregates seed replications of one
-	// prediction source at a fixed client count.
-	MultiClientPredictorPoint = multiclient.PredictorPoint
-	// MultiClientPredictorControllerPoint is one cell of the
-	// controller×predictor grid, with its Pareto flag.
-	MultiClientPredictorControllerPoint = multiclient.PredictorControllerPoint
 )
 
 // The built-in prediction sources.
@@ -256,29 +221,6 @@ func NewPredictorAggregate() *PredictorAggregate { return predict.NewAggregate()
 // prediction-error metric the multiclient simulation records per round.
 func PredictionL1(p, q map[int]float64) float64 { return predict.L1(p, q) }
 
-// SweepMultiClientPredictors runs the identical seed-replicated workload
-// under each prediction source, isolating the oracle-vs-learned gap:
-// demand latency, prediction L1 error, wasted-prefetch fraction and hit
-// ratio per source.
-//
-// Legacy wrapper: new code should call SweepMultiClientGrid with
-// MultiClientPredictorAxis, which composes with the other axes.
-func SweepMultiClientPredictors(cfg MultiClientConfig, kinds []PredictorKind, reps, workers int) ([]MultiClientPredictorPoint, error) {
-	return multiclient.SweepPredictors(cfg, kinds, reps, workers)
-}
-
-// SweepMultiClientPredictorControllers runs every (controller, predictor)
-// pair over the identical seed-replicated workload, controller-major,
-// marking each controller's (demand latency, speculative throughput)
-// Pareto frontier across predictors.
-//
-// Legacy wrapper: new code should call SweepMultiClientGrid with
-// MultiClientControllerAxis and MultiClientPredictorAxis (only the
-// Pareto marking is wrapper-specific).
-func SweepMultiClientPredictorControllers(cfg MultiClientConfig, preds []PredictorKind, ctls []ControllerKind, reps, workers int) ([]MultiClientPredictorControllerPoint, error) {
-	return multiclient.SweepPredictorControllers(cfg, preds, ctls, reps, workers)
-}
-
 // DefaultMultiClientConfig returns a contended but healthy starting point.
 func DefaultMultiClientConfig() MultiClientConfig { return multiclient.DefaultConfig() }
 
@@ -290,13 +232,4 @@ func RunMultiClient(cfg MultiClientConfig) (MultiClientResult, error) { return m
 // identical workload and reports the access improvement under contention.
 func CompareMultiClient(cfg MultiClientConfig) (MultiClientComparison, error) {
 	return multiclient.Compare(cfg)
-}
-
-// SweepMultiClient sweeps the client count over ns with seed-replicated
-// parallel runs (reps derived seeds per point, sweep worker pool).
-//
-// Legacy wrapper: new code should call SweepMultiClientGrid with
-// MultiClientClientsAxis, which composes with the other axes.
-func SweepMultiClient(cfg MultiClientConfig, ns []int, reps, workers int) ([]MultiClientSweepPoint, error) {
-	return multiclient.SweepClients(cfg, ns, reps, workers)
 }
