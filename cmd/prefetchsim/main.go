@@ -885,7 +885,7 @@ func runMultiClient(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 		disc = prefetch.SchedFIFO
 	}
 	if len(preds) > 1 && len(ctls) > 1 {
-		return runPredictorControllerSweep(out, cfg, ns, preds, ctls, reps, driftNote)
+		return runPredictorControllerSweep(out, cfg, ns, preds, ctls, reps, disc, driftNote)
 	}
 	// The single-axis sweeps: one table per client count, the axis
 	// swept over the identical seed-replicated workload.
@@ -1059,7 +1059,7 @@ func runAxisSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, reps 
 // non-dominated on (demand latency ↓, speculative throughput ↑) — the
 // view that exposes a weak predictor even when an adaptive λ controller
 // hides it in raw latency.
-func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, preds []prefetch.PredictorKind, ctls []prefetch.ControllerKind, reps int, note string) error {
+func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, preds []prefetch.PredictorKind, ctls []prefetch.ControllerKind, reps int, disc prefetch.SchedKind, note string) error {
 	for i, n := range ns {
 		if i > 0 {
 			fmt.Fprintln(out)
@@ -1071,10 +1071,6 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			return err
-		}
-		disc := cfg.Sched.Kind
-		if disc == "" {
-			disc = prefetch.SchedFIFO
 		}
 		fmt.Fprintf(out, "controller × predictor sweep, %d clients, discipline %s%s, server concurrency %d, %d reps, %d rounds each\n",
 			n, disc, note, cfg.ServerConcurrency, reps, cfg.Rounds)
