@@ -64,7 +64,7 @@ type Config struct {
 
 	MeanViewing float64 // mean of the exponential viewing (reading) time
 	MinViewing  float64 // truncation floor for viewing times
-	FollowProb  float64 // surfer link-follow probability
+	FollowProb  float64 // surfer link-follow probability in [0,1]; 0 or 1 selects the surfer default 0.85
 
 	// DriftEvery makes the workload non-stationary: every DriftEvery
 	// browsing rounds each client's surfer re-draws its preference vector

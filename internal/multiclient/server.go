@@ -409,8 +409,14 @@ func (s *server) fail() {
 	ledger := s.ledger
 	s.ledger = nil
 	s.ledgerDone = 0
-	if n := len(ledger) - countDone(ledger); n != lostNow {
-		panic(fmt.Sprintf("multiclient: server %d ledger has %d outstanding, scheduler lost %d", s.id, n, lostNow))
+	outstanding := 0
+	for _, rq := range ledger {
+		if !rq.done {
+			outstanding++
+		}
+	}
+	if outstanding != lostNow {
+		panic(fmt.Sprintf("multiclient: server %d ledger has %d outstanding, scheduler lost %d", s.id, outstanding, lostNow))
 	}
 
 	if e.tr != nil {
@@ -429,17 +435,6 @@ func (s *server) fail() {
 		e.reqPool.Put(rq)
 	}
 	e.clock.After(e.recoverAfter, s.recover)
-}
-
-// countDone counts the completed entries of a ledger.
-func countDone(ledger []*request) int {
-	n := 0
-	for _, rq := range ledger {
-		if rq.done {
-			n++
-		}
-	}
-	return n
 }
 
 // recover rebuilds the server with a fresh scheduler and a cold cache,

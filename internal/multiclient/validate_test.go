@@ -9,7 +9,7 @@ import (
 	"prefetch/internal/schedsrv"
 )
 
-// Regression tests for the PR 6 validatecfg sweep: the sweep engine must
+// Regression tests for the validatecfg sweep: the sweep engine must
 // reject an invalid base config on entry, whatever the axes, before any
 // task is built or dispatched, rather than letting the error surface from
 // a worker deep inside the parallel sweep (or, worse, letting a partially
