@@ -115,7 +115,7 @@ func TestSingleReplicaMatchesMulticlient(t *testing.T) {
 
 // TestScriptedSingleReplicaMatchesMulticlient: the scripted (sharded
 // Phase-A) fleet session inherits the multiclient timeline too — the
-// shared-predictor baseConfig above exercises the inline path, so this
+// shared-predictor baseConfig above exercises live walkers, so this
 // covers scriptable shapes: the stationary oracle, drift, and a learned
 // model.
 func TestScriptedSingleReplicaMatchesMulticlient(t *testing.T) {

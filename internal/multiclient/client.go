@@ -6,27 +6,23 @@ import (
 	"prefetch/internal/core"
 	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
-	"prefetch/internal/predict"
-	"prefetch/internal/rng"
 	"prefetch/internal/stats"
 	"prefetch/internal/webgraph"
 )
 
-// client is one browsing session: a random surfer with its own derived RNG
-// stream, an SKP planner over a pluggable prediction source (the oracle's
-// true next-page distribution, or a model learned online from the access
-// stream), and a private client-side cache. It runs as a callback state
-// machine on the shared clock so any number of clients interleave on the
-// same timeline. Every transfer it issues goes to a server: the only one,
-// or the one the run's router picks.
+// client is one browsing session: a browsing model (a random surfer with
+// its own derived RNG stream and a pluggable prediction source — the
+// oracle's true next-page distribution, or a model learned online from the
+// access stream), an SKP planner, and a private client-side cache. It runs
+// as a callback state machine on the shared clock so any number of clients
+// interleave on the same timeline. Every transfer it issues goes to a
+// server: the only one, or the one the run's router picks.
 type client struct {
-	id     int
-	cfg    *Config
-	clock  *netsim.Clock
-	eng    *engine
-	site   *webgraph.Site
-	surfer *webgraph.Surfer
-	rand   *rng.Source
+	id    int
+	cfg   *Config
+	clock *netsim.Clock
+	eng   *engine
+	site  *webgraph.Site
 
 	// home anchors the parts of the model that need one server per
 	// client regardless of where requests land: the shared predictor the
@@ -34,20 +30,14 @@ type client struct {
 	// the congestion feedback its controller observes.
 	home *server
 
-	// pred is the prediction source the planner consumes. oracle marks
-	// the true-distribution source, whose per-round L1 error is zero by
-	// construction and therefore not recomputed.
-	pred     predict.Source
-	oracle   bool
-	predName string
-
-	// Scripted mode (see shard.go): when script is non-nil the client's
-	// draws and predictions were precomputed by a Phase-A shard worker —
-	// rand, surfer and pred are nil, table is the shared ranked candidate
-	// table (stationary oracle) or nil, and state tracks the current page
-	// the surfer would be on.
+	// The browsing model (see shard.go) plays each round from exactly one
+	// of: script, precomputed by a Phase-A shard worker, with table the
+	// shared ranked candidate table (stationary oracle) or nil; or walk,
+	// a live walker stepped once per round. state is the surfer's page:
+	// the round plans from it, then requests the page drawn next.
 	script *Script
 	table  [][]core.Item
+	walk   *walker
 	state  int
 
 	// Page-indexed per-round state (the page space is dense 0..P-1, so
@@ -69,10 +59,9 @@ type client struct {
 	demandRound bool // this round needed a network fetch (shared or own)
 	requestedAt float64
 
-	// nextPage/demandFn are the one demand timer the client ever has in
-	// flight, preallocated once so startRound does not close over the
-	// drawn page each round.
-	nextPage int
+	// demandFn is the one demand timer the client ever has in flight,
+	// preallocated once so startRound does not close over the drawn page
+	// each round.
 	demandFn func()
 
 	// Closed-loop speculation control (internal/adaptive): the controller
@@ -137,36 +126,12 @@ func newClient(id int, e *engine, scripts *Scripts, script *Script) (*client, er
 	if e.router != nil {
 		c.home = e.servers[e.router.Home(id, len(e.servers))]
 	}
-	c.demandFn = func() { c.request(c.nextPage) }
-	c.oracle = cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle
+	c.demandFn = func() { c.request(c.state) }
+	var err error
 	if script != nil {
-		// Scripted mode: the Phase-A shard worker already consumed this
-		// client's random streams and predictor; the live client only
-		// replays the script against the shared clock and server.
-		c.script = script
-		c.table = scripts.Table
-		c.predName = scripts.PredName
-	} else {
-		c.rand = rng.Derive(cfg.Seed, clientLabel(id))
-		c.surfer = webgraph.NewSurfer(c.rand, site, cfg.FollowProb)
-		if cfg.DriftEvery > 0 {
-			// Non-stationary mode: the hot set re-draws every DriftEvery
-			// rounds (the surfer steps once per round) from a per-client
-			// derived stream. The oracle hook below reads the surfer's
-			// current phase, so oracle predictions stay exact across shifts.
-			c.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
-		}
-		pred, err := predict.New(cfg.Predict, id, c.surfer.NextDistributionFrom, c.home.agg)
-		if err != nil {
-			return nil, err
-		}
-		c.pred = pred
-		c.predName = pred.Name()
-		if !cfg.DisablePrefetch {
-			// Seed the access stream with the start page so learned models
-			// have the first transition's context (a no-op for the oracle).
-			c.pred.Observe(c.surfer.Current())
-		}
+		c.script, c.table = script, scripts.Table
+	} else if c.walk, err = newWalker(cfg, site, id, !cfg.DisablePrefetch, c.home.agg, e.scratch); err != nil {
+		return nil, err
 	}
 	ctrl, err := adaptive.New(cfg.Adaptive)
 	if err != nil {
@@ -193,8 +158,11 @@ func (c *client) holds(page int) bool {
 }
 
 // store keeps a completed retrieval. Without a client cache the item is
-// usable only within the round that planned it (netsim.Session's
-// prefetch-only semantics: a stale leftover completing later is pure waste).
+// usable only within the round that planned it: a leftover completing
+// later is pure waste, and so is one that completed in an earlier round
+// even when this round requests its page, which is fetched again. (A
+// netsim.Session without KeepItems differs there: it keeps a leftover
+// prefetch for the round that requests it.)
 // specReady tracks which resident pages owe their residency to an unused
 // speculative transfer: residency only changes through store and LRU
 // eviction, and attribution only happens while the page is held, so the
@@ -228,15 +196,7 @@ func (c *client) startRound(now float64) {
 	c.roundsLeft--
 	c.round++ // advancing the round stamp implicitly clears c.ready
 
-	var v float64
-	if c.script != nil {
-		v = c.script.Viewing[c.round-1]
-	} else {
-		v = c.rand.Exp(1 / c.cfg.MeanViewing)
-		if v < c.cfg.MinViewing {
-			v = c.cfg.MinViewing
-		}
-	}
+	cands, l1, v, next := c.draw()
 	if c.tr != nil {
 		ev := obs.Ev(now, obs.KindRoundStart, c.id)
 		ev.Round = c.round
@@ -246,7 +206,7 @@ func (c *client) startRound(now float64) {
 
 	if !c.cfg.DisablePrefetch {
 		c.observe(now)
-		plan := c.plan(v)
+		plan := c.plan(v, cands, l1)
 		for _, it := range plan.Items {
 			c.prefetchIssued++
 			if c.tr != nil {
@@ -278,13 +238,28 @@ func (c *client) startRound(now float64) {
 		}
 	}
 
-	if c.script != nil {
-		c.nextPage = int(c.script.Next[c.round-1])
-		c.state = c.nextPage // the page plan() will rank from next round
-	} else {
-		c.nextPage = c.surfer.Step()
-	}
+	c.state = next
 	c.clock.Schedule(now+v, c.demandFn)
+}
+
+// draw plays the browsing model's part of this round — the ranked
+// candidates and prediction error, the viewing time and the next page —
+// from the script or, for a live client, from one walker step.
+func (c *client) draw() (cands []core.Item, l1, viewing float64, next int) {
+	if c.walk != nil {
+		return c.walk.step()
+	}
+	r := c.round - 1
+	switch {
+	case c.table != nil:
+		cands = c.table[c.state]
+	case c.script.Cands != nil:
+		cands = c.script.Cands[r]
+	}
+	if c.script.L1 != nil {
+		l1 = c.script.L1[r]
+	}
+	return cands, l1, c.script.Viewing[r], int(c.script.Next[r])
 }
 
 // observe closes the feedback loop: it reads the server's congestion
@@ -326,74 +301,29 @@ func (c *client) observe(now float64) {
 }
 
 // plan solves the cost-aware SKP at the controller's current λ over the
-// prediction source's candidate distribution for the current page,
-// excluding pages already held or in flight. Candidates are capped at the
-// MaxCandidates highest-probability pages to bound the solver's search.
-// Each planned round also records the prediction's L1 error against the
-// surfer's true distribution (zero by construction for the oracle, whose
-// hot path skips the comparison).
-func (c *client) plan(viewing float64) core.Plan {
-	var (
-		state int
-		l1    float64
-		items []core.Item
-	)
-	if c.script != nil {
-		// Scripted: the full ranked candidate list was precomputed (or is
-		// the shared stationary table); only the timing-dependent parts —
-		// the held/in-flight filter and the cap — run here. Filtering a
-		// ranked list then capping equals the inline path's filter-sort-cap
-		// because the ranking key is a total order independent of the
-		// filter.
-		state = c.state
-		if c.script.L1 != nil {
-			l1 = c.script.L1[c.round-1]
+// round's ranked candidates, excluding pages already held or in flight and
+// keeping the MaxCandidates highest-probability pages to bound the
+// solver's search. Filtering a ranked list then capping equals
+// filter-sort-cap because the ranking key is a total order independent of
+// the filter. Each planned round also records the prediction's L1 error
+// against the surfer's true distribution (zero for the oracle).
+func (c *client) plan(viewing float64, cands []core.Item, l1 float64) core.Plan {
+	c.l1Trace.Add(l1)
+	items := c.eng.planBuf[:0]
+	for i := range cands {
+		if len(items) == c.cfg.MaxCandidates {
+			break
 		}
-		ranked := c.table
-		var cands []core.Item
-		if ranked != nil {
-			cands = ranked[state]
-		} else {
-			cands = c.script.Cands[c.round-1]
+		if c.holds(cands[i].ID) || c.pending[cands[i].ID] != 0 {
+			continue
 		}
-		c.l1Trace.Add(l1)
-		items = c.eng.planBuf[:0]
-		for i := range cands {
-			if len(items) == c.cfg.MaxCandidates {
-				break
-			}
-			if c.holds(cands[i].ID) || c.pending[cands[i].ID] != 0 {
-				continue
-			}
-			items = append(items, cands[i])
-		}
-		c.eng.planBuf = items
-	} else {
-		state = c.surfer.Current()
-		dist := c.pred.Next(state)
-		if !c.oracle {
-			c.surfer.NextDistributionInto(state, c.eng.truth)
-			l1 = predict.L1Dense(dist, c.eng.truth, c.eng.l1Scratch)
-		}
-		c.l1Trace.Add(l1)
-		items = c.eng.planBuf[:0]
-		for page, prob := range dist {
-			if prob <= 0 || c.holds(page) || c.pending[page] != 0 {
-				continue
-			}
-			//lint:allow maporder sorted below via the reusable sorter (total-order key: prob desc, id asc)
-			items = append(items, core.Item{ID: page, Prob: prob, Retrieval: c.site.Pages[page].Retrieval})
-		}
-		c.eng.planBuf = items // retain any growth for the next plan
-		c.eng.sorter.Rank(items)
-		if len(items) > c.cfg.MaxCandidates {
-			items = items[:c.cfg.MaxCandidates]
-		}
+		items = append(items, cands[i])
 	}
+	c.eng.planBuf = items // retain any growth for the next plan
 	if c.tr != nil {
 		ev := obs.Ev(c.clock.Now(), obs.KindPredictNext, c.id)
 		ev.Round = c.round
-		ev.Page = state
+		ev.Page = c.state
 		ev.L1 = l1
 		ev.Cands = len(items)
 		c.tr.Emit(ev)
@@ -414,10 +344,10 @@ func (c *client) plan(viewing float64) core.Plan {
 func (c *client) request(page int) {
 	c.requestedAt = c.clock.Now()
 	if !c.cfg.DisablePrefetch {
-		if c.pred != nil {
+		if c.walk != nil {
 			// Scripted clients trained their predictor during Phase A;
 			// only the trace event belongs to the live timeline.
-			c.pred.Observe(page)
+			c.walk.observe(page)
 		}
 		if c.tr != nil {
 			ev := obs.Ev(c.requestedAt, obs.KindPredictObserve, c.id)

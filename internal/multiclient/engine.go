@@ -7,6 +7,7 @@ import (
 	"prefetch/internal/eventq"
 	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
+	"prefetch/internal/predict"
 	"prefetch/internal/rng"
 	"prefetch/internal/schedsrv"
 	"prefetch/internal/webgraph"
@@ -106,15 +107,14 @@ type engine struct {
 	// solver is the one branch-and-bound scratch space every client's
 	// plan() shares — the event loop runs clients one at a time and each
 	// plan is consumed before the next Solve, so a single solver is safe.
-	// truth and l1Scratch are the inline planner's dense plan-time L1
-	// buffers (the true next-page distribution and the prediction), one
-	// float per page, shared the same way.
-	reqPool   eventq.FreeList[request]
-	solver    *core.Solver
-	planBuf   []core.Item
-	sorter    core.ItemSorter
-	truth     []float64
-	l1Scratch []float64
+	// scratch is the live walkers' step scratch, shared the same way: a
+	// step's ranked candidates are planned before the next step.
+	reqPool eventq.FreeList[request]
+	solver  *core.Solver
+	planBuf []core.Item
+	scratch *stepScratch
+
+	predName string // the prediction source's reported name
 }
 
 // RunReplicated plays the simulation over replicas servers behind router,
@@ -147,8 +147,7 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 		recoverAfter: recoverAfter,
 		active:       cfg.Clients,
 		solver:       core.NewSolver(),
-		truth:        make([]float64, len(site.Pages)),
-		l1Scratch:    make([]float64, len(site.Pages)),
+		scratch:      newStepScratch(len(site.Pages)),
 	}
 	e.servers = make([]*server, replicas)
 	for i := range e.servers {
@@ -156,9 +155,16 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 			return Result{}, nil, 0, err
 		}
 	}
+	// Probing the prediction source once names it for the result and
+	// surfaces construction errors before any client exists.
+	probe, err := predict.New(cfg.Predict, 0, func(int) map[int]float64 { return nil }, e.servers[0].agg)
+	if err != nil {
+		return Result{}, nil, 0, err
+	}
+	e.predName = probe.Name()
 	// Phase A: shard workers precompute every client's workload script in
-	// parallel (a no-op for the shared predictor, which must train in
-	// arrival order and keeps the inline path).
+	// parallel. The shared predictor must train in arrival order, so its
+	// clients step live walkers instead.
 	var scripts *Scripts
 	if Scriptable(cfg) {
 		if scripts, err = GenerateScripts(cfg, site); err != nil {
@@ -233,7 +239,7 @@ func (e *engine) result() (Result, []ReplicaResult, int64, error) {
 		Concurrency: cfg.ServerConcurrency,
 		Discipline:  e.servers[0].sched.Discipline(),
 		Controller:  e.clients[0].ctrl.Name(),
-		Predictor:   e.clients[0].predName,
+		Predictor:   e.predName,
 		PerClient:   make([]ClientResult, cfg.Clients),
 		Elapsed:     e.lastT,
 	}

@@ -23,11 +23,14 @@
 // never perturbs the workloads of existing ones.
 //
 // That per-client purity is what the sharded core (shard.go) exploits to
-// scale a round to 10⁵–10⁶ clients. Phase A precomputes every client's
-// workload script — viewing times, page trace, ranked prefetch candidates,
-// prediction error — across Config.Shards parallel workers, each owning a
-// contiguous client range; Phase B is the unchanged sequential event loop,
-// which merges the scripts in canonical (time, client) order. No float
+// scale a round to 10⁵–10⁶ clients. A client's browsing model is one
+// walker whose step plays a round: ranked prefetch candidates with their
+// prediction error, viewing time, next page. Phase A loops every client's
+// walker into a workload script across Config.Shards parallel workers,
+// each owning a contiguous client range; Phase B is the sequential event
+// loop, which merges the scripts in canonical (time, client) order. The
+// shared predictor cannot be precomputed (its aggregate trains in arrival
+// order), so its clients step their walkers live from the loop. No float
 // crosses a shard boundary and the merge order is fixed, so results and
 // decision traces are byte-identical for every Shards value and every
 // GOMAXPROCS — sharding changes wall-clock time, never a result. The CI

@@ -7,9 +7,9 @@ package multiclient
 // every client's workload script — viewing times, the page trace, and the
 // full ranked candidate list the planner would rank each round — in S
 // parallel shard workers, each owning a contiguous block of client ids.
-// Phase B (client.go / multiclient.go) is the unchanged sequential event
-// loop: it consumes the scripts in clock order, which is exactly the
-// canonical (time, client-id) merge at every server-arbitration point.
+// Phase B (engine.go, client.go, server.go) is the sequential event loop:
+// it consumes the scripts in clock order, which is exactly the canonical
+// (time, client-id) merge at every server-arbitration point.
 //
 // Why this is bit-for-bit deterministic for ANY shard or worker count:
 // client i's random streams are derived as pure functions of (seed, i)
@@ -22,11 +22,14 @@ package multiclient
 // decision traces; the extended determinism gate (shard_test.go, CI)
 // diffs shards ∈ {1,4,16} × GOMAXPROCS ∈ {1,8} to hold the line.
 //
-// What can be scripted: every per-client prediction source (oracle,
-// depgraph, ppm, ppm-escape, decay, mixture — their training stream is
-// the client's own page trace, already fixed by the seed). The one
-// exception is predict.KindShared, whose aggregate model couples clients
-// through arrival order; those runs use the inline path unchanged.
+// One browsing model serves both phases: a walker holds a client's
+// streams, surfer and prediction source, and its step is one round of the
+// model. Phase A loops the step into a Script. What can be scripted is
+// every per-client prediction source (oracle, depgraph, ppm, ppm-escape,
+// decay, mixture — their training stream is the client's own page trace,
+// already fixed by the seed). The one exception is predict.KindShared,
+// whose aggregate model couples clients through arrival order; its
+// clients step their walkers live, once per round, from the event loop.
 
 import (
 	"runtime"
@@ -60,12 +63,9 @@ type Scripts struct {
 	// (site, followProb), so one table serves every client and round.
 	// nil unless the run is a stationary-oracle run with prefetching.
 	Table [][]core.Item
-	// PredName is the prediction source's reported name, so Phase B can
-	// label results without instantiating a predictor per client.
-	PredName string
 }
 
-// scriptingDisabled forces the inline (unscripted) client even for
+// scriptingDisabled makes every client step a live walker even for
 // scriptable configurations. Test hook: the equivalence tests run both
 // paths over identical configurations and diff results and traces.
 var scriptingDisabled bool
@@ -78,11 +78,10 @@ func Scriptable(cfg Config) bool {
 	return !scriptingDisabled && cfg.Predict.Kind != predict.KindShared
 }
 
-// stationaryOracle reports whether one shared ranked table can serve
-// every plan: the oracle over a drift-free surfer.
-func stationaryOracle(cfg Config) bool {
-	return cfg.DriftEvery == 0 &&
-		(cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle)
+// oracleSource reports whether the planner reads the surfer's true
+// next-page distribution rather than a learned prediction.
+func oracleSource(cfg *Config) bool {
+	return cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle
 }
 
 // GenerateScripts runs Phase A: cfg.Shards parallel workers (0 = one per
@@ -93,14 +92,9 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 		return nil, err
 	}
 	sc := &Scripts{PerClient: make([]Script, cfg.Clients)}
-	// Probe the predictor once for its reported name (and to surface
-	// construction errors deterministically, before any fan-out).
-	probe, err := predict.New(cfg.Predict, 0, func(int) map[int]float64 { return nil }, nil)
-	if err != nil {
-		return nil, err
-	}
-	sc.PredName = probe.Name()
-	if !cfg.DisablePrefetch && stationaryOracle(cfg) {
+	// One shared ranked table serves every plan of the oracle over a
+	// drift-free surfer.
+	if !cfg.DisablePrefetch && cfg.DriftEvery == 0 && oracleSource(&cfg) {
 		sc.Table = buildRankedTable(site, cfg.FollowProb)
 	}
 
@@ -111,6 +105,8 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 	if workers > cfg.Clients {
 		workers = cfg.Clients
 	}
+	// Construction errors are pure functions of the config, so every
+	// worker fails on its first client alike and errs[0] is client 0's.
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -119,7 +115,7 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			buf := newScriptBuf(len(site.Pages))
+			buf := newStepScratch(len(site.Pages))
 			for i := lo; i < hi; i++ {
 				if err := generateScript(&cfg, site, i, &sc.PerClient[i], sc.Table != nil, buf); err != nil {
 					errs[w] = err
@@ -137,61 +133,112 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 	return sc, nil
 }
 
-// generateScript replays client id's browsing model round by round, in
-// exactly the draw order of the live client: the viewing Exp draw from
-// the client stream, the page step from the surfer's split stream, and —
-// for learned predictors — the Next/Observe alternation the planner and
-// the demand path would perform. No timing enters anywhere, which is the
-// whole reason the replay is exact.
-func generateScript(cfg *Config, site *webgraph.Site, id int, out *Script, tabled bool, buf *scriptBuf) error {
-	rand := rng.Derive(cfg.Seed, clientLabel(id))
-	surfer := webgraph.NewSurfer(rand, site, cfg.FollowProb)
-	if cfg.DriftEvery > 0 {
-		surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
+// generateScript records client id's browsing model round by round: each
+// round is one walker step plus the observation of the page it stepped
+// to, exactly what the live client performs. No timing enters anywhere,
+// which is the whole reason the replay is exact. Each round's candidates
+// are copied out of the worker's reused buffer into an exactly-sized
+// slice of their own.
+func generateScript(cfg *Config, site *webgraph.Site, id int, out *Script, tabled bool, buf *stepScratch) error {
+	w, err := newWalker(cfg, site, id, !cfg.DisablePrefetch && !tabled, nil, buf)
+	if err != nil {
+		return err
 	}
-	oracle := cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle
-	var pred predict.Source
-	if !cfg.DisablePrefetch && !oracle {
-		p, err := predict.New(cfg.Predict, id, surfer.NextDistributionFrom, nil)
-		if err != nil {
-			return err
-		}
-		pred = p
-		pred.Observe(surfer.Current())
-	}
-	needCands := !cfg.DisablePrefetch && !tabled
 	out.Viewing = make([]float64, cfg.Rounds)
 	out.Next = make([]int32, cfg.Rounds)
-	if needCands {
+	if w.ranks {
 		out.Cands = make([][]core.Item, cfg.Rounds)
-		if !oracle {
+		if w.pred != nil {
 			out.L1 = make([]float64, cfg.Rounds)
 		}
 	}
-	for r := 0; r < cfg.Rounds; r++ {
-		state := surfer.Current()
-		if needCands {
-			surfer.NextDistributionInto(state, buf.truth)
-			if oracle {
-				out.Cands[r] = rankProbs(buf.truth, site, &buf.sorter)
-			} else {
-				dist := pred.Next(state)
-				out.L1[r] = predict.L1Dense(dist, buf.truth, buf.l1Scratch)
-				out.Cands[r] = rankDist(dist, site, &buf.sorter)
-			}
+	for r := range out.Viewing {
+		cands, l1, viewing, next := w.step()
+		if out.Cands != nil {
+			out.Cands[r] = append(make([]core.Item, 0, len(cands)), cands...)
 		}
-		v := rand.Exp(1 / cfg.MeanViewing)
-		if v < cfg.MinViewing {
-			v = cfg.MinViewing
+		if out.L1 != nil {
+			out.L1[r] = l1
 		}
-		out.Viewing[r] = v
-		next := surfer.Step()
-		out.Next[r] = int32(next)
-		if pred != nil {
-			pred.Observe(next)
-		}
+		out.Viewing[r], out.Next[r] = viewing, int32(next)
+		w.observe(next)
 	}
 	return nil
+}
+
+// walker is one client's browsing model: its derived RNG stream, its
+// surfer (drifting when configured) and the prediction source its planner
+// reads. Phase A loops a walker into a Script; a live client — the shared
+// predictor, whose aggregate trains in arrival order — steps one from the
+// event loop. Either way a round is the same step and observe.
+type walker struct {
+	cfg    *Config
+	site   *webgraph.Site
+	rand   *rng.Source
+	surfer *webgraph.Surfer
+	pred   predict.Source // nil for the oracle, which ranks the dense truth
+	ranks  bool           // step ranks candidates: prefetching, no shared table
+	buf    *stepScratch
+}
+
+// newWalker derives client id's streams and, when the walker ranks for a
+// learned source, builds that source (agg is the run's shared aggregate,
+// nil unless the shared predictor runs) and seeds it with the start page.
+func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predict.Aggregate, buf *stepScratch) (*walker, error) {
+	w := &walker{cfg: cfg, site: site, rand: rng.Derive(cfg.Seed, clientLabel(id)), ranks: ranks, buf: buf}
+	w.surfer = webgraph.NewSurfer(w.rand, site, cfg.FollowProb)
+	if cfg.DriftEvery > 0 {
+		// Non-stationary mode: the hot set re-draws every DriftEvery rounds
+		// (the surfer steps once per round) from a per-client derived
+		// stream; the oracle's truth reads the current phase.
+		w.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
+	}
+	if ranks && !oracleSource(cfg) {
+		p, err := predict.New(cfg.Predict, id, w.surfer.NextDistributionFrom, agg)
+		if err != nil {
+			return nil, err
+		}
+		w.pred = p
+		p.Observe(w.surfer.Current())
+	}
+	return w, nil
+}
+
+// step plays the browsing model's part of one round from the current
+// page: the ranked candidates with the prediction's dense-L1 error (nil
+// and 0 when the walker does not rank; the error is 0 for the oracle),
+// the clamped viewing time from the client stream, and the next page from
+// the surfer's split stream. The candidates live in the shared scratch
+// until the next step. Next is read-only for every source, the shared
+// aggregate included, so a live client may step before its round's
+// feedback read and enqueues without moving a byte.
+func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
+	if w.ranks {
+		b := w.buf
+		state := w.surfer.Current()
+		w.surfer.NextDistributionInto(state, b.truth)
+		if w.pred == nil {
+			b.ranked = rankProbs(b.ranked, b.truth, w.site, &b.sorter)
+		} else {
+			dist := w.pred.Next(state)
+			l1 = predict.L1Dense(dist, b.truth, b.l1)
+			b.ranked = rankDist(b.ranked, dist, w.site, &b.sorter)
+		}
+		cands = b.ranked
+	}
+	viewing = w.rand.Exp(1 / w.cfg.MeanViewing)
+	if viewing < w.cfg.MinViewing {
+		viewing = w.cfg.MinViewing
+	}
+	return cands, l1, viewing, w.surfer.Step()
+}
+
+// observe feeds the demanded page to the prediction source's training
+// stream (a no-op for the oracle).
+func (w *walker) observe(page int) {
+	if w.pred != nil {
+		w.pred.Observe(page)
+	}
 }
 
 // buildRankedTable ranks the stationary oracle's candidate list for every
@@ -203,28 +250,30 @@ func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 	var sorter core.ItemSorter
 	for p := range site.Pages {
 		site.NextDistributionInto(p, followProb, probs)
-		table[p] = rankProbs(probs, site, &sorter)
+		table[p] = rankProbs(make([]core.Item, 0, len(probs)), probs, site, &sorter)
 	}
 	return table
 }
 
-// scriptBuf is one Phase-A worker's reusable scratch: the surfer's true
-// next-page distribution and the dense-L1 scratch, one float per page,
-// plus the candidate sorter.
-type scriptBuf struct {
-	truth, l1Scratch []float64
-	sorter           core.ItemSorter
+// stepScratch is the reusable scratch of walker steps that never run at
+// once — one Phase-A worker's clients, or every live client on the event
+// loop: the true next-page distribution and the dense-L1 buffer, one
+// float per page, the candidate sorter and the ranked candidates.
+type stepScratch struct {
+	truth, l1 []float64
+	sorter    core.ItemSorter
+	ranked    []core.Item
 }
 
-func newScriptBuf(pages int) *scriptBuf {
-	return &scriptBuf{truth: make([]float64, pages), l1Scratch: make([]float64, pages)}
+func newStepScratch(pages int) *stepScratch {
+	return &stepScratch{truth: make([]float64, pages), l1: make([]float64, pages)}
 }
 
-// rankProbs converts a dense distribution over page ids into the ranked
-// candidate form plan() consumes: positive-probability pages only,
-// probability descending with page id breaking ties.
-func rankProbs(probs []float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
-	items := make([]core.Item, 0, len(probs))
+// rankProbs ranks a dense distribution over page ids into dst's backing
+// array, in the candidate form plan() consumes: positive-probability pages
+// only, probability descending with page id breaking ties.
+func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
+	items := dst[:0]
 	for page, prob := range probs {
 		if prob <= 0 {
 			continue
@@ -238,8 +287,8 @@ func rankProbs(probs []float64, site *webgraph.Site, sorter *core.ItemSorter) []
 // rankDist is rankProbs over a predicted distribution's map. The ranking
 // key is a total order (ids are unique), so the result is independent of
 // the sort algorithm and of map iteration order.
-func rankDist(dist map[int]float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
-	items := make([]core.Item, 0, len(dist))
+func rankDist(dst []core.Item, dist map[int]float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
+	items := dst[:0]
 	for page, prob := range dist {
 		if prob <= 0 {
 			continue

@@ -46,6 +46,13 @@ func shardConfigs() map[string]Config {
 	baseline := base
 	baseline.DisablePrefetch = true
 
+	// The mc-learned benchmark's shape: ppm-escape under drift on a
+	// preemptive priority server.
+	escape := base
+	escape.Predict = predict.Config{Kind: predict.KindPPMEscape}
+	escape.DriftEvery = 10
+	escape.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+
 	return map[string]Config{
 		"oracle":   base,
 		"drift":    drift,
@@ -54,6 +61,7 @@ func shardConfigs() map[string]Config {
 		"adaptive": adaptiveCfg,
 		"srvcache": served,
 		"baseline": baseline,
+		"escape":   escape,
 	}
 }
 
@@ -75,9 +83,9 @@ func runTraced(t *testing.T, cfg Config) (Result, []byte) {
 }
 
 // TestScriptedMatchesInline is the core equivalence gate of the sharded
-// core: the Phase-A scripted client must replay the inline client
-// bit-for-bit — identical results AND byte-identical decision traces —
-// for every scriptable configuration shape.
+// core: the Phase-A scripted client must replay a client stepping its
+// walker live bit-for-bit — identical results AND byte-identical decision
+// traces — for every scriptable configuration shape.
 func TestScriptedMatchesInline(t *testing.T) {
 	for name, cfg := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -124,7 +132,7 @@ func TestShardCountIndependence(t *testing.T) {
 
 // TestSharedPredictorStaysInline documents the one non-scriptable shape:
 // the shared aggregate trains on the cross-client arrival order, which
-// only the live event loop knows.
+// only the live event loop knows, so its clients step live walkers.
 func TestSharedPredictorStaysInline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Predict = predict.Config{Kind: predict.KindShared}
@@ -133,7 +141,7 @@ func TestSharedPredictorStaysInline(t *testing.T) {
 	}
 	cfg.Clients = 4
 	cfg.Rounds = 20
-	// The inline path still honours shard-count independence trivially.
+	// Live walkers still honour shard-count independence trivially.
 	cfg.Shards = 16
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -169,7 +177,7 @@ func TestRankDistMatchesSortSlice(t *testing.T) {
 			}
 			return want[a].ID < want[b].ID
 		})
-		got := rankDist(dist, site, &sorter)
+		got := rankDist(nil, dist, site, &sorter)
 		if len(got) != len(want) {
 			t.Fatalf("iter %d: %d ranked items, sort.Slice %d", iter, len(got), len(want))
 		}

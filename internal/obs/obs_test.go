@@ -88,37 +88,6 @@ func TestEncodingKeepsPageZero(t *testing.T) {
 	}
 }
 
-func TestReadTraceErrors(t *testing.T) {
-	cases := []struct {
-		name, input, want string
-	}{
-		{"unknown kind", `{"t":1,"k":"nope","c":0,"page":-1}`, "unknown kind"},
-		{"unknown field", `{"t":1,"k":"round_end","c":0,"page":-1,"bogus":1}`, "bogus"},
-		{"negative time", `{"t":-1,"k":"round_end","c":0,"page":-1}`, "round_end"},
-		{"nan time", `{"t":1e999,"k":"round_end","c":0,"page":-1}`, "line 1"},
-		{"bad client", `{"t":1,"k":"round_end","c":-2,"page":-1}`, "client -2"},
-		{"bad page", `{"t":1,"k":"round_end","c":0,"page":-2}`, "page -2"},
-		{"bad replica", `{"t":1,"k":"route","c":0,"page":3,"replica":-1}`, "replica -1"},
-		{"line number", "{\"t\":1,\"k\":\"round_end\",\"c\":0,\"page\":-1}\n{\"t\":1,\"k\":\"nope\",\"c\":0,\"page\":-1}", "line 2"},
-		{"truncated", `{"t":1,"k":"round_end","c":0,"pa`, "truncated"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadTrace(strings.NewReader(tc.input + "\n"))
-			if tc.name == "truncated" {
-				// Keep the final line unterminated.
-				_, err = ReadTrace(strings.NewReader(tc.input))
-			}
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
-			}
-		})
-	}
-}
-
 func TestReadTraceWrapsErrBadLine(t *testing.T) {
 	_, err := ReadTrace(strings.NewReader("not json\n"))
 	if !errors.Is(err, jsonl.ErrBadLine) {

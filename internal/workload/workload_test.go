@@ -158,22 +158,25 @@ func TestReadTraceRejectsBadData(t *testing.T) {
 	}
 }
 
+// goodRoundLine is one valid round in trace form.
+const goodRoundLine = `{"v":5,"p":[1],"r":[2],"req":0}`
+
+// strictTraceCases are traces ReadTrace must reject, each with a fragment
+// its error must name.
+var strictTraceCases = []struct{ name, input, want string }{
+	{"unknown field", goodRoundLine + "\n" + `{"v":5,"p":[1],"r":[2],"req":0,"bogus":1}` + "\n", "line 2"},
+	{"truncated final line", goodRoundLine + "\n" + `{"v":5,"p":[1],"r":`, "truncated"},
+	{"truncated mid-value", `{"v":5,"p":[1`, "line 1"},
+	{"blank line", goodRoundLine + "\n\n" + goodRoundLine + "\n", "line 2"},
+	{"trailing data", goodRoundLine + ` {"v":1}` + "\n", "line 1"},
+	{"invalid round names line", goodRoundLine + "\n" + `{"v":5,"p":[1],"r":[2],"req":9}` + "\n", "line 2"},
+}
+
 // TestReadTraceStrictErrors pins the hardened error paths: truncated
 // files and unknown fields must fail with the offending line number
 // instead of silently replaying a damaged workload.
 func TestReadTraceStrictErrors(t *testing.T) {
-	good := `{"v":5,"p":[1],"r":[2],"req":0}`
-	cases := []struct {
-		name, input, want string
-	}{
-		{"unknown field", good + "\n" + `{"v":5,"p":[1],"r":[2],"req":0,"bogus":1}` + "\n", "line 2"},
-		{"truncated final line", good + "\n" + `{"v":5,"p":[1],"r":`, "truncated"},
-		{"truncated mid-value", `{"v":5,"p":[1`, "line 1"},
-		{"blank line", good + "\n\n" + good + "\n", "line 2"},
-		{"trailing data", good + ` {"v":1}` + "\n", "line 1"},
-		{"invalid round names line", good + "\n" + `{"v":5,"p":[1],"r":[2],"req":9}` + "\n", "line 2"},
-	}
-	for _, tc := range cases {
+	for _, tc := range strictTraceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadTrace(strings.NewReader(tc.input))
 			if err == nil {
