@@ -8,8 +8,7 @@
 //	        [-out figures] [-seed 42] [-iters 50000] [-requests 50000] \
 //	        [-cachestep 3] [-quick]
 //
-// The experiment index lives in DESIGN.md; measured-vs-paper notes live in
-// EXPERIMENTS.md. All runs are deterministic in -seed.
+// All runs are deterministic in -seed.
 package main
 
 import (

@@ -653,9 +653,10 @@ func parseWeights(s string) (demand, spec float64, err error) {
 			spec, err = strconv.ParseFloat(strings.TrimSpace(sp), 64)
 		}
 	}
-	// Positive-form checks so NaN is rejected too.
-	if !ok || err != nil || !(demand > 0) || !(spec > 0) {
-		return 0, 0, fmt.Errorf("bad -weights %q (want demand:spec, e.g. 4:1)", s)
+	// Positive-form checks so NaN is rejected too; "inf" parses without
+	// error, so infinities are refused explicitly.
+	if !ok || err != nil || !(demand > 0) || !(spec > 0) || math.IsInf(demand, 0) || math.IsInf(spec, 0) {
+		return 0, 0, fmt.Errorf("bad -weights %q (want finite demand:spec, e.g. 4:1)", s)
 	}
 	return demand, spec, nil
 }

@@ -36,16 +36,16 @@
 //
 // The root package is the public API. Implementation lives under
 // internal/: core (model + solvers), knapsack (the classic-KP baseline),
-// access (probability generators, Markov sources, learned predictors),
-// predict (the pluggable prediction subsystem — oracle vs learned
-// sources, see MultiClientConfig.Predict), cache (replacement policies),
-// sim (the paper's Monte-Carlo harnesses), netsim (an event-driven
-// validation simulator), eventq (the binary-heap priority queue under
-// every discrete-event scheduler), multiclient (N concurrent sessions
-// contending for a shared server — see RunMultiClient), schedsrv (the
-// server's pluggable scheduling subsystem), stats, plot, rng and sweep.
-// The cmd/ tools regenerate every figure of the paper; see DESIGN.md for
-// the experiment index and EXPERIMENTS.md for measured results.
+// access (probability generators and Markov sources), predict (the
+// pluggable prediction subsystem — the oracle and every learned source,
+// built on shared count stores; see MultiClientConfig.Predict), cache
+// (replacement policies), sim (the paper's Monte-Carlo harnesses),
+// netsim (an event-driven validation simulator), eventq (the binary-heap
+// priority queue under every discrete-event scheduler), multiclient (N
+// concurrent sessions contending for a shared server — see
+// RunMultiClient), schedsrv (the server's pluggable scheduling
+// subsystem), stats, plot, rng and sweep.
+// The cmd/ tools regenerate every figure of the paper.
 //
 // # Beyond the paper: shared-server contention
 //

@@ -1,9 +1,7 @@
 // Package access provides the access models the experiments draw on: the
-// probability generators behind the paper's "skewy" and "flat" methods, the
-// 100-state Markov request source of Fig. 7, and two learned predictors from
-// the related-work lineage (a dependency-graph predictor after Padmanabhan &
-// Mogul, and an order-k PPM-style predictor after Vitter & Krishnan) that
-// the examples use to supply next-access probabilities from history.
+// probability generators behind the paper's "skewy" and "flat" methods and
+// the 100-state Markov request source of Fig. 7. The learned predictors
+// live in internal/predict.
 package access
 
 import (
@@ -26,8 +24,8 @@ type ProbGen interface {
 }
 
 // FlatGen is the paper's "flat method": a less predictable situation where
-// no item dominates. Weights are i.i.d. Uniform(0,1), normalised. (The paper
-// does not give the construction; DESIGN.md records this substitution.)
+// no item dominates. Weights are i.i.d. Uniform(0,1), normalised — a
+// substitution, because the paper does not give the construction.
 type FlatGen struct{}
 
 // Name implements ProbGen.

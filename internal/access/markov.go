@@ -45,8 +45,8 @@ func Fig7MarkovConfig() MarkovConfig {
 // BuildMarkov constructs a random Markov source from the config using the
 // given stream. Transition targets are sampled without replacement
 // (self-loops allowed) and probabilities are normalised uniform weights —
-// the paper specifies only the out-degree range; DESIGN.md records this
-// substitution. The source starts in state 0.
+// a substitution, because the paper specifies only the out-degree range.
+// The source starts in state 0.
 func BuildMarkov(r *rng.Source, cfg MarkovConfig) (*MarkovSource, error) {
 	if cfg.States <= 0 {
 		return nil, fmt.Errorf("%w: %d states", ErrBadConfig, cfg.States)

@@ -96,7 +96,7 @@ func gainUnchecked(p Problem, plan Plan) float64 {
 // the probability mass at or after z in canonical order rather than
 // TotalProb − Σ_{i∈K} P_i. The two coincide unless an item ordered before z
 // was excluded from the plan. Exposed so experiments can quantify the
-// difference (see DESIGN.md, "Pseudocode discrepancy").
+// difference between the pseudocode and Theorem 3.
 func GainTail(p Problem, plan Plan) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err

@@ -125,7 +125,7 @@ func SolveSKPOpts(p Problem, opts Options) (Plan, SolverStats, error) {
 	// coeff returns the stretch penalty coefficient for inserting item j as
 	// the stretching final item, given Σ P over the currently selected K.
 	// Both variants dominate profit[j]/r_j, which keeps the Dantzig bound
-	// sound (stretching never pays fractionally; see DESIGN.md).
+	// sound, because stretching never pays fractionally.
 	coeff := func(j int, sumPK float64) float64 {
 		base := totalProb - sumPK
 		if opts.Mode == DeltaPaperTail {

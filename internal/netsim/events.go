@@ -5,8 +5,7 @@
 //
 //  1. Validation — the paper's access-time formulas (Fig. 2) are closed
 //     forms; simulating each round event-by-event and comparing against
-//     core.AccessTime checks the model's timing assumptions end to end
-//     (experiment E8 in DESIGN.md).
+//     core.AccessTime checks the model's timing assumptions end to end.
 //  2. Extensions — semantics the closed forms cannot express: aborting
 //     prefetches when a demand fetch arrives, equal-priority bandwidth
 //     sharing (the authors' earlier model, ref [15]), and multi-round

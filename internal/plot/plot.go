@@ -1,5 +1,5 @@
 // Package plot renders the experiment outputs as CSV (for external
-// tooling), ASCII (for terminals and EXPERIMENTS.md), and standalone SVG
+// tooling), ASCII (for terminals and text reports), and standalone SVG
 // (for figure files), using only the standard library. Fidelity to the
 // paper is about curve shape, not pixels, so the renderers are simple line
 // and scatter charts with linear axes.
@@ -113,7 +113,7 @@ func csvEscape(s string) string {
 var asciiMarks = []rune{'*', '+', 'o', 'x', '#', '@', '%', '&'}
 
 // ASCII renders the chart as a width×height character grid with axes and a
-// legend, suitable for terminals and EXPERIMENTS.md.
+// legend, suitable for terminals and text reports.
 func ASCII(c *Chart, width, height int) (string, error) {
 	if err := c.validate(); err != nil {
 		return "", err

@@ -4,19 +4,106 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"prefetch/internal/access"
 )
 
-// This file holds the drift-tracking learned sources from the ROADMAP:
-// exponentially-decayed transition counts (KindDecay), a popularity ×
-// transition mixture (KindMixture), and a blended/escape PPM that backs
-// off across context orders instead of falling off a hard cold-start
-// cliff (KindPPMEscape). All three are deterministic pure functions of
-// their observation streams: per-key arithmetic happens in a fixed
-// order, and any sum over a float-valued map is taken in sorted key
-// order so the last ulp can never depend on map iteration (the same
-// bit-for-bit-replay discipline as L1).
+// This file holds the learned sources: the dependency graph (KindDepGraph)
+// and PPM (KindPPM) of the related-work lineage, and the drift-tracking
+// sources — exponentially-decayed transition counts (KindDecay), a
+// popularity × transition mixture (KindMixture), and a blended/escape PPM
+// that backs off across context orders instead of falling off a hard
+// cold-start cliff (KindPPMEscape). All are deterministic pure functions
+// of their observation streams: per-key arithmetic happens in a fixed
+// order, and any sum over a float-valued map is taken in sorted key order
+// so the last ulp can never depend on map iteration (the same
+// bit-for-bit-replay discipline as L1). All but decay count in the
+// integer stores of counts.go.
+
+// DependencyGraph is an order-1 transition-count predictor after
+// Padmanabhan & Mogul's server-side dependency graph: each observed pair
+// (previous, next) increments an edge counter, and prediction normalises
+// the outgoing counts of the queried item.
+type DependencyGraph struct {
+	trans transitions
+	last  int
+	any   bool
+}
+
+// NewDependencyGraph returns an empty dependency-graph predictor.
+func NewDependencyGraph() *DependencyGraph { return &DependencyGraph{} }
+
+// Name identifies the predictor.
+func (d *DependencyGraph) Name() string { return string(KindDepGraph) }
+
+// Observe feeds the next item of the access sequence.
+func (d *DependencyGraph) Observe(item int) {
+	if d.any {
+		d.trans.add(d.last, item)
+	}
+	d.last = item
+	d.any = true
+}
+
+// Predict returns the prediction from the last observed item, or an
+// empty map before any observation.
+func (d *DependencyGraph) Predict() map[int]float64 {
+	if !d.any {
+		return map[int]float64{}
+	}
+	return d.Next(d.last)
+}
+
+// Next returns the predicted distribution of the item following state:
+// the normalised outgoing edge counts of state. Empty when state has no
+// observed successors.
+func (d *DependencyGraph) Next(state int) map[int]float64 { return d.trans.next(state) }
+
+// PPM is an order-k prediction-by-partial-matching predictor after
+// Vitter & Krishnan: it keeps counts for every context of length 1..k and
+// predicts from the longest context that has been seen before (a
+// simplified PPM without blending).
+type PPM struct {
+	ctx contexts
+}
+
+// NewPPM returns a PPM predictor of the given order (>= 1).
+func NewPPM(order int) (*PPM, error) {
+	if order < 1 {
+		return nil, fmt.Errorf("%w: PPM order %d", ErrBadConfig, order)
+	}
+	return &PPM{ctx: contexts{order: order}}, nil
+}
+
+// Name identifies the predictor.
+func (p *PPM) Name() string { return fmt.Sprintf("ppm-%d", p.ctx.order) }
+
+// Order returns the configured context order.
+func (p *PPM) Order() int { return p.ctx.order }
+
+// Observe feeds the next item of the access sequence.
+func (p *PPM) Observe(item int) { p.ctx.observe(item) }
+
+// Predict returns the prediction from the internally tracked context
+// (the most recent observations), escaping to shorter contexts as needed;
+// empty before any observation.
+func (p *PPM) Predict() map[int]float64 {
+	h := p.ctx.history
+	if len(h) == 0 {
+		return map[int]float64{}
+	}
+	return p.Next(h[len(h)-1])
+}
+
+// Next returns the predicted distribution of the item following state,
+// from the longest seen context. When the tracked history already ends at
+// state (the normal online case) the full context is used; otherwise
+// prediction falls back to the order-1 context of state alone.
+func (p *PPM) Next(state int) map[int]float64 {
+	out := map[int]float64{}
+	if seen := p.ctx.match(state); len(seen) > 0 {
+		seen[len(seen)-1].blend(out, 1)
+	}
+	return out
+}
 
 // pruneEps is the decayed-count floor below which an edge is dropped:
 // far beyond float noise after a handful of half-lives, so pruning
@@ -145,20 +232,13 @@ func (d *decaySource) Next(state int) map[int]float64 {
 // cold-start cliff of a bare dependency graph.
 type mixtureSource struct {
 	weight float64 // popularity share w in (0, 1)
-	trans  *access.DependencyGraph
-	freq   map[int]int64
-	total  int64
+	trans  DependencyGraph
+	pop    popularity
 }
 
 // newMixture returns an empty mixture source with popularity share w
 // (in (0,1); validated by Config.Validate).
-func newMixture(w float64) *mixtureSource {
-	return &mixtureSource{
-		weight: w,
-		trans:  access.NewDependencyGraph(),
-		freq:   map[int]int64{},
-	}
-}
+func newMixture(w float64) *mixtureSource { return &mixtureSource{weight: w} }
 
 // Name implements Source.
 func (m *mixtureSource) Name() string { return string(KindMixture) }
@@ -166,38 +246,24 @@ func (m *mixtureSource) Name() string { return string(KindMixture) }
 // Observe implements Source.
 func (m *mixtureSource) Observe(page int) {
 	m.trans.Observe(page)
-	m.freq[page]++
-	m.total++
+	m.pop.add(page)
 }
 
 // Next implements Source. Both components normalise by integer counts,
 // so every output value is a fixed-order expression per key and needs no
-// sorted summation.
+// sorted summation. The transition map is rescaled in place and returned.
 func (m *mixtureSource) Next(state int) map[int]float64 {
-	out := map[int]float64{}
-	if m.total == 0 {
-		return out
-	}
-	trans := m.trans.Next(state)
+	out := m.trans.Next(state)
 	popShare := m.weight
-	if len(trans) == 0 {
+	if len(out) == 0 {
 		// No transition evidence: the full mass escapes to popularity.
 		popShare = 1
 	}
-	for page, p := range trans {
+	for page, p := range out {
 		out[page] = (1 - m.weight) * p
 	}
-	for page, n := range m.freq {
-		out[page] += popShare * float64(n) / float64(m.total)
-	}
+	m.pop.blend(out, popShare)
 	return out
-}
-
-// escCounts is one context's evidence for the escape PPM: successor
-// counts plus their total (distinct successors are len(next)).
-type escCounts struct {
-	next  map[int]int64
-	total int64
 }
 
 // ppmEscape is prediction by partial matching with PPM-C-style escape
@@ -210,89 +276,37 @@ type escCounts struct {
 // global frequency model, so any source that has observed anything
 // always predicts something.
 type ppmEscape struct {
-	order    int
-	contexts map[string]*escCounts
-	freq     map[int]int64
-	total    int64
-	history  []int
+	ctx contexts
+	pop popularity
 }
 
 // newPPMEscape returns an empty escape-PPM source of the given order
 // (>= 1; validated by Config.Validate).
-func newPPMEscape(order int) *ppmEscape {
-	return &ppmEscape{
-		order:    order,
-		contexts: map[string]*escCounts{},
-		freq:     map[int]int64{},
-	}
-}
+func newPPMEscape(order int) *ppmEscape { return &ppmEscape{ctx: contexts{order: order}} }
 
 // Name implements Source.
-func (p *ppmEscape) Name() string { return fmt.Sprintf("ppm-escape-%d", p.order) }
-
-// escCtxKey encodes a context window compactly and unambiguously (the
-// same encoding as access.PPM's).
-func escCtxKey(items []int) string {
-	key := make([]byte, 0, len(items)*3)
-	for _, it := range items {
-		key = fmt.Appendf(key, "%d,", it)
-	}
-	return string(key)
-}
+func (p *ppmEscape) Name() string { return fmt.Sprintf("ppm-escape-%d", p.ctx.order) }
 
 // Observe implements Source.
 func (p *ppmEscape) Observe(page int) {
-	h := p.history
-	for k := 1; k <= p.order && k <= len(h); k++ {
-		key := escCtxKey(h[len(h)-k:])
-		c := p.contexts[key]
-		if c == nil {
-			c = &escCounts{next: map[int]int64{}}
-			p.contexts[key] = c
-		}
-		c.next[page]++
-		c.total++
-	}
-	p.freq[page]++
-	p.total++
-	p.history = append(p.history, page)
-	if len(p.history) > p.order {
-		p.history = p.history[len(p.history)-p.order:]
-	}
+	p.ctx.observe(page)
+	p.pop.add(page)
 }
 
-// Next implements Source. When the tracked history already ends at state
-// (the normal online case) the full context is used; otherwise
-// prediction reconditions on the order-1 context of state alone — the
-// same explicit-state convention as access.PPM.Next.
+// Next implements Source: contexts contribute from the longest down, then
+// global popularity takes the mass that escaped every order. The context
+// is picked by the same explicit-state rule as PPM.Next.
 func (p *ppmEscape) Next(state int) map[int]float64 {
-	h := p.history
-	if n := len(h); n == 0 || h[n-1] != state {
-		h = []int{state}
-	}
 	out := map[int]float64{}
 	remain := 1.0
-	longest := p.order
-	if len(h) < longest {
-		longest = len(h)
-	}
-	for k := longest; k >= 1; k-- {
-		c := p.contexts[escCtxKey(h[len(h)-k:])]
-		if c == nil || c.total == 0 {
-			continue
-		}
-		distinct := int64(len(c.next))
+	seen := p.ctx.match(state)
+	for k := len(seen) - 1; k >= 0; k-- {
+		c := seen[k]
+		distinct := int64(len(c.freq))
 		escape := float64(distinct) / float64(c.total+distinct)
-		w := remain * (1 - escape)
-		for page, n := range c.next {
-			out[page] += w * float64(n) / float64(c.total)
-		}
+		c.blend(out, remain*(1-escape))
 		remain *= escape
 	}
-	if p.total > 0 {
-		for page, n := range p.freq {
-			out[page] += remain * float64(n) / float64(p.total)
-		}
-	}
+	p.pop.blend(out, remain)
 	return out
 }

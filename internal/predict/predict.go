@@ -46,8 +46,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"prefetch/internal/access"
 )
 
 // ErrBadConfig reports an invalid prediction configuration.
@@ -194,9 +192,9 @@ func New(cfg Config, client int, oracle func(state int) map[int]float64, shared 
 		}
 		return NewOracle(oracle), nil
 	case KindDepGraph:
-		return withFallback(access.NewDependencyGraph(), cfg.ColdStart), nil
+		return withFallback(NewDependencyGraph(), cfg.ColdStart), nil
 	case KindPPM:
-		p, err := access.NewPPM(cfg.Order)
+		p, err := NewPPM(cfg.Order)
 		if err != nil {
 			return nil, err
 		}
@@ -285,73 +283,48 @@ func (f *fallback) Next(state int) map[int]float64 {
 // Source view with ForClient. It is not safe for concurrent use — the
 // simulators are single-goroutine per replica.
 type Aggregate struct {
-	edges map[int]map[int]int64
-	outN  map[int]int64
+	trans transitions
+	pop   popularity
 	last  map[int]int
-	freq  map[int]int64
-	total int64
 }
 
 // NewAggregate returns an empty aggregate model.
-func NewAggregate() *Aggregate {
-	return &Aggregate{
-		edges: map[int]map[int]int64{},
-		outN:  map[int]int64{},
-		last:  map[int]int{},
-		freq:  map[int]int64{},
-	}
-}
+func NewAggregate() *Aggregate { return &Aggregate{last: map[int]int{}} }
 
 // ObserveClient feeds one page of a client's access stream into the
 // pooled model.
 func (a *Aggregate) ObserveClient(client, page int) {
 	if prev, ok := a.last[client]; ok {
-		m := a.edges[prev]
-		if m == nil {
-			m = map[int]int64{}
-			a.edges[prev] = m
-		}
-		m[page]++
-		a.outN[prev]++
+		a.trans.add(prev, page)
 	}
 	a.last[client] = page
-	a.freq[page]++
-	a.total++
+	a.pop.add(page)
 }
 
 // Next returns the pooled transition distribution out of state.
-func (a *Aggregate) Next(state int) map[int]float64 {
-	out := map[int]float64{}
-	total := a.outN[state]
-	if total == 0 {
-		return out
-	}
-	for page, c := range a.edges[state] {
-		out[page] = float64(c) / float64(total)
-	}
-	return out
-}
+func (a *Aggregate) Next(state int) map[int]float64 { return a.trans.next(state) }
 
 // Freq returns the pooled access count of a page.
-func (a *Aggregate) Freq(page int) int64 { return a.freq[page] }
+func (a *Aggregate) Freq(page int) int64 { return a.pop.freq[page] }
 
 // Observations returns the total number of pooled observations.
-func (a *Aggregate) Observations() int64 { return a.total }
+func (a *Aggregate) Observations() int64 { return a.pop.total }
 
 // TopPages returns the n most frequently accessed pages over the pooled
 // stream, most popular first, ties broken by lowest page ID — the warm
 // set a server-side prefetcher should hold.
 func (a *Aggregate) TopPages(n int) []int {
-	if n <= 0 || len(a.freq) == 0 {
+	freq := a.pop.freq
+	if n <= 0 || len(freq) == 0 {
 		return nil
 	}
-	pages := make([]int, 0, len(a.freq))
-	for p := range a.freq {
+	pages := make([]int, 0, len(freq))
+	for p := range freq {
 		pages = append(pages, p)
 	}
 	sort.Slice(pages, func(i, j int) bool {
-		if a.freq[pages[i]] != a.freq[pages[j]] {
-			return a.freq[pages[i]] > a.freq[pages[j]]
+		if freq[pages[i]] != freq[pages[j]] {
+			return freq[pages[i]] > freq[pages[j]]
 		}
 		return pages[i] < pages[j]
 	})

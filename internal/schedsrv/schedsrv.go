@@ -301,31 +301,6 @@ func New(clock Clock, cfg Config) (*Scheduler, error) {
 	if adm == nil && cfg.AdmitUtil > 0 {
 		adm = UtilizationGate{Threshold: cfg.AdmitUtil, DeferInstead: cfg.AdmitDefer}
 	}
-	return NewWithDiscipline(clock, cfg, disc, adm)
-}
-
-// NewWithDiscipline builds a scheduler around a caller-supplied discipline
-// and admission controller (either may extend the built-ins). cfg.Kind is
-// ignored; concurrency and the admission window still come from cfg.
-func NewWithDiscipline(clock Clock, cfg Config, disc Discipline, adm AdmissionController) (*Scheduler, error) {
-	cfg = cfg.withDefaults()
-	// Deliberately NOT cfg.Validate(): that would reject the exotic
-	// cfg.Kind values callers with custom disciplines may carry, and Kind
-	// is documented-ignored here. Only the fields this constructor
-	// consumes (concurrency, admission window) are checked, with the same
-	// messages Validate produces.
-	//lint:allow validatecfg validates the consumed subset inline; full Validate would reject ignored custom Kinds
-	if cfg.Concurrency < 1 {
-		return nil, fmt.Errorf("%w: concurrency %d", ErrBadConfig, cfg.Concurrency)
-	}
-	if !(cfg.AdmitWindow > 0) {
-		// A non-positive window would freeze the utilisation estimate at
-		// zero and silently disarm the admission controller.
-		return nil, fmt.Errorf("%w: admission window %v (need > 0)", ErrBadConfig, cfg.AdmitWindow)
-	}
-	if disc == nil {
-		return nil, fmt.Errorf("%w: nil discipline", ErrBadConfig)
-	}
 	return &Scheduler{
 		clock: clock,
 		cfg:   cfg,

@@ -30,10 +30,17 @@ func TestConfigValidate(t *testing.T) {
 		{Concurrency: 1, Kind: KindWFQ, DemandWeight: -1},
 		{Concurrency: 1, Kind: KindShaped, Rate: -0.5},
 		{Concurrency: 1, AdmitUtil: 1.5},
+		// A non-positive window would freeze the utilisation estimate at
+		// zero and silently disarm the admission controller.
+		{Concurrency: 1, AdmitUtil: 0.5, AdmitWindow: -10},
 	}
+	var clock netsim.Clock
 	for i, cfg := range bad {
 		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("bad config %d: err = %v, want ErrBadConfig", i, err)
+		}
+		if _, err := New(&clock, cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("New(bad config %d): err = %v, want ErrBadConfig", i, err)
 		}
 	}
 }
@@ -698,17 +705,6 @@ func TestNaNConfigRejected(t *testing.T) {
 		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("NaN config %d: err = %v, want ErrBadConfig", i, err)
 		}
-	}
-}
-
-// TestNewWithDisciplineValidatesWindow: the custom-discipline constructor
-// must reject a window that would disarm the admission controller.
-func TestNewWithDisciplineValidatesWindow(t *testing.T) {
-	var clock netsim.Clock
-	_, err := NewWithDiscipline(&clock, Config{Concurrency: 1, AdmitWindow: -10}, newFIFO(),
-		UtilizationGate{Threshold: 0.5})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative window: err = %v, want ErrBadConfig", err)
 	}
 }
 

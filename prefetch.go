@@ -19,7 +19,8 @@ type (
 	// Options tunes SolveSKPOpts (delta mode, stretch price, network λ).
 	Options = core.Options
 	// DeltaMode selects the Theorem-3-correct or literal-Figure-3 stretch
-	// penalty (see the DESIGN.md discrepancy note).
+	// penalty; the literal pseudocode under-counts items excluded before
+	// the stretching item.
 	DeltaMode = core.DeltaMode
 	// SubArbitration picks among cache victims tied on P·r.
 	SubArbitration = core.SubArbitration
@@ -78,8 +79,9 @@ func SolveSKPOpts(p Problem, opts Options) (Plan, SolverStats, error) {
 }
 
 // SolveSKPExhaustive maximises g° over the unrestricted problem (free
-// choice of the stretching item); see the Theorem-1 feasibility-gap note in
-// DESIGN.md. Exponential; intended for analysis.
+// choice of the stretching item), which can beat every canonical plan
+// because Theorem 1's exchange argument assumes the swapped list stays
+// feasible. Exponential; intended for analysis.
 func SolveSKPExhaustive(p Problem) (Plan, float64, error) { return core.SolveSKPExhaustive(p) }
 
 // SolveKP is the classic-knapsack baseline ("KP prefetch"): never

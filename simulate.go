@@ -58,9 +58,9 @@ type (
 	// simulation plans over it (MultiClientConfig.Predict).
 	Predictor = predict.Source
 	// DependencyGraph is an order-1 transition-count predictor.
-	DependencyGraph = access.DependencyGraph
+	DependencyGraph = predict.DependencyGraph
 	// PPM is an order-k prediction-by-partial-matching predictor.
-	PPM = access.PPM
+	PPM = predict.PPM
 )
 
 // Simulation policies.
@@ -127,7 +127,7 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 }
 
 // NewDependencyGraph returns an empty order-1 predictor.
-func NewDependencyGraph() *DependencyGraph { return access.NewDependencyGraph() }
+func NewDependencyGraph() *DependencyGraph { return predict.NewDependencyGraph() }
 
 // NewPPM returns an order-k PPM predictor.
-func NewPPM(order int) (*PPM, error) { return access.NewPPM(order) }
+func NewPPM(order int) (*PPM, error) { return predict.NewPPM(order) }
