@@ -116,6 +116,7 @@ import (
 	"strings"
 
 	"prefetch"
+	"prefetch/internal/access"
 	"prefetch/internal/core"
 	"prefetch/internal/obs"
 	"prefetch/internal/sim"
@@ -475,7 +476,7 @@ func runPrefetchOnly(out io.Writer, seed uint64, n int, genName string, iters in
 			return err
 		}
 	} else {
-		pg, err := genByName(genName)
+		pg, err := access.GenByName(genName)
 		if err != nil {
 			return err
 		}
@@ -515,21 +516,6 @@ func runPrefetchOnly(out io.Writer, seed uint64, n int, genName string, iters in
 			res.Waste.Mean(), res.Usage.Mean())
 	}
 	return nil
-}
-
-func genByName(name string) (prefetch.ProbGen, error) {
-	switch name {
-	case "skewy":
-		return prefetch.SkewyGen{}, nil
-	case "flat":
-		return prefetch.FlatGen{}, nil
-	case "zipf":
-		return prefetch.ZipfGen{}, nil
-	case "geometric":
-		return prefetch.GeometricGen{}, nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", name)
-	}
 }
 
 func runCache(out io.Writer, seed uint64, states, requests, cacheSize int, skew float64, policyList string, tr obs.Tracer) error {

@@ -16,15 +16,6 @@ func SolveSKPCostAware(p Problem, lambda float64) (Plan, SolverStats, error) {
 	return SolveSKPOpts(p, Options{NetworkLambda: lambda})
 }
 
-// CostAwareGain returns g°(F) − λ·Waste(F) for a given plan.
-func CostAwareGain(p Problem, plan Plan, lambda float64) (float64, error) {
-	g, err := Gain(p, plan)
-	if err != nil {
-		return 0, err
-	}
-	return g - lambda*Waste(plan), nil
-}
-
 // ProbThreshold returns λ/(1+λ), the probability below which an item can
 // never carry positive cost-aware profit.
 func ProbThreshold(lambda float64) float64 {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -80,6 +81,9 @@ func (p Problem) EffectiveTotalProb() float64 {
 // Validate checks the instance: finite non-negative probabilities, strictly
 // positive finite retrieval times, non-negative viewing time, unique IDs,
 // and Σ P_i ≤ TotalProb (within ProbTolerance) when TotalProb is set.
+// Up to smallItems candidates (the simulators' lists) it allocates
+// nothing: duplicate IDs are found by scanning the earlier items. Longer
+// lists use a seen-set so no caller goes quadratic.
 func (p Problem) Validate() error {
 	if math.IsNaN(p.Viewing) || math.IsInf(p.Viewing, 0) || p.Viewing < 0 {
 		return fmt.Errorf("%w: viewing time %v", ErrBadProblem, p.Viewing)
@@ -87,7 +91,10 @@ func (p Problem) Validate() error {
 	if math.IsNaN(p.TotalProb) || math.IsInf(p.TotalProb, 0) || p.TotalProb < 0 {
 		return fmt.Errorf("%w: total probability %v", ErrBadProblem, p.TotalProb)
 	}
-	seen := make(map[int]bool, len(p.Items))
+	var seen map[int]bool
+	if len(p.Items) > smallItems {
+		seen = make(map[int]bool, len(p.Items))
+	}
 	var sum float64
 	for i, it := range p.Items {
 		if math.IsNaN(it.Prob) || math.IsInf(it.Prob, 0) || it.Prob < 0 || it.Prob > 1+ProbTolerance {
@@ -96,10 +103,16 @@ func (p Problem) Validate() error {
 		if math.IsNaN(it.Retrieval) || math.IsInf(it.Retrieval, 0) || it.Retrieval <= 0 {
 			return fmt.Errorf("%w: item %d (id %d) retrieval time %v (must be > 0)", ErrBadProblem, i, it.ID, it.Retrieval)
 		}
-		if seen[it.ID] {
+		var dup bool
+		if seen != nil {
+			dup = seen[it.ID]
+			seen[it.ID] = true
+		} else {
+			dup = slices.ContainsFunc(p.Items[:i], func(prev Item) bool { return prev.ID == it.ID })
+		}
+		if dup {
 			return fmt.Errorf("%w: duplicate item id %d", ErrBadProblem, it.ID)
 		}
-		seen[it.ID] = true
 		sum += it.Prob
 	}
 	if p.TotalProb > 0 && sum > p.TotalProb+ProbTolerance {
@@ -108,6 +121,10 @@ func (p Problem) Validate() error {
 	return nil
 }
 
+// smallItems bounds the candidate lists that Validate and the Solver's
+// canonical sort handle with allocation-free quadratic passes.
+const smallItems = 64
+
 // CanonicalOrder returns a copy of items sorted by the paper's condition
 // (5): descending probability, equal probabilities sub-sorted by ascending
 // retrieval time, with a final deterministic tie-break on ID. Theorem 1
@@ -115,16 +132,19 @@ func (p Problem) Validate() error {
 func CanonicalOrder(items []Item) []Item {
 	out := make([]Item, len(items))
 	copy(out, items)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Prob != out[b].Prob {
-			return out[a].Prob > out[b].Prob
-		}
-		if out[a].Retrieval != out[b].Retrieval {
-			return out[a].Retrieval < out[b].Retrieval
-		}
-		return out[a].ID < out[b].ID
-	})
+	sort.SliceStable(out, func(a, b int) bool { return canonicalLess(out[a], out[b]) })
 	return out
+}
+
+// canonicalLess is the condition-(5) order of CanonicalOrder.
+func canonicalLess(a, b Item) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	if a.Retrieval != b.Retrieval {
+		return a.Retrieval < b.Retrieval
+	}
+	return a.ID < b.ID
 }
 
 // ItemSorter ranks plan candidates by probability (descending) then ID —

@@ -5,11 +5,13 @@ import (
 	"sort"
 )
 
-// Solver is a reusable SKP branch-and-bound: it solves the same problems as
-// SolveSKPOpts with the same plans, stats and errors, but keeps every piece
-// of per-solve scratch (canonical order, profit/tail prefix tables,
-// selection masks, the returned item list) between calls, so a simulation
-// that solves one SKP per client round allocates nothing in steady state.
+// Solver is the SKP branch-and-bound of Figure 3: depth-first search over
+// the canonical order, Theorem-2 pruning and Theorem-3 incremental δ.
+// SolveSKPOpts runs a fresh Solver per call; a simulation that solves one
+// SKP per client round keeps one Solver instead, because every piece of
+// per-solve scratch (canonical order, profit/tail prefix tables,
+// selection masks, the returned item list) survives between calls and a
+// steady-state Solve allocates nothing.
 //
 // The Plan returned by Solve aliases the solver's scratch: it is valid only
 // until the next Solve call. Callers that retain plans must copy Items.
@@ -25,7 +27,6 @@ type Solver struct {
 
 	// per-solve state consulted by the recursive search
 	n            int
-	viewing      float64
 	totalProb    float64
 	mode         DeltaMode
 	stretchCost  float64
@@ -37,58 +38,19 @@ type Solver struct {
 // NewSolver returns an empty solver; scratch grows on first use.
 func NewSolver() *Solver { return &Solver{} }
 
-// solverEps mirrors the eps of SolveSKPOpts: improvements and bound
-// comparisons use the same slack so the two searches prune identically.
+// solverEps is the slack of incumbent improvements and bound comparisons.
 const solverEps = 1e-12
-
-// validate replicates Problem.Validate plus the Options check of
-// SolveSKPOpts without allocating: duplicate detection runs as a quadratic
-// scan over the (small, MaxCandidates-bounded) candidate list instead of
-// building a seen-map. Checks run in the same order, so the first error
-// reported is identical.
-func (s *Solver) validate(p Problem, opts Options) error {
-	if isBadFloat(p.Viewing) || p.Viewing < 0 {
-		return fmt.Errorf("%w: viewing time %v", ErrBadProblem, p.Viewing)
-	}
-	if isBadFloat(p.TotalProb) || p.TotalProb < 0 {
-		return fmt.Errorf("%w: total probability %v", ErrBadProblem, p.TotalProb)
-	}
-	var sum float64
-	for i, it := range p.Items {
-		if isBadFloat(it.Prob) || it.Prob < 0 || it.Prob > 1+ProbTolerance {
-			return fmt.Errorf("%w: item %d (id %d) probability %v", ErrBadProblem, i, it.ID, it.Prob)
-		}
-		if isBadFloat(it.Retrieval) || it.Retrieval <= 0 {
-			return fmt.Errorf("%w: item %d (id %d) retrieval time %v (must be > 0)", ErrBadProblem, i, it.ID, it.Retrieval)
-		}
-		for j := 0; j < i; j++ {
-			if p.Items[j].ID == it.ID {
-				return fmt.Errorf("%w: duplicate item id %d", ErrBadProblem, it.ID)
-			}
-		}
-		sum += it.Prob
-	}
-	if p.TotalProb > 0 && sum > p.TotalProb+ProbTolerance {
-		return fmt.Errorf("%w: Σ P_i = %v exceeds TotalProb = %v", ErrBadProblem, sum, p.TotalProb)
-	}
-	if opts.StretchCost < 0 || opts.NetworkLambda < 0 {
-		return fmt.Errorf("%w: negative StretchCost or NetworkLambda", ErrBadProblem)
-	}
-	return nil
-}
-
-// isBadFloat reports NaN or ±Inf without the math package's Abs round trip.
-func isBadFloat(f float64) bool { return f != f || f > maxFinite || f < -maxFinite }
-
-const maxFinite = 1.7976931348623157e308
 
 // Solve runs the branch-and-bound over the solver's scratch. The returned
 // Plan's Items slice is owned by the solver and overwritten by the next
 // Solve.
 func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 	s.stats = SolverStats{}
-	if err := s.validate(p, opts); err != nil {
+	if err := p.Validate(); err != nil {
 		return Plan{}, s.stats, err
+	}
+	if opts.StretchCost < 0 || opts.NetworkLambda < 0 {
+		return Plan{}, s.stats, fmt.Errorf("%w: negative StretchCost or NetworkLambda", ErrBadProblem)
 	}
 	n := len(p.Items)
 	if n == 0 {
@@ -96,7 +58,6 @@ func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 	}
 	s.grow(n)
 	s.n = n
-	s.viewing = p.Viewing
 	s.totalProb = p.EffectiveTotalProb()
 	s.mode = opts.Mode
 	s.stretchCost = opts.StretchCost
@@ -105,11 +66,15 @@ func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 	copy(s.sorted, p.Items)
 	s.canonicalSort()
 
+	// profit[i] is the gain of wholly prefetching item i: P_i·r_i, less
+	// the network-usage price when λ > 0. Items whose profit is not
+	// positive are still enumerated but never inserted.
 	lambda := opts.NetworkLambda
 	for i := 0; i < n; i++ {
 		it := s.sorted[i]
 		s.profit[i] = it.Retrieval * ((1+lambda)*it.Prob - lambda)
 	}
+	// tailP[j] = Σ_{i>=j} P_i in canonical order (DeltaPaperTail).
 	s.tailP[n] = 0
 	for i := n - 1; i >= 0; i-- {
 		s.tailP[i] = s.tailP[i+1] + s.sorted[i].Prob
@@ -152,10 +117,10 @@ func (s *Solver) grow(n int) {
 // is a total order and an in-place insertion sort (allocation-free, unlike
 // sort.SliceStable's reflection swapper) produces exactly CanonicalOrder's
 // permutation. Candidate lists are MaxCandidates-bounded in the simulators;
-// large inputs fall back to the stable library sort.
+// inputs beyond smallItems fall back to the stable library sort.
 func (s *Solver) canonicalSort() {
 	items := s.sorted
-	if len(items) > 64 {
+	if len(items) > smallItems {
 		sort.SliceStable(items, func(a, b int) bool { return canonicalLess(items[a], items[b]) })
 		return
 	}
@@ -170,19 +135,10 @@ func (s *Solver) canonicalSort() {
 	}
 }
 
-// canonicalLess is the condition-(5) order used by CanonicalOrder.
-func canonicalLess(a, b Item) bool {
-	if a.Prob != b.Prob {
-		return a.Prob > b.Prob
-	}
-	if a.Retrieval != b.Retrieval {
-		return a.Retrieval < b.Retrieval
-	}
-	return a.ID < b.ID
-}
-
 // coeff returns the stretch-penalty coefficient for inserting item j as the
-// stretching final item, given Σ P over the currently selected K.
+// stretching final item, given Σ P over the currently selected K. Both
+// modes dominate profit[j]/r_j, so stretching never pays fractionally and
+// the Dantzig bound stays sound.
 func (s *Solver) coeff(j int, sumPK float64) float64 {
 	base := s.totalProb - sumPK
 	if s.mode == DeltaPaperTail {
@@ -197,7 +153,7 @@ func (s *Solver) bound(j int, residual float64) float64 {
 	var u float64
 	for i := j; i < s.n; i++ {
 		if s.profit[i] <= 0 {
-			continue
+			continue // canonical order is not profit-sorted once λ > 0 clamps
 		}
 		if s.sorted[i].Retrieval <= residual {
 			u += s.profit[i]
@@ -224,8 +180,8 @@ func (s *Solver) record(g float64, extra int) {
 	}
 }
 
-// dfs is the branch-and-bound of SolveSKPOpts as a method: identical
-// visit order, pruning and incumbent updates, no per-solve closures.
+// dfs visits item j: record the incumbent, prune by the Theorem-2 bound,
+// then branch on inserting j (stretching or not) before excluding it.
 func (s *Solver) dfs(j int, residual, g, sumPK float64) {
 	s.stats.Nodes++
 	s.record(g, -1)
@@ -240,10 +196,12 @@ func (s *Solver) dfs(j int, residual, g, sumPK float64) {
 	st := Stretch(it.Retrieval, residual)
 	switch {
 	case st > 0:
+		// Inserting j stretches the knapsack and completes the plan.
 		if delta := s.profit[j] - s.coeff(j, sumPK)*st; delta > 0 {
 			s.record(g+delta, j)
 		}
 	case s.profit[j] > 0:
+		// Inserting j keeps the plan within capacity.
 		s.cur[j] = true
 		s.dfs(j+1, residual-it.Retrieval, g+s.profit[j], sumPK+it.Prob)
 		s.cur[j] = false

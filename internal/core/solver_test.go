@@ -1,15 +1,21 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"prefetch/internal/rng"
 )
 
-// The reusable Solver must be observationally identical to SolveSKPOpts:
-// same plan, same node/prune counts, same errors — across modes, stretch
-// costs, λ values and repeated solves over shared scratch.
+// A reused Solver must give the plans, node/prune counts and errors of a
+// fresh one (SolveSKPOpts) across modes, stretch costs, λ values and
+// repeated solves over shared scratch, and the totals stay pinned to the
+// search as it stood before the two solvers merged: Σ Nodes, Σ Prunes and
+// an FNV-64a over every plan's IDs.
 func TestSolverMatchesSolveSKPOpts(t *testing.T) {
 	r := rng.New(301)
 	s := NewSolver()
@@ -29,6 +35,8 @@ func TestSolverMatchesSolveSKPOpts(t *testing.T) {
 		}
 		return opts
 	}
+	var nodes, prunes int64
+	h := fnv.New64a()
 	for iter := 0; iter < 400; iter++ {
 		p := randProblem(r, r.IntRange(1, 12), 0.5, 30, 40)
 		if iter%4 == 2 {
@@ -49,45 +57,65 @@ func TestSolverMatchesSolveSKPOpts(t *testing.T) {
 		if gotStats != wantStats {
 			t.Fatalf("iter %d: stats %+v, want %+v", iter, gotStats, wantStats)
 		}
-		if len(gotPlan.Items) != len(wantPlan.Items) {
+		if !slices.Equal(gotPlan.Items, wantPlan.Items) {
 			t.Fatalf("iter %d: plan %v, want %v", iter, gotPlan, wantPlan)
 		}
-		for i := range gotPlan.Items {
-			if gotPlan.Items[i] != wantPlan.Items[i] {
-				t.Fatalf("iter %d: plan %v, want %v", iter, gotPlan, wantPlan)
-			}
-		}
+		nodes += wantStats.Nodes
+		prunes += wantStats.Prunes
+		fmt.Fprintf(h, "%v|", wantPlan.IDs())
+	}
+	if nodes != 7108 || prunes != 518 {
+		t.Errorf("Σ nodes = %d, Σ prunes = %d, want 7108 and 518", nodes, prunes)
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != "20a1e4c4c7264a1f" {
+		t.Errorf("plan fingerprint %s, want 20a1e4c4c7264a1f", got)
 	}
 }
 
-// The solver's inline validation must reject exactly what Problem.Validate
-// plus the Options check reject, with the same messages.
+// Every bad problem is rejected with the same message through
+// Problem.Validate, the SolveSKPOpts entry point and a reused Solver. The
+// last problem rows only break the Options; Validate accepts them.
 func TestSolverValidationMatches(t *testing.T) {
-	nan := 0.0
-	nan = nan / nan //lint:ignore SA4012 deliberate NaN
+	many := make([]Item, smallItems+6) // past the scan: the seen-set path
+	for i := range many {
+		many[i] = Item{ID: i, Prob: 0.01, Retrieval: 1}
+	}
+	many[len(many)-1].ID = 3
 	bad := []struct {
 		p    Problem
 		opts Options
+		want string
 	}{
-		{Problem{Viewing: -1}, Options{}},
-		{Problem{Viewing: nan}, Options{}},
-		{Problem{TotalProb: -0.5}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: -0.1, Retrieval: 1}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.5, Retrieval: 0}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.3, Retrieval: 1}, {ID: 1, Prob: 0.2, Retrieval: 2}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.9, Retrieval: 1}, {ID: 2, Prob: 0.9, Retrieval: 1}}, Viewing: 1, TotalProb: 1}, Options{}},
-		{Problem{Viewing: 1}, Options{StretchCost: -1}},
-		{Problem{Viewing: 1}, Options{NetworkLambda: -0.1}},
+		{Problem{Viewing: -1}, Options{}, "core: bad problem: viewing time -1"},
+		{Problem{Viewing: math.NaN()}, Options{}, "core: bad problem: viewing time NaN"},
+		{Problem{TotalProb: -0.5}, Options{}, "core: bad problem: total probability -0.5"},
+		{Problem{Items: []Item{{ID: 1, Prob: -0.1, Retrieval: 1}}, Viewing: 1}, Options{},
+			"core: bad problem: item 0 (id 1) probability -0.1"},
+		{Problem{Items: []Item{{ID: 1, Prob: 0.5, Retrieval: 0}}, Viewing: 1}, Options{},
+			"core: bad problem: item 0 (id 1) retrieval time 0 (must be > 0)"},
+		{Problem{Items: []Item{{ID: 1, Prob: 0.3, Retrieval: 1}, {ID: 1, Prob: 0.2, Retrieval: 2}}, Viewing: 1}, Options{},
+			"core: bad problem: duplicate item id 1"},
+		{Problem{Items: []Item{{ID: 1, Prob: 0.9, Retrieval: 1}, {ID: 2, Prob: 0.9, Retrieval: 1}}, Viewing: 1, TotalProb: 1}, Options{},
+			"core: bad problem: Σ P_i = 1.8 exceeds TotalProb = 1"},
+		{Problem{Items: many, Viewing: 5}, Options{}, "core: bad problem: duplicate item id 3"},
+		{Problem{Viewing: 1}, Options{StretchCost: -1}, "core: bad problem: negative StretchCost or NetworkLambda"},
+		{Problem{Viewing: 1}, Options{NetworkLambda: -0.1}, "core: bad problem: negative StretchCost or NetworkLambda"},
 	}
 	s := NewSolver()
 	for i, c := range bad {
-		_, _, wantErr := SolveSKPOpts(c.p, c.opts)
-		_, _, gotErr := s.Solve(c.p, c.opts)
-		if wantErr == nil {
-			t.Fatalf("case %d: reference solver accepted %+v", i, c.p)
+		validateErr := c.p.Validate()
+		if c.opts == (Options{}) {
+			if validateErr == nil || validateErr.Error() != c.want {
+				t.Errorf("case %d: Validate error %q, want %q", i, validateErr, c.want)
+			}
+		} else if validateErr != nil {
+			t.Errorf("case %d: Validate rejected a valid problem: %v", i, validateErr)
 		}
-		if gotErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("case %d: error %q, want %q", i, gotErr, wantErr)
+		if _, _, err := SolveSKPOpts(c.p, c.opts); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: SolveSKPOpts error %q, want %q", i, err, c.want)
+		}
+		if _, _, err := s.Solve(c.p, c.opts); err == nil || err.Error() != c.want {
+			t.Errorf("case %d: reused Solver error %q, want %q", i, err, c.want)
 		}
 	}
 }

@@ -9,19 +9,12 @@ package eventq
 // resetting whatever fields it uses. Put hands a node back; the caller must
 // guarantee no other reference to it survives — the pooled-struct property
 // test (pool_test.go) demonstrates the aliasing bug a premature Put causes.
-// Unbounded growth is capped by max: beyond it Put drops nodes for the GC.
+// The zero value is an empty, unbounded pool.
 //
 // A FreeList is not safe for concurrent use; pools are owned by a single
 // event-loop goroutine, like everything else in the simulators.
 type FreeList[T any] struct {
 	free []*T
-	max  int
-}
-
-// NewFreeList returns a pool retaining at most max idle nodes (max <= 0
-// means an unbounded pool).
-func NewFreeList[T any](max int) *FreeList[T] {
-	return &FreeList[T]{max: max}
 }
 
 // Get pops a recycled node, or allocates a zeroed one when the pool is
@@ -42,11 +35,5 @@ func (f *FreeList[T]) Put(p *T) {
 	if p == nil {
 		return
 	}
-	if f.max > 0 && len(f.free) >= f.max {
-		return
-	}
 	f.free = append(f.free, p)
 }
-
-// Idle returns how many nodes the pool currently holds.
-func (f *FreeList[T]) Idle() int { return len(f.free) }

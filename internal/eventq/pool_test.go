@@ -27,7 +27,7 @@ func poolItemLess(a, b *poolItem) bool {
 // handed out again by Get, and that payloads are intact at pop time.
 func churn(t *testing.T, ops []byte) {
 	t.Helper()
-	pool := NewFreeList[poolItem](64)
+	var pool FreeList[poolItem]
 	pooled := New(poolItemLess)
 	ref := New(func(a, b poolItem) bool {
 		if a.key != b.key {
@@ -108,21 +108,22 @@ func FuzzFreeListQueue(f *testing.F) {
 	})
 }
 
-// TestFreeListBounds pins the cap and the zero-allocation reuse contract.
+// TestFreeListBounds pins the reuse contract: Get hands back the most
+// recently Put node first (LIFO), Put(nil) is a no-op, and an empty pool
+// allocates a fresh node.
 func TestFreeListBounds(t *testing.T) {
-	pool := NewFreeList[poolItem](2)
-	a, b, c := pool.Get(), pool.Get(), pool.Get()
+	var pool FreeList[poolItem]
+	a, b := pool.Get(), pool.Get()
 	pool.Put(a)
 	pool.Put(b)
-	pool.Put(c) // beyond max: dropped
-	if pool.Idle() != 2 {
-		t.Fatalf("Idle = %d, want 2", pool.Idle())
-	}
+	pool.Put(nil) // must be a no-op
 	if got := pool.Get(); got != b {
 		t.Fatalf("Get returned %p, want most recently put %p", got, b)
 	}
-	pool.Put(nil) // must be a no-op
-	if pool.Idle() != 1 {
-		t.Fatalf("Idle after Put(nil) = %d, want 1", pool.Idle())
+	if got := pool.Get(); got != a {
+		t.Fatalf("Get returned %p, want %p", got, a)
+	}
+	if got := pool.Get(); got == nil || got == a || got == b {
+		t.Fatalf("empty pool returned %p, want a fresh node", got)
 	}
 }

@@ -44,9 +44,6 @@ func (l *Link) Enqueue(tr Transfer) error {
 // Busy reports whether a transfer is in flight.
 func (l *Link) Busy() bool { return l.inFlight }
 
-// QueueLen returns the number of queued (not yet started) transfers.
-func (l *Link) QueueLen() int { return len(l.queue) }
-
 // Backlog returns the remaining work on the link: the unfinished part of
 // the in-flight transfer plus all queued durations.
 func (l *Link) Backlog() float64 {

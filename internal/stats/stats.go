@@ -1,14 +1,13 @@
 // Package stats provides the small statistical toolkit used by the
-// simulation harnesses: streaming moment accumulators (Welford), binned
-// series for "average Y against integer X" plots, histograms, and basic
-// descriptive helpers. Everything is allocation-light so it can sit inside
-// 50 000-iteration Monte-Carlo loops without showing up in profiles.
+// simulation harnesses: streaming moment accumulators (Welford) and binned
+// series for "average Y against integer X" plots. Both are allocation-light
+// so they can sit inside 50 000-iteration Monte-Carlo loops without
+// showing up in profiles.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Accumulator computes streaming count, mean and variance using Welford's
@@ -174,107 +173,4 @@ func (s *BinnedSeries) Merge(o *BinnedSeries) error {
 		s.bins[i].Merge(&o.bins[i])
 	}
 	return nil
-}
-
-// Histogram counts observations into equal-width buckets over [lo, hi).
-// Observations outside the range land in saturating edge buckets.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n equal-width buckets spanning
-// [lo, hi). It panics on a degenerate range or n <= 0.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: NewHistogram with invalid range or bucket count")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(math.Floor((x - h.lo) / h.width))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Count returns the count in bucket i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }
-
-// Quantile returns an approximate q-quantile (0 <= q <= 1) from the bucket
-// counts, interpolating within the selected bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.lo
-	}
-	if q >= 1 {
-		return h.lo + h.width*float64(len(h.counts))
-	}
-	target := q * float64(h.total)
-	var cum float64
-	for i, c := range h.counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.BucketLow(i) + frac*h.width
-		}
-		cum = next
-	}
-	return h.lo + h.width*float64(len(h.counts))
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Median returns the median of xs without modifying it, or 0 when empty.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := make([]float64, n)
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

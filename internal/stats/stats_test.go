@@ -159,71 +159,6 @@ func TestBinnedSeriesMerge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 1 {
-			t.Fatalf("bucket %d count = %d", i, h.Count(i))
-		}
-	}
-	h.Add(-5) // below range -> first bucket
-	h.Add(50) // above range -> last bucket
-	if h.Count(0) != 2 || h.Count(9) != 2 {
-		t.Fatal("edge clamping failed")
-	}
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median estimate %v far from 50", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %v", q)
-	}
-	var empty Histogram
-	_ = empty
-	e := NewHistogram(0, 1, 4)
-	if e.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-}
-
-func TestMeanMedianSum(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || Sum(nil) != 0 {
-		t.Fatal("empty-slice helpers must return 0")
-	}
-	xs := []float64{3, 1, 2}
-	if Mean(xs) != 2 {
-		t.Fatalf("Mean = %v", Mean(xs))
-	}
-	if Median(xs) != 2 {
-		t.Fatalf("Median = %v", Median(xs))
-	}
-	if xs[0] != 3 {
-		t.Fatal("Median must not mutate input")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even-length median wrong")
-	}
-	if Sum(xs) != 6 {
-		t.Fatalf("Sum = %v", Sum(xs))
-	}
-}
-
 func TestNewBinnedSeriesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -231,22 +166,6 @@ func TestNewBinnedSeriesPanics(t *testing.T) {
 		}
 	}()
 	NewBinnedSeries(5, 4)
-}
-
-func TestNewHistogramPanics(t *testing.T) {
-	for _, c := range []struct {
-		lo, hi float64
-		n      int
-	}{{0, 0, 4}, {0, 1, 0}, {2, 1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewHistogram(%v,%v,%d) did not panic", c.lo, c.hi, c.n)
-				}
-			}()
-			NewHistogram(c.lo, c.hi, c.n)
-		}()
-	}
 }
 
 func BenchmarkAccumulatorAdd(b *testing.B) {

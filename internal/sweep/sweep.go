@@ -85,19 +85,3 @@ func protect[P, R any](fn func(P) (R, error), p P) (r R, err error) {
 func Map[P, R any](params []P, fn func(P) (R, error)) ([]R, error) {
 	return Run(params, 0, fn)
 }
-
-// Ints returns [lo, lo+step, ...] up to and including hi (hi is appended
-// if the step pattern skips it), the usual sweep axis helper.
-func Ints(lo, hi, step int) []int {
-	if step <= 0 || hi < lo {
-		return nil
-	}
-	var out []int
-	for v := lo; v <= hi; v += step {
-		out = append(out, v)
-	}
-	if out[len(out)-1] != hi {
-		out = append(out, hi)
-	}
-	return out
-}

@@ -156,28 +156,6 @@ func TestMapMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestInts(t *testing.T) {
-	got := Ints(1, 10, 3)
-	want := []int{1, 4, 7, 10}
-	if len(got) != len(want) {
-		t.Fatalf("Ints(1,10,3) = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ints(1,10,3) = %v", got)
-		}
-	}
-	if got := Ints(1, 100, 3); got[len(got)-1] != 100 {
-		t.Fatalf("hi not included: %v", got[len(got)-5:])
-	}
-	if got := Ints(5, 5, 1); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("singleton = %v", got)
-	}
-	if Ints(5, 4, 1) != nil || Ints(1, 10, 0) != nil {
-		t.Fatal("invalid ranges must return nil")
-	}
-}
-
 func BenchmarkRunOverhead(b *testing.B) {
 	params := make([]int, 256)
 	b.ResetTimer()

@@ -141,27 +141,6 @@ func (s *randomSource) Next() (Round, bool) {
 	return rd, true
 }
 
-// sliceSource replays a fixed list of rounds.
-type sliceSource struct {
-	rounds []Round
-	pos    int
-}
-
-// NewSliceSource replays the given rounds in order.
-func NewSliceSource(rounds []Round) Source {
-	return &sliceSource{rounds: rounds}
-}
-
-// Next implements Source.
-func (s *sliceSource) Next() (Round, bool) {
-	if s.pos >= len(s.rounds) {
-		return Round{}, false
-	}
-	rd := s.rounds[s.pos]
-	s.pos++
-	return rd, true
-}
-
 // Collect drains a source into a slice (for recording traces).
 func Collect(src Source) []Round {
 	var out []Round

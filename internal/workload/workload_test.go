@@ -206,23 +206,6 @@ func TestWriteTraceValidates(t *testing.T) {
 	}
 }
 
-func TestSliceSourceReplaysInOrder(t *testing.T) {
-	rounds := []Round{
-		{Viewing: 1, Probs: []float64{1}, Retrievals: []float64{2}, Requested: 0},
-		{Viewing: 2, Probs: []float64{1}, Retrievals: []float64{3}, Requested: 0},
-	}
-	src := NewSliceSource(rounds)
-	for i := range rounds {
-		rd, ok := src.Next()
-		if !ok || rd.Viewing != rounds[i].Viewing {
-			t.Fatalf("replay %d wrong", i)
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("source not exhausted")
-	}
-}
-
 func TestDeterministicAcrossSeeds(t *testing.T) {
 	mk := func() []Round {
 		r := rng.New(4242)
