@@ -126,12 +126,70 @@ func (gc goldenCase) fingerprint() (string, error) {
 	return fmt.Sprintf("%s %016x %016x", gc.name, th.Sum64(), rh.Sum64()), nil
 }
 
-// TestReplayGoldenFingerprints replays the matrix above and compares each
-// decision trace and Result against fingerprints recorded in testdata.
-// Every byte a refactor moves shows up here; a mismatch prints the new
-// line so an intentional change can be reviewed and recorded.
+// predictorGoldenPath holds the fingerprints of predictorGoldenCases, in
+// the same format as goldenPath.
+const predictorGoldenPath = "testdata/golden_predictor_fingerprints.txt"
+
+// predictorGoldenCases covers the predictor settings the main matrix
+// leaves at their defaults: the uniform cold start (depgraph, ppm,
+// shared), PPM and escape-PPM context orders 1 and 3, a mixture weight
+// of 0.6 and a decay half-life of 40, each with drift off and on under
+// priority+preempt scheduling and the AIMD controller.
+func predictorGoldenCases() []goldenCase {
+	uniform := predict.FallbackUniform
+	rows := []struct {
+		name string
+		pc   predict.Config
+	}{
+		{"depgraph/uniform", predict.Config{Kind: predict.KindDepGraph, ColdStart: uniform}},
+		{"ppm/uniform", predict.Config{Kind: predict.KindPPM, ColdStart: uniform}},
+		{"shared/uniform", predict.Config{Kind: predict.KindShared, ColdStart: uniform}},
+		{"ppm/order=1", predict.Config{Kind: predict.KindPPM, Order: 1}},
+		{"ppm/order=3", predict.Config{Kind: predict.KindPPM, Order: 3}},
+		{"ppm-escape/order=1", predict.Config{Kind: predict.KindPPMEscape, Order: 1}},
+		{"ppm-escape/order=3", predict.Config{Kind: predict.KindPPMEscape, Order: 3}},
+		{"mixture/weight=0.6", predict.Config{Kind: predict.KindMixture, MixWeight: 0.6}},
+		{"decay/half-life=40", predict.Config{Kind: predict.KindDecay, HalfLife: 40}},
+	}
+	var cases []goldenCase
+	for _, row := range rows {
+		for _, drift := range []int{0, 7} {
+			cfg := goldenBase()
+			cfg.Predict = row.pc
+			cfg.WarmServerCache = row.pc.Kind == predict.KindShared
+			cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+			cfg.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
+			if drift > 0 {
+				cfg.DriftEvery = drift
+				cfg.ClientCacheSlots = 0
+			}
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("mc/%s/drift=%d", row.name, drift),
+				run: func(tr obs.Tracer) (any, error) {
+					c := cfg
+					c.Tracer = tr
+					return multiclient.Run(c)
+				},
+			})
+		}
+	}
+	return cases
+}
+
+// TestReplayGoldenFingerprints replays the matrices above and compares
+// each decision trace and Result against fingerprints recorded in
+// testdata. Every byte a refactor moves shows up here; a mismatch prints
+// the new line so an intentional change can be reviewed and recorded.
 func TestReplayGoldenFingerprints(t *testing.T) {
-	f, err := os.Open(goldenPath)
+	checkGolden(t, goldenPath, goldenCases())
+	checkGolden(t, predictorGoldenPath, predictorGoldenCases())
+}
+
+// checkGolden runs every case and compares its line with the one
+// recorded in path.
+func checkGolden(t *testing.T, path string, cases []goldenCase) {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +204,8 @@ func TestReplayGoldenFingerprints(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	cases := goldenCases()
 	if len(want) != len(cases) {
-		t.Errorf("%s has %d fingerprints, the matrix has %d cases", goldenPath, len(want), len(cases))
+		t.Errorf("%s has %d fingerprints, the matrix has %d cases", path, len(want), len(cases))
 	}
 	for _, gc := range cases {
 		got, err := gc.fingerprint()

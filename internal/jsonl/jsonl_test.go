@@ -1,6 +1,8 @@
 package jsonl_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -12,6 +14,7 @@ import (
 type row struct {
 	A int     `json:"a"`
 	B float64 `json:"b,omitempty"`
+	S string  `json:"s,omitempty"`
 }
 
 func decodeAll(t *testing.T, input string) ([]row, error) {
@@ -31,8 +34,11 @@ func decodeAll(t *testing.T, input string) ([]row, error) {
 	}
 }
 
+// wellFormed is a valid two-line input.
+const wellFormed = "{\"a\":1}\n{\"a\":2,\"b\":0.5}\n"
+
 func TestDecodeRoundTrip(t *testing.T) {
-	rows, err := decodeAll(t, "{\"a\":1}\n{\"a\":2,\"b\":0.5}\n")
+	rows, err := decodeAll(t, wellFormed)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -48,20 +54,23 @@ func TestDecodeEmptyInput(t *testing.T) {
 	}
 }
 
+// malformedInputs are inputs Decode must reject, each with a fragment
+// its error must contain.
+var malformedInputs = []struct {
+	name, input, wantSub string
+}{
+	{"unknown field", "{\"a\":1}\n{\"a\":2,\"zz\":3}\n", "line 2"},
+	{"truncated final line", "{\"a\":1}\n{\"a\":2", "truncated"},
+	{"truncated mid-value", "{\"a\":1}\n{\"a\":\n", "line 2"},
+	{"blank line", "{\"a\":1}\n\n{\"a\":2}\n", "blank line"},
+	{"trailing data", "{\"a\":1} {\"a\":2}\n", "trailing data"},
+	{"not json", "hello\n", "line 1"},
+}
+
 // Every malformed input fails with ErrBadLine and names the offending
 // 1-based line.
 func TestDecodeErrors(t *testing.T) {
-	cases := []struct {
-		name, input, wantSub string
-	}{
-		{"unknown field", "{\"a\":1}\n{\"a\":2,\"zz\":3}\n", "line 2"},
-		{"truncated final line", "{\"a\":1}\n{\"a\":2", "truncated"},
-		{"truncated mid-value", "{\"a\":1}\n{\"a\":\n", "line 2"},
-		{"blank line", "{\"a\":1}\n\n{\"a\":2}\n", "blank line"},
-		{"trailing data", "{\"a\":1} {\"a\":2}\n", "trailing data"},
-		{"not json", "hello\n", "line 1"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedInputs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := decodeAll(t, tc.input)
 			if err == nil {
@@ -99,4 +108,60 @@ func TestDecodeLongLine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("long line: err = %v", err)
 	}
+}
+
+// FuzzDecode: on any input Decode never panics, fails only with a sticky
+// error wrapping ErrBadLine, consumes exactly one line per accepted
+// value, and every value it accepts survives json.Marshal and a second
+// strict decode unchanged. The seed corpus is this file's inputs.
+func FuzzDecode(f *testing.F) {
+	f.Add("")
+	f.Add(wellFormed)
+	for _, tc := range malformedInputs {
+		f.Add(tc.input)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		d := jsonl.NewDecoder(strings.NewReader(input))
+		var rows []row
+		for {
+			var r row
+			err := d.Decode(&r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, jsonl.ErrBadLine) {
+					t.Fatalf("error %v does not wrap ErrBadLine", err)
+				}
+				if again := d.Decode(&r); again != err {
+					t.Fatalf("error not sticky: %v, then %v", err, again)
+				}
+				break
+			}
+			rows = append(rows, r)
+			if d.Line() != len(rows) {
+				t.Fatalf("Line() = %d after %d accepted values", d.Line(), len(rows))
+			}
+		}
+		var buf bytes.Buffer
+		for _, r := range rows {
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatalf("json.Marshal(%+v): %v", r, err)
+			}
+			buf.Write(append(b, '\n'))
+		}
+		back, err := decodeAll(t, buf.String())
+		if err != nil {
+			t.Fatalf("re-decoding accepted values: %v", err)
+		}
+		if len(back) != len(rows) {
+			t.Fatalf("%d values read back, want %d", len(back), len(rows))
+		}
+		for i := range rows {
+			if back[i] != rows[i] {
+				t.Fatalf("value %d: read back %+v, want %+v", i, back[i], rows[i])
+			}
+		}
+	})
 }

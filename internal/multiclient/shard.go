@@ -209,7 +209,7 @@ func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predic
 // and 0 when the walker does not rank; the error is 0 for the oracle),
 // the clamped viewing time from the client stream, and the next page from
 // the surfer's split stream. The candidates live in the shared scratch
-// until the next step. Next is read-only for every source, the shared
+// until the next step. NextInto is read-only for every source, the shared
 // aggregate included, so a live client may step before its round's
 // feedback read and enqueues without moving a byte.
 func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
@@ -217,13 +217,13 @@ func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 		b := w.buf
 		state := w.surfer.Current()
 		w.surfer.NextDistributionInto(state, b.truth)
-		if w.pred == nil {
-			b.ranked = rankProbs(b.ranked, b.truth, w.site, &b.sorter)
-		} else {
-			dist := w.pred.Next(state)
-			l1 = predict.L1Dense(dist, b.truth, b.l1)
-			b.ranked = rankDist(b.ranked, dist, w.site, &b.sorter)
+		probs := b.truth
+		if w.pred != nil {
+			probs = b.pred
+			w.pred.NextInto(state, probs)
+			l1 = predict.L1Dense(probs, b.truth)
 		}
+		b.ranked = rankProbs(b.ranked, probs, w.site, &b.sorter)
 		cands = b.ranked
 	}
 	viewing = w.rand.Exp(1 / w.cfg.MeanViewing)
@@ -257,16 +257,16 @@ func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 
 // stepScratch is the reusable scratch of walker steps that never run at
 // once — one Phase-A worker's clients, or every live client on the event
-// loop: the true next-page distribution and the dense-L1 buffer, one
+// loop: the true next-page distribution and the learned prediction, one
 // float per page, the candidate sorter and the ranked candidates.
 type stepScratch struct {
-	truth, l1 []float64
-	sorter    core.ItemSorter
-	ranked    []core.Item
+	truth, pred []float64
+	sorter      core.ItemSorter
+	ranked      []core.Item
 }
 
 func newStepScratch(pages int) *stepScratch {
-	return &stepScratch{truth: make([]float64, pages), l1: make([]float64, pages)}
+	return &stepScratch{truth: make([]float64, pages), pred: make([]float64, pages)}
 }
 
 // rankProbs ranks a dense distribution over page ids into dst's backing
@@ -278,22 +278,6 @@ func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site, sorter *co
 		if prob <= 0 {
 			continue
 		}
-		items = append(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
-	}
-	sorter.Rank(items)
-	return items
-}
-
-// rankDist is rankProbs over a predicted distribution's map. The ranking
-// key is a total order (ids are unique), so the result is independent of
-// the sort algorithm and of map iteration order.
-func rankDist(dst []core.Item, dist map[int]float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
-	items := dst[:0]
-	for page, prob := range dist {
-		if prob <= 0 {
-			continue
-		}
-		//lint:allow maporder sorter.Rank sorts with a total-order key (prob desc, id asc) right after the loop
 		items = append(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
 	}
 	sorter.Rank(items)

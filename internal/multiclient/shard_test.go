@@ -148,11 +148,11 @@ func TestSharedPredictorStaysInline(t *testing.T) {
 	}
 }
 
-// TestRankDistMatchesSortSlice: ranking through the persistent sorter
-// gives exactly the order of the closure-based sort.Slice it replaced,
-// on distributions dominated by probability ties (broken by page id),
-// with zero and negative entries excluded as before.
-func TestRankDistMatchesSortSlice(t *testing.T) {
+// TestRankProbsMatchesSortSlice: ranking a dense distribution through the
+// persistent sorter gives exactly the order of a closure-based sort.Slice
+// over its positive entries, on distributions dominated by probability
+// ties (broken by page id), with zero and negative entries excluded.
+func TestRankProbsMatchesSortSlice(t *testing.T) {
 	site, err := webgraph.Generate(rng.Derive(5, "site"), webgraph.DefaultSiteConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -160,13 +160,14 @@ func TestRankDistMatchesSortSlice(t *testing.T) {
 	r := rng.New(29)
 	levels := []float64{0, -0.25, 0.5, 0.25, 0.125, 1.0 / 3}
 	var sorter core.ItemSorter
+	probs := make([]float64, len(site.Pages))
 	for iter := 0; iter < 300; iter++ {
-		dist := map[int]float64{}
+		clear(probs)
 		for n := r.IntN(len(site.Pages)); n > 0; n-- {
-			dist[r.IntN(len(site.Pages))] = levels[r.IntN(len(levels))]
+			probs[r.IntN(len(site.Pages))] = levels[r.IntN(len(levels))]
 		}
 		var want []core.Item
-		for page, prob := range dist {
+		for page, prob := range probs {
 			if prob > 0 {
 				want = append(want, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
 			}
@@ -177,7 +178,7 @@ func TestRankDistMatchesSortSlice(t *testing.T) {
 			}
 			return want[a].ID < want[b].ID
 		})
-		got := rankDist(nil, dist, site, &sorter)
+		got := rankProbs(nil, probs, site, &sorter)
 		if len(got) != len(want) {
 			t.Fatalf("iter %d: %d ranked items, sort.Slice %d", iter, len(got), len(want))
 		}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -22,10 +23,19 @@ func htmlSafe(c byte) bool {
 	return c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
+// shortBF reports whether encoding/json writes the control bytes \b and
+// \f as two-char escapes (Go 1.22 and later) rather than as \u0008 and
+// \u000c; the encoder follows the toolchain it is built with.
+var shortBF = func() bool {
+	b, _ := json.Marshal("\b")
+	return string(b) == `"\b"`
+}()
+
 // appendJSONString appends s as a JSON string exactly as encoding/json
-// does with HTML escaping on: two-char escapes for \ " \n \r \t, \u00xx
-// for other control and HTML-unsafe bytes, � for invalid UTF-8, and
-//  /  for the line separators JavaScript chokes on.
+// does with HTML escaping on: two-char escapes for \ " \n \r \t (and for
+// \b \f where shortBF), \u00xx for other control and HTML-unsafe bytes,
+// � for invalid UTF-8, and  /  for the line separators
+// JavaScript chokes on.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
@@ -45,6 +55,14 @@ func appendJSONString(b []byte, s string) []byte {
 				b = append(b, '\\', 'r')
 			case '\t':
 				b = append(b, '\\', 't')
+			case '\b', '\f':
+				if !shortBF {
+					b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+				} else if c == '\b' {
+					b = append(b, '\\', 'b')
+				} else {
+					b = append(b, '\\', 'f')
+				}
 			default:
 				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
 			}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // refEncode is the reference encoding: what json.Encoder.Encode writes.
@@ -19,28 +20,33 @@ func refEncode(t *testing.T, ev Event) []byte {
 	return append(b, '\n')
 }
 
-// TestAppendEventMatchesJSONHandPicked covers the encoder's edge cases
-// explicitly: omitempty zeros, negative zero, subnormal and huge floats
-// that switch to scientific notation, HTML-unsafe and control characters,
-// invalid UTF-8, and the U+2028/U+2029 line separators.
+// handPickedEvents covers the encoder's edge cases explicitly: omitempty
+// zeros, negative zero, subnormal and huge floats that switch to
+// scientific notation, HTML-unsafe and control characters (\b and \f
+// among them, whose escape depends on the Go release), invalid UTF-8,
+// and the U+2028/U+2029 line separators.
+var handPickedEvents = []Event{
+	{},
+	{T: 0, Kind: KindRoundStart, Client: -1, Page: -1},
+	{T: math.Copysign(0, -1), Kind: KindRoundEnd, Client: 3, Page: 0, Access: math.Copysign(0, -1)},
+	{T: 1.5, Kind: KindSpecIssue, Client: 0, Round: 7, Page: 12, Prob: 0.25, Service: 1e-7},
+	{T: 1e21, Kind: KindLambda, Client: 2, Page: -1, Lambda: 1e-9, Util: 0.9999999999999999},
+	{T: 9.999999999999999e20, Kind: KindLambda, Client: 2, Page: -1, L1: math.SmallestNonzeroFloat64},
+	{T: 3, Kind: KindPromote, Client: 1, Page: 4, Note: "queued"},
+	{T: 3, Kind: KindTrack, Client: 0, Page: -1, Note: `<b>"x"\& ` + "\n\r\t\x00\x1f"},
+	{T: 3, Kind: KindTrack, Client: 0, Page: -1, Note: "bad\xffutf8 \u2028 and \u2029 ok\u00e9"},
+	{T: 3, Kind: "\b", Client: 0, Page: -1, Note: "form\ffeed back\bspace"},
+	{T: 4, Kind: KindDequeue, Client: 5, Page: 6, Demand: true, Waited: 0.125, Attempt: 2},
+	{T: 5, Kind: KindQueueDepth, Client: -1, Page: -1, Queued: 10, QueuedDemand: 3, InFlight: 2, Util: 0.5},
+	{T: 6, Kind: KindLambda, Client: 0, Page: -1, Dropped: -4, Deferred: 1 << 40},
+	{T: 7, Kind: KindRoute, Client: 0, Page: 1, Replica: 3, Note: "from replica 2"},
+	{T: math.MaxFloat64, Kind: KindRoundEnd, Client: 1 << 30, Page: 1 << 30, Viewing: 4.9e-324},
+}
+
+// TestAppendEventMatchesJSONHandPicked checks handPickedEvents against
+// encoding/json byte for byte.
 func TestAppendEventMatchesJSONHandPicked(t *testing.T) {
-	evs := []Event{
-		{},
-		{T: 0, Kind: KindRoundStart, Client: -1, Page: -1},
-		{T: math.Copysign(0, -1), Kind: KindRoundEnd, Client: 3, Page: 0, Access: math.Copysign(0, -1)},
-		{T: 1.5, Kind: KindSpecIssue, Client: 0, Round: 7, Page: 12, Prob: 0.25, Service: 1e-7},
-		{T: 1e21, Kind: KindLambda, Client: 2, Page: -1, Lambda: 1e-9, Util: 0.9999999999999999},
-		{T: 9.999999999999999e20, Kind: KindLambda, Client: 2, Page: -1, L1: math.SmallestNonzeroFloat64},
-		{T: 3, Kind: KindPromote, Client: 1, Page: 4, Note: "queued"},
-		{T: 3, Kind: KindTrack, Client: 0, Page: -1, Note: `<b>"x"\& ` + "\n\r\t\x00\x1f"},
-		{T: 3, Kind: KindTrack, Client: 0, Page: -1, Note: "bad\xffutf8 \u2028 and \u2029 ok\u00e9"},
-		{T: 4, Kind: KindDequeue, Client: 5, Page: 6, Demand: true, Waited: 0.125, Attempt: 2},
-		{T: 5, Kind: KindQueueDepth, Client: -1, Page: -1, Queued: 10, QueuedDemand: 3, InFlight: 2, Util: 0.5},
-		{T: 6, Kind: KindLambda, Client: 0, Page: -1, Dropped: -4, Deferred: 1 << 40},
-		{T: 7, Kind: KindRoute, Client: 0, Page: 1, Replica: 3, Note: "from replica 2"},
-		{T: math.MaxFloat64, Kind: KindRoundEnd, Client: 1 << 30, Page: 1 << 30, Viewing: 4.9e-324},
-	}
-	for _, ev := range evs {
+	for _, ev := range handPickedEvents {
 		got := appendEvent(nil, ev)
 		want := refEncode(t, ev)
 		if !bytes.Equal(got, want) {
@@ -146,4 +152,48 @@ func TestWriterNonFiniteFallback(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("emit after sticky error wrote %d bytes", buf.Len())
 	}
+}
+
+// FuzzAppendEvent round-trips appendEvent's output through
+// encoding/json: for every event with finite floats it is byte for byte
+// what json.Marshal writes, and json.Unmarshal reads the event back.
+// Notes that are not valid UTF-8 read back with U+FFFD in place of the
+// bad bytes, so they are compared only when valid. The seed corpus is
+// handPickedEvents.
+func FuzzAppendEvent(f *testing.F) {
+	for _, ev := range handPickedEvents {
+		f.Add(ev.T, string(ev.Kind), ev.Client, ev.Round, ev.Page, ev.Demand,
+			ev.Prob, ev.Service, ev.Waited, ev.Access, ev.Viewing, ev.Lambda, ev.L1, ev.Util,
+			ev.Replica, ev.Queued, ev.QueuedDemand, ev.InFlight, ev.Attempt, ev.Cands,
+			ev.Dropped, ev.Deferred, ev.Note)
+	}
+	f.Fuzz(func(t *testing.T, tm float64, kind string, client, round, page int, demand bool,
+		prob, service, waited, access, viewing, lambda, l1, util float64,
+		replica, queued, qdemand, inflight, attempt, cands int,
+		dropped, deferred int64, note string) {
+		ev := Event{
+			T: tm, Kind: Kind(kind), Client: client, Round: round, Page: page, Demand: demand,
+			Prob: prob, Service: service, Waited: waited, Access: access, Viewing: viewing,
+			Lambda: lambda, L1: l1, Util: util,
+			Replica: replica, Queued: queued, QueuedDemand: qdemand, InFlight: inflight,
+			Attempt: attempt, Cands: cands, Dropped: dropped, Deferred: deferred, Note: note,
+		}
+		if !finiteFloats(ev) {
+			return // the Writer sends these to encoding/json, which rejects them
+		}
+		got := appendEvent(nil, ev)
+		if want := refEncode(t, ev); !bytes.Equal(got, want) {
+			t.Fatalf("event %+v:\n got %s want %s", ev, got, want)
+		}
+		var back Event
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatalf("json.Unmarshal(%s): %v", got, err)
+		}
+		if !utf8.ValidString(kind) || !utf8.ValidString(note) {
+			back.Kind, back.Note = ev.Kind, ev.Note
+		}
+		if back != ev {
+			t.Fatalf("read back %+v, want %+v", back, ev)
+		}
+	})
 }

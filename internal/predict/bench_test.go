@@ -7,6 +7,9 @@ import (
 	"prefetch/internal/webgraph"
 )
 
+// benchPages is the page count of the site benchWalk browses.
+const benchPages = 120
+
 // benchWalk pre-draws a surfer walk over the default-sized site so the
 // observe/predict benchmarks measure the sources, not the workload
 // generator.
@@ -14,7 +17,7 @@ func benchWalk(b *testing.B) []int {
 	b.Helper()
 	r := rng.New(7)
 	cfg := webgraph.SiteConfig{
-		Pages: 120, MinLinks: 4, MaxLinks: 12, ZipfS: 1.1,
+		Pages: benchPages, MinLinks: 4, MaxLinks: 12, ZipfS: 1.1,
 		MinSizeKB: 2, MaxSizeKB: 120, BandwidthKBps: 16, LatencyS: 0.3,
 	}
 	site, err := webgraph.Generate(r, cfg)
@@ -29,21 +32,25 @@ func benchWalk(b *testing.B) []int {
 	return walk
 }
 
-// benchObserveNext is the shared hot loop: one Observe plus one Next per
-// browsing round over the pre-drawn walk.
+// benchObserveNext is the shared hot loop: one Observe plus one NextInto
+// a site-sized vector per browsing round over the pre-drawn walk.
 func benchObserveNext(b *testing.B, src Source, walk []int) {
+	out := make([]float64, benchPages)
 	b.ResetTimer()
+	var support int
 	for i := 0; i < b.N; i++ {
 		page := walk[i%len(walk)]
 		src.Observe(page)
-		if d := src.Next(page); d == nil {
-			b.Fatal("nil distribution")
-		}
+		support += src.NextInto(page, out)
 	}
+	supportSink = support
 }
 
+// supportSink keeps benchObserveNext's predictions live.
+var supportSink int
+
 // BenchmarkPredictorObserve measures the learned predictors' hot loop —
-// one Observe plus one Next per browsing round — over a pre-drawn surfer
+// one Observe plus one NextInto per browsing round — over a pre-drawn surfer
 // walk. Tracked by the benchmark-regression gate (cmd/benchjson).
 func BenchmarkPredictorObserve(b *testing.B) {
 	walk := benchWalk(b)
@@ -59,8 +66,8 @@ func BenchmarkPredictorObserve(b *testing.B) {
 }
 
 // BenchmarkPredictorObserveDecay measures the decayed-count source's hot
-// loop (lazy per-state aging on Observe, sorted-key normalisation on
-// Next) over the same walk. A top-level benchmark rather than a sub-run
+// loop (lazy per-state aging on Observe, ascending-id normalisation on
+// NextInto) over the same walk. A top-level benchmark rather than a sub-run
 // so the bench gate tracks it under its own name. Tracked by the
 // benchmark-regression gate (cmd/benchjson).
 func BenchmarkPredictorObserveDecay(b *testing.B) {
@@ -77,7 +84,8 @@ func BenchmarkPredictorObserveDecay(b *testing.B) {
 // default 120-page site plus the L1 distance of a trained ppm-escape
 // prediction from it — in the map form (NextDistributionFrom + L1) and
 // the dense form (NextDistributionInto + L1Dense), over pre-drawn
-// (state, prediction) pairs. Tracked by the benchmark-regression gate
+// (state, prediction) pairs, the dense form's predictions pre-drawn
+// with NextInto. Tracked by the benchmark-regression gate
 // (cmd/benchjson).
 func BenchmarkPlanL1(b *testing.B) {
 	r := rng.New(7)
@@ -93,10 +101,13 @@ func BenchmarkPlanL1(b *testing.B) {
 	const rounds = 512
 	states := make([]int, rounds)
 	dists := make([]map[int]float64, rounds)
+	dense := make([][]float64, rounds)
 	for i := 0; i < 4096+rounds; i++ {
-		if i >= 4096 {
-			states[i-4096] = surfer.Current()
-			dists[i-4096] = src.Next(surfer.Current())
+		if k := i - 4096; k >= 0 {
+			states[k] = surfer.Current()
+			dists[k] = src.Next(states[k])
+			dense[k] = make([]float64, len(site.Pages))
+			src.NextInto(states[k], dense[k])
 		}
 		src.Observe(surfer.Step())
 	}
@@ -111,14 +122,13 @@ func BenchmarkPlanL1(b *testing.B) {
 	})
 	b.Run("dense", func(b *testing.B) {
 		truth := make([]float64, len(site.Pages))
-		scratch := make([]float64, len(site.Pages))
 		b.ReportAllocs()
 		b.ResetTimer()
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			k := i % rounds
 			surfer.NextDistributionInto(states[k], truth)
-			sum += L1Dense(dists[k], truth, scratch)
+			sum += L1Dense(dense[k], truth)
 		}
 		l1Sink = sum
 	})

@@ -10,26 +10,77 @@ package predict
 // zero values are empty and ready to use.
 
 // popularity counts observations per page: global page popularity, or
-// the successor counts of one state or context.
+// the successor counts of one state or context. The counts live in one
+// slice in first-seen order, so prediction walks a slice instead of a
+// map. A page's slot is found by scanning the slice while it is short —
+// most states and contexts have only a few successors — and through the
+// slot map once it outgrows smallPop.
 type popularity struct {
-	freq  map[int]int64
+	seen  []pageCount
+	slot  map[int]int // page → index into seen; nil up to smallPop pages
 	total int64
 }
 
+// pageCount is one page and its observation count.
+type pageCount struct {
+	page int
+	n    int64
+}
+
+// smallPop is the page count up to which popularity finds a slot by
+// scanning instead of through its slot map.
+const smallPop = 8
+
 // add counts one observation of page.
 func (p *popularity) add(page int) {
-	if p.freq == nil {
-		p.freq = map[int]int64{}
+	i := p.find(page)
+	if i < 0 {
+		i = len(p.seen)
+		p.seen = append(p.seen, pageCount{page: page})
+		switch {
+		case p.slot != nil:
+			p.slot[page] = i
+		case len(p.seen) > smallPop:
+			p.slot = make(map[int]int, 2*len(p.seen))
+			for j, e := range p.seen {
+				p.slot[e.page] = j
+			}
+		}
 	}
-	p.freq[page]++
+	p.seen[i].n++
 	p.total++
 }
 
-// blend adds w times each page's observed share to out. Each page gets
-// exactly one term, so the map's iteration order cannot move a bit.
-func (p *popularity) blend(out map[int]float64, w float64) {
-	for page, n := range p.freq {
-		out[page] += w * float64(n) / float64(p.total)
+// find returns page's index in seen, or -1 if it was never observed.
+func (p *popularity) find(page int) int {
+	if p.slot != nil {
+		if i, ok := p.slot[page]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, e := range p.seen {
+		if e.page == page {
+			return i
+		}
+	}
+	return -1
+}
+
+// freq returns the observation count of page.
+func (p *popularity) freq(page int) int64 {
+	if i := p.find(page); i >= 0 {
+		return p.seen[i].n
+	}
+	return 0
+}
+
+// blend adds w times each page's observed share to out, indexed by page
+// id. Each page gets exactly one term, so the walk order cannot move a
+// bit.
+func (p *popularity) blend(out []float64, w float64) {
+	for _, e := range p.seen {
+		out[e.page] += w * float64(e.n) / float64(p.total)
 	}
 }
 
@@ -52,14 +103,16 @@ func (t *transitions) add(prev, next int) {
 	succ.add(next)
 }
 
-// next returns the normalised successor counts of state; empty when state
-// has no observed successors.
-func (t *transitions) next(state int) map[int]float64 {
-	out := map[int]float64{}
-	if succ := t.edges[state]; succ != nil {
-		succ.blend(out, 1)
+// nextInto writes the normalised successor counts of state into out and
+// returns how many pages it wrote; zero when state has no observed
+// successors. out must be zeroed.
+func (t *transitions) nextInto(state int, out []float64) int {
+	succ := t.edges[state]
+	if succ == nil {
+		return 0
 	}
-	return out
+	succ.blend(out, 1)
+	return len(succ.seen)
 }
 
 // contexts is a PPM context tree of the given order (>= 1) over the last

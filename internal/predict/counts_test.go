@@ -151,3 +151,37 @@ func assertSameDist(t *testing.T, name string, step, state int, got, want map[in
 		}
 	}
 }
+
+// TestPopularityAcrossSmallPop: counts, first-seen order and the total
+// stay exact as a store grows past smallPop and switches from scanning
+// to its slot map, for pages observed and never observed.
+func TestPopularityAcrossSmallPop(t *testing.T) {
+	r := rng.New(3)
+	var p popularity
+	want := map[int]int64{}
+	var order []int
+	for step := 0; step < 400; step++ {
+		page := r.IntN(3 * smallPop)
+		if want[page] == 0 {
+			order = append(order, page)
+		}
+		p.add(page)
+		want[page]++
+		if (p.slot != nil) != (len(order) > smallPop) {
+			t.Fatalf("step %d: slot map present = %t with %d pages", step, p.slot != nil, len(order))
+		}
+		for q := -1; q <= 3*smallPop; q++ {
+			if got := p.freq(q); got != want[q] {
+				t.Fatalf("step %d: freq(%d) = %d, want %d", step, q, got, want[q])
+			}
+		}
+		for i, e := range p.seen {
+			if e.page != order[i] {
+				t.Fatalf("step %d: seen[%d] is page %d, first-seen order has %d", step, i, e.page, order[i])
+			}
+		}
+		if p.total != int64(step+1) {
+			t.Fatalf("step %d: total %d", step, p.total)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file holds the learned sources: the dependency graph (KindDepGraph)
@@ -12,17 +11,19 @@ import (
 // popularity × transition mixture (KindMixture), and a blended/escape PPM
 // that backs off across context orders instead of falling off a hard
 // cold-start cliff (KindPPMEscape). All are deterministic pure functions
-// of their observation streams: per-key arithmetic happens in a fixed
-// order, and any sum over a float-valued map is taken in sorted key order
-// so the last ulp can never depend on map iteration (the same
+// of their observation streams: per-page arithmetic happens in a fixed
+// order, and any sum over pages runs in ascending page id over the dense
+// vector so the last ulp can never depend on map iteration (the same
 // bit-for-bit-replay discipline as L1). All but decay count in the
-// integer stores of counts.go.
+// integer stores of counts.go. Each source's NextInto is its one
+// prediction body; Next is the shared map view.
 
 // DependencyGraph is an order-1 transition-count predictor after
 // Padmanabhan & Mogul's server-side dependency graph: each observed pair
 // (previous, next) increments an edge counter, and prediction normalises
 // the outgoing counts of the queried item.
 type DependencyGraph struct {
+	pageSpan
 	trans transitions
 	last  int
 	any   bool
@@ -41,6 +42,7 @@ func (d *DependencyGraph) Observe(item int) {
 	}
 	d.last = item
 	d.any = true
+	d.see(item)
 }
 
 // Predict returns the prediction from the last observed item, or an
@@ -52,16 +54,23 @@ func (d *DependencyGraph) Predict() map[int]float64 {
 	return d.Next(d.last)
 }
 
-// Next returns the predicted distribution of the item following state:
-// the normalised outgoing edge counts of state. Empty when state has no
-// observed successors.
-func (d *DependencyGraph) Next(state int) map[int]float64 { return d.trans.next(state) }
+// NextInto writes the predicted distribution of the item following state
+// into out, as Source.NextInto does: the normalised outgoing edge counts
+// of state. The support is empty when state has no observed successors.
+func (d *DependencyGraph) NextInto(state int, out []float64) int {
+	clear(out)
+	return d.trans.nextInto(state, out)
+}
+
+// Next returns NextInto's distribution as a map.
+func (d *DependencyGraph) Next(state int) map[int]float64 { return nextView(d, state) }
 
 // PPM is an order-k prediction-by-partial-matching predictor after
 // Vitter & Krishnan: it keeps counts for every context of length 1..k and
 // predicts from the longest context that has been seen before (a
 // simplified PPM without blending).
 type PPM struct {
+	pageSpan
 	ctx contexts
 }
 
@@ -80,7 +89,10 @@ func (p *PPM) Name() string { return fmt.Sprintf("ppm-%d", p.ctx.order) }
 func (p *PPM) Order() int { return p.ctx.order }
 
 // Observe feeds the next item of the access sequence.
-func (p *PPM) Observe(item int) { p.ctx.observe(item) }
+func (p *PPM) Observe(item int) {
+	p.ctx.observe(item)
+	p.see(item)
+}
 
 // Predict returns the prediction from the internally tracked context
 // (the most recent observations), escaping to shorter contexts as needed;
@@ -93,17 +105,24 @@ func (p *PPM) Predict() map[int]float64 {
 	return p.Next(h[len(h)-1])
 }
 
-// Next returns the predicted distribution of the item following state,
-// from the longest seen context. When the tracked history already ends at
-// state (the normal online case) the full context is used; otherwise
-// prediction falls back to the order-1 context of state alone.
-func (p *PPM) Next(state int) map[int]float64 {
-	out := map[int]float64{}
-	if seen := p.ctx.match(state); len(seen) > 0 {
-		seen[len(seen)-1].blend(out, 1)
+// NextInto writes the predicted distribution of the item following state
+// into out, as Source.NextInto does, from the longest seen context. When
+// the tracked history already ends at state (the normal online case) the
+// full context is used; otherwise prediction falls back to the order-1
+// context of state alone.
+func (p *PPM) NextInto(state int, out []float64) int {
+	clear(out)
+	seen := p.ctx.match(state)
+	if len(seen) == 0 {
+		return 0
 	}
-	return out
+	longest := seen[len(seen)-1]
+	longest.blend(out, 1)
+	return len(longest.seen)
 }
+
+// Next returns NextInto's distribution as a map.
+func (p *PPM) Next(state int) map[int]float64 { return nextView(p, state) }
 
 // pruneEps is the decayed-count floor below which an edge is dropped:
 // far beyond float noise after a handful of half-lives, so pruning
@@ -125,6 +144,7 @@ const pruneEps = 1e-12
 // factor between the state's last touch and "now" cancels in Next's
 // normalisation and prediction needs no aging at all.
 type decaySource struct {
+	pageSpan
 	alpha  float64 // per-observation decay factor 2^(-1/halfLife)
 	clock  int64   // observations so far
 	states map[int]*decayState
@@ -163,6 +183,7 @@ func (d *decaySource) Observe(page int) {
 	}
 	d.last = page
 	d.any = true
+	d.see(page)
 }
 
 // age scales the state's counts down to the current clock. Each entry is
@@ -199,29 +220,32 @@ func powN(alpha float64, n int64) float64 {
 	return result
 }
 
-// Next implements Source. The shared age of a state's counts cancels in
-// the normalisation, so no aging is needed here; the total is summed in
-// sorted key order for bit-for-bit replay.
-func (d *decaySource) Next(state int) map[int]float64 {
-	out := map[int]float64{}
+// NextInto implements Source. The shared age of a state's counts cancels
+// in the normalisation, so no aging is needed here. The counts are
+// written into out first and the total is summed over out in ascending
+// page id — the sorted-key order, since absent pages add +0 — for
+// bit-for-bit replay.
+func (d *decaySource) NextInto(state int, out []float64) int {
+	clear(out)
 	st := d.states[state]
 	if st == nil || len(st.next) == 0 {
-		return out
+		return 0
 	}
-	keys := make([]int, 0, len(st.next))
-	for page := range st.next {
-		keys = append(keys, page)
+	for page, c := range st.next {
+		out[page] = c
 	}
-	sort.Ints(keys)
 	var total float64
-	for _, page := range keys {
-		total += st.next[page]
+	for _, c := range out {
+		total += c
 	}
-	for _, page := range keys {
-		out[page] = st.next[page] / total
+	for page := range st.next {
+		out[page] /= total
 	}
-	return out
+	return len(st.next)
 }
+
+// Next implements Source.
+func (d *decaySource) Next(state int) map[int]float64 { return nextView(d, state) }
 
 // mixtureSource blends an order-1 transition model with global page
 // popularity: Next = (1−w)·transition + w·popularity, the PPE-style
@@ -249,22 +273,31 @@ func (m *mixtureSource) Observe(page int) {
 	m.pop.add(page)
 }
 
-// Next implements Source. Both components normalise by integer counts,
-// so every output value is a fixed-order expression per key and needs no
-// sorted summation. The transition map is rescaled in place and returned.
-func (m *mixtureSource) Next(state int) map[int]float64 {
-	out := m.trans.Next(state)
-	popShare := m.weight
-	if len(out) == 0 {
-		// No transition evidence: the full mass escapes to popularity.
-		popShare = 1
-	}
-	for page, p := range out {
-		out[page] = (1 - m.weight) * p
+// NextInto implements Source. Both components normalise by integer
+// counts, so every output value is a fixed-order expression per page and
+// needs no sorted summation: the transition term is written and rescaled
+// in place, then popularity is added. Popularity has seen every page, so
+// its page count is the support size.
+func (m *mixtureSource) NextInto(state int, out []float64) int {
+	clear(out)
+	// No transition evidence: the full mass escapes to popularity.
+	popShare := 1.0
+	if succ := m.trans.trans.edges[state]; succ != nil {
+		succ.blend(out, 1)
+		for _, e := range succ.seen {
+			out[e.page] = (1 - m.weight) * out[e.page]
+		}
+		popShare = m.weight
 	}
 	m.pop.blend(out, popShare)
-	return out
+	return len(m.pop.seen)
 }
+
+// span covers every page the mixture has observed.
+func (m *mixtureSource) span() int { return m.trans.span() }
+
+// Next implements Source.
+func (m *mixtureSource) Next(state int) map[int]float64 { return nextView(m, state) }
 
 // ppmEscape is prediction by partial matching with PPM-C-style escape
 // blending: instead of predicting only from the longest previously seen
@@ -276,6 +309,7 @@ func (m *mixtureSource) Next(state int) map[int]float64 {
 // global frequency model, so any source that has observed anything
 // always predicts something.
 type ppmEscape struct {
+	pageSpan
 	ctx contexts
 	pop popularity
 }
@@ -291,22 +325,27 @@ func (p *ppmEscape) Name() string { return fmt.Sprintf("ppm-escape-%d", p.ctx.or
 func (p *ppmEscape) Observe(page int) {
 	p.ctx.observe(page)
 	p.pop.add(page)
+	p.see(page)
 }
 
-// Next implements Source: contexts contribute from the longest down, then
-// global popularity takes the mass that escaped every order. The context
-// is picked by the same explicit-state rule as PPM.Next.
-func (p *ppmEscape) Next(state int) map[int]float64 {
-	out := map[int]float64{}
+// NextInto implements Source: contexts contribute from the longest down,
+// then global popularity takes the mass that escaped every order. The
+// context is picked by the same explicit-state rule as PPM.NextInto.
+// Popularity has seen every page, so its page count is the support size.
+func (p *ppmEscape) NextInto(state int, out []float64) int {
+	clear(out)
 	remain := 1.0
 	seen := p.ctx.match(state)
 	for k := len(seen) - 1; k >= 0; k-- {
 		c := seen[k]
-		distinct := int64(len(c.freq))
+		distinct := int64(len(c.seen))
 		escape := float64(distinct) / float64(c.total+distinct)
 		c.blend(out, remain*(1-escape))
 		remain *= escape
 	}
 	p.pop.blend(out, remain)
-	return out
+	return len(p.pop.seen)
 }
+
+// Next implements Source.
+func (p *ppmEscape) Next(state int) map[int]float64 { return nextView(p, state) }

@@ -8,8 +8,9 @@
 // server-computed dependency graphs, Vitter & Krishnan's PPM, and their
 // modern descendants all estimate the predicted-access stream online. This
 // package makes that axis first-class: a Source observes a client's access
-// stream and answers Next(state) with a candidate distribution, and the
-// multiclient simulation can run the identical contended workload under
+// stream and answers NextInto(state, out) with a candidate distribution
+// written densely into a page-id vector, and the multiclient simulation
+// can run the identical contended workload under
 //
 //   - KindOracle — the surfer's true next-page distribution, bit-for-bit
 //     the behaviour before this subsystem existed (the paper's assumption);
@@ -35,6 +36,12 @@
 // nothing — the client simply does not speculate that round) or
 // FallbackUniform (a uniform distribution over every page the source has
 // observed so far).
+//
+// Prediction is dense: NextInto is every source's one prediction body,
+// and it allocates nothing, so the simulators score (L1Dense) and rank a
+// prediction without building a map. Next is the map view of the same
+// distribution, built from NextInto by one shared helper, for callers
+// that do not keep a page-id vector.
 //
 // Determinism: sources are pure functions of their observation stream and
 // consume no randomness, so identical seeds replay bit-for-bit and the
@@ -96,19 +103,63 @@ const (
 
 // Source is the prediction interface every planner consumes: an online
 // access model fed the client's demand-access stream through Observe and
-// queried with Next for the distribution of the access after state.
-// Probabilities sum to at most 1; the map may be empty when the source has
-// nothing to say (a cold learned model with FallbackNone). Sources consume
-// no randomness and are pure functions of their observation stream.
+// queried for the distribution of the access after state. Page ids are
+// non-negative. Probabilities sum to at most 1, and the support may be
+// empty when the source has nothing to say (a cold learned model with
+// FallbackNone). Sources consume no randomness and are pure functions of
+// their observation stream.
 type Source interface {
 	// Name identifies the source (e.g. "oracle", "depgraph", "ppm-2").
 	Name() string
 	// Observe feeds the next item of the access sequence.
 	Observe(page int)
-	// Next returns the predicted probability of each candidate next page
-	// given the current state.
+	// NextInto is the source's prediction: it zeroes out, writes the
+	// predicted probability of each candidate next page at its page id,
+	// and returns the support size. Every page id must be below
+	// len(out), and NextInto panics otherwise. Learned sources allocate
+	// nothing here.
+	NextInto(state int, out []float64) int
+	// Next returns the same distribution as a map of the support. It
+	// allocates; hot paths call NextInto.
 	Next(state int) map[int]float64
 }
+
+// denseSource is a learned source's prediction body plus the vector
+// length that holds any of its predictions.
+type denseSource interface {
+	NextInto(state int, out []float64) int
+	span() int
+}
+
+// nextView is the map view every learned source's Next returns: NextInto
+// into a fresh vector of the source's span, read back as a map. Every
+// learned probability is positive, so the non-zero entries are exactly
+// the support.
+func nextView(s denseSource, state int) map[int]float64 {
+	out := make([]float64, s.span())
+	dist := make(map[int]float64, s.NextInto(state, out))
+	for page, p := range out {
+		if p != 0 {
+			dist[page] = p
+		}
+	}
+	return dist
+}
+
+// pageSpan is one more than the largest page id observed. A learned
+// source predicts only pages it has observed, so a vector of this length
+// holds any of its predictions.
+type pageSpan struct{ n int }
+
+// see extends the span to cover page.
+func (s *pageSpan) see(page int) {
+	if page >= s.n {
+		s.n = page + 1
+	}
+}
+
+// span returns the vector length that covers every observed page.
+func (s *pageSpan) span() int { return s.n }
 
 // Config parameterises the prediction source of one simulation. The zero
 // value is the oracle — the paper's presupposed-knowledge behaviour.
@@ -203,7 +254,7 @@ func New(cfg Config, client int, oracle func(state int) map[int]float64, shared 
 		if shared == nil {
 			return nil, fmt.Errorf("%w: shared source needs the run's aggregate model", ErrBadConfig)
 		}
-		return withFallback(shared.ForClient(client), cfg.ColdStart), nil
+		return withFallback(&clientView{agg: shared, client: client}, cfg.ColdStart), nil
 	case KindDecay:
 		return withFallback(newDecay(cfg.HalfLife), cfg.ColdStart), nil
 	case KindMixture:
@@ -214,7 +265,7 @@ func New(cfg Config, client int, oracle func(state int) map[int]float64, shared 
 	return nil, fmt.Errorf("%w: unknown predictor %q", ErrBadConfig, cfg.Kind)
 }
 
-// Oracle answers Next straight from a true-distribution hook and learns
+// Oracle answers straight from a true-distribution hook and learns
 // nothing: the paper's presupposed access knowledge as a Source.
 type Oracle struct {
 	fn func(state int) map[int]float64
@@ -231,7 +282,20 @@ func (o *Oracle) Name() string { return string(KindOracle) }
 // Observe implements Source; the oracle has nothing to learn.
 func (o *Oracle) Observe(int) {}
 
-// Next implements Source.
+// NextInto implements Source: the hook's distribution, written densely.
+// Its support size is the hook map's length, zero-valued entries
+// included.
+func (o *Oracle) NextInto(state int, out []float64) int {
+	clear(out)
+	dist := o.fn(state)
+	for page, p := range dist {
+		out[page] = p
+	}
+	return len(dist)
+}
+
+// Next implements Source: the hook's own map. The oracle's distribution
+// is given, not computed, so its map form needs no view.
 func (o *Oracle) Next(state int) map[int]float64 { return o.fn(state) }
 
 // fallback wraps a learned source with the configured cold-start
@@ -239,14 +303,20 @@ func (o *Oracle) Next(state int) map[int]float64 { return o.fn(state) }
 // can spread mass over the known universe without consulting anything the
 // client could not have seen.
 type fallback struct {
-	inner Source
+	inner learned
 	mode  Fallback
 	seen  map[int]bool
 }
 
+// learned is a learned source: its span sizes the map view.
+type learned interface {
+	Source
+	span() int
+}
+
 // withFallback applies the cold-start policy; FallbackNone needs no
 // wrapper at all.
-func withFallback(inner Source, mode Fallback) Source {
+func withFallback(inner learned, mode Fallback) Source {
 	if mode == FallbackNone {
 		return inner
 	}
@@ -262,18 +332,25 @@ func (f *fallback) Observe(page int) {
 	f.inner.Observe(page)
 }
 
-// Next implements Source.
-func (f *fallback) Next(state int) map[int]float64 {
-	if d := f.inner.Next(state); len(d) > 0 {
-		return d
+// NextInto implements Source: the inner prediction when it has any
+// support, otherwise the uniform distribution over the pages seen.
+func (f *fallback) NextInto(state int, out []float64) int {
+	if n := f.inner.NextInto(state, out); n > 0 {
+		return n
 	}
-	out := make(map[int]float64, len(f.seen))
 	per := 1 / float64(len(f.seen))
 	for p := range f.seen {
 		out[p] = per
 	}
-	return out
+	return len(f.seen)
 }
+
+// span covers the inner source's predictions, which may include pages
+// other clients showed a shared aggregate.
+func (f *fallback) span() int { return f.inner.span() }
+
+// Next implements Source.
+func (f *fallback) Next(state int) map[int]float64 { return nextView(f, state) }
 
 // Aggregate is the server-side shared model: order-1 transition counts
 // pooled over every client's access stream, with the previous page tracked
@@ -283,6 +360,7 @@ func (f *fallback) Next(state int) map[int]float64 {
 // Source view with ForClient. It is not safe for concurrent use — the
 // simulators are single-goroutine per replica.
 type Aggregate struct {
+	pageSpan
 	trans transitions
 	pop   popularity
 	last  map[int]int
@@ -299,13 +377,21 @@ func (a *Aggregate) ObserveClient(client, page int) {
 	}
 	a.last[client] = page
 	a.pop.add(page)
+	a.see(page)
 }
 
-// Next returns the pooled transition distribution out of state.
-func (a *Aggregate) Next(state int) map[int]float64 { return a.trans.next(state) }
+// NextInto writes the pooled transition distribution out of state into
+// out, as Source.NextInto does, and returns its support size.
+func (a *Aggregate) NextInto(state int, out []float64) int {
+	clear(out)
+	return a.trans.nextInto(state, out)
+}
+
+// Next returns the pooled transition distribution out of state as a map.
+func (a *Aggregate) Next(state int) map[int]float64 { return nextView(a, state) }
 
 // Freq returns the pooled access count of a page.
-func (a *Aggregate) Freq(page int) int64 { return a.pop.freq[page] }
+func (a *Aggregate) Freq(page int) int64 { return a.pop.freq(page) }
 
 // Observations returns the total number of pooled observations.
 func (a *Aggregate) Observations() int64 { return a.pop.total }
@@ -314,22 +400,22 @@ func (a *Aggregate) Observations() int64 { return a.pop.total }
 // stream, most popular first, ties broken by lowest page ID — the warm
 // set a server-side prefetcher should hold.
 func (a *Aggregate) TopPages(n int) []int {
-	freq := a.pop.freq
-	if n <= 0 || len(freq) == 0 {
+	if n <= 0 || len(a.pop.seen) == 0 {
 		return nil
 	}
-	pages := make([]int, 0, len(freq))
-	for p := range freq {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool {
-		if freq[pages[i]] != freq[pages[j]] {
-			return freq[pages[i]] > freq[pages[j]]
+	top := append([]pageCount(nil), a.pop.seen...)
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].n != top[j].n {
+			return top[i].n > top[j].n
 		}
-		return pages[i] < pages[j]
+		return top[i].page < top[j].page
 	})
-	if len(pages) > n {
-		pages = pages[:n]
+	if len(top) > n {
+		top = top[:n]
+	}
+	pages := make([]int, len(top))
+	for i, e := range top {
+		pages[i] = e.page
 	}
 	return pages
 }
@@ -353,8 +439,14 @@ func (v *clientView) Name() string { return string(KindShared) }
 // Observe implements Source.
 func (v *clientView) Observe(page int) { v.agg.ObserveClient(v.client, page) }
 
+// NextInto implements Source.
+func (v *clientView) NextInto(state int, out []float64) int { return v.agg.NextInto(state, out) }
+
+// span covers every page the aggregate has pooled.
+func (v *clientView) span() int { return v.agg.span() }
+
 // Next implements Source.
-func (v *clientView) Next(state int) map[int]float64 { return v.agg.Next(state) }
+func (v *clientView) Next(state int) map[int]float64 { return nextView(v, state) }
 
 // L1 returns the L1 distance Σ |p(i) − q(i)| between two distributions
 // over the union of their supports — the prediction-error metric the
@@ -385,25 +477,19 @@ func L1(p, q map[int]float64) float64 {
 	return sum
 }
 
-// L1Dense returns L1(p, q') bit for bit, where q' is the dense vector q
-// read as a map over page ids 0..len(q)-1 — without building that map or
-// sorting keys. p is written into scratch (len(scratch) >= len(q); its
-// contents are overwritten) and |p(i) − q(i)| is summed over i ascending:
-// the sorted-key order L1 uses, with ids in neither support adding +0,
-// which leaves a sum that starts at +0 unchanged. Every key of p must lie
-// in [0, len(q)) — predictors only learn page ids the site produced — and
-// L1Dense panics otherwise.
-func L1Dense(p map[int]float64, q, scratch []float64) float64 {
-	ps := scratch[:len(q)]
-	for i := range ps {
-		ps[i] = 0
-	}
-	for k, v := range p {
-		ps[k] = v
+// L1Dense returns L1 over two dense vectors indexed by page id, read as
+// maps over ids 0..len(q)-1, bit for bit: |p(i) − q(i)| is summed over i
+// ascending, the sorted-key order L1 uses, and ids in neither support add
+// +0, which leaves a sum that starts at +0 unchanged. It neither
+// allocates nor sorts. p and q must have the same length, and L1Dense
+// panics otherwise.
+func L1Dense(p, q []float64) float64 {
+	if len(p) != len(q) {
+		panic(fmt.Sprintf("predict: L1Dense over vectors of length %d and %d", len(p), len(q)))
 	}
 	var sum float64
 	for i, qv := range q {
-		d := ps[i] - qv
+		d := p[i] - qv
 		if d < 0 {
 			d = -d
 		}

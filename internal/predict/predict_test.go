@@ -212,17 +212,13 @@ func TestL1(t *testing.T) {
 	}
 }
 
-// TestL1DenseMatchesL1: the dense L1 equals the map L1 bit for bit over
-// random sparse and dense maps — empty maps, explicit 0 and −0 values,
-// wide value ranges — and leaves no state in its scratch between calls.
-// A predicted key outside the dense range panics.
+// TestL1DenseMatchesL1: the dense L1 of two page-id vectors equals the
+// map L1 of the same distributions bit for bit — empty and dense
+// supports, explicit 0 and −0 values, wide value ranges. Vectors of
+// different lengths panic.
 func TestL1DenseMatchesL1(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	r := rng.New(17)
-	scratch := make([]float64, 200)
-	for i := range scratch {
-		scratch[i] = math.NaN() // stale scratch must not leak into the sum
-	}
 	randMap := func(n int, density float64) map[int]float64 {
 		m := map[int]float64{}
 		for k := 0; k < n; k++ {
@@ -242,33 +238,36 @@ func TestL1DenseMatchesL1(t *testing.T) {
 		}
 		return m
 	}
+	dense := func(n int, m map[int]float64) []float64 {
+		v := make([]float64, n)
+		for k, x := range m {
+			v[k] = x
+		}
+		return v
+	}
 	for iter := 0; iter < 2000; iter++ {
 		n := r.IntN(131)
 		densities := []float64{0, 0.05, 0.3, 1}
+		pm := randMap(n, densities[r.IntN(len(densities))])
 		qm := randMap(n, densities[r.IntN(len(densities))])
-		p := randMap(n, densities[r.IntN(len(densities))])
-		q := make([]float64, n)
-		for k, v := range qm {
-			q[k] = v
-		}
-		want := L1(p, qm)
-		got := L1Dense(p, q, scratch)
+		want := L1(pm, qm)
+		got := L1Dense(dense(n, pm), dense(n, qm))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("iter %d (n=%d, |p|=%d, |q|=%d): L1Dense = %v (%#x), L1 = %v (%#x)",
-				iter, n, len(p), len(qm), got, math.Float64bits(got), want, math.Float64bits(want))
+				iter, n, len(pm), len(qm), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	if got := L1Dense(map[int]float64{}, nil, nil); math.Float64bits(got) != 0 {
+	if got := L1Dense(nil, nil); math.Float64bits(got) != 0 {
 		t.Errorf("L1Dense(empty, empty) = %v, want +0", got)
 	}
-	for _, k := range []int{-1, 3} {
+	for _, n := range []int{2, 4} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("L1Dense with key %d outside [0, 3) did not panic", k)
+					t.Errorf("L1Dense over lengths %d and 3 did not panic", n)
 				}
 			}()
-			L1Dense(map[int]float64{k: 1}, make([]float64, 3), scratch)
+			L1Dense(make([]float64, n), make([]float64, 3))
 		}()
 	}
 }
