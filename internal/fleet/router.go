@@ -18,9 +18,9 @@ const (
 	// over the whole fleet.
 	KindRoundRobin Kind = "round-robin"
 	// KindLeastLoaded sends each request to the live replica with the
-	// smallest backlog (queued + in-flight, scheduler feedback via
-	// Peek), ties broken by replica id. Tracks instantaneous congestion
-	// at the cost of the same affinity loss as round-robin.
+	// smallest backlog (queued + in-flight requests), ties broken by
+	// replica id. Tracks instantaneous congestion at the cost of the same
+	// affinity loss as round-robin.
 	KindLeastLoaded Kind = "least-loaded"
 	// KindHash pins each client to a home replica on a consistent-hash
 	// ring (virtual nodes, keyed on the client id). Affinity
@@ -35,7 +35,7 @@ const (
 func Kinds() []Kind { return []Kind{KindRoundRobin, KindLeastLoaded, KindHash} }
 
 // ReplicaState is one replica's routing-time state: whether it is up and
-// its scheduler's untraced congestion feedback.
+// its backlog (queued + in-flight requests).
 type ReplicaState = multiclient.ReplicaState
 
 // Router places one request on a replica. Implementations must be
@@ -81,9 +81,9 @@ func (r *roundRobin) Route(client, page int, states []ReplicaState) (int, bool) 
 
 func (r *roundRobin) Home(client, replicas int) int { return client % replicas }
 
-// leastLoaded picks the live replica with the smallest backlog
-// (queued + in-flight), ties broken by replica id — an integer-only key,
-// so the choice never hinges on float rounding.
+// leastLoaded picks the live replica with the smallest Load, ties broken
+// by replica id — an integer-only key, so the choice never hinges on
+// float rounding.
 type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return string(KindLeastLoaded) }
@@ -94,9 +94,8 @@ func (leastLoaded) Route(client, page int, states []ReplicaState) (int, bool) {
 		if !st.Up {
 			continue
 		}
-		load := st.Feedback.Queued + st.Feedback.InFlight
-		if !found || load < bestLoad {
-			best, bestLoad, found = st.ID, load, true
+		if !found || st.Load < bestLoad {
+			best, bestLoad, found = st.ID, st.Load, true
 		}
 	}
 	return best, found

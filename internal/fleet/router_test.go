@@ -62,23 +62,20 @@ func TestRoundRobinSkipsDownReplicas(t *testing.T) {
 	}
 }
 
-// TestLeastLoadedPicksSmallestLiveBacklog: load is queued+in-flight,
-// down replicas are never candidates no matter how idle, ties break by
-// id.
+// TestLeastLoadedPicksSmallestLiveBacklog: the smallest Load wins, down
+// replicas are never candidates no matter how idle, ties break by id.
 func TestLeastLoadedPicksSmallestLiveBacklog(t *testing.T) {
 	r := leastLoaded{}
 	states := allUp(3)
-	states[0].Feedback.Queued = 5
-	states[1].Feedback.Queued = 1
-	states[1].Feedback.InFlight = 1
-	states[2].Feedback.Queued = 3
+	states[0].Load = 5
+	states[1].Load = 2
+	states[2].Load = 3
 	if id, ok := r.Route(0, 0, states); !ok || id != 1 {
 		t.Fatalf("route = %d,%v, want replica 1", id, ok)
 	}
 	// The idle replica is down: it must lose to a loaded live one.
 	states[1].Up = false
-	states[1].Feedback.Queued = 0
-	states[1].Feedback.InFlight = 0
+	states[1].Load = 0
 	if id, ok := r.Route(0, 0, states); !ok || id == 1 {
 		t.Fatalf("route = %d,%v, want a live replica", id, ok)
 	}

@@ -7,13 +7,13 @@ import (
 )
 
 // SnapshotMut keeps schedsrv's congestion feedback one-directional.
-// Server.Snapshot / Peek hand out Feedback values as point-in-time
-// facts: the fleet router, the adaptive policy, and the decision trace
-// all read the same snapshot, and the trace's usefulness rests on the
-// snapshot being exactly what the decision saw. A consumer that writes
-// a Feedback field — "adjusting" QueueDepth before re-routing, scaling
-// EWMAWaitTicks for a what-if — silently rewrites history for every
-// later reader of the same value and desynchronizes the trace from the
+// Scheduler.Snapshot hands out Feedback values as point-in-time facts:
+// the adaptive controllers and the decision trace both read the same
+// snapshot, and the trace's usefulness rests on the snapshot being
+// exactly what the decision saw. A consumer that writes a Feedback
+// field — "adjusting" Queued before the controller reads it, scaling
+// Utilization for a what-if — silently rewrites history for every later
+// reader of the same value and desynchronizes the trace from the
 // decisions.
 //
 // The analyzer flags any assignment (or ++/--, or taking a writable
@@ -23,8 +23,8 @@ import (
 // element of a slice or map, or a package-level variable. A
 // function-local variable of the value type is a private copy — Go's
 // value semantics guarantee it aliases nothing — so mutating one is the
-// endorsed way to derive a variant (fleet's replica.feedback folds its
-// cumulative counters into exactly such a copy). schedsrv itself may
+// endorsed way to derive a variant (multiclient's server.feedback folds
+// its cumulative counters into exactly such a copy). schedsrv itself may
 // build and update the struct; everyone else copies first.
 var SnapshotMut = &Analyzer{
 	Name: "snapshotmut",

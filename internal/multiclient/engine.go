@@ -9,16 +9,16 @@ import (
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
 	"prefetch/internal/rng"
-	"prefetch/internal/schedsrv"
 	"prefetch/internal/webgraph"
 )
 
 // ReplicaState is one server's routing-time state: whether it is up and
-// its scheduler's untraced congestion feedback.
+// its backlog, the requests its scheduler holds queued plus those in
+// flight.
 type ReplicaState struct {
-	ID       int
-	Up       bool
-	Feedback schedsrv.Feedback
+	ID   int
+	Up   bool
+	Load int
 }
 
 // Router places one request on a server of a replicated run.
@@ -305,14 +305,14 @@ func (e *engine) route(c *client, page int, demand bool) (*server, bool) {
 	return s, true
 }
 
-// pick runs the routing decision without tracing. Feedback reads use
-// Peek — the untraced Snapshot — so routing a request does not flood the
-// trace with queue_depth samples.
+// pick runs the routing decision without tracing. It reads each
+// server's backlog from two counters the scheduler keeps, so routing a
+// request neither computes the utilisation estimate nor emits a
+// queue_depth sample.
 func (e *engine) pick(client, page int) (*server, bool) {
-	now := e.clock.Now()
 	e.states = e.states[:0]
 	for _, s := range e.servers {
-		e.states = append(e.states, ReplicaState{ID: s.id, Up: s.up, Feedback: s.sched.Peek(now)})
+		e.states = append(e.states, ReplicaState{ID: s.id, Up: s.up, Load: s.sched.Queued() + s.sched.InFlight()})
 	}
 	id, ok := e.router.Route(client, page, e.states)
 	if !ok {

@@ -472,3 +472,55 @@ func TestServerRequestsCountLogicalRequests(t *testing.T) {
 			res.ServerRequests, want, res.Preemptions)
 	}
 }
+
+// recordingRouter places each request on the first live server and keeps
+// every state slice it was shown.
+type recordingRouter struct {
+	seen [][]ReplicaState
+}
+
+func (r *recordingRouter) Name() string { return "recording" }
+
+func (r *recordingRouter) Route(client, page int, states []ReplicaState) (int, bool) {
+	r.seen = append(r.seen, append([]ReplicaState(nil), states...))
+	for _, st := range states {
+		if st.Up {
+			return st.ID, true
+		}
+	}
+	return 0, false
+}
+
+func (r *recordingRouter) Home(client, replicas int) int { return client % replicas }
+
+// TestRouterSeesBacklogLoad: across a replicated run with failures, every
+// state a router is shown carries a non-negative Load, and a down server
+// shows Load 0 — its backlog died with it.
+func TestRouterSeesBacklogLoad(t *testing.T) {
+	cfg := testConfig()
+	cfg.Clients = 8
+	r := &recordingRouter{}
+	if _, _, _, err := RunReplicated(cfg, 3, r, 20, 5); err != nil {
+		t.Fatal(err)
+	}
+	var down, loaded int
+	for _, states := range r.seen {
+		if len(states) != 3 {
+			t.Fatalf("router shown %d states, want 3", len(states))
+		}
+		for i, st := range states {
+			if st.ID != i || st.Load < 0 || (!st.Up && st.Load != 0) {
+				t.Fatalf("state %d = %+v: want ID %d, Load >= 0, and Load 0 when down", i, st, i)
+			}
+			if !st.Up {
+				down++
+			}
+			if st.Load > 0 {
+				loaded++
+			}
+		}
+	}
+	if down == 0 || loaded == 0 {
+		t.Fatalf("%d routing calls showed %d down and %d loaded states; the test needs both", len(r.seen), down, loaded)
+	}
+}

@@ -110,9 +110,10 @@ func TestFailRejectsNewWork(t *testing.T) {
 	clock.Run()
 }
 
-// TestPeekMatchesSnapshotSilently: Peek returns the same feedback as
-// Snapshot but never emits a queue_depth trace sample.
-func TestPeekMatchesSnapshotSilently(t *testing.T) {
+// TestSnapshotEmitsOneQueueDepth: a traced Snapshot emits exactly one
+// queue_depth sample, and its backlog fields are the Queued and InFlight
+// accessors a router reads.
+func TestSnapshotEmitsOneQueueDepth(t *testing.T) {
 	var clock netsim.Clock
 	s, err := New(&clock, Config{Concurrency: 1})
 	if err != nil {
@@ -126,19 +127,15 @@ func TestPeekMatchesSnapshotSilently(t *testing.T) {
 	})
 	clock.Schedule(2, func() {
 		before := len(tr.Events)
-		peek := s.Peek(clock.Now())
-		if len(tr.Events) != before {
-			t.Fatalf("Peek emitted %d events, want 0", len(tr.Events)-before)
+		fb := s.Snapshot(clock.Now())
+		if got := len(tr.Events) - before; got != 1 || tr.Events[before].Kind != obs.KindQueueDepth {
+			t.Fatalf("Snapshot emitted %d events (%v), want 1 queue_depth", got, tr.Events[before:])
 		}
-		snap := s.Snapshot(clock.Now())
-		if got := len(tr.Events) - before; got != 1 {
-			t.Fatalf("Snapshot emitted %d events, want 1 queue_depth", got)
+		if fb.Queued != s.Queued() || fb.InFlight != s.InFlight() {
+			t.Fatalf("feedback queued=%d inflight=%d, accessors %d/%d", fb.Queued, fb.InFlight, s.Queued(), s.InFlight())
 		}
-		if peek != snap {
-			t.Fatalf("Peek = %+v, Snapshot = %+v; want identical feedback", peek, snap)
-		}
-		if peek.Queued != 1 || peek.InFlight != 1 {
-			t.Fatalf("feedback queued=%d inflight=%d, want 1/1", peek.Queued, peek.InFlight)
+		if fb.Queued != 1 || fb.InFlight != 1 {
+			t.Fatalf("feedback queued=%d inflight=%d, want 1/1", fb.Queued, fb.InFlight)
 		}
 	})
 	clock.Run()

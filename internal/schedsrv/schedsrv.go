@@ -699,24 +699,7 @@ type Feedback struct {
 // snapshot also emits one queue_depth sample — the tracer observes the
 // read, the scheduler's own state is untouched.
 func (s *Scheduler) Snapshot(now float64) Feedback {
-	fb := s.Peek(now)
-	if s.Tracer != nil {
-		ev := obs.Ev(now, obs.KindQueueDepth, obs.ServerClient)
-		ev.Queued = fb.Queued
-		ev.QueuedDemand = fb.QueuedDemand
-		ev.InFlight = fb.InFlight
-		ev.Util = fb.Utilization
-		s.Tracer.Emit(ev)
-	}
-	return fb
-}
-
-// Peek returns the same congestion feedback as Snapshot without the
-// queue_depth trace sample. High-frequency readers — the fleet router
-// consults every replica on every routed request — use it so feedback
-// reads do not flood the decision trace.
-func (s *Scheduler) Peek(now float64) Feedback {
-	return Feedback{
+	fb := Feedback{
 		Time:             now,
 		Utilization:      s.util.estimate(now),
 		Queued:           s.disc.Len(),
@@ -727,6 +710,15 @@ func (s *Scheduler) Peek(now float64) Feedback {
 		DeferredTotal:    s.deferredTotal,
 		PreemptionsTotal: s.preemptions,
 	}
+	if s.Tracer != nil {
+		ev := obs.Ev(now, obs.KindQueueDepth, obs.ServerClient)
+		ev.Queued = fb.Queued
+		ev.QueuedDemand = fb.QueuedDemand
+		ev.InFlight = fb.InFlight
+		ev.Util = fb.Utilization
+		s.Tracer.Emit(ev)
+	}
+	return fb
 }
 
 // Fail permanently stops the scheduler, modelling a server crash: every
@@ -782,9 +774,6 @@ func (s *Scheduler) InFlight() int { return s.inCount }
 
 // DeferredNow returns the number of currently deferred requests.
 func (s *Scheduler) DeferredNow() int { return len(s.deferred) }
-
-// Utilization returns the sliding-window utilisation estimate at now.
-func (s *Scheduler) Utilization(now float64) float64 { return s.util.estimate(now) }
 
 // BusyTime returns accumulated slot-seconds of service, including the
 // elapsed part of preempted transfers.

@@ -368,7 +368,7 @@ func TestAdmissionDrop(t *testing.T) {
 		s.Submit(Request{Client: 0, Page: 1, Service: 20, Demand: true})
 	})
 	clock.Schedule(15, func() {
-		if got := s.Utilization(clock.Now()); got != 1 {
+		if got := s.Snapshot(clock.Now()).Utilization; got != 1 {
 			t.Errorf("utilisation = %v during saturation, want 1", got)
 		}
 		specOK = s.Submit(Request{Client: 1, Page: 2, Service: 1})
