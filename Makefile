@@ -82,11 +82,14 @@ clean-bench:
 	git checkout -- BENCH_baseline.json 2>/dev/null || true
 
 # CPU + heap profiles of the heaviest tracked benchmark (the N=4096
-# multiclient round over the sharded core), written to profile-out/ for
+# multiclient round over the sharded core) and of the routed path
+# (BenchmarkFleetRound: routing, failures and per-round feedback, which
+# a single-server round never reaches), written to profile-out/ for
 # pprof inspection; CI uploads the directory as an artifact so every
-# main build ships a browsable profile of the hot path:
+# main build ships a browsable profile of both hot paths:
 #
 #	go tool pprof profile-out/multiclient.test profile-out/cpu.pprof
+#	go tool pprof profile-out/fleet.test profile-out/fleet.cpu.pprof
 profile:
 	rm -rf profile-out && mkdir -p profile-out
 	$(GO) test -run '^$$' -bench '^BenchmarkMultiClientRound$$/N=4096' -benchtime 3x \
@@ -96,6 +99,13 @@ profile:
 		> profile-out/cpu.top.txt
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/multiclient.test profile-out/mem.pprof \
 		> profile-out/mem.top.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkFleetRound$$' -benchtime 2s \
+		-cpuprofile profile-out/fleet.cpu.pprof -memprofile profile-out/fleet.mem.pprof \
+		-o profile-out/fleet.test ./internal/fleet | tee profile-out/fleet.bench.txt
+	$(GO) tool pprof -top -nodecount 15 profile-out/fleet.test profile-out/fleet.cpu.pprof \
+		> profile-out/fleet.cpu.top.txt
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/fleet.test profile-out/fleet.mem.pprof \
+		> profile-out/fleet.mem.top.txt
 	@ls -l profile-out
 
 # Sample observability bundle under trace-out/: a traced multiclient
