@@ -155,9 +155,10 @@
 // failures. Each replica is a full scheduling-arbitrated, cache-equipped,
 // predictor-carrying server. Of the built-in routers,
 // RouterRoundRobin spreads requests over live replicas,
-// RouterLeastLoaded follows scheduler backlog feedback, and RouterHash
-// pins each client to a home replica on a consistent-hash ring so
-// caches and shared predictors specialise per replica. FleetConfig
+// RouterLeastLoaded picks the smallest backlog (queued + in-flight
+// requests), and RouterHash pins each client to a home replica on a
+// consistent-hash ring so caches and shared predictors specialise per
+// replica. FleetConfig
 // composes the whole stack — Base is a complete MultiClientConfig, the
 // fleet section adds Replicas, Router and the failure regime, and one
 // Validate covers it all. With FailEvery > 0 replicas crash on derived

@@ -38,7 +38,7 @@ const (
 	// RouterRoundRobin cycles requests over the live replicas.
 	RouterRoundRobin = fleet.KindRoundRobin
 	// RouterLeastLoaded sends each request to the live replica with the
-	// smallest backlog, fed by scheduler feedback.
+	// smallest backlog (queued + in-flight requests).
 	RouterLeastLoaded = fleet.KindLeastLoaded
 	// RouterHash pins each client to a home replica on a consistent-hash
 	// ring, so per-replica predictors and caches specialise.

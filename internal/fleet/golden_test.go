@@ -44,8 +44,9 @@ func goldenBase() multiclient.Config {
 // shared predictor always warms the server cache, and drifting runs use
 // the per-round prefetch-only client (no client cache). Fleet: every
 // router × {1, 3} replicas × failures {off, on} × {oracle, shared+warm},
-// plus the fleet-churn shape (fleetChurnShape) under least-loaded and hash
-// routing with failures off and on.
+// plus the fleet-churn shape (4 replicas of 8 slots, 48 server-cache
+// slots, shared+warm, target-util) under least-loaded and hash routing
+// with failures off and on.
 func goldenCases() []goldenCase {
 	scheds := []struct {
 		name string
@@ -108,9 +109,22 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
+	// The fleet-churn shape: prefetchbench's workload at golden scale.
+	// Unlike the rows above it keeps several transfers in flight per
+	// replica, so least-loaded routing compares real backlogs.
 	for _, rk := range []Kind{KindLeastLoaded, KindHash} {
 		for _, fail := range []bool{false, true} {
-			cfg := fleetChurnShape(rk, fail)
+			cfg := Config{Base: goldenBase(), Replicas: 4, Router: rk}
+			cfg.Base.Clients = 32
+			cfg.Base.Rounds = 30
+			cfg.Base.ServerConcurrency = 8
+			cfg.Base.ServerCacheSlots = 48
+			cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
+			cfg.Base.WarmServerCache = true
+			cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindTargetUtil}
+			if fail {
+				cfg.FailEvery, cfg.RecoverAfter = 25, 8
+			}
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("fleet-churn/%s/fail=%t", rk, fail),
 				run: func(tr obs.Tracer) (any, error) {
@@ -122,26 +136,6 @@ func goldenCases() []goldenCase {
 		}
 	}
 	return cases
-}
-
-// fleetChurnShape is prefetchbench's fleet-churn shape at golden scale:
-// four replicas of eight slots and 48 server-cache slots, the warmed
-// shared predictor and the target-utilisation controller. Unlike the rows
-// above it keeps several transfers in flight per replica, so least-loaded
-// routing compares real backlogs.
-func fleetChurnShape(rk Kind, fail bool) Config {
-	cfg := Config{Base: goldenBase(), Replicas: 4, Router: rk}
-	cfg.Base.Clients = 32
-	cfg.Base.Rounds = 30
-	cfg.Base.ServerConcurrency = 8
-	cfg.Base.ServerCacheSlots = 48
-	cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
-	cfg.Base.WarmServerCache = true
-	cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindTargetUtil}
-	if fail {
-		cfg.FailEvery, cfg.RecoverAfter = 25, 8
-	}
-	return cfg
 }
 
 // fingerprint runs one case with a JSONL writer attached and returns the
