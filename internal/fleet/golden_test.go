@@ -202,6 +202,37 @@ func predictorGoldenCases() []goldenCase {
 			})
 		}
 	}
+	// A 400-page site, whose oracle rows have a support of 400 pages:
+	// past the candidate ranker's insertion cutoff, so these replays
+	// reach its fallback sort (the shared ranked table when stationary,
+	// a full-support ranking every round under drift).
+	for _, row := range []struct {
+		name  string
+		pc    predict.Config
+		drift int
+	}{
+		{"oracle", predict.Config{Kind: predict.KindOracle}, 0},
+		{"oracle", predict.Config{Kind: predict.KindOracle}, 7},
+		{"ppm-escape", predict.Config{Kind: predict.KindPPMEscape}, 7},
+	} {
+		cfg := goldenBase()
+		cfg.Site.Pages = 400
+		cfg.Predict = row.pc
+		cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+		cfg.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
+		if row.drift > 0 {
+			cfg.DriftEvery = row.drift
+			cfg.ClientCacheSlots = 0
+		}
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("mc/pages=400/%s/drift=%d", row.name, row.drift),
+			run: func(tr obs.Tracer) (any, error) {
+				c := cfg
+				c.Tracer = tr
+				return multiclient.Run(c)
+			},
+		})
+	}
 	return cases
 }
 
