@@ -23,11 +23,12 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # disabled-tracer variants that hold the observability layer's overhead
 # — off must stay within noise of the untraced baseline), the learned
 # predictors' observe/predict cycle, the plan-time prediction error in
-# its map and dense forms, and the multi-replica fleet round
-# (routing + failure injection overhead on top of the single-server
-# round). -benchmem feeds the allocation gate: cmd/benchjson fails any
+# its map and dense forms, Phase A's candidate ranking at learned,
+# default-oracle and 1,000-page supports, and the multi-replica fleet
+# round (routing + failure injection overhead on top of the
+# single-server round). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkFleetRound)$$
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound)$$
 BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
@@ -82,13 +83,17 @@ clean-bench:
 	git checkout -- BENCH_baseline.json 2>/dev/null || true
 
 # CPU + heap profiles of the heaviest tracked benchmark (the N=4096
-# multiclient round over the sharded core) and of the routed path
-# (BenchmarkFleetRound: routing, failures and per-round feedback, which
-# a single-server round never reaches), written to profile-out/ for
-# pprof inspection; CI uploads the directory as an artifact so every
-# main build ships a browsable profile of both hot paths:
+# multiclient round over the sharded core), of Phase A alone
+# (BenchmarkGenerateScripts at the mc-learned shape: prediction,
+# candidate ranking and script storage, which the N=4096 oracle round
+# never reaches) and of the routed path (BenchmarkFleetRound: routing,
+# failures and per-round feedback, which a single-server round never
+# reaches), written to profile-out/ for pprof inspection; CI uploads
+# the directory as an artifact so every main build ships a browsable
+# profile of all three hot paths:
 #
 #	go tool pprof profile-out/multiclient.test profile-out/cpu.pprof
+#	go tool pprof profile-out/multiclient.test profile-out/scripts.cpu.pprof
 #	go tool pprof profile-out/fleet.test profile-out/fleet.cpu.pprof
 profile:
 	rm -rf profile-out && mkdir -p profile-out
@@ -99,6 +104,13 @@ profile:
 		> profile-out/cpu.top.txt
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/multiclient.test profile-out/mem.pprof \
 		> profile-out/mem.top.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkGenerateScripts$$' -benchtime 2s \
+		-cpuprofile profile-out/scripts.cpu.pprof -memprofile profile-out/scripts.mem.pprof \
+		-o profile-out/multiclient.test ./internal/multiclient | tee profile-out/scripts.bench.txt
+	$(GO) tool pprof -top -nodecount 15 profile-out/multiclient.test profile-out/scripts.cpu.pprof \
+		> profile-out/scripts.cpu.top.txt
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/multiclient.test profile-out/scripts.mem.pprof \
+		> profile-out/scripts.mem.top.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetRound$$' -benchtime 2s \
 		-cpuprofile profile-out/fleet.cpu.pprof -memprofile profile-out/fleet.mem.pprof \
 		-o profile-out/fleet.test ./internal/fleet | tee profile-out/fleet.bench.txt

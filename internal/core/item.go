@@ -147,29 +147,6 @@ func canonicalLess(a, b Item) bool {
 	return a.ID < b.ID
 }
 
-// ItemSorter ranks plan candidates by probability (descending) then ID —
-// the simulators' candidate order. IDs are unique, so the order is total
-// and independent of the sort algorithm. A planner keeps one ItemSorter
-// and ranks through it, so a sort allocates neither a closure nor a
-// reflection swapper.
-type ItemSorter struct{ items []Item }
-
-// Rank sorts items in place.
-func (s *ItemSorter) Rank(items []Item) {
-	s.items = items
-	sort.Sort(s)
-	s.items = nil
-}
-
-func (s *ItemSorter) Len() int      { return len(s.items) }
-func (s *ItemSorter) Swap(a, b int) { s.items[a], s.items[b] = s.items[b], s.items[a] }
-func (s *ItemSorter) Less(a, b int) bool {
-	if s.items[a].Prob != s.items[b].Prob {
-		return s.items[a].Prob > s.items[b].Prob
-	}
-	return s.items[a].ID < s.items[b].ID
-}
-
 // Canonical returns a copy of the problem with its items in canonical order.
 func (p Problem) Canonical() Problem {
 	return Problem{Items: CanonicalOrder(p.Items), Viewing: p.Viewing, TotalProb: p.TotalProb}

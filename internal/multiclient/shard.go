@@ -33,6 +33,7 @@ package multiclient
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"prefetch/internal/core"
@@ -47,11 +48,10 @@ type Script struct {
 	Viewing []float64 // clamped viewing time per round
 	Next    []int32   // demand page per round (state of round r+1)
 	L1      []float64 // per-round prediction L1 error; nil ⇒ zero (oracle)
-	// Cands is the full ranked candidate list per round (probability
-	// descending, page id ascending, zero-probability pages excluded),
-	// before the held/in-flight filter and the MaxCandidates cap — both
-	// of those depend on timing and are applied at plan time in Phase B.
-	// nil when the shared Table serves all rounds (stationary oracle).
+	// Cands is the ranked candidate list per round (probability descending,
+	// page id ascending, positive only), before Phase B's timing-dependent
+	// held/in-flight filter and MaxCandidates cap; nil when Table serves
+	// every round. Read-only: rows may share a slab, each capped at its length.
 	Cands [][]core.Item
 }
 
@@ -137,8 +137,9 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 // round is one walker step plus the observation of the page it stepped
 // to, exactly what the live client performs. No timing enters anywhere,
 // which is the whole reason the replay is exact. Each round's candidates
-// are copied out of the worker's reused buffer into an exactly-sized
-// slice of their own.
+// are copied out of the worker's reused buffer into the script's current
+// slab of at least scriptSlab items; a round that does not fit starts a
+// new slab, so a script allocates per slab instead of per round.
 func generateScript(cfg *Config, site *webgraph.Site, id int, out *Script, tabled bool, buf *stepScratch) error {
 	w, err := newWalker(cfg, site, id, !cfg.DisablePrefetch && !tabled, nil, buf)
 	if err != nil {
@@ -152,10 +153,16 @@ func generateScript(cfg *Config, site *webgraph.Site, id int, out *Script, table
 			out.L1 = make([]float64, cfg.Rounds)
 		}
 	}
+	var slab []core.Item
 	for r := range out.Viewing {
 		cands, l1, viewing, next := w.step()
 		if out.Cands != nil {
-			out.Cands[r] = append(make([]core.Item, 0, len(cands)), cands...)
+			if len(slab)+len(cands) > cap(slab) {
+				slab = make([]core.Item, 0, max(scriptSlab, len(cands)))
+			}
+			n := len(slab)
+			slab = append(slab, cands...)
+			out.Cands[r] = slab[n:len(slab):len(slab)]
 		}
 		if out.L1 != nil {
 			out.L1[r] = l1
@@ -223,7 +230,7 @@ func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 			w.pred.NextInto(state, probs)
 			l1 = predict.L1Dense(probs, b.truth)
 		}
-		b.ranked = rankProbs(b.ranked, probs, w.site, &b.sorter)
+		b.ranked = rankProbs(b.ranked, probs, w.site)
 		cands = b.ranked
 	}
 	viewing = w.rand.Exp(1 / w.cfg.MeanViewing)
@@ -247,10 +254,9 @@ func (w *walker) observe(page int) {
 func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 	table := make([][]core.Item, len(site.Pages))
 	probs := make([]float64, len(site.Pages))
-	var sorter core.ItemSorter
 	for p := range site.Pages {
 		site.NextDistributionInto(p, followProb, probs)
-		table[p] = rankProbs(make([]core.Item, 0, len(probs)), probs, site, &sorter)
+		table[p] = rankProbs(make([]core.Item, 0, len(probs)), probs, site)
 	}
 	return table
 }
@@ -258,10 +264,9 @@ func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 // stepScratch is the reusable scratch of walker steps that never run at
 // once — one Phase-A worker's clients, or every live client on the event
 // loop: the true next-page distribution and the learned prediction, one
-// float per page, the candidate sorter and the ranked candidates.
+// float per page, and the ranked candidates.
 type stepScratch struct {
 	truth, pred []float64
-	sorter      core.ItemSorter
 	ranked      []core.Item
 }
 
@@ -269,17 +274,64 @@ func newStepScratch(pages int) *stepScratch {
 	return &stepScratch{truth: make([]float64, pages), pred: make([]float64, pages)}
 }
 
+// scriptSlab is the smallest slab generateScript allocates for a
+// script's candidate rows: about 40 rounds of a learned source's ~25
+// candidates.
+const scriptSlab = 1024
+
+// rankInsertMax is the largest support rankProbs ranks by insertion.
+// Learned sources predict a few dozen pages and the default site's
+// oracle 120, where inserting each page in place beats a sort. The
+// insertion moves O(n²) items, so longer lists are sorted instead. On
+// full-support oracle rows the two break even near 400 pages; 128
+// keeps a margin for probabilities that ascend with page id, where
+// every insertion moves the whole ranked prefix.
+const rankInsertMax = 128
+
 // rankProbs ranks a dense distribution over page ids into dst's backing
 // array, in the candidate form plan() consumes: positive-probability pages
-// only, probability descending with page id breaking ties.
-func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site, sorter *core.ItemSorter) []core.Item {
+// only, probability descending with page id breaking ties. It scans pages
+// in ascending id and inserts each one ahead of the first ranked item of
+// strictly smaller probability (found by binary search), so equal
+// probabilities keep ascending id order. Past rankInsertMax candidates
+// the remaining pages are appended as they come and the whole list is
+// sorted by the same order.
+func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site) []core.Item {
 	items := dst[:0]
 	for page, prob := range probs {
 		if prob <= 0 {
 			continue
 		}
-		items = append(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+		it := core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval}
+		n := len(items)
+		items = append(items, it)
+		if n >= rankInsertMax {
+			continue
+		}
+		lo, hi := 0, n
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if items[m].Prob < prob {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		if lo < n {
+			copy(items[lo+1:], items[lo:n])
+			items[lo] = it
+		}
 	}
-	sorter.Rank(items)
+	if len(items) > rankInsertMax {
+		slices.SortFunc(items, func(a, b core.Item) int {
+			switch {
+			case a.Prob > b.Prob:
+				return -1
+			case a.Prob < b.Prob:
+				return 1
+			}
+			return a.ID - b.ID
+		})
+	}
 	return items
 }

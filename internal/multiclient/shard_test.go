@@ -2,7 +2,10 @@ package multiclient
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -148,44 +151,218 @@ func TestSharedPredictorStaysInline(t *testing.T) {
 	}
 }
 
-// TestRankProbsMatchesSortSlice: ranking a dense distribution through the
-// persistent sorter gives exactly the order of a closure-based sort.Slice
-// over its positive entries, on distributions dominated by probability
-// ties (broken by page id), with zero and negative entries excluded.
-func TestRankProbsMatchesSortSlice(t *testing.T) {
-	site, err := webgraph.Generate(rng.Derive(5, "site"), webgraph.DefaultSiteConfig())
+// siteOf generates a site of the given page count with the default
+// link structure.
+func siteOf(t testing.TB, pages int) *webgraph.Site {
+	t.Helper()
+	cfg := webgraph.DefaultSiteConfig()
+	cfg.Pages = pages
+	site, err := webgraph.Generate(rng.Derive(5, "site"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return site
+}
+
+// sortSliceRank is the reference ranking: the positive entries of probs
+// through a closure-based sort.Slice, probability descending then page id.
+func sortSliceRank(probs []float64, site *webgraph.Site) []core.Item {
+	var want []core.Item
+	for page, prob := range probs {
+		if prob > 0 {
+			want = append(want, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+		}
+	}
+	sort.Slice(want, func(a, b int) bool {
+		if want[a].Prob != want[b].Prob {
+			return want[a].Prob > want[b].Prob
+		}
+		return want[a].ID < want[b].ID
+	})
+	return want
+}
+
+// checkRank fails unless rankProbs orders probs exactly as sortSliceRank.
+func checkRank(t *testing.T, name string, probs []float64, site *webgraph.Site) {
+	t.Helper()
+	want := sortSliceRank(probs, site)
+	got := rankProbs(nil, probs, site)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d ranked items, sort.Slice %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: rank %d = %+v, sort.Slice %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// rankLevels are the probabilities the ranking tests draw from: ties
+// dominate, and zero, negative zero and negative entries must be excluded.
+var rankLevels = []float64{0, math.Copysign(0, -1), -0.25, 0.5, 0.25, 0.125, 1.0 / 3}
+
+// TestRankProbsMatchesSortSlice: ranking a dense distribution, by
+// insertion or past rankInsertMax by the fallback sort, gives exactly the
+// order of a closure-based sort.Slice over its positive entries, on
+// distributions dominated by probability ties (broken by page id), with
+// zero, negative-zero and negative entries excluded. It covers the
+// default 120-page site, a 1,000-page site, supports on both sides of
+// the cutoff and an all-equal vector.
+func TestRankProbsMatchesSortSlice(t *testing.T) {
 	r := rng.New(29)
-	levels := []float64{0, -0.25, 0.5, 0.25, 0.125, 1.0 / 3}
-	var sorter core.ItemSorter
+	for _, pages := range []int{120, 1000} {
+		site := siteOf(t, pages)
+		probs := make([]float64, pages)
+		for iter := 0; iter < 300; iter++ {
+			clear(probs)
+			for n := r.IntN(pages); n > 0; n-- {
+				probs[r.IntN(pages)] = rankLevels[r.IntN(len(rankLevels))]
+			}
+			checkRank(t, fmt.Sprintf("pages=%d iter %d", pages, iter), probs, site)
+		}
+		// Every page equally likely: pure id order, on either side of
+		// the cutoff.
+		for i := range probs {
+			probs[i] = 1 / float64(pages)
+		}
+		checkRank(t, fmt.Sprintf("pages=%d all-equal", pages), probs, site)
+		if got := rankProbs(nil, probs, site); len(got) != pages || !slices.IsSortedFunc(got, func(a, b core.Item) int { return a.ID - b.ID }) {
+			t.Fatalf("pages=%d all-equal: not every page in id order", pages)
+		}
+	}
+	// Supports of exactly cutoff-1, cutoff and cutoff+1, padded with
+	// excluded entries.
+	site := siteOf(t, 1000)
 	probs := make([]float64, len(site.Pages))
-	for iter := 0; iter < 300; iter++ {
-		clear(probs)
-		for n := r.IntN(len(site.Pages)); n > 0; n-- {
-			probs[r.IntN(len(site.Pages))] = levels[r.IntN(len(levels))]
-		}
-		var want []core.Item
-		for page, prob := range probs {
-			if prob > 0 {
-				want = append(want, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+	for _, support := range []int{rankInsertMax - 1, rankInsertMax, rankInsertMax + 1} {
+		for iter := 0; iter < 50; iter++ {
+			clear(probs)
+			perm := r.Perm(len(probs))
+			for _, page := range perm[:support] {
+				probs[page] = rankLevels[3+r.IntN(len(rankLevels)-3)]
+			}
+			for _, page := range perm[support : support+50] {
+				probs[page] = rankLevels[r.IntN(3)]
+			}
+			checkRank(t, fmt.Sprintf("support=%d iter %d", support, iter), probs, site)
+			if got := rankProbs(nil, probs, site); len(got) != support {
+				t.Fatalf("support=%d iter %d: %d ranked items", support, iter, len(got))
 			}
 		}
-		sort.Slice(want, func(a, b int) bool {
-			if want[a].Prob != want[b].Prob {
-				return want[a].Prob > want[b].Prob
+	}
+}
+
+// TestRankProbsZeroAlloc: ranking into a warmed dst allocates nothing,
+// by insertion and by the fallback sort alike.
+func TestRankProbsZeroAlloc(t *testing.T) {
+	site := siteOf(t, 1000)
+	r := rng.New(31)
+	for _, support := range []int{25, rankInsertMax, rankInsertMax + 1, 1000} {
+		probs := make([]float64, len(site.Pages))
+		for _, page := range r.Perm(len(probs))[:support] {
+			probs[page] = r.Float64() + 0.01
+		}
+		dst := rankProbs(nil, probs, site)
+		if allocs := testing.AllocsPerRun(20, func() { dst = rankProbs(dst, probs, site) }); allocs != 0 {
+			t.Errorf("support %d: %v allocs per rank, want 0", support, allocs)
+		}
+	}
+}
+
+// learnedScriptConfig is prefetchbench's mc-learned shape: 64 clients ×
+// 200 rounds on an escape-PPM predictor with drift every 100 rounds.
+func learnedScriptConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Clients, cfg.Rounds, cfg.ServerConcurrency = 64, 200, 16
+	cfg.DriftEvery = 100
+	cfg.Predict = predict.Config{Kind: predict.KindPPMEscape}
+	cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+	cfg.Seed = 1
+	return cfg
+}
+
+// TestScriptCandsCapped: every scripted candidate row is capped at its
+// own length, so appending to one row copies it and never writes into
+// the next row sharing its slab.
+func TestScriptCandsCapped(t *testing.T) {
+	cfg := learnedScriptConfig()
+	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := GenerateScripts(cfg, site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sc.PerClient {
+		if len(s.Cands) != cfg.Rounds {
+			t.Fatalf("client %d: %d candidate rows, want %d", i, len(s.Cands), cfg.Rounds)
+		}
+		for r, row := range s.Cands {
+			if cap(row) != len(row) {
+				t.Fatalf("client %d round %d: cap %d != len %d", i, r, cap(row), len(row))
 			}
-			return want[a].ID < want[b].ID
+		}
+		for r := 0; r+1 < len(s.Cands); r++ {
+			next := slices.Clone(s.Cands[r+1])
+			_ = append(s.Cands[r], core.Item{ID: -1, Prob: 1, Retrieval: 1})
+			if !slices.Equal(s.Cands[r+1], next) {
+				t.Fatalf("client %d: appending to round %d changed round %d", i, r, r+1)
+			}
+		}
+	}
+}
+
+// BenchmarkRankProbs ranks dense distributions, cycling through 16 of
+// them: learned-size supports of 25 pages, the default site's
+// full-support oracle rows (120 pages, by insertion) and full-support
+// rows of a 1,000-page site (the fallback sort).
+func BenchmarkRankProbs(b *testing.B) {
+	for _, bc := range []struct {
+		name           string
+		pages, support int
+	}{
+		{"learned-25", 120, 25},
+		{"oracle-120", 120, 120},
+		{"oracle-1000", 1000, 1000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			site := siteOf(b, bc.pages)
+			r := rng.New(3)
+			rows := make([][]float64, 16)
+			for i := range rows {
+				rows[i] = make([]float64, bc.pages)
+				if bc.support == bc.pages {
+					site.NextDistributionInto(i, DefaultConfig().FollowProb, rows[i])
+					continue
+				}
+				for _, page := range r.Perm(bc.pages)[:bc.support] {
+					rows[i][page] = r.Float64()
+				}
+			}
+			dst := rankProbs(nil, rows[0], site)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = rankProbs(dst, rows[i%len(rows)], site)
+			}
 		})
-		got := rankProbs(nil, probs, site, &sorter)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d ranked items, sort.Slice %d", iter, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("iter %d: rank %d = %+v, sort.Slice %+v", iter, i, got[i], want[i])
-			}
+	}
+}
+
+// BenchmarkGenerateScripts runs Phase A alone at the mc-learned shape:
+// every client's walker, prediction, ranking and script storage.
+func BenchmarkGenerateScripts(b *testing.B) {
+	cfg := learnedScriptConfig()
+	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateScripts(cfg, site); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
