@@ -24,12 +24,14 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # — off must stay within noise of the untraced baseline), the learned
 # predictors' observe/predict cycle, the plan-time prediction error in
 # its map and dense forms, Phase A's candidate ranking at learned,
-# default-oracle and 1,000-page supports, and the multi-replica fleet
+# default-oracle and 1,000-page supports, the multi-replica fleet
 # round (routing + failure injection overhead on top of the
-# single-server round). -benchmem feeds the allocation gate: cmd/benchjson fails any
+# single-server round), and the obs layer's JSONL encoder on its own
+# (BenchmarkWriterEmit: ns per event over a recorded multiclient
+# stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound)$$
-BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
 .PHONY: test lint lint-allows bench bench-raw bench-baseline clean-bench profile sweep-learned sweep-drift sweep-fleet trace
@@ -86,15 +88,18 @@ clean-bench:
 # multiclient round over the sharded core), of Phase A alone
 # (BenchmarkGenerateScripts at the mc-learned shape: prediction,
 # candidate ranking and script storage, which the N=4096 oracle round
-# never reaches) and of the routed path (BenchmarkFleetRound: routing,
+# never reaches), of the routed path (BenchmarkFleetRound: routing,
 # failures and per-round feedback, which a single-server round never
-# reaches), written to profile-out/ for pprof inspection; CI uploads
+# reaches) and of the traced path (BenchmarkMultiClientRoundTraced:
+# event construction and the JSONL encoder, which untraced rounds never
+# reach), written to profile-out/ for pprof inspection; CI uploads
 # the directory as an artifact so every main build ships a browsable
-# profile of all three hot paths:
+# profile of all four hot paths:
 #
 #	go tool pprof profile-out/multiclient.test profile-out/cpu.pprof
 #	go tool pprof profile-out/multiclient.test profile-out/scripts.cpu.pprof
 #	go tool pprof profile-out/fleet.test profile-out/fleet.cpu.pprof
+#	go tool pprof profile-out/multiclient.test profile-out/traced.cpu.pprof
 profile:
 	rm -rf profile-out && mkdir -p profile-out
 	$(GO) test -run '^$$' -bench '^BenchmarkMultiClientRound$$/N=4096' -benchtime 3x \
@@ -118,6 +123,13 @@ profile:
 		> profile-out/fleet.cpu.top.txt
 	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/fleet.test profile-out/fleet.mem.pprof \
 		> profile-out/fleet.mem.top.txt
+	$(GO) test -run '^$$' -bench '^BenchmarkMultiClientRoundTraced$$' -benchtime 2s \
+		-cpuprofile profile-out/traced.cpu.pprof -memprofile profile-out/traced.mem.pprof \
+		-o profile-out/multiclient.test ./internal/multiclient | tee profile-out/traced.bench.txt
+	$(GO) tool pprof -top -nodecount 15 profile-out/multiclient.test profile-out/traced.cpu.pprof \
+		> profile-out/traced.cpu.top.txt
+	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space profile-out/multiclient.test profile-out/traced.mem.pprof \
+		> profile-out/traced.mem.top.txt
 	@ls -l profile-out
 
 # Sample observability bundle under trace-out/: a traced multiclient

@@ -69,11 +69,18 @@ func (c *Collector) ByKind(k Kind) []Event {
 // reflection — the dominant cost of traced runs. Events carrying a
 // non-finite float fall back to json.Encoder so its error surfaces
 // exactly as before.
+//
+// Each Writer memoises the floats it formats (about 40 KB): a float
+// whose bits equal those of one already formatted is copied, not
+// formatted again. Equal bits always format to equal bytes, so the
+// output is what it would be without the memo. The memo belongs to the
+// Writer, so separate Writers may run on separate goroutines.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	buf []byte
-	err error
+	bw   *bufio.Writer
+	enc  *json.Encoder
+	buf  []byte
+	err  error
+	memo floatMemo
 }
 
 // NewWriter returns a streaming JSONL tracer over w.
@@ -90,11 +97,11 @@ func (w *Writer) Emit(ev Event) {
 	if w.err != nil {
 		return
 	}
-	if !finiteFloats(ev) {
+	if !finiteFloats(&ev) {
 		w.err = w.enc.Encode(ev)
 		return
 	}
-	w.buf = appendEvent(w.buf[:0], ev)
+	w.buf = w.memo.appendEvent(w.buf[:0], &ev)
 	_, w.err = w.bw.Write(w.buf)
 }
 
