@@ -46,7 +46,9 @@ func goldenBase() multiclient.Config {
 // router × {1, 3} replicas × failures {off, on} × {oracle, shared+warm},
 // plus the fleet-churn shape (4 replicas of 8 slots, 48 server-cache
 // slots, shared+warm, target-util) under least-loaded and hash routing
-// with failures off and on.
+// with failures off and on, and failures under priority+preempt, wfq,
+// shaped and priority+preempt with deferring admission (3 least-loaded
+// replicas, shared+warm, aimd).
 func goldenCases() []goldenCase {
 	scheds := []struct {
 		name string
@@ -134,6 +136,33 @@ func goldenCases() []goldenCase {
 				},
 			})
 		}
+	}
+	// Failures under every non-FIFO discipline: each failure loses a
+	// backlog the discipline itself holds, and the admission row also
+	// loses requests parked on the deferred list.
+	for _, sc := range []struct {
+		name string
+		cfg  schedsrv.Config
+	}{
+		{"priority-preempt", schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}},
+		{"wfq", schedsrv.Config{Kind: schedsrv.KindWFQ}},
+		{"shaped", schedsrv.Config{Kind: schedsrv.KindShaped}},
+		{"priority-preempt-admit-defer", schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true, AdmitUtil: 0.5, AdmitDefer: true}},
+	} {
+		cfg := Config{Base: goldenBase(), Replicas: 3, Router: KindLeastLoaded}
+		cfg.Base.Sched = sc.cfg
+		cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
+		cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
+		cfg.Base.WarmServerCache = true
+		cfg.FailEvery, cfg.RecoverAfter = 25, 8
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("fleet/%s/r=3/fail=true/shared-warm/%s", KindLeastLoaded, sc.name),
+			run: func(tr obs.Tracer) (any, error) {
+				c := cfg
+				c.Base.Tracer = tr
+				return Run(c)
+			},
+		})
 	}
 	return cases
 }
