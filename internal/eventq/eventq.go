@@ -33,6 +33,10 @@ func (q *Queue[T]) Push(v T) {
 	q.up(len(q.items) - 1)
 }
 
+// Items returns the queued elements in heap order, not pop order. The
+// slice aliases the queue: read it before the next Push or Pop.
+func (q *Queue[T]) Items() []T { return q.items }
+
 // Peek returns the minimum element without removing it. It reports false on
 // an empty queue.
 func (q *Queue[T]) Peek() (T, bool) {

@@ -109,9 +109,9 @@ func (cfg Config) Validate() error {
 // repair never end (RecoverAfter).
 func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
-// ReplicaResult is one replica's view of the run. Scheduler counters are
-// summed over the replica's incarnations (a failure discards the
-// scheduler; a recovery installs a fresh one).
+// ReplicaResult is one replica's view of the run. Scheduler counters run
+// across failures: a failure empties the replica's scheduler, which then
+// recovers in place and keeps counting.
 type ReplicaResult = multiclient.ReplicaResult
 
 // Result aggregates one fleet run. The single-server fields carry the

@@ -39,8 +39,8 @@ type Router interface {
 }
 
 // ReplicaResult is one server's view of a replicated run. Scheduler
-// counters are summed over the server's incarnations (a failure discards
-// the scheduler; a recovery installs a fresh one).
+// counters run across failures: a failure empties the server's
+// scheduler, which then recovers in place and keeps counting.
 type ReplicaResult struct {
 	Replica   int // server id, 0-based
 	Requests  int64
@@ -312,7 +312,7 @@ func (e *engine) route(c *client, page int, demand bool) (*server, bool) {
 func (e *engine) pick(client, page int) (*server, bool) {
 	e.states = e.states[:0]
 	for _, s := range e.servers {
-		e.states = append(e.states, ReplicaState{ID: s.id, Up: s.up, Load: s.sched.Queued() + s.sched.InFlight()})
+		e.states = append(e.states, ReplicaState{ID: s.id, Up: s.up(), Load: s.sched.Queued() + s.sched.InFlight()})
 	}
 	id, ok := e.router.Route(client, page, e.states)
 	if !ok {
@@ -356,6 +356,13 @@ func (e *engine) handleLost(rq *request, from *server) {
 		e.reroutes++
 		e.rerouteDemand(c, rq.page, from.id+1)
 	}
+}
+
+// recycle returns a request node whose transfer has ended to the pool,
+// dropping its client pointer first.
+func (e *engine) recycle(rq *request) {
+	*rq = request{}
+	e.reqPool.Put(rq)
 }
 
 // drainParked re-routes demands parked during a total outage, in park

@@ -14,7 +14,8 @@
 // shared model, optionally failing and recovering on derived schedules
 // (package fleet drives it). Run is that core with one server, no router
 // and no failures — the routing step is then a direct call, with no route
-// decision, no outstanding-transfer ledger and no replica-stamped tracer.
+// decision and no replica-stamped tracer. What a failure loses comes from
+// the server's scheduler, the one record of outstanding transfers.
 //
 // Determinism: everything runs on one netsim.Clock (FIFO tie-breaks), and
 // every random stream is derived up front from one master seed via

@@ -16,9 +16,9 @@ import (
 // completions can be recognised. It rides through the scheduling
 // subsystem as the opaque Tag of a schedsrv.Request — as a pooled pointer,
 // so tagging does not box a fresh copy per submission. The node is
-// recycled when the transfer's lifecycle ends (completion callback done,
-// or refused by admission); under failure injection the server's
-// outstanding ledger owns it until the ledger lets it go.
+// recycled when the transfer's lifecycle ends: its completion callback
+// is done, admission refused it, or a failure lost it and the client has
+// been repaired.
 type request struct {
 	client   *client
 	page     int
@@ -26,7 +26,6 @@ type request struct {
 	demand   bool
 	round    int
 	prob     float64 // plan-time candidate probability (speculative only)
-	done     bool    // completed; the ledger keeps it until compaction
 }
 
 // stampTracer stamps every event a server's machinery emits with the
@@ -55,9 +54,11 @@ func (t stampTracer) Emit(ev obs.Event) {
 // schedsrv.KindFIFO and replays the seed's timelines bit for bit.
 //
 // A server can fail: the scheduler's backlog, every in-flight transfer
-// and the cache are lost, and after the repair time the server returns
-// with a fresh scheduler and a cold cache. Its aggregate model survives —
-// it models durable popularity state kept off the serving path.
+// and the cache are lost, and after the repair time the scheduler
+// recovers in place and the server returns with a cold cache. The
+// scheduler is the only record of what a failure lost and of the
+// counters across failures. The aggregate model survives — it models
+// durable popularity state kept off the serving path.
 type server struct {
 	id  int
 	eng *engine
@@ -81,35 +82,31 @@ type server struct {
 	warmInserted int64
 	warmHits     int64
 
-	// Outstanding ledger (failure injection only): every accepted
-	// transfer, in issue order, so a failure can enumerate what it lost.
-	// Compacted as entries complete.
-	ledger     []*request
-	ledgerDone int
-
-	// Failure state.
-	up        bool
+	// Failure state; the server is down while its scheduler is failed.
 	failRand  *rng.Source
 	downSince float64
 	downtime  float64
 	fails     int
 	recovers  int
 	lost      int64
-
-	// Scheduler counters folded across incarnations. folded marks that
-	// the current scheduler's counters are already in the accumulators
-	// (it failed and nothing replaced it yet).
-	accBusy                                      float64
-	accSpec, accPreempt, accDropped, accDeferred int64
-	folded                                       bool
 }
 
 func newServer(id int, e *engine) (*server, error) {
-	s := &server{id: id, eng: e, up: true, tr: e.tr}
+	s := &server{id: id, eng: e, tr: e.tr}
 	if e.tr != nil && e.router != nil {
 		s.tr = stampTracer{inner: e.tr, id: id}
 	}
-	if err := s.build(); err != nil {
+	scfg := e.cfg.Sched
+	scfg.Concurrency = e.cfg.ServerConcurrency
+	sched, err := schedsrv.New(&e.clock, scfg)
+	if err != nil {
+		return nil, err
+	}
+	sched.Tracer = s.tr
+	sched.ServiceTime = s.serviceTime
+	sched.Done = s.done
+	s.sched = sched
+	if err := s.buildCache(); err != nil {
 		return nil, err
 	}
 	if e.cfg.Predict.Kind == predict.KindShared {
@@ -121,23 +118,11 @@ func newServer(id int, e *engine) (*server, error) {
 	return s, nil
 }
 
-// build installs a fresh scheduler and (when configured) a fresh empty
-// cache — the state one incarnation of the server owns.
-func (s *server) build() error {
-	cfg := s.eng.cfg
-	scfg := cfg.Sched
-	scfg.Concurrency = cfg.ServerConcurrency
-	sched, err := schedsrv.New(&s.eng.clock, scfg)
-	if err != nil {
-		return err
-	}
-	sched.Tracer = s.tr
-	sched.ServiceTime = s.serviceTime
-	sched.Done = s.done
-	s.sched = sched
-	s.cache = nil
-	if cfg.ServerCacheSlots > 0 {
-		c, err := cache.New(cfg.ServerCacheSlots)
+// buildCache installs a fresh empty cache when one is configured — the
+// state a failure destroys besides the scheduler's backlog.
+func (s *server) buildCache() error {
+	if n := s.eng.cfg.ServerCacheSlots; n > 0 {
+		c, err := cache.New(n)
 		if err != nil {
 			return err
 		}
@@ -145,6 +130,9 @@ func (s *server) build() error {
 	}
 	return nil
 }
+
+// up reports whether the server is serving: its scheduler has not failed.
+func (s *server) up() bool { return !s.sched.Failed() }
 
 // enableWarming arms the server-side prefetcher with a cadence of one
 // mean viewing time. Config.Validate guarantees the cache and the shared
@@ -166,7 +154,7 @@ func (s *server) enableWarming() {
 // when admission control dropped a speculative request: the transfer will
 // never happen and no completion callback will fire. The tag node is
 // recycled immediately on a drop (the scheduler has already detached it)
-// and otherwise lives until done (or the ledger) releases it.
+// and otherwise lives until done (or fail) releases it.
 func (s *server) enqueue(r request) bool {
 	rq := s.eng.reqPool.Get()
 	*rq = r
@@ -177,12 +165,8 @@ func (s *server) enqueue(r request) bool {
 		Demand:  r.demand,
 		Tag:     rq,
 	}) {
-		*rq = request{} // drop the client pointer before the pool keeps the node
-		s.eng.reqPool.Put(rq)
+		s.eng.recycle(rq)
 		return false
-	}
-	if s.eng.failEvery > 0 {
-		s.ledger = append(s.ledger, rq)
 	}
 	return true
 }
@@ -195,24 +179,11 @@ func (s *server) promote(clientID, page int) bool {
 }
 
 // feedback is the congestion snapshot adaptive clients observe. Reading
-// it never mutates the scheduler. The cumulative counters span
-// incarnations, so a controller watching deferral deltas never sees them
+// it never mutates the scheduler. The scheduler's counters run across
+// failures, so a controller watching deferral deltas never sees them
 // jump backwards after a recovery.
 func (s *server) feedback(now float64) schedsrv.Feedback {
-	fb := s.sched.Snapshot(now)
-	if s.folded {
-		// Down server: the current (failed) scheduler's totals are
-		// already inside the accumulators — replacing instead of adding
-		// avoids counting them twice.
-		fb.DroppedTotal = s.accDropped
-		fb.DeferredTotal = s.accDeferred
-		fb.PreemptionsTotal = s.accPreempt
-	} else {
-		fb.DroppedTotal += s.accDropped
-		fb.DeferredTotal += s.accDeferred
-		fb.PreemptionsTotal += s.accPreempt
-	}
-	return fb
+	return s.sched.Snapshot(now)
 }
 
 // serviceTime is the scheduler's service-start hook: a server-cache hit
@@ -268,36 +239,7 @@ func (s *server) done(r *schedsrv.Request, service, waited float64) {
 	}
 	s.eng.lastT = now
 	req.client.onTransferDone(*req, waited)
-	if s.eng.failEvery > 0 {
-		// The ledger still lists the node; compaction releases it.
-		req.done = true
-		s.ledgerDone++
-		if len(s.ledger) >= 64 && s.ledgerDone*2 >= len(s.ledger) {
-			s.compactLedger()
-		}
-		return
-	}
-	*req = request{} // drop the client pointer before the pool keeps the node
-	s.eng.reqPool.Put(req)
-}
-
-// compactLedger drops completed entries, keeping issue order, and
-// recycles their nodes.
-func (s *server) compactLedger() {
-	live := s.ledger[:0]
-	for _, rq := range s.ledger {
-		if !rq.done {
-			live = append(live, rq)
-			continue
-		}
-		*rq = request{}
-		s.eng.reqPool.Put(rq)
-	}
-	for i := len(live); i < len(s.ledger); i++ {
-		s.ledger[i] = nil
-	}
-	s.ledger = live
-	s.ledgerDone = 0
+	s.eng.recycle(req)
 }
 
 // maybeWarm runs one warm pass if warming is armed, the server is up and
@@ -307,7 +249,7 @@ func (s *server) compactLedger() {
 // warming converges on the hot set instead of thrashing against
 // demand-warmed entries.
 func (s *server) maybeWarm(now float64) {
-	if s.warmPages == nil || !s.up || now < s.warmedAt+s.warmEvery {
+	if s.warmPages == nil || !s.up() || now < s.warmedAt+s.warmEvery {
 		return
 	}
 	s.warmedAt = now
@@ -360,18 +302,8 @@ func (s *server) insertCache(page int, retrieval float64) {
 	s.emitCache(obs.KindCacheInsert, page)
 }
 
-// foldSched folds the current scheduler's counters into the
-// cross-incarnation accumulators.
-func (s *server) foldSched() {
-	s.accBusy += s.sched.BusyTime()
-	s.accSpec += s.sched.SpecCompleted()
-	s.accPreempt += s.sched.Preemptions()
-	s.accDropped += s.sched.Dropped()
-	s.accDeferred += s.sched.Deferred()
-}
-
-// scheduleFailure draws this incarnation's time-to-failure and puts it
-// on the clock.
+// scheduleFailure draws the time to the server's next failure and puts
+// it on the clock.
 func (s *server) scheduleFailure(now float64) {
 	gap := s.failRand.Exp(1 / s.eng.failEvery)
 	s.eng.clock.Schedule(now+gap, s.fail)
@@ -380,22 +312,19 @@ func (s *server) scheduleFailure(now float64) {
 // fail destroys the server: the scheduler's backlog and in-flight
 // transfers are lost, the cache empties, and every issuing client is
 // repaired in issue order — pending prefetches vanish, blocked demands
-// re-route. The aggregate model survives. Churn stops once the workload
-// has finished (the check makes the stray post-workload failure draw a
-// no-op, so the run drains).
+// re-route — before its request node is recycled. The aggregate model
+// survives. Churn stops once the workload has finished (the check makes
+// the stray post-workload failure draw a no-op, so the run drains).
 func (s *server) fail() {
 	e := s.eng
 	if e.active == 0 {
 		return
 	}
 	now := e.clock.Now()
-	lostNow := s.sched.Fail()
-	s.foldSched()
-	s.folded = true
-	s.up = false
+	lost := s.sched.Fail()
 	s.downSince = now
 	s.fails++
-	s.lost += int64(lostNow)
+	s.lost += int64(len(lost))
 	e.lastT = now
 
 	// Everything the cache held dies with the machine; warming restarts
@@ -406,52 +335,33 @@ func (s *server) fail() {
 		s.warmedAt = math.Inf(-1)
 	}
 
-	ledger := s.ledger
-	s.ledger = nil
-	s.ledgerDone = 0
-	outstanding := 0
-	for _, rq := range ledger {
-		if !rq.done {
-			outstanding++
-		}
-	}
-	if outstanding != lostNow {
-		panic(fmt.Sprintf("multiclient: server %d ledger has %d outstanding, scheduler lost %d", s.id, outstanding, lostNow))
-	}
-
 	if e.tr != nil {
 		ev := obs.Ev(now, obs.KindReplicaFail, obs.ServerClient)
 		ev.Replica = s.id + 1
-		ev.Queued = lostNow
+		ev.Queued = len(lost)
 		e.tr.Emit(ev)
 	}
-	for _, rq := range ledger {
-		if !rq.done {
-			e.handleLost(rq, s)
-		}
-	}
-	for _, rq := range ledger {
-		*rq = request{}
-		e.reqPool.Put(rq)
+	for _, r := range lost {
+		rq := r.Tag.(*request)
+		e.handleLost(rq, s)
+		e.recycle(rq)
 	}
 	e.clock.After(e.recoverAfter, s.recover)
 }
 
-// recover rebuilds the server with a fresh scheduler and a cold cache,
-// drains any demands parked during a total outage, and draws the next
-// failure.
+// recover reopens the scheduler and installs a cold cache, drains any
+// demands parked during a total outage, and draws the next failure.
 func (s *server) recover() {
 	e := s.eng
 	now := e.clock.Now()
 	s.downtime += now - s.downSince
 	s.recovers++
-	if err := s.build(); err != nil {
-		// The same configuration built the first incarnation; a failure
-		// here is a simulator bug.
+	s.sched.Recover()
+	if err := s.buildCache(); err != nil {
+		// The same configuration built the first cache; a failure here
+		// is a simulator bug.
 		panic(err)
 	}
-	s.folded = false
-	s.up = true
 	if e.active == 0 {
 		// Workload already over: close the downtime window but leave
 		// Elapsed and the failure schedule alone.
@@ -469,23 +379,19 @@ func (s *server) recover() {
 
 // result snapshots the server's totals at the end of the run.
 func (s *server) result(elapsed float64) ReplicaResult {
-	if !s.folded {
-		s.foldSched()
-		s.folded = true
-	}
 	down := s.downtime
-	if !s.up && s.downSince < elapsed {
+	if !s.up() && s.downSince < elapsed {
 		down += elapsed - s.downSince
 	}
 	return ReplicaResult{
 		Replica:          s.id,
 		Requests:         s.served,
 		CacheHits:        s.cacheHits,
-		Busy:             s.accBusy,
-		SpecCompleted:    s.accSpec,
-		Preemptions:      s.accPreempt,
-		PrefetchDropped:  s.accDropped,
-		PrefetchDeferred: s.accDeferred,
+		Busy:             s.sched.BusyTime(),
+		SpecCompleted:    s.sched.SpecCompleted(),
+		Preemptions:      s.sched.Preemptions(),
+		PrefetchDropped:  s.sched.Dropped(),
+		PrefetchDeferred: s.sched.Deferred(),
 		WarmInserted:     s.warmInserted,
 		WarmHits:         s.warmHits,
 		Failures:         s.fails,

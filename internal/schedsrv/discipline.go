@@ -84,6 +84,8 @@ func (f *fifo) Promote(client, page int) bool {
 
 func (f *fifo) Len() int { return len(f.queue) }
 
+func (f *fifo) Backlog(dst []*Request) []*Request { return append(dst, f.queue...) }
+
 // priority is strict demand priority: two FIFO queues, and a slot never
 // serves speculative work while any demand request is queued.
 type priority struct {
@@ -143,6 +145,14 @@ func (p *priority) Promote(client, page int) bool {
 func (p *priority) requeueFront(r *Request) { p.spec.pushFront(r) }
 
 func (p *priority) Len() int { return len(p.demand) + p.spec.n }
+
+func (p *priority) Backlog(dst []*Request) []*Request {
+	dst = append(dst, p.demand...)
+	for i := 0; i < p.spec.n; i++ {
+		dst = append(dst, p.spec.at(i))
+	}
+	return dst
+}
 
 // reqDeque is a request FIFO that also takes requests back at its head:
 // a ring over a power-of-two buffer, so pushes and pops at either end are

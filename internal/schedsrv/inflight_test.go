@@ -2,6 +2,7 @@ package schedsrv
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -39,18 +40,7 @@ type sliceTransfer struct {
 
 func newSliceScheduler(clock *netsim.Clock, cfg Config, log *[]string) *sliceScheduler {
 	cfg = cfg.withDefaults()
-	var disc Discipline
-	switch cfg.Kind {
-	case KindFIFO:
-		disc = newFIFO()
-	case KindPriority:
-		disc = newPriority()
-	case KindWFQ:
-		disc = newWFQ(cfg.DemandWeight, cfg.SpecWeight)
-	case KindShaped:
-		disc = newShaped(cfg.Rate, cfg.Burst)
-	}
-	return &sliceScheduler{clock: clock, cfg: cfg, disc: disc, log: log}
+	return &sliceScheduler{clock: clock, cfg: cfg, disc: newDiscipline(cfg), log: log}
 }
 
 func (s *sliceScheduler) InFlight() int { return len(s.inFlight) }
@@ -182,22 +172,23 @@ func (s *sliceScheduler) removeInFlight(i int) {
 	s.inFlight = s.inFlight[:len(s.inFlight)-1]
 }
 
-func (s *sliceScheduler) Fail() int {
+func (s *sliceScheduler) Fail() []*Request {
 	if s.failed {
-		return 0
+		return nil
 	}
 	s.failed = true
-	lost := 0
+	var lost []*Request
 	for i, tr := range s.inFlight {
 		if !tr.cancelled {
 			tr.cancelled = true
-			lost++
+			lost = append(lost, tr.req)
 		}
 		s.inFlight[i] = nil
 	}
 	s.inFlight = s.inFlight[:0]
-	lost += s.disc.Len()
-	s.disc = newFIFO()
+	lost = s.disc.Backlog(lost)
+	s.disc = newDiscipline(s.cfg)
+	sort.Slice(lost, func(i, j int) bool { return lost[i].seq < lost[j].seq })
 	return lost
 }
 
@@ -231,7 +222,8 @@ func (p preemptTracer) Emit(ev obs.Event) {
 // under every built-in discipline (priority with preemption) and
 // requires identical logs: every completion in order with its timing,
 // attempt and in-flight count, every preemption victim, every Promote
-// verdict, the Fail lost count, and InFlight() after every scripted call.
+// verdict, the requests Fail lost in order, and InFlight() after every
+// scripted call.
 func TestInFlightListMatchesSlice(t *testing.T) {
 	cfgs := []Config{
 		{Kind: KindFIFO},
@@ -291,7 +283,7 @@ func TestInFlightListMatchesSlice(t *testing.T) {
 type scriptable interface {
 	Submit(r Request) bool
 	Promote(client, page int) bool
-	Fail() int
+	Fail() []*Request
 	InFlight() int
 }
 
@@ -309,8 +301,11 @@ func drive(clock *netsim.Clock, s scriptable, ops []schedOp, log *[]string) {
 				ok := s.Promote(op.client, op.page)
 				*log = append(*log, fmt.Sprintf("op %d promote %d/%d=%v inflight=%d", i, op.client, op.page, ok, s.InFlight()))
 			case 'f':
-				lost := s.Fail()
-				*log = append(*log, fmt.Sprintf("op %d fail lost=%d inflight=%d", i, lost, s.InFlight()))
+				var lost []string
+				for _, r := range s.Fail() {
+					lost = append(lost, fmt.Sprintf("%d/%d", r.Client, r.Page))
+				}
+				*log = append(*log, fmt.Sprintf("op %d fail lost=%v inflight=%d", i, lost, s.InFlight()))
 			}
 		})
 	}

@@ -35,13 +35,21 @@
 // trying to bypass. Under FIFO promotion does not reorder anything, which
 // keeps the extracted FIFO bit-for-bit identical to the seed server.
 //
+// A scheduler can fail and recover in place, modelling a server crash
+// and repair. It is the one record of outstanding work: Fail returns every
+// request it lost (in flight, queued or deferred) in arrival order, and
+// Recover reopens the same scheduler with an empty backlog. Its counters
+// run across failures, so a caller never folds them itself.
+//
 // Everything is deterministic: ties break by arrival sequence, no map is
 // ever iterated, and the only clock is the caller's discrete-event clock.
 package schedsrv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"prefetch/internal/eventq"
 	"prefetch/internal/obs"
@@ -187,6 +195,9 @@ type Discipline interface {
 	Promote(client, page int) bool
 	// Len returns the number of queued (not in-flight) requests.
 	Len() int
+	// Backlog appends every queued request to dst, in no particular
+	// order, and returns the extended slice.
+	Backlog(dst []*Request) []*Request
 }
 
 // requeuer is implemented by disciplines that can take back a preempted
@@ -261,17 +272,24 @@ type Scheduler struct {
 
 	// Free-lists for the per-event structs. Requests are recycled after
 	// their Done callback returns (or on an admission drop); transfers
-	// when their completion event fires. Requests abandoned by Fail are
-	// left to the GC — their liveness is unknowable here.
+	// when their completion event fires. Requests Fail returns belong to
+	// the caller and are never recycled.
 	reqPool eventq.FreeList[Request]
 	trPool  eventq.FreeList[transfer]
 
 	wakeAt      float64 // earliest outstanding shaping wake-up, 0 = none
 	deferWakeAt float64 // outstanding deferred-retry wake-up, 0 = none
+	// epoch counts failures. A wake-up or retry closure remembers the
+	// epoch it was planted in and returns at once if Fail has moved it since,
+	// so no closure from before a failure acts on the recovered scheduler.
+	epoch int
 
-	failed bool // Fail was called; the scheduler is permanently stopped
+	failed bool // between Fail and Recover: no new work is accepted
 
-	busyTime      float64
+	// busyTime is the current incarnation's service sum; Fail closes it
+	// into priorBusy, so BusyTime adds one sum per incarnation.
+	busyTime, priorBusy float64
+
 	started       int64
 	completed     int64
 	specCompleted int64
@@ -286,17 +304,6 @@ func New(clock Clock, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	var disc Discipline
-	switch cfg.Kind {
-	case KindFIFO:
-		disc = newFIFO()
-	case KindPriority:
-		disc = newPriority()
-	case KindWFQ:
-		disc = newWFQ(cfg.DemandWeight, cfg.SpecWeight)
-	case KindShaped:
-		disc = newShaped(cfg.Rate, cfg.Burst)
-	}
 	adm := cfg.Admission
 	if adm == nil && cfg.AdmitUtil > 0 {
 		adm = UtilizationGate{Threshold: cfg.AdmitUtil, DeferInstead: cfg.AdmitDefer}
@@ -304,10 +311,24 @@ func New(clock Clock, cfg Config) (*Scheduler, error) {
 	return &Scheduler{
 		clock: clock,
 		cfg:   cfg,
-		disc:  disc,
+		disc:  newDiscipline(cfg),
 		adm:   adm,
 		util:  newUtilWindow(cfg.AdmitWindow, cfg.Concurrency),
 	}, nil
+}
+
+// newDiscipline builds an empty backlog of the configured (defaulted)
+// kind.
+func newDiscipline(cfg Config) Discipline {
+	switch cfg.Kind {
+	case KindPriority:
+		return newPriority()
+	case KindWFQ:
+		return newWFQ(cfg.DemandWeight, cfg.SpecWeight)
+	case KindShaped:
+		return newShaped(cfg.Rate, cfg.Burst)
+	}
+	return newFIFO()
 }
 
 // Discipline returns the active discipline's name.
@@ -498,9 +519,6 @@ func (s *Scheduler) preemptSpeculative() {
 // dispatch starts eligible queued requests while free slots remain, then
 // arranges a wake-up if the discipline is holding work for later.
 func (s *Scheduler) dispatch() {
-	if s.failed {
-		return // stale wake-ups after Fail must not start abandoned work
-	}
 	for s.inCount < s.cfg.Concurrency {
 		req, ok := s.disc.Pop(s.clock.Now())
 		if !ok {
@@ -531,7 +549,11 @@ func (s *Scheduler) scheduleWake() {
 		return // an earlier or equal wake-up is already outstanding
 	}
 	s.wakeAt = at
+	epoch := s.epoch
 	s.clock.After(at-now, func() {
+		if s.epoch != epoch {
+			return
+		}
 		if s.wakeAt == at {
 			s.wakeAt = 0
 		}
@@ -667,7 +689,11 @@ func (s *Scheduler) scheduleDeferRetry(now float64) {
 		return
 	}
 	s.deferWakeAt = at
+	epoch := s.epoch
 	s.clock.After(at-now, func() {
+		if s.epoch != epoch {
+			return
+		}
 		if s.deferWakeAt == at {
 			s.deferWakeAt = 0
 		}
@@ -721,46 +747,59 @@ func (s *Scheduler) Snapshot(now float64) Feedback {
 	return fb
 }
 
-// Fail permanently stops the scheduler, modelling a server crash: every
-// in-flight transfer is cancelled (its pending completion event is
-// orphaned, exactly like a preemption abort, and Done never fires for
-// it), the queued backlog and the deferred list are discarded, and any
-// outstanding wake-ups become no-ops. It returns how many outstanding
-// requests were lost. Elapsed service of cancelled transfers still
-// counts as busy time — the bandwidth really was spent. After Fail the
-// scheduler accepts no new work: Submit panics, Promote reports false,
-// and metric accessors keep their pre-failure values.
-func (s *Scheduler) Fail() int {
+// Fail stops the scheduler, modelling a server crash, and returns the
+// outstanding requests it lost — in flight, queued and deferred — in
+// arrival order with their tags; they belong to the caller now, and Done
+// never fires for them. Cancelled transfers' completion events are
+// orphaned as in a preemption, and their elapsed service counts as busy
+// time. Wake-ups and retries planted before Fail become no-ops. Until
+// Recover, Submit panics, Promote reports false and Snapshot reads the
+// failed incarnation's utilisation window. A second Fail returns nil.
+func (s *Scheduler) Fail() []*Request {
 	if s.failed {
-		return 0
+		return nil
 	}
 	s.failed = true
+	s.epoch++
 	now := s.clock.Now()
-	lost := s.inCount
+	lost := make([]*Request, 0, s.inCount+s.disc.Len()+len(s.deferred))
 	for tr := s.inHead; tr != nil; {
 		next := tr.next
 		tr.cancelled = true
 		s.busyTime += now - tr.startedAt
 		tr.prev, tr.next = nil, nil
+		lost = append(lost, tr.req)
 		tr = next
 	}
 	s.inHead, s.inTail, s.inCount = nil, nil, 0
 	s.util.transition(now, 0)
-	// There is no per-request drain API on Discipline; abandon the whole
-	// backlog by swapping in an empty queue, so Queued() reads 0 and the
-	// dropped requests are not retained.
-	lost += s.disc.Len()
-	s.disc = newFIFO()
-	for i := range s.deferred {
-		s.deferred[i] = nil
-	}
-	lost += len(s.deferred)
+	lost = s.disc.Backlog(lost)
+	s.disc = newDiscipline(s.cfg)
+	lost = append(lost, s.deferred...)
+	clear(s.deferred)
 	s.deferred = s.deferred[:0]
 	s.queuedDemand = 0
+	s.wakeAt, s.deferWakeAt = 0, 0
+	s.priorBusy += s.busyTime
+	s.busyTime = 0
+	slices.SortFunc(lost, func(a, b *Request) int { return cmp.Compare(a.seq, b.seq) })
 	return lost
 }
 
-// Failed reports whether Fail has been called.
+// Recover reopens a failed scheduler, modelling the repaired server: it
+// accepts work again on the empty backlog Fail left, with a fresh
+// utilisation window. Counters keep running across the failure. Recover
+// on a scheduler that has not failed does nothing.
+func (s *Scheduler) Recover() {
+	if !s.failed {
+		return
+	}
+	s.failed = false
+	s.util = newUtilWindow(s.cfg.AdmitWindow, s.cfg.Concurrency)
+}
+
+// Failed reports whether the scheduler is down: Fail was called and
+// Recover has not been since.
 func (s *Scheduler) Failed() bool { return s.failed }
 
 // Queued returns the number of requests held by the discipline.
@@ -776,8 +815,9 @@ func (s *Scheduler) InFlight() int { return s.inCount }
 func (s *Scheduler) DeferredNow() int { return len(s.deferred) }
 
 // BusyTime returns accumulated slot-seconds of service, including the
-// elapsed part of preempted transfers.
-func (s *Scheduler) BusyTime() float64 { return s.busyTime }
+// elapsed part of preempted and failed transfers: the sum over
+// incarnations of each incarnation's own sum.
+func (s *Scheduler) BusyTime() float64 { return s.priorBusy + s.busyTime }
 
 // Started returns the number of transfer starts (restarts included).
 func (s *Scheduler) Started() int64 { return s.started }

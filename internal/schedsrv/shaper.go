@@ -189,3 +189,12 @@ func (s *shaped) Promote(client, page int) bool {
 }
 
 func (s *shaped) Len() int { return s.size }
+
+func (s *shaped) Backlog(dst []*Request) []*Request {
+	for _, client := range s.order {
+		f := s.flows[client]
+		dst = append(dst, f.demand...)
+		dst = append(dst, f.spec...)
+	}
+	return dst
+}

@@ -134,3 +134,13 @@ func (w *wfq) Promote(client, page int) bool {
 }
 
 func (w *wfq) Len() int { return w.size }
+
+// Backlog skips the tombstones Promote leaves in the heap.
+func (w *wfq) Backlog(dst []*Request) []*Request {
+	for _, e := range w.heap.Items() {
+		if !e.removed {
+			dst = append(dst, e.req)
+		}
+	}
+	return dst
+}
