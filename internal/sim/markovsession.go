@@ -151,54 +151,9 @@ func RunMarkovSession(trace *MarkovTrace, planner SessionPlanner, opts SessionOp
 		res.Access.Add(t)
 		res.Requests++
 		if tr != nil {
-			now = traceSessionRound(tr, opts.Track, k+1, now, v, requested, plan, t)
+			now = traceRound(tr, opts.Track, k+1, now, v, requested, plan, t)
 		}
 	}
 	res.NetworkBusy = session.NetworkBusy()
 	return res, nil
-}
-
-// traceSessionRound emits one session round — plan at now, request at
-// now + viewing, wasted prefetches and the round end at now + viewing +
-// access — and returns the advanced virtual clock.
-func traceSessionRound(tr obs.Tracer, track, round int, now, viewing float64, requested int, plan core.Plan, access float64) float64 {
-	ev := obs.Ev(now, obs.KindRoundStart, track)
-	ev.Round = round
-	ev.Viewing = viewing
-	tr.Emit(ev)
-	for _, it := range plan.Items {
-		e := obs.Ev(now, obs.KindSpecIssue, track)
-		e.Round = round
-		e.Page = it.ID
-		e.Prob = it.Prob
-		e.Service = it.Retrieval
-		tr.Emit(e)
-	}
-	reqAt := now + viewing
-	hit := plan.Contains(requested)
-	kind := obs.KindDemandIssue
-	if hit {
-		kind = obs.KindSpecUseful
-	}
-	e := obs.Ev(reqAt, kind, track)
-	e.Round = round
-	e.Page = requested
-	tr.Emit(e)
-	end := reqAt + access
-	for _, it := range plan.Items {
-		if it.ID == requested {
-			continue
-		}
-		w := obs.Ev(end, obs.KindSpecWasted, track)
-		w.Round = round
-		w.Page = it.ID
-		w.Prob = it.Prob
-		tr.Emit(w)
-	}
-	e = obs.Ev(end, obs.KindRoundEnd, track)
-	e.Round = round
-	e.Access = access
-	e.Demand = !hit
-	tr.Emit(e)
-	return end
 }

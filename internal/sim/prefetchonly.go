@@ -92,7 +92,7 @@ func RunPrefetchOnly(rounds []workload.Round, policies []Policy, opts PrefetchOn
 			}
 			t := core.AccessTime(plan, rd.Viewing, rd.Requested, retrOf)
 			if tr != nil {
-				clocks[pi] = tracePrefetchOnlyRound(tr, pi, ri+1, clocks[pi], rd, plan, t)
+				clocks[pi] = traceRound(tr, pi, ri+1, clocks[pi], rd.Viewing, rd.Requested, plan, t)
 			}
 			res := &results[pi]
 			res.Overall.Add(t)
@@ -107,13 +107,14 @@ func RunPrefetchOnly(rounds []workload.Round, policies []Policy, opts PrefetchOn
 	return results, nil
 }
 
-// tracePrefetchOnlyRound emits one policy-round of trace events and
-// returns the advanced virtual clock: the round spans [now, now +
-// viewing + access]; the request arrives at now + viewing.
-func tracePrefetchOnlyRound(tr obs.Tracer, track, round int, now float64, rd workload.Round, plan core.Plan, access float64) float64 {
+// traceRound emits one round of a single-client harness — round start
+// and the plan's issues at now, the request at now + viewing, wasted
+// prefetches and the round end at now + viewing + access — and returns
+// the advanced virtual clock.
+func traceRound(tr obs.Tracer, track, round int, now, viewing float64, requested int, plan core.Plan, access float64) float64 {
 	ev := obs.Ev(now, obs.KindRoundStart, track)
 	ev.Round = round
-	ev.Viewing = rd.Viewing
+	ev.Viewing = viewing
 	tr.Emit(ev)
 	for _, it := range plan.Items {
 		e := obs.Ev(now, obs.KindSpecIssue, track)
@@ -123,31 +124,28 @@ func tracePrefetchOnlyRound(tr obs.Tracer, track, round int, now float64, rd wor
 		e.Service = it.Retrieval
 		tr.Emit(e)
 	}
-	reqAt := now + rd.Viewing
-	hit := plan.Contains(rd.Requested)
+	reqAt := now + viewing
+	hit := plan.Contains(requested)
+	kind := obs.KindDemandIssue
 	if hit {
-		e := obs.Ev(reqAt, obs.KindSpecUseful, track)
-		e.Round = round
-		e.Page = rd.Requested
-		tr.Emit(e)
-	} else {
-		e := obs.Ev(reqAt, obs.KindDemandIssue, track)
-		e.Round = round
-		e.Page = rd.Requested
-		tr.Emit(e)
+		kind = obs.KindSpecUseful
 	}
+	e := obs.Ev(reqAt, kind, track)
+	e.Round = round
+	e.Page = requested
+	tr.Emit(e)
 	end := reqAt + access
 	for _, it := range plan.Items {
-		if it.ID == rd.Requested {
+		if it.ID == requested {
 			continue
 		}
-		e := obs.Ev(end, obs.KindSpecWasted, track)
-		e.Round = round
-		e.Page = it.ID
-		e.Prob = it.Prob
-		tr.Emit(e)
+		w := obs.Ev(end, obs.KindSpecWasted, track)
+		w.Round = round
+		w.Page = it.ID
+		w.Prob = it.Prob
+		tr.Emit(w)
 	}
-	e := obs.Ev(end, obs.KindRoundEnd, track)
+	e = obs.Ev(end, obs.KindRoundEnd, track)
 	e.Round = round
 	e.Access = access
 	e.Demand = !hit
