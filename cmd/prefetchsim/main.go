@@ -134,86 +134,90 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("prefetchsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		mode      = fs.String("mode", "prefetch-only", "prefetch-only | cache | session | multiclient | fleet")
-		seed      = fs.Uint64("seed", 42, "random seed")
-		n         = fs.Int("n", 10, "items per round (prefetch-only)")
-		gen       = fs.String("gen", "skewy", "probability generator: skewy | flat | zipf | geometric")
-		iters     = fs.Int("iters", 50000, "iterations (prefetch-only)")
-		policies  = fs.String("policies", "none,perfect,kp,skp", "comma-separated policy list")
-		record    = fs.String("record", "", "write the workload trace to this file")
-		replay    = fs.String("replay", "", "replay a workload trace from this file")
-		states    = fs.Int("states", 100, "Markov states (cache/session)")
-		requests  = fs.Int("requests", 50000, "requests (cache/session)")
-		cacheSize = fs.Int("cachesize", 40, "cache capacity in items (cache)")
-		skew      = fs.Float64("skew", 0, "Markov transition skew alpha (cache/session)")
-
-		clients     = fs.String("clients", "8", "client count, or comma list to sweep (multiclient)")
-		serverConc  = fs.Int("serverconc", 2, "server transfer concurrency (multiclient)")
-		serverCache = fs.Int("servercache", 0, "shared server cache slots, 0 = none (multiclient)")
-		rounds      = fs.Int("rounds", 300, "browsing rounds per client (multiclient)")
-		reps        = fs.Int("reps", 3, "seed replications per sweep point (multiclient)")
-		shards      = fs.Int("shards", 0, "parallel workload-precompute shards, 0 = one per CPU; results are bit-identical for every value (multiclient/fleet)")
-
-		discipline  = fs.String("discipline", "fifo", "server scheduling: fifo | priority | wfq | shaped, comma list or \"all\" to sweep (multiclient)")
-		preempt     = fs.Bool("preempt", false, "priority discipline: demands abort in-flight speculative transfers (multiclient)")
-		weights     = fs.String("weights", "4:1", "wfq demand:speculative class weights (multiclient)")
-		shapeRate   = fs.Float64("rate", 0.5, "shaped discipline: per-client service-seconds of credit per second (multiclient)")
-		shapeBurst  = fs.Float64("burst", 8, "shaped discipline: per-client bucket depth in service-seconds (multiclient)")
-		admitUtil   = fs.Float64("admit-util", 0, "drop speculative requests above this utilisation, 0 = off (multiclient)")
-		admitWindow = fs.Float64("admit-window", 50, "sliding window for the utilisation estimate (multiclient)")
-		admitDefer  = fs.Bool("admit-defer", false, "defer gated speculative requests instead of dropping them (multiclient)")
-
-		controller = fs.String("controller", "static", "adaptive λ controller: static | aimd | target-util | delay-gradient, comma list or \"all\" to sweep (multiclient)")
-		lambda0    = fs.Float64("lambda0", 0, "base network-usage price λ and controller floor (multiclient)")
-		targetUtil = fs.Float64("target-util", 0.7, "utilisation setpoint for the target-util controller (multiclient)")
-
-		predictor = fs.String("predictor", "oracle", "prediction source: oracle | depgraph | ppm | shared | decay | mixture | ppm-escape, comma list or \"all\" to sweep (multiclient)")
-		ppmOrder  = fs.Int("ppm-order", 2, "PPM context order for -predictor ppm and ppm-escape (multiclient)")
-		coldStart = fs.String("cold-start", "none", "learned-predictor cold-start fallback: none | uniform (multiclient)")
-		warmCache = fs.Bool("warm-cache", false, "server pre-admits the shared model's top pages (needs -predictor shared and -servercache) (multiclient)")
-
-		replicas     = fs.String("replicas", "3", "replica count, or comma list to sweep (fleet)")
-		router       = fs.String("router", "hash", "request router: round-robin | least-loaded | hash, comma list or \"all\" to sweep (fleet)")
-		failEvery    = fs.Float64("fail-every", 0, "mean time between failures per replica, 0 = none (fleet)")
-		recoverAfter = fs.Float64("recover-after", 0, "repair time after a replica failure (fleet)")
-
-		driftEvery    = fs.Int("drift-every", 0, "re-draw each surfer's hot set every N rounds, 0 = stationary (multiclient)")
-		decayHalfLife = fs.Float64("decay-half-life", 500, "observation half-life for -predictor decay (multiclient)")
-		mixWeight     = fs.Float64("mix-weight", 0.25, "popularity share for -predictor mixture, in (0, 1) (multiclient)")
-
+		mode       = fs.String("mode", "prefetch-only", "prefetch-only | cache | session | multiclient | fleet")
 		traceOut   = fs.String("trace-out", "", "write the decision trace as JSON lines to this file (single run only)")
 		metricsOut = fs.String("metrics-out", "", "write the aggregated metrics registry as JSON to this file")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file")
-		force      = fs.Bool("force", false, "overwrite existing -record/-trace-out/-metrics-out/-*profile files")
 	)
+	// Every other flag binds straight into the per-mode arguments.
+	var a modeArgs
+	mc := &a.mc
+	fs.Uint64Var(&a.seed, "seed", 42, "random seed")
+	fs.IntVar(&a.n, "n", 10, "items per round (prefetch-only)")
+	fs.StringVar(&a.gen, "gen", "skewy", "probability generator: skewy | flat | zipf | geometric")
+	fs.IntVar(&a.iters, "iters", 50000, "iterations (prefetch-only)")
+	fs.StringVar(&a.policies, "policies", "none,perfect,kp,skp", "comma-separated policy list")
+	fs.StringVar(&a.record, "record", "", "write the workload trace to this file")
+	fs.StringVar(&a.replay, "replay", "", "replay a workload trace from this file")
+	fs.IntVar(&a.states, "states", 100, "Markov states (cache/session)")
+	fs.IntVar(&a.requests, "requests", 50000, "requests (cache/session)")
+	fs.IntVar(&a.cacheSize, "cachesize", 40, "cache capacity in items (cache)")
+	fs.Float64Var(&a.skew, "skew", 0, "Markov transition skew alpha (cache/session)")
+
+	fs.StringVar(&mc.clients, "clients", "8", "client count, or comma list to sweep (multiclient)")
+	fs.IntVar(&mc.serverConc, "serverconc", 2, "server transfer concurrency (multiclient)")
+	fs.IntVar(&mc.serverCache, "servercache", 0, "shared server cache slots, 0 = none (multiclient)")
+	fs.IntVar(&mc.rounds, "rounds", 300, "browsing rounds per client (multiclient)")
+	fs.IntVar(&mc.reps, "reps", 3, "seed replications per sweep point (multiclient)")
+	fs.IntVar(&mc.shards, "shards", 0, "parallel workload-precompute shards, 0 = one per CPU; results are bit-identical for every value (multiclient/fleet)")
+
+	fs.StringVar(&mc.discipline, "discipline", "fifo", "server scheduling: fifo | priority | wfq | shaped, comma list or \"all\" to sweep (multiclient)")
+	fs.BoolVar(&mc.preempt, "preempt", false, "priority discipline: demands abort in-flight speculative transfers (multiclient)")
+	fs.StringVar(&mc.weights, "weights", "4:1", "wfq demand:speculative class weights (multiclient)")
+	fs.Float64Var(&mc.rate, "rate", 0.5, "shaped discipline: per-client service-seconds of credit per second (multiclient)")
+	fs.Float64Var(&mc.burst, "burst", 8, "shaped discipline: per-client bucket depth in service-seconds (multiclient)")
+	fs.Float64Var(&mc.admitUtil, "admit-util", 0, "drop speculative requests above this utilisation, 0 = off (multiclient)")
+	fs.Float64Var(&mc.admitWindow, "admit-window", 50, "sliding window for the utilisation estimate (multiclient)")
+	fs.BoolVar(&mc.admitDefer, "admit-defer", false, "defer gated speculative requests instead of dropping them (multiclient)")
+
+	fs.StringVar(&mc.controller, "controller", "static", "adaptive λ controller: static | aimd | target-util | delay-gradient, comma list or \"all\" to sweep (multiclient)")
+	fs.Float64Var(&mc.lambda0, "lambda0", 0, "base network-usage price λ and controller floor (multiclient)")
+	fs.Float64Var(&mc.targetUtil, "target-util", 0.7, "utilisation setpoint for the target-util controller (multiclient)")
+
+	fs.StringVar(&mc.predictor, "predictor", "oracle", "prediction source: oracle | depgraph | ppm | shared | decay | mixture | ppm-escape, comma list or \"all\" to sweep (multiclient)")
+	fs.IntVar(&mc.ppmOrder, "ppm-order", 2, "PPM context order for -predictor ppm and ppm-escape (multiclient)")
+	fs.StringVar(&mc.coldStart, "cold-start", "none", "learned-predictor cold-start fallback: none | uniform (multiclient)")
+	fs.BoolVar(&mc.warmCache, "warm-cache", false, "server pre-admits the shared model's top pages (needs -predictor shared and -servercache) (multiclient)")
+
+	fs.StringVar(&mc.replicas, "replicas", "3", "replica count, or comma list to sweep (fleet)")
+	fs.StringVar(&mc.router, "router", "hash", "request router: round-robin | least-loaded | hash, comma list or \"all\" to sweep (fleet)")
+	fs.Float64Var(&mc.failEvery, "fail-every", 0, "mean time between failures per replica, 0 = none (fleet)")
+	fs.Float64Var(&mc.recoverAfter, "recover-after", 0, "repair time after a replica failure (fleet)")
+
+	fs.IntVar(&mc.driftEvery, "drift-every", 0, "re-draw each surfer's hot set every N rounds, 0 = stationary (multiclient)")
+	fs.Float64Var(&mc.decayHalfLife, "decay-half-life", 500, "observation half-life for -predictor decay (multiclient)")
+	fs.Float64Var(&mc.mixWeight, "mix-weight", 0.25, "popularity share for -predictor mixture, in (0, 1) (multiclient)")
+
+	fs.BoolVar(&a.force, "force", false, "overwrite existing -record/-trace-out/-metrics-out/-*profile files")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
 	}
+	mc.seed = a.seed // one -seed drives every mode
 
 	// Flag values consumed only by the multiclient mode are still
 	// validated in every mode: a typo'd -discipline or -controller must
 	// exit non-zero instead of being silently ignored.
-	if _, err := parseDisciplines(*discipline); err != nil {
+	if _, err := parseDisciplines(mc.discipline); err != nil {
 		return err
 	}
-	if _, err := parseControllers(*controller); err != nil {
+	if _, err := parseControllers(mc.controller); err != nil {
 		return err
 	}
-	if _, err := parsePredictors(*predictor); err != nil {
+	if _, err := parsePredictors(mc.predictor); err != nil {
 		return err
 	}
-	if _, err := parseRouters(*router); err != nil {
+	if _, err := parseRouters(mc.router); err != nil {
 		return err
 	}
-	if _, err := parseReplicas(*replicas); err != nil {
+	if _, err := parseReplicas(mc.replicas); err != nil {
 		return err
 	}
 	failCheck := prefetch.DefaultFleetConfig()
-	failCheck.FailEvery, failCheck.RecoverAfter = *failEvery, *recoverAfter
+	failCheck.FailEvery, failCheck.RecoverAfter = mc.failEvery, mc.recoverAfter
 	if err := failCheck.Validate(); err != nil {
 		return fmt.Errorf("-fail-every/-recover-after: %w", err)
 	}
@@ -221,22 +225,22 @@ func run(args []string, out io.Writer) error {
 	// mode; PredictConfig treats zeros as "use the default", so explicit
 	// bad values (and NaN) must be refused here rather than silently
 	// defaulted.
-	if *driftEvery < 0 {
-		return fmt.Errorf("-drift-every must be >= 0 (got %d)", *driftEvery)
+	if mc.driftEvery < 0 {
+		return fmt.Errorf("-drift-every must be >= 0 (got %d)", mc.driftEvery)
 	}
-	if !(*decayHalfLife > 0) || math.IsInf(*decayHalfLife, 0) {
-		return fmt.Errorf("-decay-half-life must be finite and positive (got %v)", *decayHalfLife)
+	if !(mc.decayHalfLife > 0) || math.IsInf(mc.decayHalfLife, 0) {
+		return fmt.Errorf("-decay-half-life must be finite and positive (got %v)", mc.decayHalfLife)
 	}
-	if !(*mixWeight > 0 && *mixWeight < 1) {
-		return fmt.Errorf("-mix-weight must be in (0, 1) (got %v)", *mixWeight)
+	if !(mc.mixWeight > 0 && mc.mixWeight < 1) {
+		return fmt.Errorf("-mix-weight must be in (0, 1) (got %v)", mc.mixWeight)
 	}
 
-	obsOut, err := setupObs(*traceOut, *metricsOut, *force)
+	obsOut, err := setupObs(*traceOut, *metricsOut, a.force)
 	if err != nil {
 		return err
 	}
 	if *cpuprofile != "" {
-		f, err := createOutput(*cpuprofile, *force)
+		f, err := createOutput(*cpuprofile, a.force)
 		if err != nil {
 			return err
 		}
@@ -250,49 +254,14 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 
-	runErr := dispatch(*mode, out, obsOut.tracer, modeArgs{
-		seed: *seed, n: *n, gen: *gen, iters: *iters, policies: *policies,
-		record: *record, replay: *replay, force: *force,
-		states: *states, requests: *requests, cacheSize: *cacheSize, skew: *skew,
-		mc: mcOptions{
-			seed:          *seed,
-			clients:       *clients,
-			serverConc:    *serverConc,
-			serverCache:   *serverCache,
-			rounds:        *rounds,
-			reps:          *reps,
-			shards:        *shards,
-			discipline:    *discipline,
-			preempt:       *preempt,
-			weights:       *weights,
-			rate:          *shapeRate,
-			burst:         *shapeBurst,
-			admitUtil:     *admitUtil,
-			admitWindow:   *admitWindow,
-			admitDefer:    *admitDefer,
-			controller:    *controller,
-			lambda0:       *lambda0,
-			targetUtil:    *targetUtil,
-			predictor:     *predictor,
-			ppmOrder:      *ppmOrder,
-			coldStart:     *coldStart,
-			warmCache:     *warmCache,
-			driftEvery:    *driftEvery,
-			decayHalfLife: *decayHalfLife,
-			mixWeight:     *mixWeight,
-			replicas:      *replicas,
-			router:        *router,
-			failEvery:     *failEvery,
-			recoverAfter:  *recoverAfter,
-		},
-	})
+	runErr := dispatch(*mode, out, obsOut.tracer, a)
 	// Flush the observability outputs even when the run failed — a
 	// partial trace is still evidence.
 	if err := obsOut.finish(); runErr == nil {
 		runErr = err
 	}
 	if runErr == nil && *memprofile != "" {
-		runErr = writeMemProfile(*memprofile, *force)
+		runErr = writeMemProfile(*memprofile, a.force)
 	}
 	return runErr
 }
