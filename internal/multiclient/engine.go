@@ -312,7 +312,7 @@ func (e *engine) route(c *client, page int, demand bool) (*server, bool) {
 func (e *engine) pick(client, page int) (*server, bool) {
 	e.states = e.states[:0]
 	for _, s := range e.servers {
-		e.states = append(e.states, ReplicaState{ID: s.id, Up: s.up(), Load: s.sched.Queued() + s.sched.InFlight()})
+		e.states = append(e.states, ReplicaState{ID: s.id, Up: !s.sched.Failed(), Load: s.sched.Queued() + s.sched.InFlight()})
 	}
 	id, ok := e.router.Route(client, page, e.states)
 	if !ok {

@@ -131,9 +131,6 @@ func (s *server) buildCache() error {
 	return nil
 }
 
-// up reports whether the server is serving: its scheduler has not failed.
-func (s *server) up() bool { return !s.sched.Failed() }
-
 // enableWarming arms the server-side prefetcher with a cadence of one
 // mean viewing time. Config.Validate guarantees the cache and the shared
 // predictor exist when warming is configured.
@@ -249,7 +246,7 @@ func (s *server) done(r *schedsrv.Request, service, waited float64) {
 // warming converges on the hot set instead of thrashing against
 // demand-warmed entries.
 func (s *server) maybeWarm(now float64) {
-	if s.warmPages == nil || !s.up() || now < s.warmedAt+s.warmEvery {
+	if s.warmPages == nil || s.sched.Failed() || now < s.warmedAt+s.warmEvery {
 		return
 	}
 	s.warmedAt = now
@@ -380,7 +377,7 @@ func (s *server) recover() {
 // result snapshots the server's totals at the end of the run.
 func (s *server) result(elapsed float64) ReplicaResult {
 	down := s.downtime
-	if !s.up() && s.downSince < elapsed {
+	if s.sched.Failed() && s.downSince < elapsed {
 		down += elapsed - s.downSince
 	}
 	return ReplicaResult{
