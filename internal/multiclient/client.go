@@ -274,7 +274,9 @@ func (c *client) observe(now float64) {
 		c.lambdaTrace.Add(c.curLambda)
 		return
 	}
-	snap := c.home.feedback(now)
+	// The scheduler's counters run across failures, so the deferral
+	// delta below never jumps backwards after a recovery.
+	snap := c.home.sched.Snapshot(now)
 	fb := adaptive.Feedback{
 		Round:        c.round,
 		Utilization:  snap.Utilization,

@@ -175,14 +175,6 @@ func (s *server) promote(clientID, page int) bool {
 	return s.sched.Promote(clientID, page)
 }
 
-// feedback is the congestion snapshot adaptive clients observe. Reading
-// it never mutates the scheduler. The scheduler's counters run across
-// failures, so a controller watching deferral deltas never sees them
-// jump backwards after a recovery.
-func (s *server) feedback(now float64) schedsrv.Feedback {
-	return s.sched.Snapshot(now)
-}
-
 // serviceTime is the scheduler's service-start hook: a server-cache hit
 // means the page is already at the server, so only the hit-factor
 // fraction of the origin time is spent. Preemption restarts re-resolve
