@@ -155,39 +155,39 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&a.cacheSize, "cachesize", 40, "cache capacity in items (cache)")
 	fs.Float64Var(&a.skew, "skew", 0, "Markov transition skew alpha (cache/session)")
 
-	fs.StringVar(&mc.clients, "clients", "8", "client count, or comma list to sweep (multiclient)")
-	fs.IntVar(&mc.serverConc, "serverconc", 2, "server transfer concurrency (multiclient)")
-	fs.IntVar(&mc.serverCache, "servercache", 0, "shared server cache slots, 0 = none (multiclient)")
-	fs.IntVar(&mc.rounds, "rounds", 300, "browsing rounds per client (multiclient)")
-	fs.IntVar(&mc.reps, "reps", 3, "seed replications per sweep point (multiclient)")
+	fs.StringVar(&mc.clients, "clients", "8", "client count, or comma list to sweep (multiclient/fleet)")
+	fs.IntVar(&mc.serverConc, "serverconc", 2, "server transfer concurrency (multiclient/fleet)")
+	fs.IntVar(&mc.serverCache, "servercache", 0, "shared server cache slots, 0 = none (multiclient/fleet)")
+	fs.IntVar(&mc.rounds, "rounds", 300, "browsing rounds per client (multiclient/fleet)")
+	fs.IntVar(&mc.reps, "reps", 3, "seed replications per sweep point (multiclient/fleet)")
 	fs.IntVar(&mc.shards, "shards", 0, "parallel workload-precompute shards, 0 = one per CPU; results are bit-identical for every value (multiclient/fleet)")
 
-	fs.StringVar(&mc.discipline, "discipline", "fifo", "server scheduling: fifo | priority | wfq | shaped, comma list or \"all\" to sweep (multiclient)")
-	fs.BoolVar(&mc.preempt, "preempt", false, "priority discipline: demands abort in-flight speculative transfers (multiclient)")
-	fs.StringVar(&mc.weights, "weights", "4:1", "wfq demand:speculative class weights (multiclient)")
-	fs.Float64Var(&mc.rate, "rate", 0.5, "shaped discipline: per-client service-seconds of credit per second (multiclient)")
-	fs.Float64Var(&mc.burst, "burst", 8, "shaped discipline: per-client bucket depth in service-seconds (multiclient)")
-	fs.Float64Var(&mc.admitUtil, "admit-util", 0, "drop speculative requests above this utilisation, 0 = off (multiclient)")
-	fs.Float64Var(&mc.admitWindow, "admit-window", 50, "sliding window for the utilisation estimate (multiclient)")
-	fs.BoolVar(&mc.admitDefer, "admit-defer", false, "defer gated speculative requests instead of dropping them (multiclient)")
+	fs.StringVar(&mc.discipline, "discipline", "fifo", "server scheduling: fifo | priority | wfq | shaped, comma list or \"all\" to sweep (multiclient/fleet)")
+	fs.BoolVar(&mc.preempt, "preempt", false, "priority discipline: demands abort in-flight speculative transfers (multiclient/fleet)")
+	fs.StringVar(&mc.weights, "weights", "4:1", "wfq demand:speculative class weights (multiclient/fleet)")
+	fs.Float64Var(&mc.rate, "rate", 0.5, "shaped discipline: per-client service-seconds of credit per second (multiclient/fleet)")
+	fs.Float64Var(&mc.burst, "burst", 8, "shaped discipline: per-client bucket depth in service-seconds (multiclient/fleet)")
+	fs.Float64Var(&mc.admitUtil, "admit-util", 0, "drop speculative requests above this utilisation, 0 = off (multiclient/fleet)")
+	fs.Float64Var(&mc.admitWindow, "admit-window", 50, "sliding window for the utilisation estimate (multiclient/fleet)")
+	fs.BoolVar(&mc.admitDefer, "admit-defer", false, "defer gated speculative requests instead of dropping them (multiclient/fleet)")
 
-	fs.StringVar(&mc.controller, "controller", "static", "adaptive λ controller: static | aimd | target-util | delay-gradient, comma list or \"all\" to sweep (multiclient)")
-	fs.Float64Var(&mc.lambda0, "lambda0", 0, "base network-usage price λ and controller floor (multiclient)")
-	fs.Float64Var(&mc.targetUtil, "target-util", 0.7, "utilisation setpoint for the target-util controller (multiclient)")
+	fs.StringVar(&mc.controller, "controller", "static", "adaptive λ controller: static | aimd | target-util | delay-gradient, comma list or \"all\" to sweep (multiclient/fleet)")
+	fs.Float64Var(&mc.lambda0, "lambda0", 0, "base network-usage price λ and controller floor (multiclient/fleet)")
+	fs.Float64Var(&mc.targetUtil, "target-util", 0.7, "utilisation setpoint for the target-util controller (multiclient/fleet)")
 
-	fs.StringVar(&mc.predictor, "predictor", "oracle", "prediction source: oracle | depgraph | ppm | shared | decay | mixture | ppm-escape, comma list or \"all\" to sweep (multiclient)")
-	fs.IntVar(&mc.ppmOrder, "ppm-order", 2, "PPM context order for -predictor ppm and ppm-escape (multiclient)")
-	fs.StringVar(&mc.coldStart, "cold-start", "none", "learned-predictor cold-start fallback: none | uniform (multiclient)")
-	fs.BoolVar(&mc.warmCache, "warm-cache", false, "server pre-admits the shared model's top pages (needs -predictor shared and -servercache) (multiclient)")
+	fs.StringVar(&mc.predictor, "predictor", "oracle", "prediction source: oracle | depgraph | ppm | shared | decay | mixture | ppm-escape, comma list or \"all\" to sweep (multiclient/fleet)")
+	fs.IntVar(&mc.ppmOrder, "ppm-order", 2, "PPM context order for -predictor ppm and ppm-escape (multiclient/fleet)")
+	fs.StringVar(&mc.coldStart, "cold-start", "none", "learned-predictor cold-start fallback: none | uniform (multiclient/fleet)")
+	fs.BoolVar(&mc.warmCache, "warm-cache", false, "server pre-admits the shared model's top pages (needs -predictor shared and -servercache) (multiclient/fleet)")
 
 	fs.StringVar(&mc.replicas, "replicas", "3", "replica count, or comma list to sweep (fleet)")
 	fs.StringVar(&mc.router, "router", "hash", "request router: round-robin | least-loaded | hash, comma list or \"all\" to sweep (fleet)")
 	fs.Float64Var(&mc.failEvery, "fail-every", 0, "mean time between failures per replica, 0 = none (fleet)")
 	fs.Float64Var(&mc.recoverAfter, "recover-after", 0, "repair time after a replica failure (fleet)")
 
-	fs.IntVar(&mc.driftEvery, "drift-every", 0, "re-draw each surfer's hot set every N rounds, 0 = stationary (multiclient)")
-	fs.Float64Var(&mc.decayHalfLife, "decay-half-life", 500, "observation half-life for -predictor decay (multiclient)")
-	fs.Float64Var(&mc.mixWeight, "mix-weight", 0.25, "popularity share for -predictor mixture, in (0, 1) (multiclient)")
+	fs.IntVar(&mc.driftEvery, "drift-every", 0, "re-draw each surfer's hot set every N rounds, 0 = stationary (multiclient/fleet)")
+	fs.Float64Var(&mc.decayHalfLife, "decay-half-life", 500, "observation half-life for -predictor decay (multiclient/fleet)")
+	fs.Float64Var(&mc.mixWeight, "mix-weight", 0.25, "popularity share for -predictor mixture, in (0, 1) (multiclient/fleet)")
 
 	fs.BoolVar(&a.force, "force", false, "overwrite existing -record/-trace-out/-metrics-out/-*profile files")
 	if err := fs.Parse(args); err != nil {
@@ -1167,11 +1167,4 @@ func runFleetSweep(out io.Writer, cfg prefetch.FleetConfig, routers []prefetch.F
 			p.QueueWait.Mean(), 100*p.Availability.Mean(), p.ReRoutes, p.LostTransfers)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

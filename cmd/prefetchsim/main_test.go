@@ -102,6 +102,10 @@ func TestRunHelpSucceeds(t *testing.T) {
 	if !strings.Contains(sb.String(), "Usage of prefetchsim") {
 		t.Errorf("help output missing usage:\n%s", sb.String())
 	}
+	// -mode fleet reads every multiclient flag through mcConfig.
+	if want := "per-client bucket depth in service-seconds (multiclient/fleet)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("help output missing %q:\n%s", want, sb.String())
+	}
 }
 
 func TestRunRejectsBadInput(t *testing.T) {

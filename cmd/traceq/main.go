@@ -301,12 +301,12 @@ func printRounds(out io.Writer, events []obs.Event) {
 		tot.views += s.views
 		fmt.Fprintf(out, "%-24s %8d %10.4f %9.1f%% %10.4f\n",
 			clientLabel(id, names), s.rounds, s.access/float64(s.rounds),
-			100*float64(s.demand)/float64(s.rounds), s.viewing/float64(maxInt(s.views, 1)))
+			100*float64(s.demand)/float64(s.rounds), s.viewing/float64(max(s.views, 1)))
 	}
 	if tot.rounds > 0 {
 		fmt.Fprintf(out, "%-24s %8d %10.4f %9.1f%% %10.4f\n",
 			"all", tot.rounds, tot.access/float64(tot.rounds),
-			100*float64(tot.demand)/float64(tot.rounds), tot.viewing/float64(maxInt(tot.views, 1)))
+			100*float64(tot.demand)/float64(tot.rounds), tot.viewing/float64(max(tot.views, 1)))
 	}
 }
 
@@ -460,11 +460,4 @@ func printWasted(out io.Writer, events []obs.Event, top int) {
 				p.page, p.count, p.prob/float64(p.count))
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -105,7 +105,9 @@
 // distribution — the access knowledge the paper presupposes (§1) but no
 // deployed prefetcher has. The prediction subsystem
 // (MultiClientConfig.Predict, a PredictConfig) makes that knowledge a
-// pluggable Predictor (the single predictor interface of this API):
+// pluggable Predictor (the single predictor interface of this API,
+// which writes each prediction into a page-id vector with NextInto; its
+// map-returning Next remains only for the benchmark harness in bench/):
 // PredictorOracle plans over the true distribution (the default,
 // bit-for-bit the previous behaviour), PredictorDepGraph and
 // PredictorPPM train an order-1 dependency graph or an order-k PPM model

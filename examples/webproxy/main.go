@@ -16,7 +16,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"prefetch"
 )
@@ -27,13 +26,34 @@ const (
 	readingSec = 8.0 // mean viewing time while the user reads a page
 )
 
+// step is one request of the browsing trace: the page and the time the
+// user spends reading the page before it.
+type step struct {
+	page    int
+	viewing float64
+}
+
+// browse records n requests of a random surfer over site, with
+// exponential reading times truncated to at least 1s.
+func browse(r *prefetch.Rand, site *prefetch.Site, n int) []step {
+	surfer := prefetch.NewSurfer(r, site, 0.85)
+	trace := make([]step, n)
+	for i := range trace {
+		v := r.Exp(1 / readingSec)
+		if v < 1 {
+			v = 1
+		}
+		trace[i] = step{page: surfer.Step(), viewing: v}
+	}
+	return trace
+}
+
 // proxy simulates one knowledge variant over a fixed browsing trace.
 type proxy struct {
-	name        string
-	site        *prefetch.Site
-	learned     prefetch.Predictor // nil for oracle/none
-	oracle      bool
-	prefetching bool
+	name  string
+	site  *prefetch.Site
+	pred  prefetch.Predictor // nil: demand fetching only
+	probs []float64          // pred's belief about the next page, by page id
 
 	cached  map[int]bool
 	freq    map[int]int64
@@ -42,69 +62,51 @@ type proxy struct {
 	fetched float64 // network seconds spent prefetching
 }
 
-func newProxy(name string, site *prefetch.Site, oracle, prefetching, learning bool) *proxy {
-	p := &proxy{
-		name: name, site: site, oracle: oracle, prefetching: prefetching,
+func newProxy(name string, site *prefetch.Site, pred prefetch.Predictor) *proxy {
+	return &proxy{
+		name: name, site: site, pred: pred, probs: make([]float64, len(site.Pages)),
 		cached: map[int]bool{}, freq: map[int]int64{},
 	}
-	if learning {
-		p.learned = prefetch.NewDependencyGraph()
-	}
-	return p
 }
 
-// probabilities returns the proxy's belief about the next page.
-func (p *proxy) probabilities(s *prefetch.Surfer) map[int]float64 {
-	switch {
-	case p.oracle:
-		return s.NextDistribution()
-	case p.learned != nil:
-		return p.learned.Next(s.Current())
-	default:
-		return nil
-	}
-}
-
-// sortedPages returns dist's page ids in ascending order, the
-// deterministic way to iterate a probability map.
-func sortedPages(dist map[int]float64) []int {
-	ids := make([]int, 0, len(dist))
-	for id := range dist {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// entries snapshots the cache for arbitration.
-func (p *proxy) entries(probs map[int]float64) []prefetch.CacheEntry {
-	ids := make([]int, 0, len(p.cached))
-	for id := range p.cached {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]prefetch.CacheEntry, len(ids))
-	for i, id := range ids {
-		out[i] = prefetch.CacheEntry{
-			ID:        id,
-			Prob:      probs[id],
-			Retrieval: p.site.Pages[id].Retrieval,
-			Freq:      p.freq[id],
+// entries snapshots the cache for arbitration, in ascending page id.
+func (p *proxy) entries() []prefetch.CacheEntry {
+	out := make([]prefetch.CacheEntry, 0, len(p.cached))
+	for id, prob := range p.probs {
+		if p.cached[id] {
+			out = append(out, prefetch.CacheEntry{
+				ID:        id,
+				Prob:      prob,
+				Retrieval: p.site.Pages[id].Retrieval,
+				Freq:      p.freq[id],
+			})
 		}
 	}
 	return out
 }
 
-// round serves one browsing step: plan, prefetch, observe the request.
-func (p *proxy) round(s *prefetch.Surfer, viewing float64, next int) {
-	probs := p.probabilities(s)
+// replay serves the trace from the surfer's start page, page 0.
+func (p *proxy) replay(trace []step) {
+	page := 0
+	if p.pred != nil {
+		p.pred.Observe(page)
+	}
+	for _, stp := range trace {
+		p.round(page, stp.viewing, stp.page)
+		page = stp.page
+	}
+}
+
+// round serves one browsing step from page state: plan, prefetch,
+// observe the request.
+func (p *proxy) round(state int, viewing float64, next int) {
 	var accepted prefetch.Plan
-	if p.prefetching && len(probs) > 0 {
+	if p.pred != nil && p.pred.NextInto(state, p.probs) > 0 {
 		var candidates []prefetch.Item
-		for _, id := range sortedPages(probs) {
-			if !p.cached[id] {
+		for id, prob := range p.probs {
+			if prob > 0 && !p.cached[id] {
 				candidates = append(candidates, prefetch.Item{
-					ID: id, Prob: probs[id], Retrieval: p.site.Pages[id].Retrieval,
+					ID: id, Prob: prob, Retrieval: p.site.Pages[id].Retrieval,
 				})
 			}
 		}
@@ -114,7 +116,7 @@ func (p *proxy) round(s *prefetch.Surfer, viewing float64, next int) {
 			log.Fatal(err)
 		}
 		free := cacheSlots - len(p.cached)
-		res := prefetch.Arbitrate(plan, p.entries(probs), free, prefetch.SubDS)
+		res := prefetch.Arbitrate(plan, p.entries(), free, prefetch.SubDS)
 		for i, it := range res.Accepted.Items {
 			if v := res.Victims[i]; v != prefetch.NoVictim {
 				delete(p.cached, v)
@@ -137,7 +139,7 @@ func (p *proxy) round(s *prefetch.Surfer, viewing float64, next int) {
 	default:
 		t = st + p.site.Pages[next].Retrieval
 		if len(p.cached) >= cacheSlots {
-			if victim, ok := prefetch.DemandVictim(p.entries(probs), prefetch.SubDS); ok {
+			if victim, ok := prefetch.DemandVictim(p.entries(), prefetch.SubDS); ok {
 				delete(p.cached, victim)
 			}
 		}
@@ -148,8 +150,20 @@ func (p *proxy) round(s *prefetch.Surfer, viewing float64, next int) {
 		p.hits++
 	}
 	p.freq[next]++
-	if p.learned != nil {
-		p.learned.Observe(next)
+	if p.pred != nil {
+		p.pred.Observe(next)
+	}
+}
+
+// variants builds the three knowledge levels over site.
+func variants(site *prefetch.Site) []*proxy {
+	// The oracle reads the true distribution at whatever page it is asked
+	// about, so any surfer over the site serves.
+	truth := prefetch.NewSurfer(prefetch.NewRand(1), site, 0.85)
+	return []*proxy{
+		newProxy("no prefetch", site, nil),
+		newProxy("learned (depgraph)", site, prefetch.NewDependencyGraph()),
+		newProxy("oracle probabilities", site, prefetch.NewOraclePredictor(truth)),
 	}
 }
 
@@ -161,56 +175,19 @@ func main() {
 	}
 
 	// One shared browsing trace so the variants are directly comparable.
-	surfer := prefetch.NewSurfer(r, site, 0.85)
-	type step struct {
-		page    int
-		viewing float64
-	}
-	trace := make([]step, requests)
-	// Viewing time: exponential reading time, truncated to at least 1s.
-	for i := range trace {
-		v := r.Exp(1 / readingSec)
-		if v < 1 {
-			v = 1
-		}
-		trace[i] = step{page: surfer.Step(), viewing: v}
-	}
-
-	variants := []*proxy{
-		newProxy("no prefetch", site, false, false, false),
-		newProxy("learned (depgraph)", site, false, true, true),
-		newProxy("oracle probabilities", site, true, true, false),
-	}
-	for _, p := range variants {
-		// Fresh surfers per variant replay the same pages; the surfer is
-		// only consulted for its distribution at the CURRENT page, so keep
-		// one positioned replica per variant.
-		replay := prefetch.NewSurfer(prefetch.NewRand(1), site, 0.85)
-		if p.learned != nil {
-			p.learned.Observe(replay.Current())
-		}
-		for _, stp := range trace {
-			p.round(replay, stp.viewing, stp.page)
-			// Advance the replica to the requested page so the next
-			// round's distribution is conditioned correctly.
-			replaySet(replay, stp.page)
-		}
+	trace := browse(r, site, requests)
+	proxies := variants(site)
+	for _, p := range proxies {
+		p.replay(trace)
 	}
 
 	fmt.Printf("web proxy over %d pages, %d requests, %d cache slots (Pr+DS)\n\n",
 		len(site.Pages), requests, cacheSlots)
 	fmt.Printf("%-22s %12s %8s %16s\n", "variant", "mean latency", "hit %", "prefetch net (s)")
-	for _, p := range variants {
+	for _, p := range proxies {
 		fmt.Printf("%-22s %11.3fs %7.1f%% %16.0f\n",
 			p.name, p.total/float64(requests), 100*float64(p.hits)/float64(requests), p.fetched)
 	}
 	fmt.Println("\nThe learned model closes most of the gap to the oracle once the")
 	fmt.Println("dependency graph has seen enough transitions.")
-}
-
-// replaySet forces the surfer onto a recorded page: the next-page
-// distribution is a pure function of the current page, so replay only
-// needs to recondition it.
-func replaySet(s *prefetch.Surfer, page int) {
-	s.SetCurrent(page)
 }

@@ -1,63 +1,45 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"prefetch"
 )
 
-// Regression test for the PR 6 maporder fix: the prefetch candidate
-// list is built by iterating sortedPages(probs), so identically
-// configured proxies fed the identical trace must plan identically.
-// Before the fix candidates were appended in map iteration order, and
-// the SKP plan (and therefore the cache contents, hit count, and
-// network seconds) could drift between runs of the same binary.
+// TestOracleProxyDeterministic replays a 500-request trace through every
+// proxy variant, twice each, and checks every run's
+// (hits, total, fetched) against values recorded before the proxies
+// planned from a page-id vector, floats by their exact bits. Candidates
+// are listed in ascending page id, so identically configured proxies fed
+// the identical trace must plan identically; the first version appended
+// them in map iteration order, and the SKP plan (and therefore the cache
+// contents, hit count and network seconds) drifted between runs of the
+// same binary.
 func TestOracleProxyDeterministic(t *testing.T) {
-	run := func() (int64, float64, float64) {
+	want := map[string]struct {
+		hits           int64
+		total, fetched uint64 // math.Float64bits
+	}{
+		"no prefetch":          {275, 0x407efe0000000021, 0},
+		"learned (depgraph)":   {330, 0x407d52473e0b51a4, 0x4083973333333333},
+		"oracle probabilities": {419, 0x406ea9401e1c3554, 0x40a35a7333333337},
+	}
+	for run := 0; run < 2; run++ {
 		r := prefetch.NewRand(2026)
 		site, err := prefetch.GenerateSite(r, prefetch.DefaultSiteConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		surfer := prefetch.NewSurfer(r, site, 0.85)
-		type step struct {
-			page    int
-			viewing float64
-		}
-		trace := make([]step, 500)
-		for i := range trace {
-			v := r.Exp(1 / readingSec)
-			if v < 1 {
-				v = 1
+		trace := browse(r, site, 500)
+		for _, p := range variants(site) {
+			w := want[p.name]
+			p.replay(trace)
+			if p.hits != w.hits || math.Float64bits(p.total) != w.total || math.Float64bits(p.fetched) != w.fetched {
+				t.Errorf("run %d, %s: hits %d total %v (%#x) fetched %v (%#x), want hits %d total %v fetched %v",
+					run, p.name, p.hits, p.total, math.Float64bits(p.total), p.fetched, math.Float64bits(p.fetched),
+					w.hits, math.Float64frombits(w.total), math.Float64frombits(w.fetched))
 			}
-			trace[i] = step{page: surfer.Step(), viewing: v}
-		}
-		p := newProxy("oracle", site, true, true, false)
-		replay := prefetch.NewSurfer(prefetch.NewRand(1), site, 0.85)
-		for _, stp := range trace {
-			p.round(replay, stp.viewing, stp.page)
-			replaySet(replay, stp.page)
-		}
-		return p.hits, p.total, p.fetched
-	}
-	h1, t1, f1 := run()
-	h2, t2, f2 := run()
-	if h1 != h2 || t1 != t2 || f1 != f2 {
-		t.Fatalf("identical runs diverged: hits %d vs %d, total %v vs %v, fetched %v vs %v",
-			h1, h2, t1, t2, f1, f2)
-	}
-}
-
-func TestSortedPagesAscending(t *testing.T) {
-	probs := map[int]float64{9: 0.1, 2: 0.3, 5: 0.2, 0: 0.4}
-	ids := sortedPages(probs)
-	want := []int{0, 2, 5, 9}
-	if len(ids) != len(want) {
-		t.Fatalf("sortedPages = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("sortedPages = %v, want %v", ids, want)
 		}
 	}
 }

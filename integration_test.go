@@ -156,12 +156,13 @@ func TestEndToEndFacadeCacheLoop(t *testing.T) {
 	const slots = 10
 	cached := map[int]bool{}
 	freq := map[int]int64{}
+	probs := make([]float64, len(site.Pages))
 	var total float64
 	for step := 0; step < 1500; step++ {
-		probs := surfer.NextDistribution()
+		surfer.NextDistributionInto(surfer.Current(), probs)
 		var cands []prefetch.Item
 		for id, p := range probs {
-			if !cached[id] {
+			if p > 0 && !cached[id] {
 				cands = append(cands, prefetch.Item{ID: id, Prob: p, Retrieval: site.Pages[id].Retrieval})
 			}
 		}
@@ -169,13 +170,7 @@ func TestEndToEndFacadeCacheLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var entries []prefetch.CacheEntry
-		for id := range cached {
-			entries = append(entries, prefetch.CacheEntry{
-				ID: id, Prob: probs[id], Retrieval: site.Pages[id].Retrieval, Freq: freq[id],
-			})
-		}
-		res := prefetch.Arbitrate(plan, entries, slots-len(cached), prefetch.SubDS)
+		res := prefetch.Arbitrate(plan, entriesOf(cached, probs, site, freq), slots-len(cached), prefetch.SubDS)
 		for i, it := range res.Accepted.Items {
 			if v := res.Victims[i]; v != prefetch.NoVictim {
 				if !cached[v] {
@@ -216,12 +211,16 @@ func TestEndToEndFacadeCacheLoop(t *testing.T) {
 	}
 }
 
-func entriesOf(cached map[int]bool, probs map[int]float64, site *prefetch.Site, freq map[int]int64) []prefetch.CacheEntry {
+// entriesOf snapshots the cached pages for arbitration, in ascending page
+// id.
+func entriesOf(cached map[int]bool, probs []float64, site *prefetch.Site, freq map[int]int64) []prefetch.CacheEntry {
 	var out []prefetch.CacheEntry
-	for id := range cached {
-		out = append(out, prefetch.CacheEntry{
-			ID: id, Prob: probs[id], Retrieval: site.Pages[id].Retrieval, Freq: freq[id],
-		})
+	for id, p := range probs {
+		if cached[id] {
+			out = append(out, prefetch.CacheEntry{
+				ID: id, Prob: p, Retrieval: site.Pages[id].Retrieval, Freq: freq[id],
+			})
+		}
 	}
 	return out
 }

@@ -155,13 +155,17 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 			return Result{}, nil, 0, err
 		}
 	}
-	// Probing the prediction source once names it for the result and
-	// surfaces construction errors before any client exists.
-	probe, err := predict.New(cfg.Predict, 0, func(int) map[int]float64 { return nil }, e.servers[0].agg)
-	if err != nil {
-		return Result{}, nil, 0, err
+	// Probing a learned source once names it for the result and surfaces
+	// construction errors before any client exists; the oracle has
+	// neither to report.
+	e.predName = string(predict.KindOracle)
+	if !oracleSource(&cfg) {
+		probe, err := predict.New(cfg.Predict, 0, nil, e.servers[0].agg)
+		if err != nil {
+			return Result{}, nil, 0, err
+		}
+		e.predName = probe.Name()
 	}
-	e.predName = probe.Name()
 	// Phase A: shard workers precompute every client's workload script in
 	// parallel. The shared predictor must train in arrival order, so its
 	// clients step live walkers instead.

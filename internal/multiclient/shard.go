@@ -201,7 +201,7 @@ func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predic
 		w.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
 	}
 	if ranks && !oracleSource(cfg) {
-		p, err := predict.New(cfg.Predict, id, w.surfer.NextDistributionFrom, agg)
+		p, err := predict.New(cfg.Predict, id, w.surfer, agg)
 		if err != nil {
 			return nil, err
 		}

@@ -82,10 +82,10 @@ func BenchmarkPredictorObserveDecay(b *testing.B) {
 // BenchmarkPlanL1 measures the plan-time prediction error the simulators
 // record every learned round — the true next-page distribution of the
 // default 120-page site plus the L1 distance of a trained ppm-escape
-// prediction from it — in the map form (NextDistributionFrom + L1) and
-// the dense form (NextDistributionInto + L1Dense), over pre-drawn
-// (state, prediction) pairs, the dense form's predictions pre-drawn
-// with NextInto. Tracked by the benchmark-regression gate
+// prediction from it — in the map form (the map-era truth and L1 that
+// dense_test.go keeps as references) and the dense form
+// (NextDistributionInto + L1Dense), over pre-drawn (state, prediction)
+// pairs, the dense form's predictions pre-drawn with NextInto. Tracked by the benchmark-regression gate
 // (cmd/benchjson).
 func BenchmarkPlanL1(b *testing.B) {
 	r := rng.New(7)
@@ -112,11 +112,13 @@ func BenchmarkPlanL1(b *testing.B) {
 		src.Observe(surfer.Step())
 	}
 	b.Run("map", func(b *testing.B) {
+		truth := newMapTruth(site, 0.85, surfer, nil)
 		b.ReportAllocs()
+		b.ResetTimer()
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			k := i % rounds
-			sum += L1(dists[k], surfer.NextDistributionFrom(states[k]))
+			sum += L1(dists[k], truth.Next(states[k]))
 		}
 		l1Sink = sum
 	})

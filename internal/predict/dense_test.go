@@ -11,8 +11,105 @@ import (
 )
 
 // This file keeps the map-returning implementation every source had
-// before NextInto, verbatim apart from type names, and checks the dense
-// sources against it bit for bit.
+// before NextInto, verbatim apart from type names, together with the
+// map-era surfer distribution and map L1, and checks the dense sources
+// against them bit for bit.
+
+// L1 is the map-era prediction error: Σ |p(i) − q(i)| over the union of
+// the two supports, summed in sorted key order so the last ulp does not
+// depend on map iteration.
+func L1(p, q map[int]float64) float64 {
+	keys := make([]int, 0, len(p)+len(q))
+	for k := range p {
+		keys = append(keys, k)
+	}
+	for k := range q {
+		if _, ok := p[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Ints(keys)
+	var sum float64
+	for _, k := range keys {
+		d := p[k] - q[k]
+		if d < 0 {
+			d = -d
+		}
+		sum += d
+	}
+	return sum
+}
+
+// mapTruth is the map-era oracle: the map-accumulating random-surfer
+// distribution webgraph computed before it wrote vectors. A drifting
+// surfer's preference vector is private to webgraph, so mapTruth keeps a
+// twin of it, re-drawn from a twin of the drift stream each time the
+// surfer's phase moves on, as webgraph re-draws its own.
+type mapTruth struct {
+	site    *webgraph.Site
+	follow  float64
+	surfer  *webgraph.Surfer
+	drift   *rng.Source // nil while stationary
+	weights []float64   // the current phase's preferences; nil while stationary
+	phase   int
+}
+
+// newMapTruth returns the map-era distribution of a surfer over site with
+// damping follow; drift, if non-nil, must replay the stream the surfer's
+// EnableDrift was given.
+func newMapTruth(site *webgraph.Site, follow float64, surfer *webgraph.Surfer, drift *rng.Source) *mapTruth {
+	m := &mapTruth{site: site, follow: follow, surfer: surfer, drift: drift}
+	if drift != nil {
+		m.weights = make([]float64, len(site.Pages))
+		for i := range site.Pages {
+			m.weights[i] = site.Pages[i].Weight
+		}
+	}
+	return m
+}
+
+func (m *mapTruth) Observe(int) {}
+
+func (m *mapTruth) Next(page int) map[int]float64 {
+	for ; m.phase < m.surfer.Phase(); m.phase++ {
+		perm := m.drift.Perm(len(m.weights))
+		for i := range m.weights {
+			m.weights[i] = m.site.Pages[perm[i]].Weight
+		}
+	}
+	dist := make(map[int]float64, len(m.site.Pages))
+	links := m.site.Pages[page].Links
+	if len(links) > 0 {
+		if m.weights == nil {
+			per := m.follow / float64(len(links))
+			for _, t := range links {
+				dist[t] += per
+			}
+		} else {
+			var wsum float64
+			for _, t := range links {
+				wsum += m.weights[t]
+			}
+			for _, t := range links {
+				dist[t] += m.follow * m.weights[t] / wsum
+			}
+		}
+	}
+	teleport := 1 - m.follow
+	if len(links) == 0 {
+		teleport = 1
+	}
+	for i := range m.site.Pages {
+		w := m.site.Pages[i].Weight
+		if m.weights != nil {
+			w = m.weights[i]
+		}
+		if w := w * teleport; w > 0 {
+			dist[i] += w
+		}
+	}
+	return dist
+}
 
 // mapSource is the map-era Source: Observe plus a map-returning Next.
 type mapSource interface {
@@ -112,13 +209,6 @@ func (c *mapContexts) match(state int) []*mapCtxNode {
 	}
 	return c.path
 }
-
-type mapOracle struct {
-	fn func(state int) map[int]float64
-}
-
-func (o *mapOracle) Observe(int)                    {}
-func (o *mapOracle) Next(state int) map[int]float64 { return o.fn(state) }
 
 type mapFallback struct {
 	inner mapSource
@@ -312,13 +402,13 @@ func (p *mapPPMEscape) Next(state int) map[int]float64 {
 }
 
 // newMapSource builds the map-era source for cfg (defaults applied);
-// oracle and shared play New's hooks.
-func newMapSource(cfg Config, client int, oracle func(int) map[int]float64, shared *mapAggregate) mapSource {
+// truth and shared play New's hooks.
+func newMapSource(cfg Config, client int, truth *mapTruth, shared *mapAggregate) mapSource {
 	cfg = cfg.withDefaults()
 	var src mapSource
 	switch cfg.Kind {
 	case KindOracle:
-		return &mapOracle{fn: oracle}
+		return truth
 	case KindDepGraph:
 		src = &mapDepGraph{}
 	case KindPPM:
@@ -384,11 +474,25 @@ func denseLabel(cfg Config) string {
 // last page and at an off-history state, with math.Float64bits and the
 // support count. The shared kind runs two client views over one
 // aggregate with interleaved streams; the oracle reads the surfer's true
-// distribution.
+// distribution, in two more rows also on a stationary surfer and on one
+// whose hot set shifts every 40 steps.
 func TestNextIntoMatchesMapNext(t *testing.T) {
 	const pages, steps = 24, 600
+	type row struct {
+		label      string
+		cfg        Config
+		driftEvery int // 0 = stationary
+	}
+	var rows []row
 	for _, cfg := range denseConfigs() {
-		t.Run(denseLabel(cfg), func(t *testing.T) {
+		rows = append(rows, row{denseLabel(cfg), cfg, steps / 2})
+	}
+	rows = append(rows,
+		row{"oracle/stationary", Config{Kind: KindOracle}, 0},
+		row{"oracle/drift-every=40", Config{Kind: KindOracle}, 40})
+	for _, row := range rows {
+		cfg := row.cfg
+		t.Run(row.label, func(t *testing.T) {
 			r := rng.New(41)
 			site, err := webgraph.Generate(r, webgraph.SiteConfig{
 				Pages: pages, MinLinks: 2, MaxLinks: 5, ZipfS: 1.1,
@@ -398,15 +502,20 @@ func TestNextIntoMatchesMapNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			surfer := webgraph.NewSurfer(r, site, 0.85)
-			surfer.EnableDrift(rng.New(43), steps/2)
+			var drift *rng.Source
+			if row.driftEvery > 0 {
+				surfer.EnableDrift(rng.New(43), row.driftEvery)
+				drift = rng.New(43)
+			}
+			truth := newMapTruth(site, 0.85, surfer, drift)
 			agg, mapAgg := NewAggregate(), &mapAggregate{last: map[int]int{}}
 			var dense [2]Source
 			var ref [2]mapSource
 			for c := range dense {
-				if dense[c], err = New(cfg, c, surfer.NextDistributionFrom, agg); err != nil {
+				if dense[c], err = New(cfg, c, surfer, agg); err != nil {
 					t.Fatal(err)
 				}
-				ref[c] = newMapSource(cfg, c, surfer.NextDistributionFrom, mapAgg)
+				ref[c] = newMapSource(cfg, c, truth, mapAgg)
 			}
 			out := make([]float64, pages)
 			for step := 0; step < steps; step++ {
@@ -432,6 +541,9 @@ func TestNextIntoMatchesMapNext(t *testing.T) {
 					}
 				}
 			}
+			if row.driftEvery > 0 && surfer.Phase() != steps/row.driftEvery {
+				t.Fatalf("surfer reached phase %d, want %d", surfer.Phase(), steps/row.driftEvery)
+			}
 		})
 	}
 }
@@ -450,17 +562,15 @@ func assertDenseBits(t *testing.T, step, state int, out []float64, n int, want m
 	}
 }
 
-// TestNextIntoZeroAlloc: after warm-up, every learned source's NextInto
+// TestNextIntoZeroAlloc: after warm-up, every source's NextInto
 // allocates nothing, at the last page, at a seen off-history state and at
 // a state it has never seen (the uniform fallback's path).
 func TestNextIntoZeroAlloc(t *testing.T) {
-	const pages = 40
+	surfer := testSurfer(t, 3)
+	pages := surfer.Pages()
 	for _, cfg := range denseConfigs() {
-		if cfg.Kind == KindOracle {
-			continue
-		}
 		t.Run(denseLabel(cfg), func(t *testing.T) {
-			src, err := New(cfg, 0, nil, NewAggregate())
+			src, err := New(cfg, 0, surfer, NewAggregate())
 			if err != nil {
 				t.Fatal(err)
 			}

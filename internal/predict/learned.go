@@ -14,7 +14,7 @@ import (
 // of their observation streams: per-page arithmetic happens in a fixed
 // order, and any sum over pages runs in ascending page id over the dense
 // vector so the last ulp can never depend on map iteration (the same
-// bit-for-bit-replay discipline as L1). All but decay count in the
+// bit-for-bit-replay discipline as L1Dense). All but decay count in the
 // integer stores of counts.go. Each source's NextInto is its one
 // prediction body; Next is the shared map view.
 
@@ -43,15 +43,6 @@ func (d *DependencyGraph) Observe(item int) {
 	d.last = item
 	d.any = true
 	d.see(item)
-}
-
-// Predict returns the prediction from the last observed item, or an
-// empty map before any observation.
-func (d *DependencyGraph) Predict() map[int]float64 {
-	if !d.any {
-		return map[int]float64{}
-	}
-	return d.Next(d.last)
 }
 
 // NextInto writes the predicted distribution of the item following state
@@ -92,17 +83,6 @@ func (p *PPM) Order() int { return p.ctx.order }
 func (p *PPM) Observe(item int) {
 	p.ctx.observe(item)
 	p.see(item)
-}
-
-// Predict returns the prediction from the internally tracked context
-// (the most recent observations), escaping to shorter contexts as needed;
-// empty before any observation.
-func (p *PPM) Predict() map[int]float64 {
-	h := p.ctx.history
-	if len(h) == 0 {
-		return map[int]float64{}
-	}
-	return p.Next(h[len(h)-1])
 }
 
 // NextInto writes the predicted distribution of the item following state

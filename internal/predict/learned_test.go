@@ -10,7 +10,7 @@ import (
 
 func TestDependencyGraphLearnsTransitions(t *testing.T) {
 	d := NewDependencyGraph()
-	if len(d.Predict()) != 0 {
+	if len(d.Next(0)) != 0 {
 		t.Fatal("empty model must predict nothing")
 	}
 	// Feed A,B,A,B,A,C: from A we saw B twice and C once.
@@ -18,7 +18,7 @@ func TestDependencyGraphLearnsTransitions(t *testing.T) {
 		d.Observe(it)
 	}
 	d.Observe(1) // land on A
-	pred := d.Predict()
+	pred := d.Next(1)
 	if math.Abs(pred[2]-2.0/3.0) > 1e-12 || math.Abs(pred[3]-1.0/3.0) > 1e-12 {
 		t.Fatalf("prediction from A = %v, want {2: 2/3, 3: 1/3}", pred)
 	}
@@ -39,7 +39,7 @@ func TestDependencyGraphUnseenState(t *testing.T) {
 	d.Observe(1)
 	d.Observe(2)
 	d.Observe(99) // 99 never had an outgoing observation
-	if len(d.Predict()) != 0 {
+	if len(d.Next(99)) != 0 {
 		t.Fatal("prediction from unseen state must be empty")
 	}
 }
@@ -65,11 +65,11 @@ func TestPPMOrder2BeatsOrder1OnAlternation(t *testing.T) {
 	}
 	// History ends ...,1,3 — wait, seq pattern repeats (1,2,1,3); last two
 	// observations are 1,3. Next in pattern is 1.
-	pred2 := p2.Predict()
+	pred2 := p2.Next(3)
 	if pred2[1] < 0.99 {
 		t.Fatalf("order-2 should be certain of 1 after (1,3): %v", pred2)
 	}
-	pred1 := p1.Predict()
+	pred1 := p1.Next(3)
 	if pred1[1] < 0.99 {
 		t.Fatalf("order-1 after 3 also predicts 1: %v", pred1)
 	}
@@ -77,11 +77,11 @@ func TestPPMOrder2BeatsOrder1OnAlternation(t *testing.T) {
 	p2.Observe(1)
 	p2.Observe(2)
 	p2.Observe(1)
-	if pred := p2.Predict(); pred[3] < 0.99 {
+	if pred := p2.Next(1); pred[3] < 0.99 {
 		t.Fatalf("order-2 after (2,1) should predict 3: %v", pred)
 	}
 	p1.Observe(1)
-	pred1 = p1.Predict()
+	pred1 = p1.Next(1)
 	if pred1[2] < 0.3 || pred1[3] < 0.3 {
 		t.Fatalf("order-1 after 1 should split between 2 and 3: %v", pred1)
 	}
@@ -98,13 +98,13 @@ func TestPPMEscapesToShorterContext(t *testing.T) {
 	// Make the long context unseen by jumping to a fresh item whose order-1
 	// context was still observed once.
 	p.Observe(6)
-	pred := p.Predict()
+	pred := p.Next(6)
 	if pred[5] < 0.99 {
 		t.Fatalf("after 6, order-1 evidence says 5: %v", pred)
 	}
 	// Entirely fresh item: no context at any order.
 	p.Observe(42)
-	if len(p.Predict()) != 0 {
+	if len(p.Next(42)) != 0 {
 		t.Fatal("prediction after unseen item must be empty")
 	}
 }
@@ -130,7 +130,7 @@ func TestPredictorsAgreeWithMarkovChain(t *testing.T) {
 	}
 	s := m.State()
 	succ, prob := m.Successors(s)
-	pred := d.Predict()
+	pred := d.Next(s)
 	for i, target := range succ {
 		if math.Abs(pred[target]-prob[i]) > 0.02 {
 			t.Fatalf("learned P(%d|%d) = %v, true %v", target, s, pred[target], prob[i])
@@ -139,18 +139,16 @@ func TestPredictorsAgreeWithMarkovChain(t *testing.T) {
 }
 
 // TestPredictorNextExplicitState: Next(state) must predict from the given
-// state — matching Predict() when state is the last observation, and
-// answering for arbitrary states independently of the tracked context
-// (PPM escapes to the order-1 context of the queried state).
+// state, answering for arbitrary states independently of the tracked
+// context (PPM escapes to the order-1 context of the queried state).
 func TestPredictorNextExplicitState(t *testing.T) {
 	d := NewDependencyGraph()
 	for _, it := range []int{1, 2, 1, 3, 1, 2} {
 		d.Observe(it)
 	}
-	// last == 2: Predict and Next(2) agree.
-	p1, p2 := d.Predict(), d.Next(2)
-	if len(p1) != len(p2) || p1[1] != p2[1] {
-		t.Errorf("Predict %v disagrees with Next(last) %v", p1, p2)
+	// Out of 2 we saw 1 once: Next(2) = {1:1}.
+	if p2 := d.Next(2); len(p2) != 1 || p2[1] != 1 {
+		t.Errorf("Next(2) = %v, want {1:1}", p2)
 	}
 	// Out of 1 we saw 2,3,2: Next(1) must not depend on last being 2.
 	n1 := d.Next(1)

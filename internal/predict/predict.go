@@ -39,9 +39,9 @@
 //
 // Prediction is dense: NextInto is every source's one prediction body,
 // and it allocates nothing, so the simulators score (L1Dense) and rank a
-// prediction without building a map. Next is the map view of the same
-// distribution, built from NextInto by one shared helper, for callers
-// that do not keep a page-id vector.
+// prediction without building a map. Next, the map view of the same
+// distribution built from NextInto by one shared helper, remains only for
+// the benchmark harness's prediction-layer replay (bench/layers.go).
 //
 // Determinism: sources are pure functions of their observation stream and
 // consume no randomness, so identical seeds replay bit-for-bit and the
@@ -53,6 +53,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"prefetch/internal/webgraph"
 )
 
 // ErrBadConfig reports an invalid prediction configuration.
@@ -116,26 +118,27 @@ type Source interface {
 	// NextInto is the source's prediction: it zeroes out, writes the
 	// predicted probability of each candidate next page at its page id,
 	// and returns the support size. Every page id must be below
-	// len(out), and NextInto panics otherwise. Learned sources allocate
-	// nothing here.
+	// len(out), and NextInto panics otherwise. It allocates nothing.
 	NextInto(state int, out []float64) int
 	// Next returns the same distribution as a map of the support. It
-	// allocates; hot paths call NextInto.
+	// allocates, and it is kept only for bench/layers.go's replay until
+	// the benchmark harness reads vectors; everything else calls NextInto.
 	Next(state int) map[int]float64
 }
 
-// denseSource is a learned source's prediction body plus the vector
-// length that holds any of its predictions.
-type denseSource interface {
-	NextInto(state int, out []float64) int
+// spanned is a source plus the vector length that holds any of its
+// predictions, which sizes the map view.
+type spanned interface {
+	Source
 	span() int
 }
 
-// nextView is the map view every learned source's Next returns: NextInto
-// into a fresh vector of the source's span, read back as a map. Every
-// learned probability is positive, so the non-zero entries are exactly
-// the support.
-func nextView(s denseSource, state int) map[int]float64 {
+// nextView is the map view every source's Next returns: NextInto into a
+// fresh vector of the source's span, read back as a map of the non-zero
+// entries. Those are exactly the support: every learned probability is
+// positive, and so is every oracle probability on a site whose page
+// weights are all positive.
+func nextView(s spanned, state int) map[int]float64 {
 	out := make([]float64, s.span())
 	dist := make(map[int]float64, s.NextInto(state, out))
 	for page, p := range out {
@@ -227,21 +230,21 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// New builds the configured source for one client. oracle is the
-// true-distribution hook (required by KindOracle); shared is the run-wide
-// aggregate model (required by KindShared), with client labelling the
-// caller's stream within it.
-func New(cfg Config, client int, oracle func(state int) map[int]float64, shared *Aggregate) (Source, error) {
+// New builds the configured source for one client. truth is the surfer
+// whose true next-page distribution the oracle reads (required by
+// KindOracle); shared is the run-wide aggregate model (required by
+// KindShared), with client labelling the caller's stream within it.
+func New(cfg Config, client int, truth *webgraph.Surfer, shared *Aggregate) (Source, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	switch cfg.Kind {
 	case KindOracle:
-		if oracle == nil {
-			return nil, fmt.Errorf("%w: oracle source needs a true-distribution hook", ErrBadConfig)
+		if truth == nil {
+			return nil, fmt.Errorf("%w: oracle source needs the true-distribution surfer", ErrBadConfig)
 		}
-		return NewOracle(oracle), nil
+		return NewOracle(truth), nil
 	case KindDepGraph:
 		return withFallback(NewDependencyGraph(), cfg.ColdStart), nil
 	case KindPPM:
@@ -254,7 +257,7 @@ func New(cfg Config, client int, oracle func(state int) map[int]float64, shared 
 		if shared == nil {
 			return nil, fmt.Errorf("%w: shared source needs the run's aggregate model", ErrBadConfig)
 		}
-		return withFallback(&clientView{agg: shared, client: client}, cfg.ColdStart), nil
+		return withFallback(shared.ForClient(client).(spanned), cfg.ColdStart), nil
 	case KindDecay:
 		return withFallback(newDecay(cfg.HalfLife), cfg.ColdStart), nil
 	case KindMixture:
@@ -265,16 +268,15 @@ func New(cfg Config, client int, oracle func(state int) map[int]float64, shared 
 	return nil, fmt.Errorf("%w: unknown predictor %q", ErrBadConfig, cfg.Kind)
 }
 
-// Oracle answers straight from a true-distribution hook and learns
-// nothing: the paper's presupposed access knowledge as a Source.
+// Oracle answers straight from a surfer's true next-page distribution
+// and learns nothing: the paper's presupposed access knowledge as a
+// Source. It reads the surfer's current drift phase at every query.
 type Oracle struct {
-	fn func(state int) map[int]float64
+	truth *webgraph.Surfer
 }
 
-// NewOracle wraps a true-distribution hook as a Source.
-func NewOracle(fn func(state int) map[int]float64) *Oracle {
-	return &Oracle{fn: fn}
-}
+// NewOracle returns the Source over truth's next-page distribution.
+func NewOracle(truth *webgraph.Surfer) *Oracle { return &Oracle{truth: truth} }
 
 // Name implements Source.
 func (o *Oracle) Name() string { return string(KindOracle) }
@@ -282,41 +284,32 @@ func (o *Oracle) Name() string { return string(KindOracle) }
 // Observe implements Source; the oracle has nothing to learn.
 func (o *Oracle) Observe(int) {}
 
-// NextInto implements Source: the hook's distribution, written densely.
-// Its support size is the hook map's length, zero-valued entries
-// included.
+// NextInto implements Source: the surfer's distribution, whose support
+// holds every link target of state plus every page with teleport mass.
+// out must hold at least one entry per page of the site.
 func (o *Oracle) NextInto(state int, out []float64) int {
-	clear(out)
-	dist := o.fn(state)
-	for page, p := range dist {
-		out[page] = p
-	}
-	return len(dist)
+	return o.truth.NextDistributionInto(state, out)
 }
 
-// Next implements Source: the hook's own map. The oracle's distribution
-// is given, not computed, so its map form needs no view.
-func (o *Oracle) Next(state int) map[int]float64 { return o.fn(state) }
+// span covers every page of the site.
+func (o *Oracle) span() int { return o.truth.Pages() }
+
+// Next implements Source.
+func (o *Oracle) Next(state int) map[int]float64 { return nextView(o, state) }
 
 // fallback wraps a learned source with the configured cold-start
 // behaviour. It tracks the set of pages observed so far so FallbackUniform
 // can spread mass over the known universe without consulting anything the
 // client could not have seen.
 type fallback struct {
-	inner learned
+	inner spanned
 	mode  Fallback
 	seen  map[int]bool
 }
 
-// learned is a learned source: its span sizes the map view.
-type learned interface {
-	Source
-	span() int
-}
-
 // withFallback applies the cold-start policy; FallbackNone needs no
 // wrapper at all.
-func withFallback(inner learned, mode Fallback) Source {
+func withFallback(inner spanned, mode Fallback) Source {
 	if mode == FallbackNone {
 		return inner
 	}
@@ -387,9 +380,6 @@ func (a *Aggregate) NextInto(state int, out []float64) int {
 	return a.trans.nextInto(state, out)
 }
 
-// Next returns the pooled transition distribution out of state as a map.
-func (a *Aggregate) Next(state int) map[int]float64 { return nextView(a, state) }
-
 // Freq returns the pooled access count of a page.
 func (a *Aggregate) Freq(page int) int64 { return a.pop.freq(page) }
 
@@ -428,7 +418,7 @@ type clientView struct {
 }
 
 // ForClient returns client's Source view of the pooled model: Observe
-// extends that client's chain, Next reads the pooled counts.
+// extends that client's chain, NextInto reads the pooled counts.
 func (a *Aggregate) ForClient(client int) Source {
 	return &clientView{agg: a, client: client}
 }
@@ -448,41 +438,14 @@ func (v *clientView) span() int { return v.agg.span() }
 // Next implements Source.
 func (v *clientView) Next(state int) map[int]float64 { return nextView(v, state) }
 
-// L1 returns the L1 distance Σ |p(i) − q(i)| between two distributions
-// over the union of their supports — the prediction-error metric the
+// L1Dense returns the L1 distance Σ |p(i) − q(i)| between two dense
+// vectors indexed by page id — the prediction-error metric the
 // multiclient simulation records each planned round (0 = identical, 2 =
-// disjoint). The terms are summed in sorted key order: float addition is
-// not associative, so summing in map iteration order would make the last
-// ulp of the result nondeterministic across runs and break the
-// simulators' bit-for-bit replay guarantee.
-func L1(p, q map[int]float64) float64 {
-	keys := make([]int, 0, len(p)+len(q))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	for k := range q {
-		if _, ok := p[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Ints(keys)
-	var sum float64
-	for _, k := range keys {
-		d := p[k] - q[k]
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum
-}
-
-// L1Dense returns L1 over two dense vectors indexed by page id, read as
-// maps over ids 0..len(q)-1, bit for bit: |p(i) − q(i)| is summed over i
-// ascending, the sorted-key order L1 uses, and ids in neither support add
-// +0, which leaves a sum that starts at +0 unchanged. It neither
-// allocates nor sorts. p and q must have the same length, and L1Dense
-// panics otherwise.
+// disjoint). The terms are summed over i ascending, a fixed order, so
+// the last ulp replays bit for bit; ids in neither support add +0, which
+// leaves a sum that starts at +0 unchanged, so the result equals the
+// sorted-key sum over the two supports. It neither allocates nor sorts.
+// p and q must have the same length, and L1Dense panics otherwise.
 func L1Dense(p, q []float64) float64 {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("predict: L1Dense over vectors of length %d and %d", len(p), len(q)))

@@ -44,10 +44,25 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// testSurfer returns a random surfer over a 40-page site, both drawn
+// from one stream seeded with seed.
+func testSurfer(t *testing.T, seed uint64) *webgraph.Surfer {
+	t.Helper()
+	r := rng.New(seed)
+	site, err := webgraph.Generate(r, webgraph.SiteConfig{
+		Pages: 40, MinLinks: 3, MaxLinks: 6, ZipfS: 1.1,
+		MinSizeKB: 2, MaxSizeKB: 40, BandwidthKBps: 16, LatencyS: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return webgraph.NewSurfer(r, site, 0.85)
+}
+
 func TestKindsMatchNew(t *testing.T) {
-	oracle := func(int) map[int]float64 { return map[int]float64{1: 1} }
+	truth := testSurfer(t, 1)
 	for _, k := range Kinds() {
-		src, err := New(Config{Kind: k}, 0, oracle, NewAggregate())
+		src, err := New(Config{Kind: k}, 0, truth, NewAggregate())
 		if err != nil {
 			t.Fatalf("New(%s): %v", k, err)
 		}
@@ -59,27 +74,33 @@ func TestKindsMatchNew(t *testing.T) {
 
 func TestNewRequiresHooks(t *testing.T) {
 	if _, err := New(Config{Kind: KindOracle}, 0, nil, nil); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("oracle without hook: err = %v, want ErrBadConfig", err)
+		t.Errorf("oracle without surfer: err = %v, want ErrBadConfig", err)
 	}
 	if _, err := New(Config{Kind: KindShared}, 0, nil, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("shared without aggregate: err = %v, want ErrBadConfig", err)
 	}
 }
 
+// TestOraclePassesThrough: the oracle answers with the surfer's own
+// distribution at the queried state, values and support size, and
+// observing moves nothing.
 func TestOraclePassesThrough(t *testing.T) {
-	want := map[int]float64{3: 0.5, 4: 0.5}
-	var got int
-	o := NewOracle(func(state int) map[int]float64 {
-		got = state
-		return want
-	})
-	o.Observe(99) // must be a no-op
-	d := o.Next(7)
-	if got != 7 {
-		t.Errorf("oracle queried state %d, want 7", got)
+	s := testSurfer(t, 2)
+	want := make([]float64, s.Pages())
+	wantN := s.NextDistributionInto(7, want)
+	o := NewOracle(s)
+	o.Observe(9) // must be a no-op
+	got := make([]float64, s.Pages())
+	if n := o.NextInto(7, got); n != wantN {
+		t.Errorf("oracle support %d, surfer %d", n, wantN)
 	}
-	if len(d) != len(want) || d[3] != 0.5 || d[4] != 0.5 {
-		t.Errorf("oracle distribution = %v, want %v", d, want)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("oracle[%d] = %v, surfer %v", i, got[i], want[i])
+		}
+	}
+	if s.Current() != 0 {
+		t.Errorf("oracle moved the surfer to page %d", s.Current())
 	}
 	if o.Name() != "oracle" {
 		t.Errorf("Name() = %q", o.Name())
@@ -129,16 +150,13 @@ func TestAggregatePerClientChains(t *testing.T) {
 		a.ObserveClient(0, 1+i%2)
 		a.ObserveClient(1, 3+i%2)
 	}
-	d := a.Next(1)
-	if len(d) != 1 || d[2] != 1 {
-		t.Errorf("Next(1) = %v, want {2:1}", d)
+	// No cross-client edge 1→3, 1→4, 2→3 or 2→4 may exist.
+	d := make([]float64, 5)
+	if n := a.NextInto(1, d); n != 1 || d[2] != 1 {
+		t.Errorf("NextInto(1) = %v (support %d), want {2:1}", d, n)
 	}
-	if d := a.Next(2); len(d) != 1 || d[1] != 1 {
-		t.Errorf("Next(2) = %v, want {1:1}", d)
-	}
-	// No cross-client edge 1→3 or 2→3 may exist.
-	if d := a.Next(1); d[3] != 0 || d[4] != 0 {
-		t.Errorf("cross-client edges fabricated: %v", d)
+	if n := a.NextInto(2, d); n != 1 || d[1] != 1 {
+		t.Errorf("NextInto(2) = %v (support %d), want {1:1}", d, n)
 	}
 	if a.Observations() != 20 {
 		t.Errorf("Observations() = %d, want 20", a.Observations())
@@ -272,28 +290,27 @@ func TestL1DenseMatchesL1(t *testing.T) {
 	}
 }
 
-// trainOnSurfer walks a stationary random surfer for steps, feeding each
-// access to the source, and returns the mean L1 error of the source's
-// prediction at the visited states over the final evalWindow steps.
-func trainOnSurfer(t *testing.T, src Source, seed uint64, steps, evalWindow int) float64 {
+// trainOnSurfer walks a random surfer for steps, feeding each access to
+// the source, and returns the mean L1 error of the source's prediction at
+// the visited states over the final evalWindow steps. With driftEvery >
+// 0 the hot set is re-drawn every driftEvery steps from a dedicated
+// derived drift stream, exactly as the multiclient simulation wires it.
+func trainOnSurfer(t *testing.T, src Source, seed uint64, steps, driftEvery, evalWindow int) float64 {
 	t.Helper()
-	r := rng.New(seed)
-	cfg := webgraph.SiteConfig{
-		Pages: 40, MinLinks: 3, MaxLinks: 6, ZipfS: 1.1,
-		MinSizeKB: 2, MaxSizeKB: 40, BandwidthKBps: 16, LatencyS: 0.3,
+	surfer := testSurfer(t, seed)
+	if driftEvery > 0 {
+		surfer.EnableDrift(rng.Derive(seed, "drift"), driftEvery)
 	}
-	site, err := webgraph.Generate(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surfer := webgraph.NewSurfer(r, site, 0.85)
+	pred, truth := make([]float64, surfer.Pages()), make([]float64, surfer.Pages())
 	src.Observe(surfer.Current())
 	var sum float64
 	var n int
 	for i := 0; i < steps; i++ {
 		state := surfer.Current()
 		if i >= steps-evalWindow {
-			sum += L1(src.Next(state), surfer.NextDistributionFrom(state))
+			src.NextInto(state, pred)
+			surfer.NextDistributionInto(state, truth)
+			sum += L1Dense(pred, truth)
 			n++
 		}
 		src.Observe(surfer.Step())
@@ -305,8 +322,8 @@ func trainOnSurfer(t *testing.T, src Source, seed uint64, steps, evalWindow int)
 // trained on a stationary surfer, both depgraph and ppm must drive their
 // prediction L1 error well below the cold model's (2 = disjoint support,
 // ~1 after the first few observations) and keep shrinking with more
-// training — the learned distribution approaches the true
-// NextDistribution.
+// training — the learned distribution approaches the surfer's true
+// next-page distribution.
 func TestLearnedConvergeToTrueDistribution(t *testing.T) {
 	build := func(kind Kind) Source {
 		src, err := New(Config{Kind: kind}, 0, nil, nil)
@@ -317,8 +334,8 @@ func TestLearnedConvergeToTrueDistribution(t *testing.T) {
 	}
 	for _, kind := range []Kind{KindDepGraph, KindPPM, KindDecay, KindMixture, KindPPMEscape} {
 		for _, seed := range []uint64{1, 7, 42} {
-			early := trainOnSurfer(t, build(kind), seed, 500, 250)
-			late := trainOnSurfer(t, build(kind), seed, 30000, 2000)
+			early := trainOnSurfer(t, build(kind), seed, 500, 0, 250)
+			late := trainOnSurfer(t, build(kind), seed, 30000, 0, 2000)
 			t.Logf("%s seed %d: early L1 %.3f, late L1 %.3f", kind, seed, early, late)
 			if late >= early {
 				t.Errorf("%s seed %d: L1 did not shrink with training (early %.3f, late %.3f)",
@@ -329,36 +346,6 @@ func TestLearnedConvergeToTrueDistribution(t *testing.T) {
 			}
 		}
 	}
-}
-
-// trainOnDriftingSurfer is trainOnSurfer on a non-stationary surfer: the
-// hot set is re-drawn every driftEvery steps from a dedicated derived
-// drift stream, exactly as the multiclient simulation wires it.
-func trainOnDriftingSurfer(t *testing.T, src Source, seed uint64, steps, driftEvery, evalWindow int) float64 {
-	t.Helper()
-	r := rng.New(seed)
-	cfg := webgraph.SiteConfig{
-		Pages: 40, MinLinks: 3, MaxLinks: 6, ZipfS: 1.1,
-		MinSizeKB: 2, MaxSizeKB: 40, BandwidthKBps: 16, LatencyS: 0.3,
-	}
-	site, err := webgraph.Generate(r, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surfer := webgraph.NewSurfer(r, site, 0.85)
-	surfer.EnableDrift(rng.Derive(seed, "drift"), driftEvery)
-	src.Observe(surfer.Current())
-	var sum float64
-	var n int
-	for i := 0; i < steps; i++ {
-		state := surfer.Current()
-		if i >= steps-evalWindow {
-			sum += L1(src.Next(state), surfer.NextDistributionFrom(state))
-			n++
-		}
-		src.Observe(surfer.Step())
-	}
-	return sum / float64(n)
 }
 
 // TestDriftRecoveryProperty is the drift-recovery property test: after
@@ -383,10 +370,10 @@ func TestDriftRecoveryProperty(t *testing.T) {
 		return src
 	}
 	for _, seed := range []uint64{1, 7, 42} {
-		depStat := trainOnSurfer(t, build(KindDepGraph), seed, steps, window)
-		decStat := trainOnSurfer(t, build(KindDecay), seed, steps, window)
-		depDrift := trainOnDriftingSurfer(t, build(KindDepGraph), seed, steps, shift, window)
-		decDrift := trainOnDriftingSurfer(t, build(KindDecay), seed, steps, shift, window)
+		depStat := trainOnSurfer(t, build(KindDepGraph), seed, steps, 0, window)
+		decStat := trainOnSurfer(t, build(KindDecay), seed, steps, 0, window)
+		depDrift := trainOnSurfer(t, build(KindDepGraph), seed, steps, shift, window)
+		decDrift := trainOnSurfer(t, build(KindDecay), seed, steps, shift, window)
 		t.Logf("seed %d: stationary depgraph %.3f decay %.3f | drifted depgraph %.3f decay %.3f",
 			seed, depStat, decStat, depDrift, decDrift)
 		// Stationary ranking: decay pays for its forgetting.

@@ -120,12 +120,10 @@ func Generate(r *rng.Source, cfg SiteConfig) (*Site, error) {
 // NextDistributionInto computes the stationary random-surfer next-page
 // distribution from page into probs (len(probs) must equal the page
 // count; it is zeroed first). This is the site-level form of
-// Surfer.NextDistributionFrom for a drift-free surfer: a pure function of
-// (site, page, followProb), dense instead of a map, and with the exact
-// accumulation order of the map form — per-link mass first, then the
-// teleport sweep — so every probability is bit-for-bit the value the
-// surfer would report. followProb outside (0,1) defaults to 0.85 exactly
-// as NewSurfer does.
+// Surfer.NextDistributionInto for a drift-free surfer: a pure function of
+// (site, page, followProb), so every probability is bit-for-bit the
+// value the surfer would report. followProb outside (0,1) defaults to
+// 0.85 exactly as NewSurfer does.
 func (s *Site) NextDistributionInto(page int, followProb float64, probs []float64) {
 	if followProb <= 0 || followProb >= 1 {
 		followProb = 0.85
@@ -137,12 +135,13 @@ func (s *Site) NextDistributionInto(page int, followProb float64, probs []float6
 // distribution: link mass first — uniform, or biased by the phase
 // preferences when weights is non-nil — then the teleport sweep over the
 // preference weights (the site popularity when weights is nil). probs is
-// zeroed first; every float operation happens in the same order for the
-// dense and the map forms, so they agree bit for bit.
-func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) {
-	for i := range probs {
-		probs[i] = 0
-	}
+// zeroed first, and every float operation happens in the order of the
+// map-accumulating reference the tests keep, so the two agree bit for
+// bit. It returns the support size — the reference's key count: every
+// link target, whatever its mass, plus every page with positive teleport
+// mass.
+func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) int {
+	clear(probs)
 	links := s.Pages[page].Links
 	if len(links) > 0 {
 		if weights == nil {
@@ -167,6 +166,7 @@ func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) 
 	if len(links) == 0 {
 		teleport = 1
 	}
+	support := 0
 	for i := range s.Pages {
 		w := s.Pages[i].Weight
 		if weights != nil {
@@ -174,8 +174,20 @@ func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) 
 		}
 		if w *= teleport; w > 0 {
 			probs[i] += w
+			support++
 		}
 	}
+	// Count the link targets the sweep left out.
+	for _, t := range links {
+		w := s.Pages[t].Weight
+		if weights != nil {
+			w = weights[t]
+		}
+		if !(w*teleport > 0) {
+			support++
+		}
+	}
+	return support
 }
 
 // Surfer is a random-surfer browsing model over a Site: with probability
@@ -236,51 +248,28 @@ func (s *Surfer) SetCurrent(page int) {
 	s.current = page
 }
 
-// NextDistribution returns the true distribution of the next page: the
-// speculative knowledge available to the prefetcher.
-func (s *Surfer) NextDistribution() map[int]float64 {
-	return s.NextDistributionFrom(s.current)
-}
+// Pages returns the site's page count: the length of the vector
+// NextDistributionInto fills.
+func (s *Surfer) Pages() int { return len(s.site.Pages) }
 
-// NextDistributionFrom returns the true next-page distribution from an
-// arbitrary page — the distribution is a pure function of (site, page,
-// followProb) plus, under drift, the current phase's preference vector —
-// so this is NextDistribution reconditioned without moving the surfer.
-// It is the oracle hook of the prediction subsystem, and it tracks every
-// phase shift exactly: shifts are applied at the end of Step, so the
-// distribution queried between steps always matches what the next Step
-// will sample from.
-//
-// The map holds every link target of page plus every page with positive
-// teleport mass — the support NextDistributionInto leaves non-zero, plus
-// link targets whatever their mass.
-func (s *Surfer) NextDistributionFrom(page int) map[int]float64 {
-	probs := make([]float64, len(s.site.Pages))
-	s.NextDistributionInto(page, probs)
-	dist := make(map[int]float64, len(probs))
-	for _, t := range s.site.Pages[page].Links {
-		dist[t] = probs[t]
-	}
-	for i, p := range probs {
-		if p > 0 {
-			dist[i] = p
-		}
-	}
-	return dist
-}
-
-// NextDistributionInto writes NextDistributionFrom(page) densely into
-// probs, indexed by page id (len(probs) must equal the page count; pages
-// outside the support read 0). The values are bit-for-bit the map form's,
-// drift phase included, and nothing is allocated.
-func (s *Surfer) NextDistributionInto(page int, probs []float64) {
-	s.site.nextInto(page, s.followProb, s.weights, probs)
+// NextDistributionInto writes the true distribution of the page after
+// page into probs, indexed by page id, and returns its support size —
+// the speculative knowledge available to the prefetcher. probs is zeroed
+// first and must hold at least Pages() entries; pages outside the support
+// read 0. The distribution is a pure function of (site, page, followProb)
+// plus, under drift, the current phase's preference vector, so querying
+// any page leaves the surfer where it is. It tracks every phase shift
+// exactly: shifts are applied at the end of Step, so the distribution
+// queried between steps always matches what the next Step will sample
+// from. Nothing is allocated.
+func (s *Surfer) NextDistributionInto(page int, probs []float64) int {
+	return s.site.nextInto(page, s.followProb, s.weights, probs)
 }
 
 // Step advances the surfer and returns the new page ID. Under drift the
 // phase shift (if the cadence has elapsed) is applied after the page is
-// sampled, so NextDistribution queries between steps always describe the
-// step about to be taken.
+// sampled, so NextDistributionInto queries between steps always describe
+// the step about to be taken.
 func (s *Surfer) Step() int {
 	links := s.site.Pages[s.current].Links
 	if len(links) > 0 && s.rand.Float64() < s.followProb {

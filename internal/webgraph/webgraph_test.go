@@ -77,14 +77,34 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// nextDist returns s's next-page distribution from page in a fresh
+// vector.
+func nextDist(s *Surfer, page int) []float64 {
+	probs := make([]float64, s.Pages())
+	s.NextDistributionInto(page, probs)
+	return probs
+}
+
+// sameBits reports whether two vectors hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNextDistributionIsDistribution(t *testing.T) {
 	site := mustSite(t, 3)
 	s := NewSurfer(rng.New(4), site, 0.85)
 	for step := 0; step < 200; step++ {
-		dist := s.NextDistribution()
 		var sum float64
-		for id, p := range dist {
-			if p < 0 || id < 0 || id >= len(site.Pages) {
+		for id, p := range nextDist(s, s.Current()) {
+			if p < 0 {
 				t.Fatalf("bad entry %d:%v", id, p)
 			}
 			sum += p
@@ -98,11 +118,11 @@ func TestNextDistributionIsDistribution(t *testing.T) {
 
 func TestSurferStepMatchesDistribution(t *testing.T) {
 	// Empirical next-page frequencies from a fixed page must match
-	// NextDistribution.
+	// the exposed distribution.
 	site := mustSite(t, 5)
 	s := NewSurfer(rng.New(6), site, 0.85)
 	start := s.Current()
-	dist := s.NextDistribution()
+	dist := nextDist(s, start)
 	counts := map[int]int{}
 	const reps = 200000
 	for i := 0; i < reps; i++ {
@@ -174,10 +194,10 @@ func TestPopularPagesGetMoreInlinks(t *testing.T) {
 	}
 }
 
-// TestNextDistributionFrom: the distribution is a pure function of the
-// page — NextDistributionFrom must match NextDistribution at the current
-// page and recondition without moving the surfer.
-func TestNextDistributionFrom(t *testing.T) {
+// TestNextDistributionIntoIsPure: the distribution is a pure function of
+// the page — querying another page leaves the surfer where it is, and
+// the current page's distribution comes back bit for bit.
+func TestNextDistributionIntoIsPure(t *testing.T) {
 	r := rng.New(3)
 	site, err := Generate(r, DefaultSiteConfig())
 	if err != nil {
@@ -186,27 +206,21 @@ func TestNextDistributionFrom(t *testing.T) {
 	s := NewSurfer(r, site, 0.85)
 	for i := 0; i < 5; i++ {
 		cur := s.Current()
-		a, b := s.NextDistribution(), s.NextDistributionFrom(cur)
-		if len(a) != len(b) {
-			t.Fatalf("step %d: sizes differ: %d vs %d", i, len(a), len(b))
-		}
-		for k, v := range a {
-			if b[k] != v {
-				t.Fatalf("step %d: dist[%d] = %v vs %v", i, k, v, b[k])
-			}
-		}
-		other := (cur + 1) % len(site.Pages)
-		s.NextDistributionFrom(other)
+		a := nextDist(s, cur)
+		nextDist(s, (cur+1)%len(site.Pages))
 		if s.Current() != cur {
-			t.Fatal("NextDistributionFrom moved the surfer")
+			t.Fatal("NextDistributionInto moved the surfer")
+		}
+		if b := nextDist(s, cur); !sameBits(a, b) {
+			t.Fatalf("step %d: distribution changed between queries: %v vs %v", i, a, b)
 		}
 		s.Step()
 	}
 }
 
 // refNextDistribution is the map-accumulating next-page distribution the
-// dense implementation replaced, kept as the reference the dense and map
-// forms must reproduce bit for bit (values and key set).
+// dense implementation replaced, kept as the reference the dense form
+// must reproduce bit for bit (values, and the key count as its support).
 func refNextDistribution(s *Surfer, page int) map[int]float64 {
 	dist := map[int]float64{}
 	links := s.site.Pages[page].Links
@@ -245,7 +259,8 @@ func refNextDistribution(s *Surfer, page int) map[int]float64 {
 // TestNextDistributionIntoMatchesMap: for every page of a stationary and
 // a drifting surfer, through several phase shifts, NextDistributionInto
 // and Site.NextDistributionInto hold exactly the reference map's values
-// (zero off its support) and NextDistributionFrom has its exact key set.
+// (zero off its support), and NextDistributionInto's support size is the
+// reference's key count — also when a link target carries no mass.
 func TestNextDistributionIntoMatchesMap(t *testing.T) {
 	site := mustSite(t, 21)
 	// A page without links teleports with full mass: cover that branch.
@@ -256,20 +271,12 @@ func TestNextDistributionIntoMatchesMap(t *testing.T) {
 		siteProbs := make([]float64, len(site.Pages))
 		for page := range site.Pages {
 			want := refNextDistribution(s, page)
-			got := s.NextDistributionFrom(page)
-			if len(got) != len(want) {
-				t.Fatalf("%s page %d: map has %d keys, reference %d", label, page, len(got), len(want))
-			}
-			for k, v := range want {
-				g, ok := got[k]
-				if !ok || math.Float64bits(g) != math.Float64bits(v) {
-					t.Fatalf("%s page %d: map[%d] = %v (present %v), reference %v", label, page, k, g, ok, v)
-				}
-			}
 			for i := range probs {
 				probs[i] = math.NaN() // Into must overwrite every slot
 			}
-			s.NextDistributionInto(page, probs)
+			if n := s.NextDistributionInto(page, probs); n != len(want) {
+				t.Fatalf("%s page %d: support %d, reference has %d keys", label, page, n, len(want))
+			}
 			if s.weights == nil {
 				site.NextDistributionInto(page, s.followProb, siteProbs)
 			}
@@ -295,6 +302,13 @@ func TestNextDistributionIntoMatchesMap(t *testing.T) {
 			check(fmt.Sprintf("drift phase %d", s.Phase()), s)
 		}
 	}
+
+	// A link target whose preference weight is zero keeps its place in
+	// the support with zero mass.
+	s = NewSurfer(rng.New(4), site, 0.85)
+	s.EnableDrift(rng.Derive(4, "drift"), 5)
+	s.weights[site.Pages[0].Links[0]] = 0
+	check("zero-weight link target", s)
 }
 
 // driftSite builds a small site and a drifting surfer for the drift
@@ -317,14 +331,8 @@ func TestDriftReplayDeterministic(t *testing.T) {
 	a := driftSite(t, 11, 17)
 	b := driftSite(t, 11, 17)
 	for i := 0; i < 200; i++ {
-		da, db := a.NextDistribution(), b.NextDistribution()
-		if len(da) != len(db) {
-			t.Fatalf("step %d: distribution supports differ", i)
-		}
-		for k, v := range da {
-			if db[k] != v {
-				t.Fatalf("step %d: dist[%d] = %v vs %v", i, k, v, db[k])
-			}
+		if da, db := nextDist(a, a.Current()), nextDist(b, b.Current()); !sameBits(da, db) {
+			t.Fatalf("step %d: distributions differ: %v vs %v", i, da, db)
 		}
 		if pa, pb := a.Step(), b.Step(); pa != pb {
 			t.Fatalf("step %d: trajectories diverged: %d vs %d", i, pa, pb)
@@ -347,10 +355,10 @@ func TestDriftOracleExactAcrossPhases(t *testing.T) {
 	s := driftSite(t, 5, every)
 	page := s.Current()
 	prevPhase := s.Phase()
-	prev := s.NextDistributionFrom(0)
+	prev := nextDist(s, 0)
 	shifts := 0
 	for i := 0; i < 150; i++ {
-		d := s.NextDistributionFrom(0)
+		d := nextDist(s, 0)
 		var mass float64
 		for _, p := range d {
 			mass += p
@@ -358,13 +366,7 @@ func TestDriftOracleExactAcrossPhases(t *testing.T) {
 		if mass < 1-1e-9 || mass > 1+1e-9 {
 			t.Fatalf("step %d: distribution mass %v", i, mass)
 		}
-		changed := len(d) != len(prev)
-		for k, v := range d {
-			if prev[k] != v {
-				changed = true
-				break
-			}
-		}
+		changed := !sameBits(d, prev)
 		if s.Phase() == prevPhase && changed {
 			t.Fatalf("step %d: distribution moved inside phase %d", i, s.Phase())
 		}
@@ -406,22 +408,14 @@ func TestDriftStreamsIndependent(t *testing.T) {
 // boundary.
 func TestDriftMovesHotSet(t *testing.T) {
 	s := driftSite(t, 13, 10)
-	before := s.NextDistributionFrom(0)
+	before := nextDist(s, 0)
 	for i := 0; i < 10; i++ {
 		s.Step()
 	}
 	if s.Phase() != 1 {
 		t.Fatalf("Phase() = %d after 10 steps at cadence 10, want 1", s.Phase())
 	}
-	after := s.NextDistributionFrom(0)
-	changed := false
-	for k, v := range after {
-		if before[k] != v {
-			changed = true
-			break
-		}
-	}
-	if !changed {
+	if sameBits(before, nextDist(s, 0)) {
 		t.Error("phase shift left the next-page distribution unchanged")
 	}
 }

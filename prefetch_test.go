@@ -206,9 +206,11 @@ func TestFacadePredictors(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds = append(preds, p)
-	preds = append(preds, prefetch.NewOraclePredictor(func(int) map[int]float64 {
-		return map[int]float64{2: 1}
-	}))
+	site, err := prefetch.GenerateSite(prefetch.NewRand(3), prefetch.DefaultSiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds = append(preds, prefetch.NewOraclePredictor(prefetch.NewSurfer(prefetch.NewRand(4), site, 0.85)))
 	preds = append(preds, prefetch.NewPredictorAggregate().ForClient(0))
 	for _, pr := range preds {
 		pr.Observe(1)
@@ -218,11 +220,9 @@ func TestFacadePredictors(t *testing.T) {
 			t.Errorf("%s predicts nothing after observing 1,2,1", pr.Name())
 		}
 	}
-	if len(d.Predict()) == 0 || len(p.Predict()) == 0 {
-		t.Fatal("internal-context Predict() broke")
-	}
-	if got := prefetch.PredictionL1(d.Next(1), map[int]float64{2: 1}); got != 0 {
-		t.Errorf("depgraph after 1→2 observations: L1 vs {2:1} = %v, want 0", got)
+	out := make([]float64, 3)
+	if n := d.NextInto(1, out); n != 1 || out[2] != 1 {
+		t.Errorf("depgraph after 1→2 observations: NextInto(1) = %v (support %d), want {2:1}", out, n)
 	}
 	if kinds := prefetch.PredictorKinds(); len(kinds) != 7 || kinds[0] != prefetch.PredictorOracle ||
 		kinds[4] != prefetch.PredictorDecay || kinds[5] != prefetch.PredictorMixture ||

@@ -52,11 +52,12 @@ type (
 	GeometricGen = access.GeometricGen
 	// Predictor is THE predictor interface of the public API — the
 	// prediction subsystem's Source (internal/predict): Observe feeds an
-	// access stream, NextInto(state, out) writes the predicted
-	// distribution of the following access into a page-id vector, and
-	// Next(state) returns it as a map. DependencyGraph, PPM, the oracle
-	// and the shared aggregate model all implement it, and the
-	// multiclient simulation plans over it (MultiClientConfig.Predict).
+	// access stream, and NextInto(state, out) writes the predicted
+	// distribution of the following access into a page-id vector. Its
+	// map-returning Next remains only for the benchmark harness
+	// (bench/layers.go). DependencyGraph, PPM, the oracle and the shared
+	// aggregate model all implement it, and the multiclient simulation
+	// plans over it (MultiClientConfig.Predict).
 	Predictor = predict.Source
 	// DependencyGraph is an order-1 transition-count predictor.
 	DependencyGraph = predict.DependencyGraph

@@ -163,7 +163,8 @@ type (
 	PredictorKind = predict.Kind
 	// PredictorFallback selects a learned source's cold-start behaviour.
 	PredictorFallback = predict.Fallback
-	// PredictorOracleSource answers from a true-distribution hook.
+	// PredictorOracleSource answers from a surfer's true next-page
+	// distribution.
 	PredictorOracleSource = predict.Oracle
 	// PredictorAggregate is the server-side shared model pooled over all
 	// clients' access streams (also the cache-warming popularity model).
@@ -208,18 +209,13 @@ const (
 // PredictorKinds lists the built-in prediction sources in canonical order.
 func PredictorKinds() []PredictorKind { return predict.Kinds() }
 
-// NewOraclePredictor wraps a true-distribution hook as a Predictor.
-func NewOraclePredictor(fn func(state int) map[int]float64) *PredictorOracleSource {
-	return predict.NewOracle(fn)
-}
+// NewOraclePredictor returns the Predictor over truth's next-page
+// distribution.
+func NewOraclePredictor(truth *Surfer) *PredictorOracleSource { return predict.NewOracle(truth) }
 
 // NewPredictorAggregate returns an empty shared aggregate model; obtain
 // per-client Predictor views with ForClient.
 func NewPredictorAggregate() *PredictorAggregate { return predict.NewAggregate() }
-
-// PredictionL1 returns the L1 distance between two distributions — the
-// prediction-error metric the multiclient simulation records per round.
-func PredictionL1(p, q map[int]float64) float64 { return predict.L1(p, q) }
 
 // DefaultMultiClientConfig returns a contended but healthy starting point.
 func DefaultMultiClientConfig() MultiClientConfig { return multiclient.DefaultConfig() }
