@@ -61,8 +61,8 @@ func run(cfg config) error {
 		return err
 	}
 	var summary strings.Builder
-	fmt.Fprintf(&summary, "figures run: seed=%d iters=%d requests=%d cachestep=%d (%s)\n",
-		cfg.seed, cfg.iters, cfg.requests, cfg.cacheStep, time.Now().Format(time.RFC3339))
+	fmt.Fprintf(&summary, "figures run: seed=%d iters=%d requests=%d cachestep=%d\n",
+		cfg.seed, cfg.iters, cfg.requests, cfg.cacheStep)
 
 	type job struct {
 		name string

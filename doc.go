@@ -35,11 +35,11 @@
 // # Layout
 //
 // The root package is the public API. Implementation lives under
-// internal/: core (model + solvers), knapsack (the classic-KP baseline),
+// internal/: core (model + solvers, the classic-KP baseline included),
 // access (probability generators and Markov sources), predict (the
 // pluggable prediction subsystem — the oracle and every learned source,
 // built on shared count stores; see MultiClientConfig.Predict), cache
-// (replacement policies), sim (the paper's Monte-Carlo harnesses),
+// (the client cache container), sim (the paper's Monte-Carlo harnesses),
 // netsim (an event-driven validation simulator), eventq (the binary-heap
 // priority queue under every discrete-event scheduler), multiclient (N
 // concurrent sessions contending for a shared server — see

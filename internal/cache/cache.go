@@ -1,9 +1,8 @@
 // Package cache provides the client-side cache substrate for the
 // prefetch-cache integration (paper §5): a fixed-capacity, equal-item-size
-// cache with access bookkeeping (frequency, recency, insertion order) and a
-// family of victim policies — the paper's Pr-arbitration lives in
-// internal/core; this package supplies the container plus the classical
-// baselines (LRU, LFU, FIFO, delay-saving) used by extension experiments.
+// cache with access bookkeeping (frequency and recency) and an LRU victim.
+// The paper's Pr-arbitration and its LFU and delay-saving sub-arbitration
+// live in internal/core; this package supplies the container.
 package cache
 
 import (
@@ -21,14 +20,13 @@ type Entry struct {
 	Retrieval  float64 // r_i, retrieval time if it had to be refetched
 	Freq       int64   // accesses observed while tracked
 	LastAccess int64   // logical time of last access
-	Inserted   int64   // logical time of insertion
 
 	// prev/next link the entry's slab slot into the cache's recency list
 	// (while cached) or its free chain (while free), as slot+1 with 0 for
 	// none. Keeping the recency list intrusive makes the LRU victim an
 	// O(1) head read instead of an Entries() copy-and-scan — the dominant
 	// cost of every eviction at fleet scale. The copies handed out by
-	// Entry/Entries have these cleared.
+	// Entries have these cleared.
 	prev, next int32
 }
 
@@ -44,8 +42,8 @@ const maxCapacity = math.MaxInt32 - 1
 // in New, and an index from id to slab slot. Every slot is in exactly one
 // of two chains threaded through Entry.prev/next: the recency list (the
 // slot is cached and index[ID] names it) or the free chain. Probes are
-// array reads, and Entries/IDs walk the index, so they come out ordered by
-// id without a sort.
+// array reads, and Entries walks the index, so it comes out ordered by id
+// without a sort.
 type Cache struct {
 	capacity int
 	slab     []Entry
@@ -79,19 +77,15 @@ func New(capacity int) (*Cache, error) {
 		slab:     make([]Entry, capacity),
 		freqAll:  make(map[int]int64),
 	}
-	c.resetFree()
-	return c, nil
-}
-
-// resetFree chains every slab slot, in slot order, onto the free chain.
-func (c *Cache) resetFree() {
+	// Chain every slab slot, in slot order, onto the free chain.
 	for i := range c.slab {
 		c.slab[i].next = int32(i + 2)
 	}
-	if n := len(c.slab); n > 0 {
-		c.slab[n-1].next = 0
+	if capacity > 0 {
+		c.slab[capacity-1].next = 0
 		c.free = 1
 	}
+	return c, nil
 }
 
 // at returns the entry in slot (1-based).
@@ -202,7 +196,6 @@ func (c *Cache) Insert(id int, retrieval float64) error {
 		Retrieval:  retrieval,
 		Freq:       c.freqAll[id],
 		LastAccess: c.clock,
-		Inserted:   c.clock,
 	}
 	c.index[id] = slot
 	c.pushTail(slot)
@@ -252,15 +245,6 @@ func (e *Entry) public() Entry {
 	return out
 }
 
-// Entry returns a copy of the entry for id.
-func (c *Cache) Entry(id int) (Entry, bool) {
-	slot := c.slotOf(id)
-	if slot == 0 {
-		return Entry{}, false
-	}
-	return c.at(slot).public(), true
-}
-
 // Entries returns copies of all entries, sorted by ID for determinism.
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.n)
@@ -270,27 +254,6 @@ func (c *Cache) Entries() []Entry {
 		}
 	}
 	return out
-}
-
-// IDs returns the cached item IDs, sorted ascending.
-func (c *Cache) IDs() []int {
-	out := make([]int, 0, c.n)
-	for id, slot := range c.index {
-		if slot != 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Flush empties the cache (the "prefetch only" simulation flushes after
-// every request). Global frequencies are retained.
-func (c *Cache) Flush() {
-	for slot := c.head; slot != 0; slot = c.at(slot).next {
-		c.index[c.at(slot).ID] = 0
-	}
-	c.head, c.tail, c.n = 0, 0, 0
-	c.resetFree()
 }
 
 // Victim chooses an eviction victim using the policy; false if empty.
@@ -316,60 +279,20 @@ type Policy interface {
 	Victim(entries []Entry) int
 }
 
-// pickMin returns the entry minimising key, ties by lowest ID (entries are
-// pre-sorted by ID, so the first minimum wins).
-func pickMin(entries []Entry, key func(Entry) float64) int {
-	best := 0
-	bestKey := key(entries[0])
-	for i := 1; i < len(entries); i++ {
-		if k := key(entries[i]); k < bestKey {
-			best, bestKey = i, k
-		}
-	}
-	return entries[best].ID
-}
-
 // LRU evicts the least recently used entry.
 type LRU struct{}
 
 // Name implements Policy.
 func (LRU) Name() string { return "lru" }
 
-// Victim implements Policy.
+// Victim implements Policy: the smallest LastAccess, ties by lowest ID
+// (entries are sorted by ID, so the first minimum wins).
 func (LRU) Victim(entries []Entry) int {
-	return pickMin(entries, func(e Entry) float64 { return float64(e.LastAccess) })
-}
-
-// LFU evicts the least frequently used entry.
-type LFU struct{}
-
-// Name implements Policy.
-func (LFU) Name() string { return "lfu" }
-
-// Victim implements Policy.
-func (LFU) Victim(entries []Entry) int {
-	return pickMin(entries, func(e Entry) float64 { return float64(e.Freq) })
-}
-
-// FIFO evicts the oldest inserted entry.
-type FIFO struct{}
-
-// Name implements Policy.
-func (FIFO) Name() string { return "fifo" }
-
-// Victim implements Policy.
-func (FIFO) Victim(entries []Entry) int {
-	return pickMin(entries, func(e Entry) float64 { return float64(e.Inserted) })
-}
-
-// DelaySaving evicts the entry with the lowest delay-saving profit
-// freq_i·r_i (the simplified WATCHMAN metric of the paper's §5.2).
-type DelaySaving struct{}
-
-// Name implements Policy.
-func (DelaySaving) Name() string { return "delay-saving" }
-
-// Victim implements Policy.
-func (DelaySaving) Victim(entries []Entry) int {
-	return pickMin(entries, func(e Entry) float64 { return float64(e.Freq) * e.Retrieval })
+	best := entries[0]
+	for _, e := range entries[1:] {
+		if e.LastAccess < best.LastAccess {
+			best = e
+		}
+	}
+	return best.ID
 }

@@ -28,7 +28,7 @@ func (m *mapCache) insert(id int, retrieval float64) bool {
 		return false
 	}
 	m.clock++
-	m.items[id] = &Entry{ID: id, Retrieval: retrieval, Freq: m.freqAll[id], LastAccess: m.clock, Inserted: m.clock}
+	m.items[id] = &Entry{ID: id, Retrieval: retrieval, Freq: m.freqAll[id], LastAccess: m.clock}
 	return true
 }
 
@@ -59,12 +59,11 @@ func (m *mapCache) entries() []Entry {
 }
 
 // TestCacheMatchesMapModel runs random Insert/Evict/RecordAccess/
-// InsertLRU/Flush sequences against the dense cache and the map model,
+// InsertLRU/evict-all sequences against the dense cache and the map model,
 // and after every step compares membership (negative ids included),
-// Entries and IDs (both in id order), every policy's victim, and Freq —
-// which must survive eviction, flush and re-insertion.
+// Entries (in id order), the LRU victim, and Freq — which must survive
+// eviction and re-insertion.
 func TestCacheMatchesMapModel(t *testing.T) {
-	policies := []Policy{LRU{}, LFU{}, FIFO{}, DelaySaving{}}
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := rng.New(seed)
 		capacity := r.IntN(9)
@@ -108,10 +107,14 @@ func TestCacheMatchesMapModel(t *testing.T) {
 				}
 				m.insert(id, 2)
 			default:
-				c.Flush()
+				for _, e := range c.Entries() {
+					if err := c.Evict(e.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
 				m.items = map[int]*Entry{}
 			}
-			checkAgainstModel(t, c, m, policies, ids)
+			checkAgainstModel(t, c, m, ids)
 			if t.Failed() {
 				t.Fatalf("seed %d step %d: dense cache diverged from the map model", seed, step)
 			}
@@ -119,27 +122,17 @@ func TestCacheMatchesMapModel(t *testing.T) {
 	}
 }
 
-func checkAgainstModel(t *testing.T, c *Cache, m *mapCache, policies []Policy, ids int) {
+func checkAgainstModel(t *testing.T, c *Cache, m *mapCache, ids int) {
 	t.Helper()
 	want := m.entries()
 	if got := c.Entries(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Entries = %+v, want %+v", got, want)
 	}
-	wantIDs := make([]int, len(want))
-	for i, e := range want {
-		wantIDs[i] = e.ID
-	}
-	if got := c.IDs(); !reflect.DeepEqual(got, wantIDs) {
-		t.Errorf("IDs = %v, want %v", got, wantIDs)
-	}
 	if c.Len() != len(want) || c.Free() != m.capacity-len(want) {
 		t.Errorf("Len/Free = %d/%d, want %d/%d", c.Len(), c.Free(), len(want), m.capacity-len(want))
 	}
-	for _, p := range policies {
-		v, ok := c.Victim(p)
-		if ok != (len(want) > 0) || (ok && v != p.Victim(want)) {
-			t.Errorf("%s victim = %d,%v", p.Name(), v, ok)
-		}
+	if v, ok := c.Victim(LRU{}); ok != (len(want) > 0) || (ok && v != (LRU{}).Victim(want)) {
+		t.Errorf("LRU victim = %d,%v", v, ok)
 	}
 	for id := -1; id <= ids; id++ {
 		if got, want := c.Contains(id), m.items[id] != nil; got != want {
@@ -147,10 +140,6 @@ func checkAgainstModel(t *testing.T, c *Cache, m *mapCache, policies []Policy, i
 		}
 		if got, want := c.Freq(id), m.freqAll[id]; got != want {
 			t.Errorf("Freq(%d) = %d, want %d", id, got, want)
-		}
-		e, ok := c.Entry(id)
-		if wantE := m.items[id]; ok != (wantE != nil) || (ok && e != *wantE) {
-			t.Errorf("Entry(%d) = %+v,%v", id, e, ok)
 		}
 	}
 }
@@ -167,9 +156,6 @@ func TestNegativeIDs(t *testing.T) {
 	}
 	if err := c.Evict(-1); !errors.Is(err, ErrBadCache) {
 		t.Fatalf("Evict(-1) err = %v, want ErrBadCache", err)
-	}
-	if _, ok := c.Entry(-1); ok {
-		t.Fatal("Entry(-1) found")
 	}
 	c.RecordAccess(-1) // a miss, counted like any other
 	if c.Freq(-1) != 1 {

@@ -99,7 +99,7 @@ func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats,
 		}
 		// Bound: remaining one-step gain can't exceed the Dantzig fill and
 		// the continuation can't exceed h(0).
-		if g+dantzigGain(sorted, j, residual)+h0 <= best+eps {
+		if u, _, _ := dantzigFill(sorted[j:], residual); g+u+h0 <= best+eps {
 			stats.Prunes++
 			return
 		}

@@ -71,6 +71,43 @@ func FuzzSolveSKPAgainstBrute(f *testing.F) {
 	})
 }
 
+// FuzzSolveKPAgainstDP decodes arbitrary bytes into a KP instance with
+// integer retrieval and viewing times and checks SolveKP against the exact
+// dynamic program: the same value within 1e-9, and a plan that never
+// stretches. Equal weight bytes give equal probabilities, so ties between
+// optimal plans are common.
+func FuzzSolveKPAgainstDP(f *testing.F) {
+	f.Add([]byte{3, 1, 3, 1, 2, 1, 1})
+	f.Add([]byte{50, 10, 7, 20, 12, 30, 19, 10, 7})
+	f.Add([]byte{0, 5, 1})
+	f.Add([]byte{255, 255, 255, 255, 255, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		// Byte 0: viewing time 0..63. Then pairs (probWeight, retrieval).
+		viewing := float64(data[0] % 64)
+		rest := data[1:]
+		n := len(rest) / 2
+		if n > 12 {
+			return
+		}
+		var weightSum float64
+		for i := 0; i < n; i++ {
+			weightSum += float64(rest[2*i])
+		}
+		items := make([]Item, n)
+		for i := range items {
+			var prob float64
+			if weightSum > 0 {
+				prob = float64(rest[2*i]) / weightSum
+			}
+			items[i] = Item{ID: i, Prob: prob, Retrieval: float64(rest[2*i+1]%20 + 1)}
+		}
+		checkKPAgainstDP(t, Problem{Items: items, Viewing: viewing})
+	})
+}
+
 // FuzzArbitrate checks the Figure-6 arbitration invariants on arbitrary
 // candidate/cache configurations.
 func FuzzArbitrate(f *testing.F) {

@@ -1,35 +1,16 @@
 package core
 
-import (
-	"prefetch/internal/knapsack"
-)
+import "math"
 
 // SolveKP returns the "KP prefetch" baseline plan (paper §4): a classic 0/1
 // knapsack over the candidates with profit P_i·r_i, weight r_i, and capacity
-// v. The knapsack never stretches, so every selected item completes within
-// the viewing time and the plan's stretch is zero by construction.
+// v. It is the SKP search with the stretch priced out: at an infinite
+// stretch price every stretching branch loses, so the branch-and-bound
+// keeps only plans that complete within the viewing time and the plan's
+// stretch is zero by construction.
 func SolveKP(p Problem) (Plan, error) {
-	if err := p.Validate(); err != nil {
-		return Plan{}, err
-	}
-	sorted := CanonicalOrder(p.Items)
-	profits := make([]float64, len(sorted))
-	weights := make([]float64, len(sorted))
-	for i, it := range sorted {
-		profits[i] = it.Prob * it.Retrieval
-		weights[i] = it.Retrieval
-	}
-	sel, _, _, err := knapsack.SolveBB(profits, weights, p.Viewing)
-	if err != nil {
-		return Plan{}, err
-	}
-	var plan Plan
-	for i, takeIt := range sel {
-		if takeIt {
-			plan.Items = append(plan.Items, sorted[i])
-		}
-	}
-	return plan, nil
+	plan, _, err := SolveSKPStretchAware(p, math.Inf(1))
+	return plan, err
 }
 
 // SolveGreedyPrefetch returns the density-greedy baseline: candidates in

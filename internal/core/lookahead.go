@@ -53,8 +53,8 @@ func ExpectedStretchCost(successors []WeightedProblem) float64 {
 
 // SolveSKPStretchAware solves the SKP with the stretch additionally priced
 // at stretchCost per unit (see ExpectedStretchCost). With stretchCost = 0 it
-// is identical to SolveSKP; as stretchCost → ∞ it converges to the KP
-// solution, which never stretches.
+// is identical to SolveSKP; at stretchCost = +Inf it is SolveKP, which
+// never stretches.
 func SolveSKPStretchAware(p Problem, stretchCost float64) (Plan, SolverStats, error) {
 	return SolveSKPOpts(p, Options{StretchCost: stretchCost})
 }

@@ -163,35 +163,11 @@ func AccessTime(plan Plan, viewing float64, requested int, retrievalOf func(id i
 	return st + retrievalOf(requested)
 }
 
-// UpperBound returns the Eq. 7 bound U = g̃°(x̃): the value of the Dantzig
-// fractional fill of the canonical order, which upper-bounds g°(F) for every
-// feasible plan (Theorem 2).
+// UpperBound returns the Eq. 7 bound U = g̃°(x̃): the value of the linear
+// relaxation, which upper-bounds g°(F) for every feasible plan (Theorem 2).
 func UpperBound(p Problem) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	sorted := CanonicalOrder(p.Items)
-	return dantzigGain(sorted, 0, p.Viewing), nil
-}
-
-// dantzigGain computes the fractional-fill bound over sorted[from:] with
-// residual capacity v: whole items while they fit, then a fractional slice
-// of the first item that does not.
-func dantzigGain(sorted []Item, from int, v float64) float64 {
-	var u float64
-	residual := v
-	for _, it := range sorted[from:] {
-		if it.Retrieval <= residual {
-			u += it.Prob * it.Retrieval
-			residual -= it.Retrieval
-			continue
-		}
-		if residual > 0 {
-			u += residual * it.Prob
-		}
-		break
-	}
-	return u
+	_, _, u, err := LinearRelaxation(p)
+	return u, err
 }
 
 // LinearRelaxation returns the optimal fractional prefetch proportions of
@@ -203,20 +179,33 @@ func LinearRelaxation(p Problem) (sorted []Item, x []float64, value float64, err
 		return nil, nil, 0, err
 	}
 	sorted = CanonicalOrder(p.Items)
+	value, k, frac := dantzigFill(sorted, p.Viewing)
 	x = make([]float64, len(sorted))
-	residual := p.Viewing
-	for i, it := range sorted {
-		if it.Retrieval <= residual {
-			x[i] = 1
-			value += it.Prob * it.Retrieval
-			residual -= it.Retrieval
-			continue
-		}
-		if residual > 0 {
-			x[i] = residual / it.Retrieval
-			value += residual * it.Prob
-		}
-		break
+	for i := 0; i < k; i++ {
+		x[i] = 1
+	}
+	if k < len(x) {
+		x[k] = frac
 	}
 	return sorted, x, value, nil
+}
+
+// dantzigFill is the fractional fill of sorted against capacity v: the
+// first k items whole, then the proportion frac of item k, the first that
+// does not fit. It returns the filled value.
+func dantzigFill(sorted []Item, v float64) (value float64, k int, frac float64) {
+	residual := v
+	for ; k < len(sorted); k++ {
+		it := sorted[k]
+		if it.Retrieval > residual {
+			if residual > 0 {
+				frac = residual / it.Retrieval
+				value += residual * it.Prob
+			}
+			break
+		}
+		value += it.Prob * it.Retrieval
+		residual -= it.Retrieval
+	}
+	return value, k, frac
 }

@@ -50,6 +50,7 @@ type Options struct {
 	// viewing time and thus reducing the asset for the next prefetch";
 	// setting StretchCost to the expected marginal prefetch density of the
 	// successor problems prices that intrusion (see SolveSKPStretchAware).
+	// +Inf forbids stretching: the search is then the classic KP (SolveKP).
 	// Must be >= 0.
 	StretchCost float64
 	// NetworkLambda trades access improvement against network usage

@@ -1,19 +1,17 @@
 package schedsrv
 
+import "fmt"
+
 // fifo is the seed server's behaviour, extracted: one queue, strict
 // arrival order, demand and speculative traffic indistinguishable.
 //
 // index accelerates Promote from a backlog scan to a map lookup: clients
 // hold at most one outstanding transfer per page, so (client, page)
-// identifies the queued speculative request uniquely. The index is pure
-// acceleration — it only ever locates the same request the scan would —
-// and if a duplicate key is ever pushed (an invariant no current caller
-// violates), the fifo permanently falls back to the scan rather than
-// risk promoting the wrong instance.
+// identifies the queued speculative request uniquely. Push panics on a
+// duplicate key, which would make Promote ambiguous.
 type fifo struct {
 	queue []*Request
 	index map[uint64]*Request // queued speculative requests by (client, page)
-	scan  bool                // duplicate key seen: index abandoned, scan instead
 }
 
 func newFIFO() *fifo { return &fifo{} }
@@ -27,16 +25,14 @@ func promoteKey(client, page int) uint64 {
 
 func (f *fifo) Push(r *Request) {
 	f.queue = append(f.queue, r)
-	if r.Demand || f.scan {
+	if r.Demand {
 		return
 	}
 	k := promoteKey(r.Client, r.Page)
 	if f.index == nil {
 		f.index = map[uint64]*Request{}
 	} else if _, dup := f.index[k]; dup {
-		f.scan = true
-		f.index = nil // stale acceleration state must not outlive the fallback
-		return
+		panic(fmt.Sprintf("schedsrv: speculative request for client %d page %d already queued", r.Client, r.Page))
 	}
 	f.index[k] = r
 }
@@ -48,7 +44,7 @@ func (f *fifo) Pop(now float64) (*Request, bool) {
 	r := f.queue[0]
 	f.queue[0] = nil
 	f.queue = f.queue[1:]
-	if !r.Demand && !f.scan {
+	if !r.Demand {
 		delete(f.index, promoteKey(r.Client, r.Page))
 	}
 	return r, true
@@ -65,21 +61,13 @@ func (f *fifo) ReadyAt(now float64) (float64, bool) {
 // for accounting, but deliberately does not reorder: FIFO serves arrival
 // order, which keeps the extracted discipline identical to the seed.
 func (f *fifo) Promote(client, page int) bool {
-	if !f.scan {
-		if r, ok := f.index[promoteKey(client, page)]; ok {
-			r.Demand = true
-			delete(f.index, promoteKey(client, page))
-			return true
-		}
-		return false
+	k := promoteKey(client, page)
+	r, ok := f.index[k]
+	if ok {
+		r.Demand = true
+		delete(f.index, k)
 	}
-	for _, r := range f.queue {
-		if !r.Demand && r.Client == client && r.Page == page {
-			r.Demand = true
-			return true
-		}
-	}
-	return false
+	return ok
 }
 
 func (f *fifo) Len() int { return len(f.queue) }

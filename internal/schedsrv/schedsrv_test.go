@@ -590,6 +590,28 @@ func TestPromoteQueued(t *testing.T) {
 	}
 }
 
+// TestFIFODuplicateSpeculativeSubmitPanics: a client holds at most one
+// outstanding transfer per page, so a second queued speculative request
+// for the same (client, page) is a caller bug that would make Promote
+// ambiguous. Demand duplicates and other clients' requests stay legal.
+func TestFIFODuplicateSpeculativeSubmitPanics(t *testing.T) {
+	var clock netsim.Clock
+	s, err := New(&clock, Config{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Submit(Request{Client: 0, Page: 1, Service: 5}) // occupies the slot
+	s.Submit(Request{Client: 0, Page: 2, Service: 1}) // queued spec
+	s.Submit(Request{Client: 1, Page: 2, Service: 1})
+	s.Submit(Request{Client: 0, Page: 2, Service: 1, Demand: true})
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate speculative Submit did not panic")
+		}
+	}()
+	s.Submit(Request{Client: 0, Page: 2, Service: 1})
+}
+
 // TestShapedRateBoundLongTransfers: transfers longer than the bucket
 // depth become eligible on a full bucket but are charged their full
 // service, so long-run speculative bandwidth still cannot exceed rate.

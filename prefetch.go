@@ -84,8 +84,8 @@ func SolveSKPOpts(p Problem, opts Options) (Plan, SolverStats, error) {
 // feasible. Exponential; intended for analysis.
 func SolveSKPExhaustive(p Problem) (Plan, float64, error) { return core.SolveSKPExhaustive(p) }
 
-// SolveKP is the classic-knapsack baseline ("KP prefetch"): never
-// stretches.
+// SolveKP is the classic-knapsack baseline ("KP prefetch"): the SKP search
+// with the stretch priced out, so the plan never stretches.
 func SolveKP(p Problem) (Plan, error) { return core.SolveKP(p) }
 
 // SolveGreedyPrefetch fills the viewing time greedily in canonical order
