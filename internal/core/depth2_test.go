@@ -1,7 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"prefetch/internal/rng"
@@ -179,5 +184,88 @@ func TestDepth2Memoisation(t *testing.T) {
 	maxSolves := int64(40*len(succ) + len(succ)) // ≤ distinct st values × successors
 	if stats.ContinuationSolves > maxSolves {
 		t.Fatalf("continuation solves %d exceed memoisation cap %d", stats.ContinuationSolves, maxSolves)
+	}
+}
+
+// depth2GoldenPath pins SolveSKPDepth2 on the depth2GoldenCase instances,
+// one line each: the plan IDs, the bits of the plan's Depth2Value, Nodes,
+// Prunes and ContinuationSolves.
+const depth2GoldenPath = "testdata/depth2_golden.txt"
+
+// depth2GoldenCase draws instance i: up to 8 candidates (none on every
+// 25th), a partial universe with TotalProb = 1 on every third, zero-weight
+// and candidate-free successors on every fifth, and partial-universe
+// successors on every seventh.
+func depth2GoldenCase(r *rng.Source, i int) (Problem, []WeightedProblem) {
+	n := r.IntRange(1, 8)
+	p := randProblem(r, n, 0.5, 30, 30)
+	if i%25 == 2 {
+		p.Items = nil
+	} else if i%3 == 1 && n > 1 {
+		// The dropped item's mass stays in TotalProb.
+		p.Items = p.Items[:n-1]
+		p.TotalProb = 1
+	}
+	succ := randSuccessors(r, p)
+	if i%5 == 2 {
+		succ = append(succ,
+			WeightedProblem{Weight: 0, Problem: randProblem(r, 3, 0.5, 30, 30)},
+			WeightedProblem{Weight: 0.2, Problem: Problem{Viewing: float64(r.IntRange(0, 30))}})
+	}
+	if i%7 == 3 {
+		for k := range succ {
+			q := &succ[k].Problem
+			if m := len(q.Items); m > 1 {
+				q.Items = q.Items[:m-1]
+				q.TotalProb = 1
+			}
+		}
+	}
+	return p, succ
+}
+
+// depth2GoldenLine formats one instance's golden line.
+func depth2GoldenLine(p Problem, succ []WeightedProblem) (string, error) {
+	plan, stats, err := SolveSKPDepth2(p, succ)
+	if err != nil {
+		return "", err
+	}
+	v, err := Depth2Value(p, plan, succ)
+	if err != nil {
+		return "", err
+	}
+	ids := "-"
+	if !plan.Empty() {
+		ids = strings.Trim(strings.Join(strings.Fields(fmt.Sprint(plan.IDs())), ","), "[]")
+	}
+	return fmt.Sprintf("%s %016x %d %d %d", ids, math.Float64bits(v),
+		stats.Nodes, stats.Prunes, stats.ContinuationSolves), nil
+}
+
+// The depth-2 search is pinned instance by instance: plans, values, Nodes
+// and Prunes exactly, and ContinuationSolves may only fall (memoisation
+// and pruning may skip a continuation solve, never add one).
+func TestSolveSKPDepth2Golden(t *testing.T) {
+	data, err := os.ReadFile(depth2GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	r := rng.New(406)
+	for i := range want {
+		p, succ := depth2GoldenCase(r, i)
+		got, err := depth2GoldenLine(p, succ)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		g, w := strings.Fields(got), strings.Fields(want[i])
+		if len(w) != 5 || !slices.Equal(g[:4], w[:4]) {
+			t.Fatalf("instance %d: got %q, want %q", i, got, want[i])
+		}
+		gs, _ := strconv.Atoi(g[4])
+		ws, err := strconv.Atoi(w[4])
+		if err != nil || gs > ws {
+			t.Fatalf("instance %d: %d continuation solves, golden %q", i, gs, w[4])
+		}
 	}
 }
