@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -27,8 +28,7 @@ func randSuccessors(r *rng.Source, p Problem) []WeightedProblem {
 
 // bruteDepth2 exhaustively maximises the two-step objective over the
 // canonical search space.
-func bruteDepth2(t *testing.T, p Problem, succ []WeightedProblem) float64 {
-	t.Helper()
+func bruteDepth2(p Problem, succ []WeightedProblem) (float64, error) {
 	sorted := CanonicalOrder(p.Items)
 	n := len(sorted)
 	best := math.Inf(-1)
@@ -45,13 +45,13 @@ func bruteDepth2(t *testing.T, p Problem, succ []WeightedProblem) float64 {
 		}
 		v, err := Depth2Value(p, plan, succ)
 		if err != nil {
-			t.Fatal(err)
+			return 0, err
 		}
 		if v > best {
 			best = v
 		}
 	}
-	return best
+	return best, nil
 }
 
 func TestSolveSKPDepth2MatchesBrute(t *testing.T) {
@@ -67,7 +67,10 @@ func TestSolveSKPDepth2MatchesBrute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: returned plan invalid: %v", iter, err)
 		}
-		want := bruteDepth2(t, p, succ)
+		want, err := bruteDepth2(p, succ)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("iter %d: depth-2 B&B %v != brute %v (plan %v)", iter, got, want, plan)
 		}
@@ -155,18 +158,29 @@ func TestDepth2StretchesNoMoreThanMyopic(t *testing.T) {
 	}
 }
 
+// SolveSKPDepth2, Depth2Value and SolveSKPLookahead reject the same
+// successors: a negative, NaN or infinite weight, or an invalid problem
+// even at zero weight.
 func TestDepth2Validation(t *testing.T) {
 	p := Problem{Items: []Item{{ID: 0, Prob: 1, Retrieval: 2}}, Viewing: 5}
-	bad := []WeightedProblem{{Weight: -1, Problem: p}}
-	if _, _, err := SolveSKPDepth2(p, bad); err == nil {
-		t.Fatal("negative successor weight accepted")
+	badProblem := Problem{Items: []Item{{ID: 0, Prob: 2, Retrieval: 1}}, Viewing: 1}
+	bad := map[string][]WeightedProblem{
+		"negative weight":     {{Weight: -1, Problem: p}},
+		"NaN weight":          {{Weight: math.NaN(), Problem: p}},
+		"infinite weight":     {{Weight: math.Inf(1), Problem: p}},
+		"invalid problem":     {{Weight: 1, Problem: badProblem}},
+		"invalid zero-weight": {{Weight: 0.5, Problem: p}, {Weight: 0, Problem: badProblem}},
 	}
-	badInner := []WeightedProblem{{Weight: 1, Problem: Problem{Items: []Item{{ID: 0, Prob: 2, Retrieval: 1}}, Viewing: 1}}}
-	if _, _, err := SolveSKPDepth2(p, badInner); err == nil {
-		t.Fatal("invalid successor problem accepted")
-	}
-	if _, err := Depth2Value(p, Plan{}, bad); err == nil {
-		t.Fatal("Depth2Value accepted negative weight")
+	for name, succ := range bad {
+		if _, _, err := SolveSKPDepth2(p, succ); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("SolveSKPDepth2 %s: err %v", name, err)
+		}
+		if _, err := Depth2Value(p, Plan{}, succ); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("Depth2Value %s: err %v", name, err)
+		}
+		if _, _, err := SolveSKPLookahead(p, succ); !errors.Is(err, ErrBadProblem) {
+			t.Errorf("SolveSKPLookahead %s: err %v", name, err)
+		}
 	}
 }
 
@@ -244,7 +258,9 @@ func depth2GoldenLine(p Problem, succ []WeightedProblem) (string, error) {
 
 // The depth-2 search is pinned instance by instance: plans, values, Nodes
 // and Prunes exactly, and ContinuationSolves may only fall (memoisation
-// and pruning may skip a continuation solve, never add one).
+// and pruning may skip a continuation solve, never add one). Without
+// candidates the Solver returns before visiting its root, so Nodes reads
+// 0 where the golden, recorded before depth-2 ran on the Solver, has 1.
 func TestSolveSKPDepth2Golden(t *testing.T) {
 	data, err := os.ReadFile(depth2GoldenPath)
 	if err != nil {
@@ -259,8 +275,11 @@ func TestSolveSKPDepth2Golden(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		g, w := strings.Fields(got), strings.Fields(want[i])
+		if len(p.Items) == 0 && len(w) == 5 && w[2] == "1" {
+			w[2] = "0"
+		}
 		if len(w) != 5 || !slices.Equal(g[:4], w[:4]) {
-			t.Fatalf("instance %d: got %q, want %q", i, got, want[i])
+			t.Fatalf("instance %d: got %q, want %q", i, got, strings.Join(w, " "))
 		}
 		gs, _ := strconv.Atoi(g[4])
 		ws, err := strconv.Atoi(w[4])

@@ -71,6 +71,70 @@ func FuzzSolveSKPAgainstBrute(f *testing.F) {
 	})
 }
 
+// FuzzSolveSKPDepth2AgainstBrute decodes arbitrary bytes into a problem of
+// at most 7 items with at most 4 successors of at most 4 items each, and
+// checks that the Depth2Value of the depth-2 plan equals the exhaustive
+// two-step optimum within 1e-9. Bytes past the end of the input read as 0.
+func FuzzSolveSKPDepth2AgainstBrute(f *testing.F) {
+	f.Add([]byte{0x1b, 40, 200, 10, 90, 30, 30, 5, 4, 20, 2, 255, 3, 1, 7})
+	f.Add([]byte{0x9f, 12, 1, 1, 255, 30, 3, 3, 9, 12, 2, 0, 4})
+	f.Add([]byte{0x27, 63, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add([]byte{0x00, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// problem reads a viewing time and n (probWeight, retrieval)
+		// pairs; a partial universe leaves a quarter of TotalProb = 1 off
+		// the list.
+		problem := func(n int, partial bool) Problem {
+			q := Problem{Viewing: float64(next() % 64), Items: make([]Item, n)}
+			var sum float64
+			for i := range q.Items {
+				q.Items[i] = Item{ID: i, Prob: float64(next()) + 0.5, Retrieval: float64(next()%30) + 1}
+				sum += q.Items[i].Prob
+			}
+			if partial {
+				sum *= 4.0 / 3
+				q.TotalProb = 1
+			}
+			for i := range q.Items {
+				q.Items[i].Prob /= sum
+			}
+			return q
+		}
+		// Header: item count, successor count, partial-universe flag.
+		h := next()
+		p := problem(int(h%8), h&0x80 != 0)
+		succ := make([]WeightedProblem, (h/8)%5)
+		for j := range succ {
+			w := float64(next()%5) / 4
+			m := next()
+			succ[j] = WeightedProblem{Weight: w, Problem: problem(int(m%5), m&0x80 != 0)}
+		}
+		plan, _, err := SolveSKPDepth2(p, succ)
+		if err != nil {
+			t.Fatalf("generated invalid instance: %v", err)
+		}
+		got, err := Depth2Value(p, plan, succ)
+		if err != nil {
+			t.Fatalf("depth-2 plan %v invalid: %v", plan, err)
+		}
+		want, err := bruteDepth2(p, succ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("depth-2 value %v != brute %v (problem %+v, successors %+v)", got, want, p, succ)
+		}
+	})
+}
+
 // FuzzSolveKPAgainstDP decodes arbitrary bytes into a KP instance with
 // integer retrieval and viewing times and checks SolveKP against the exact
 // dynamic program: the same value within 1e-9, and a plan that never

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"fmt"
+	"math"
+)
+
 // This file implements the depth-2 lookahead extension (paper §6, "looking
 // ahead deeper will improve the performance"). The one-step SKP objective
 // ignores that the stretch time intrudes into the *next* viewing window
@@ -19,6 +24,20 @@ type WeightedProblem struct {
 	Problem Problem
 }
 
+// validateSuccessors checks every successor, zero-weight ones included: a
+// finite, non-negative weight and a valid problem.
+func validateSuccessors(successors []WeightedProblem) error {
+	for i, wp := range successors {
+		if math.IsNaN(wp.Weight) || math.IsInf(wp.Weight, 0) || wp.Weight < 0 {
+			return fmt.Errorf("%w: successor %d weight %v", ErrBadProblem, i, wp.Weight)
+		}
+		if err := wp.Problem.Validate(); err != nil {
+			return fmt.Errorf("successor %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // MarginalDensity returns the probability of the item at the margin of the
 // problem's Dantzig fill: the first canonical item that no longer fits
 // wholly in the viewing time. By Theorem 2 this is ∂(upper bound)/∂v — the
@@ -26,13 +45,8 @@ type WeightedProblem struct {
 // fits (extra capacity buys nothing).
 func MarginalDensity(p Problem) float64 {
 	sorted := CanonicalOrder(p.Items)
-	residual := p.Viewing
-	for _, it := range sorted {
-		if it.Retrieval <= residual {
-			residual -= it.Retrieval
-			continue
-		}
-		return it.Prob
+	if _, k, _ := dantzigFill(sorted, p.Viewing); k < len(sorted) {
+		return sorted[k].Prob
 	}
 	return 0
 }
@@ -63,5 +77,8 @@ func SolveSKPStretchAware(p Problem, stretchCost float64) (Plan, SolverStats, er
 // and solves the stretch-aware SKP in one call. It is the depth-2 policy
 // used by the lookahead experiment.
 func SolveSKPLookahead(p Problem, successors []WeightedProblem) (Plan, SolverStats, error) {
+	if err := validateSuccessors(successors); err != nil {
+		return Plan{}, SolverStats{}, err
+	}
 	return SolveSKPStretchAware(p, ExpectedStretchCost(successors))
 }

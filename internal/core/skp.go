@@ -51,13 +51,13 @@ type Options struct {
 	// setting StretchCost to the expected marginal prefetch density of the
 	// successor problems prices that intrusion (see SolveSKPStretchAware).
 	// +Inf forbids stretching: the search is then the classic KP (SolveKP).
-	// Must be >= 0.
+	// Must be >= 0 and not NaN.
 	StretchCost float64
 	// NetworkLambda trades access improvement against network usage
 	// (paper §6 future work): the objective becomes
 	// g°(F) − λ·Σ_{i∈F}(1−P_i)·r_i, so each item's effective profit is
 	// r_i·((1+λ)·P_i − λ) and low-probability candidates drop out as λ
-	// grows. Must be >= 0.
+	// grows. Must be finite and >= 0.
 	NetworkLambda float64
 	// DisableBound turns off Theorem-2 pruning (for the ablation that
 	// counts how many nodes the bound saves).

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
 // Solver is the SKP branch-and-bound of Figure 3: depth-first search over
 // the canonical order, Theorem-2 pruning and Theorem-3 incremental δ.
+// Its objective may carry a continuation h(st), the value of the next
+// round after a stretch st (SolveSKPDepth2); Solve runs without one.
 // SolveSKPOpts runs a fresh Solver per call; a simulation that solves one
 // SKP per client round keeps one Solver instead, because every piece of
 // per-solve scratch (canonical order, profit/tail prefix tables,
@@ -31,6 +34,8 @@ type Solver struct {
 	mode         DeltaMode
 	stretchCost  float64
 	disableBound bool
+	cont         *continuation // nil: the one-step objective
+	h0           float64       // cont at zero stretch; 0 without one
 	best         float64
 	stats        SolverStats
 }
@@ -45,12 +50,23 @@ const solverEps = 1e-12
 // Plan's Items slice is owned by the solver and overwritten by the next
 // Solve.
 func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
+	return s.solve(p, opts, nil)
+}
+
+// solve maximises the objective plus cont's value at the plan's stretch:
+// a non-stretching plan adds h(0), a stretching one h(st). The Theorem-2
+// prune stays sound with h(0) added to the bound because h is
+// non-increasing in st.
+func (s *Solver) solve(p Problem, opts Options, cont *continuation) (Plan, SolverStats, error) {
 	s.stats = SolverStats{}
 	if err := p.Validate(); err != nil {
 		return Plan{}, s.stats, err
 	}
 	if opts.StretchCost < 0 || opts.NetworkLambda < 0 {
 		return Plan{}, s.stats, fmt.Errorf("%w: negative StretchCost or NetworkLambda", ErrBadProblem)
+	}
+	if math.IsNaN(opts.StretchCost) || math.IsNaN(opts.NetworkLambda) || math.IsInf(opts.NetworkLambda, 1) {
+		return Plan{}, s.stats, fmt.Errorf("%w: NaN StretchCost or NetworkLambda, or infinite NetworkLambda", ErrBadProblem)
 	}
 	n := len(p.Items)
 	if n == 0 {
@@ -80,7 +96,9 @@ func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 		s.tailP[i] = s.tailP[i+1] + s.sorted[i].Prob
 	}
 
-	s.best = 0
+	s.cont = cont
+	s.h0 = s.h(0)
+	s.best = s.h0 // the empty plan
 	for i := 0; i < n; i++ {
 		s.bestSel[i] = false
 		s.cur[i] = false
@@ -180,15 +198,24 @@ func (s *Solver) record(g float64, extra int) {
 	}
 }
 
+// h is the continuation value of carrying stretch st into the next round;
+// the one-step objective has none.
+func (s *Solver) h(st float64) float64 {
+	if s.cont == nil {
+		return 0
+	}
+	return s.cont.at(st)
+}
+
 // dfs visits item j: record the incumbent, prune by the Theorem-2 bound,
 // then branch on inserting j (stretching or not) before excluding it.
 func (s *Solver) dfs(j int, residual, g, sumPK float64) {
 	s.stats.Nodes++
-	s.record(g, -1)
+	s.record(g+s.h0, -1)
 	if j == s.n || residual <= 0 {
 		return
 	}
-	if !s.disableBound && g+s.bound(j, residual) <= s.best+solverEps {
+	if !s.disableBound && g+s.bound(j, residual)+s.h0 <= s.best+solverEps {
 		s.stats.Prunes++
 		return
 	}
@@ -196,9 +223,10 @@ func (s *Solver) dfs(j int, residual, g, sumPK float64) {
 	st := Stretch(it.Retrieval, residual)
 	switch {
 	case st > 0:
-		// Inserting j stretches the knapsack and completes the plan.
+		// Inserting j stretches the knapsack and completes the plan. A
+		// δ ≤ 0 cannot beat the g + h(0) recorded above, as h(st) ≤ h(0).
 		if delta := s.profit[j] - s.coeff(j, sumPK)*st; delta > 0 {
-			s.record(g+delta, j)
+			s.record(g+delta+s.h(st), j)
 		}
 	case s.profit[j] > 0:
 		// Inserting j keeps the plan within capacity.

@@ -74,7 +74,8 @@ func TestSolverMatchesSolveSKPOpts(t *testing.T) {
 
 // Every bad problem is rejected with the same message through
 // Problem.Validate, the SolveSKPOpts entry point and a reused Solver. The
-// last problem rows only break the Options; Validate accepts them.
+// last problem rows only break the Options (negative, NaN or an infinite
+// λ; +Inf StretchCost is SolveKP); Validate accepts them.
 func TestSolverValidationMatches(t *testing.T) {
 	many := make([]Item, smallItems+6) // past the scan: the seen-set path
 	for i := range many {
@@ -100,6 +101,12 @@ func TestSolverValidationMatches(t *testing.T) {
 		{Problem{Items: many, Viewing: 5}, Options{}, "core: bad problem: duplicate item id 3"},
 		{Problem{Viewing: 1}, Options{StretchCost: -1}, "core: bad problem: negative StretchCost or NetworkLambda"},
 		{Problem{Viewing: 1}, Options{NetworkLambda: -0.1}, "core: bad problem: negative StretchCost or NetworkLambda"},
+		{Problem{Viewing: 1}, Options{StretchCost: math.NaN()},
+			"core: bad problem: NaN StretchCost or NetworkLambda, or infinite NetworkLambda"},
+		{Problem{Viewing: 1}, Options{NetworkLambda: math.NaN()},
+			"core: bad problem: NaN StretchCost or NetworkLambda, or infinite NetworkLambda"},
+		{Problem{Viewing: 1}, Options{NetworkLambda: math.Inf(1)},
+			"core: bad problem: NaN StretchCost or NetworkLambda, or infinite NetworkLambda"},
 	}
 	s := NewSolver()
 	for i, c := range bad {

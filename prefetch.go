@@ -109,7 +109,10 @@ type Depth2Stats = core.Depth2Stats
 
 // SolveSKPDepth2 maximises the exact two-step objective: this round's gain
 // plus the probability-weighted optimal next-round gain under the stretch
-// carried forward (§4.4 intrusion, solved rather than approximated).
+// carried forward (§4.4 intrusion, solved rather than approximated). It
+// is the SKP branch-and-bound with that continuation added to each plan's
+// value; successors need a finite, non-negative weight and a valid
+// problem.
 func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats, error) {
 	return core.SolveSKPDepth2(p, successors)
 }
