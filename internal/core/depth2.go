@@ -19,7 +19,7 @@ import "fmt"
 // Depth2Stats extends SolverStats with continuation-solve accounting.
 type Depth2Stats struct {
 	SolverStats
-	ContinuationSolves int64 // inner SolveSKP calls (after memoisation)
+	ContinuationSolves int64 // one-step successor solves (after memoisation)
 }
 
 // continuation is the memoised h(st) of a set of validated successors.
