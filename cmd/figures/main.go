@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,30 +35,38 @@ type config struct {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, regenerates the selected figures into the -out
+// directory and prints the summary to stdout. Per-figure progress and
+// timings go to stderr, so stdout is a pure function of the flags.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stdout)
 	var cfg config
-	var seed uint64
-	flag.StringVar(&cfg.out, "out", "figures", "output directory")
-	flag.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: all|4|5|7|pruning|delta|lookahead|lambda|sizes")
-	flag.Uint64Var(&seed, "seed", 42, "random seed")
-	flag.IntVar(&cfg.iters, "iters", 50000, "iterations for the prefetch-only simulations (Figs 4, 5)")
-	flag.IntVar(&cfg.requests, "requests", 50000, "requests per point for the prefetch-cache simulation (Fig 7)")
-	flag.IntVar(&cfg.cacheStep, "cachestep", 3, "cache-size step for Fig 7 (1 reproduces all 100 points)")
-	flag.BoolVar(&cfg.quick, "quick", false, "small, fast run (iters=5000, requests=4000, cachestep=10)")
-	flag.Parse()
-	cfg.seed = seed
+	fs.StringVar(&cfg.out, "out", "figures", "output directory")
+	fs.StringVar(&cfg.fig, "fig", "all", "figure to regenerate: all|4|5|7|pruning|delta|lookahead|lambda|sizes")
+	fs.Uint64Var(&cfg.seed, "seed", 42, "random seed")
+	fs.IntVar(&cfg.iters, "iters", 50000, "iterations for the prefetch-only simulations (Figs 4, 5)")
+	fs.IntVar(&cfg.requests, "requests", 50000, "requests per point for the prefetch-cache simulation (Fig 7)")
+	fs.IntVar(&cfg.cacheStep, "cachestep", 3, "cache-size step for Fig 7 (1 reproduces all 100 points)")
+	fs.BoolVar(&cfg.quick, "quick", false, "small, fast run (iters=5000, requests=4000, cachestep=10)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	if cfg.quick {
 		cfg.iters = 5000
 		cfg.requests = 4000
 		cfg.cacheStep = 10
 	}
 
-	if err := run(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
-}
-
-func run(cfg config) error {
 	if err := os.MkdirAll(cfg.out, 0o755); err != nil {
 		return err
 	}
@@ -98,8 +108,8 @@ func run(cfg config) error {
 	if err := os.WriteFile(path, []byte(summary.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Print(summary.String())
-	return nil
+	_, err := io.WriteString(stdout, summary.String())
+	return err
 }
 
 // saveChart writes a chart in all three formats under out/name.{csv,svg,txt}.
