@@ -1,8 +1,10 @@
-// Package cache provides the client-side cache substrate for the
-// prefetch-cache integration (paper §5): a fixed-capacity, equal-item-size
-// cache with access bookkeeping (frequency and recency) and an LRU victim.
-// The paper's Pr-arbitration and its LFU and delay-saving sub-arbitration
-// live in internal/core; this package supplies the container.
+// Package cache provides the cache substrate for the prefetch-cache
+// integration (paper §5) and the multiclient client and server caches: a
+// fixed-capacity, equal-item-size slab ordered by an intrusive recency
+// list, whose head is the LRU victim. The paper's Pr-arbitration and its
+// LFU and delay-saving sub-arbitration live in internal/core; the access
+// counts freq_i they read belong to the request stream, so the replays in
+// internal/sim keep them. This package supplies the container.
 package cache
 
 import (
@@ -16,10 +18,8 @@ var ErrBadCache = errors.New("cache: bad cache operation")
 
 // Entry is the bookkeeping record for one cached item.
 type Entry struct {
-	ID         int
-	Retrieval  float64 // r_i, retrieval time if it had to be refetched
-	Freq       int64   // accesses observed while tracked
-	LastAccess int64   // logical time of last access
+	ID        int
+	Retrieval float64 // r_i, retrieval time if it had to be refetched
 
 	// prev/next link the entry's slab slot into the cache's recency list
 	// (while cached) or its free chain (while free), as slot+1 with 0 for
@@ -33,7 +33,7 @@ type Entry struct {
 // maxCapacity keeps every slot+1 representable in an int32 link.
 const maxCapacity = math.MaxInt32 - 1
 
-// Cache is a fixed-capacity set of equal-size items with usage bookkeeping.
+// Cache is a fixed-capacity set of equal-size items in recency order.
 // It is not safe for concurrent use; the simulators are single-goroutine
 // per replica and merge results afterwards.
 //
@@ -51,18 +51,9 @@ type Cache struct {
 	// grows on demand to the largest id ever inserted.
 	index []int32
 	n     int // cached items
-	clock int64
-	// freqAll tracks access counts for every item ever seen, cached or not:
-	// the paper's freq_i (delay-saving profit, LFU sub-arbitration) is a
-	// property of the item's access history, not of its cache residency.
-	// It stays a map: it holds every id ever accessed, and a dense array of
-	// them costs more memory than the probes it would save.
-	freqAll map[int]int64
 
-	// head/tail bound the recency list (head = least recently accessed),
-	// as slot+1. Tick is strictly monotonic, so LastAccess values are
-	// unique and list order is exactly ascending LastAccess — the O(1)
-	// victim below is bit-for-bit the Entries()-scan LRU victim.
+	// head/tail bound the recency list (head = least recently inserted
+	// or accessed), as slot+1.
 	head, tail int32
 	free       int32 // head of the free chain, slot+1
 }
@@ -75,7 +66,6 @@ func New(capacity int) (*Cache, error) {
 	c := &Cache{
 		capacity: capacity,
 		slab:     make([]Entry, capacity),
-		freqAll:  make(map[int]int64),
 	}
 	// Chain every slab slot, in slot order, onto the free chain.
 	for i := range c.slab {
@@ -111,21 +101,10 @@ func (c *Cache) Free() int { return c.capacity - c.n }
 // Contains reports whether the item is cached.
 func (c *Cache) Contains(id int) bool { return c.slotOf(id) != 0 }
 
-// Tick advances the logical clock and returns the new time.
-func (c *Cache) Tick() int64 {
-	c.clock++
-	return c.clock
-}
-
-// RecordAccess notes an access to an item (hit or miss): it bumps the
-// global frequency and, if cached, the entry's bookkeeping.
+// RecordAccess notes an access to an item: a cached item becomes the
+// most recently used, and a miss changes nothing.
 func (c *Cache) RecordAccess(id int) {
-	c.Tick()
-	c.freqAll[id]++
 	if slot := c.slotOf(id); slot != 0 {
-		e := c.at(slot)
-		e.Freq++
-		e.LastAccess = c.clock
 		c.moveToTail(slot)
 	}
 }
@@ -167,13 +146,8 @@ func (c *Cache) moveToTail(slot int32) {
 	c.pushTail(slot)
 }
 
-// Freq returns the total observed access count of an item (cached or not).
-func (c *Cache) Freq(id int) int64 { return c.freqAll[id] }
-
-// Insert adds an item; the cache must have a free slot and the id must be
-// non-negative. The entry inherits the item's global frequency so that a
-// re-inserted item keeps its history (WATCHMAN-style delay-saving needs
-// this).
+// Insert adds an item as the most recently used; the cache must have a
+// free slot and the id must be non-negative.
 func (c *Cache) Insert(id int, retrieval float64) error {
 	if c.Free() <= 0 {
 		return fmt.Errorf("%w: insert %d into full cache (capacity %d)", ErrBadCache, id, c.capacity)
@@ -184,19 +158,13 @@ func (c *Cache) Insert(id int, retrieval float64) error {
 	if c.Contains(id) {
 		return fmt.Errorf("%w: item %d already cached", ErrBadCache, id)
 	}
-	c.Tick()
 	if id >= len(c.index) {
 		c.index = append(c.index, make([]int32, id+1-len(c.index))...)
 	}
 	slot := c.free
 	e := c.at(slot)
 	c.free = e.next
-	*e = Entry{
-		ID:         id,
-		Retrieval:  retrieval,
-		Freq:       c.freqAll[id],
-		LastAccess: c.clock,
-	}
+	*e = Entry{ID: id, Retrieval: retrieval}
 	c.index[id] = slot
 	c.pushTail(slot)
 	c.n++
@@ -256,43 +224,14 @@ func (c *Cache) Entries() []Entry {
 	return out
 }
 
-// Victim chooses an eviction victim using the policy; false if empty.
-// The LRU policy is answered in O(1) from the recency list head: Tick is
-// strictly monotonic so LastAccess values are unique, which makes the
-// head exactly the entry the Entries() scan would pick (the ID tie-break
-// can never fire).
-func (c *Cache) Victim(p Policy) (int, bool) {
+// LRU names the least-recently-used victim for Victim.
+type LRU struct{}
+
+// Victim returns the least recently used item, the recency list's head;
+// false if the cache is empty.
+func (c *Cache) Victim(LRU) (int, bool) {
 	if c.n == 0 {
 		return 0, false
 	}
-	if _, ok := p.(LRU); ok {
-		return c.at(c.head).ID, true
-	}
-	return p.Victim(c.Entries()), true
-}
-
-// Policy selects an eviction victim among cache entries. Implementations
-// must be deterministic given the entries (break ties by lowest ID).
-type Policy interface {
-	Name() string
-	// Victim returns the ID to evict; entries is non-empty.
-	Victim(entries []Entry) int
-}
-
-// LRU evicts the least recently used entry.
-type LRU struct{}
-
-// Name implements Policy.
-func (LRU) Name() string { return "lru" }
-
-// Victim implements Policy: the smallest LastAccess, ties by lowest ID
-// (entries are sorted by ID, so the first minimum wins).
-func (LRU) Victim(entries []Entry) int {
-	best := entries[0]
-	for _, e := range entries[1:] {
-		if e.LastAccess < best.LastAccess {
-			best = e
-		}
-	}
-	return best.ID
+	return c.at(c.head).ID, true
 }

@@ -9,31 +9,56 @@ import (
 	"prefetch/internal/rng"
 )
 
+// lastAccess is the tests' LRU oracle: a logical clock stamped on every
+// insert and cached access, and a scan for the smallest stamp.
+type lastAccess struct {
+	clock int64
+	at    map[int]int64
+}
+
+func newLastAccess() *lastAccess { return &lastAccess{at: map[int]int64{}} }
+
+func (l *lastAccess) touch(id int) {
+	l.clock++
+	l.at[id] = l.clock
+}
+
+// victim returns the entry with the smallest stamp; entries is non-empty.
+// The clock never repeats a stamp, so no tie-break is needed.
+func (l *lastAccess) victim(entries []Entry) int {
+	best := entries[0].ID
+	for _, e := range entries[1:] {
+		if l.at[e.ID] < l.at[best] {
+			best = e.ID
+		}
+	}
+	return best
+}
+
 // mapCache is the map-backed reference the dense Cache must match: the
-// obvious implementation of the same contract, with entries in a map,
-// victims from a sort-and-scan, and the LRU victim from that scan too.
+// obvious implementation of the same contract, with entries in a map and
+// the LRU victim from a last-access scan.
 type mapCache struct {
 	capacity int
-	items    map[int]*Entry
-	freqAll  map[int]int64
-	clock    int64
+	items    map[int]Entry
+	last     *lastAccess
 }
 
 func newMapCache(capacity int) *mapCache {
-	return &mapCache{capacity: capacity, items: map[int]*Entry{}, freqAll: map[int]int64{}}
+	return &mapCache{capacity: capacity, items: map[int]Entry{}, last: newLastAccess()}
 }
 
 func (m *mapCache) insert(id int, retrieval float64) bool {
-	if len(m.items) >= m.capacity || id < 0 || m.items[id] != nil {
+	if _, ok := m.items[id]; ok || len(m.items) >= m.capacity || id < 0 {
 		return false
 	}
-	m.clock++
-	m.items[id] = &Entry{ID: id, Retrieval: retrieval, Freq: m.freqAll[id], LastAccess: m.clock}
+	m.items[id] = Entry{ID: id, Retrieval: retrieval}
+	m.last.touch(id)
 	return true
 }
 
 func (m *mapCache) evict(id int) bool {
-	if m.items[id] == nil {
+	if _, ok := m.items[id]; !ok {
 		return false
 	}
 	delete(m.items, id)
@@ -41,18 +66,15 @@ func (m *mapCache) evict(id int) bool {
 }
 
 func (m *mapCache) recordAccess(id int) {
-	m.clock++
-	m.freqAll[id]++
-	if e := m.items[id]; e != nil {
-		e.Freq++
-		e.LastAccess = m.clock
+	if _, ok := m.items[id]; ok {
+		m.last.touch(id)
 	}
 }
 
 func (m *mapCache) entries() []Entry {
 	out := make([]Entry, 0, len(m.items))
 	for _, e := range m.items {
-		out = append(out, *e)
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -61,8 +83,7 @@ func (m *mapCache) entries() []Entry {
 // TestCacheMatchesMapModel runs random Insert/Evict/RecordAccess/
 // InsertLRU/evict-all sequences against the dense cache and the map model,
 // and after every step compares membership (negative ids included),
-// Entries (in id order), the LRU victim, and Freq — which must survive
-// eviction and re-insertion.
+// Entries (in id order) and the LRU victim.
 func TestCacheMatchesMapModel(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := rng.New(seed)
@@ -95,12 +116,13 @@ func TestCacheMatchesMapModel(t *testing.T) {
 					continue // InsertLRU panics on negative ids; zero capacity stores nothing
 				}
 				victim, evicted := c.InsertLRU(id, 2)
-				wantEvicted := m.items[id] == nil && len(m.items) == capacity
+				_, cached := m.items[id]
+				wantEvicted := !cached && len(m.items) == capacity
 				if evicted != wantEvicted {
 					t.Fatalf("seed %d step %d: InsertLRU(%d) evicted = %v, want %v", seed, step, id, evicted, wantEvicted)
 				}
 				if evicted {
-					if want := (LRU{}).Victim(m.entries()); victim != want {
+					if want := m.last.victim(m.entries()); victim != want {
 						t.Fatalf("seed %d step %d: InsertLRU(%d) evicted %d, want LRU %d", seed, step, id, victim, want)
 					}
 					m.evict(victim)
@@ -112,7 +134,7 @@ func TestCacheMatchesMapModel(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				m.items = map[int]*Entry{}
+				m.items = map[int]Entry{}
 			}
 			checkAgainstModel(t, c, m, ids)
 			if t.Failed() {
@@ -131,21 +153,19 @@ func checkAgainstModel(t *testing.T, c *Cache, m *mapCache, ids int) {
 	if c.Len() != len(want) || c.Free() != m.capacity-len(want) {
 		t.Errorf("Len/Free = %d/%d, want %d/%d", c.Len(), c.Free(), len(want), m.capacity-len(want))
 	}
-	if v, ok := c.Victim(LRU{}); ok != (len(want) > 0) || (ok && v != (LRU{}).Victim(want)) {
+	if v, ok := c.Victim(LRU{}); ok != (len(want) > 0) || (ok && v != m.last.victim(want)) {
 		t.Errorf("LRU victim = %d,%v", v, ok)
 	}
 	for id := -1; id <= ids; id++ {
-		if got, want := c.Contains(id), m.items[id] != nil; got != want {
-			t.Errorf("Contains(%d) = %v, want %v", id, got, want)
-		}
-		if got, want := c.Freq(id), m.freqAll[id]; got != want {
-			t.Errorf("Freq(%d) = %d, want %d", id, got, want)
+		if _, want := m.items[id]; c.Contains(id) != want {
+			t.Errorf("Contains(%d) = %v, want %v", id, !want, want)
 		}
 	}
 }
 
 // TestNegativeIDs pins the dense cache's defined behaviour for ids below
-// zero: Insert refuses them with ErrBadCache, and they are never cached.
+// zero: Insert refuses them with ErrBadCache, they are never cached, and
+// an access to one is a no-op.
 func TestNegativeIDs(t *testing.T) {
 	c := mustNew(t, 2)
 	if err := c.Insert(-1, 3); !errors.Is(err, ErrBadCache) {
@@ -157,9 +177,12 @@ func TestNegativeIDs(t *testing.T) {
 	if err := c.Evict(-1); !errors.Is(err, ErrBadCache) {
 		t.Fatalf("Evict(-1) err = %v, want ErrBadCache", err)
 	}
-	c.RecordAccess(-1) // a miss, counted like any other
-	if c.Freq(-1) != 1 {
-		t.Fatalf("Freq(-1) = %d, want 1", c.Freq(-1))
+	if err := c.Insert(4, 3); err != nil {
+		t.Fatal(err)
+	}
+	c.RecordAccess(-1)
+	if v, ok := c.Victim(LRU{}); c.Len() != 1 || !ok || v != 4 {
+		t.Fatalf("RecordAccess(-1): Len %d, victim %d,%v; want 1, 4,true", c.Len(), v, ok)
 	}
 	defer func() {
 		if recover() == nil {

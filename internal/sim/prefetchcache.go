@@ -109,7 +109,8 @@ type CacheOptions struct {
 // v_s, the planner runs SKP/KP over the non-cached successors of s
 // (TotalProb = 1 per Eq. 9's universe), Pr-arbitration admits prefetches
 // against the cache, the request States[k+1] arrives, and a miss demand-
-// fetches with a mandatory victim. Access frequencies drive LFU/DS.
+// fetches with a mandatory victim. Per-item request counts over the walk
+// drive LFU/DS; no path reads the cache's recency order.
 func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int) (CacheResult, error) {
 	return RunPrefetchCacheOpts(trace, planner, cacheSize, CacheOptions{})
 }
@@ -128,6 +129,10 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 		return CacheResult{}, err
 	}
 	res := CacheResult{Policy: planner.Label, CacheSize: cacheSize}
+	// freq_i counts every request of the walk, cached or not, so an
+	// evicted and re-fetched item keeps its history (WATCHMAN-style
+	// delay-saving needs this).
+	freq := make([]int64, len(trace.Retrievals))
 	retrOf := func(id int) float64 { return trace.Retrievals[id] }
 
 	tr := obs.Active(opts.Tracer)
@@ -168,7 +173,7 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 			if err != nil {
 				return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 			}
-			entries := arbitrationEntries(c, probOf)
+			entries := arbitrationEntries(c, probOf, freq)
 			arb := core.Arbitrate(plan, entries, c.Free(), planner.Sub)
 			for i, it := range arb.Accepted.Items {
 				if victim := arb.Victims[i]; victim != core.NoVictim {
@@ -233,7 +238,7 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 				tr.Emit(ev)
 			}
 			if c.Free() == 0 {
-				victim, ok := core.DemandVictim(arbitrationEntries(c, probOf), planner.Sub)
+				victim, ok := core.DemandVictim(arbitrationEntries(c, probOf, freq), planner.Sub)
 				if !ok {
 					return CacheResult{}, fmt.Errorf("round %d: full cache with no victim", k)
 				}
@@ -252,7 +257,7 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 			}
 		}
 
-		c.RecordAccess(requested)
+		freq[requested]++
 		res.Access.Add(t)
 		res.Requests++
 		if t == 0 {
@@ -272,8 +277,8 @@ func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize in
 
 // arbitrationEntries snapshots the cache for core's arbitration: P_d is the
 // next-access probability (zero for non-candidates), freq is the item's
-// observed access count.
-func arbitrationEntries(c *cache.Cache, probOf map[int]float64) []core.CacheEntry {
+// access count over the walk so far.
+func arbitrationEntries(c *cache.Cache, probOf map[int]float64, freq []int64) []core.CacheEntry {
 	entries := c.Entries()
 	out := make([]core.CacheEntry, len(entries))
 	for i, e := range entries {
@@ -281,7 +286,7 @@ func arbitrationEntries(c *cache.Cache, probOf map[int]float64) []core.CacheEntr
 			ID:        e.ID,
 			Prob:      probOf[e.ID],
 			Retrieval: e.Retrieval,
-			Freq:      e.Freq,
+			Freq:      freq[e.ID],
 		}
 	}
 	return out

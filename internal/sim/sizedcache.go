@@ -67,11 +67,10 @@ type sizedCache struct {
 	capacity int64
 	used     int64
 	sizes    map[int]int64
-	freq     map[int]int64 // per-item access counts (survive eviction)
 }
 
 func newSizedCache(capacity int64) *sizedCache {
-	return &sizedCache{capacity: capacity, sizes: map[int]int64{}, freq: map[int]int64{}}
+	return &sizedCache{capacity: capacity, sizes: map[int]int64{}}
 }
 
 func (c *sizedCache) contains(id int) bool { _, ok := c.sizes[id]; return ok }
@@ -99,8 +98,9 @@ func (c *sizedCache) evict(id int) error {
 	return nil
 }
 
-// entries snapshots the cache for arbitration, ordered by ID.
-func (c *sizedCache) entries(probOf map[int]float64, retrOf func(int) float64) []core.SizedEntry {
+// entries snapshots the cache for arbitration, ordered by ID; freq holds
+// each item's request count over the walk.
+func (c *sizedCache) entries(probOf map[int]float64, retrOf func(int) float64, freq []int64) []core.SizedEntry {
 	ids := make([]int, 0, len(c.sizes))
 	for id := range c.sizes {
 		ids = append(ids, id)
@@ -109,7 +109,7 @@ func (c *sizedCache) entries(probOf map[int]float64, retrOf func(int) float64) [
 	out := make([]core.SizedEntry, len(ids))
 	for i, id := range ids {
 		out[i] = core.SizedEntry{
-			CacheEntry: core.CacheEntry{ID: id, Prob: probOf[id], Retrieval: retrOf(id), Freq: c.freq[id]},
+			CacheEntry: core.CacheEntry{ID: id, Prob: probOf[id], Retrieval: retrOf(id), Freq: freq[id]},
 			Size:       c.sizes[id],
 		}
 	}
@@ -119,11 +119,11 @@ func (c *sizedCache) entries(probOf map[int]float64, retrOf func(int) float64) [
 // evictForDemand frees at least `need` bytes for a demand-fetched item,
 // ranking victims per the ordering (Pr value or Pr value per byte, with
 // sub-arbitration tie-breaks).
-func (c *sizedCache) evictForDemand(need int64, probOf map[int]float64, retrOf func(int) float64, sub core.SubArbitration, order SizedVictimOrder) error {
+func (c *sizedCache) evictForDemand(need int64, probOf map[int]float64, retrOf func(int) float64, freq []int64, sub core.SubArbitration, order SizedVictimOrder) error {
 	if need <= c.free() {
 		return nil
 	}
-	entries := c.entries(probOf, retrOf)
+	entries := c.entries(probOf, retrOf, freq)
 	sort.SliceStable(entries, func(a, b int) bool {
 		ka := entries[a].Prob * entries[a].Retrieval
 		kb := entries[b].Prob * entries[b].Retrieval
@@ -214,6 +214,7 @@ func RunSizedPrefetchCache(trace *MarkovTrace, sizes []int64, planner SizedPlann
 		}
 	}
 	c := newSizedCache(cacheBytes)
+	freq := make([]int64, len(trace.Retrievals)) // as in RunPrefetchCacheOpts
 	retrOf := func(id int) float64 { return trace.Retrievals[id] }
 	res := SizedResultRow{Policy: planner.Label, CacheBytes: cacheBytes}
 
@@ -243,7 +244,7 @@ func RunSizedPrefetchCache(trace *MarkovTrace, sizes []int64, planner SizedPlann
 			for _, it := range plan.Items {
 				sizedCands = append(sizedCands, core.SizedCandidate{Item: it, Size: sizes[it.ID]})
 			}
-			arb, err := core.ArbitrateSized(sizedCands, c.entries(probOf, retrOf), c.free(), planner.Sub)
+			arb, err := core.ArbitrateSized(sizedCands, c.entries(probOf, retrOf, freq), c.free(), planner.Sub)
 			if err != nil {
 				return SizedResultRow{}, fmt.Errorf("round %d: %w", k, err)
 			}
@@ -272,7 +273,7 @@ func RunSizedPrefetchCache(trace *MarkovTrace, sizes []int64, planner SizedPlann
 		default:
 			t = st + trace.Retrievals[requested]
 			if sizes[requested] <= cacheBytes {
-				if err := c.evictForDemand(sizes[requested], probOf, retrOf, planner.Sub, planner.Ordering); err != nil {
+				if err := c.evictForDemand(sizes[requested], probOf, retrOf, freq, planner.Sub, planner.Ordering); err != nil {
 					return SizedResultRow{}, fmt.Errorf("round %d: %w", k, err)
 				}
 				if err := c.insert(requested, sizes[requested]); err != nil {
@@ -280,7 +281,7 @@ func RunSizedPrefetchCache(trace *MarkovTrace, sizes []int64, planner SizedPlann
 				}
 			}
 		}
-		c.freq[requested]++
+		freq[requested]++
 		res.Access.Add(t)
 		res.Requests++
 		if t == 0 {

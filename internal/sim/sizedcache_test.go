@@ -158,14 +158,14 @@ func TestEvictForDemandOrdering(t *testing.T) {
 		return c
 	}
 	c := mk()
-	if err := c.evictForDemand(5, probOf, retrOf, core.SubNone, ByDensity); err != nil {
+	if err := c.evictForDemand(5, probOf, retrOf, make([]int64, 3), core.SubNone, ByDensity); err != nil {
 		t.Fatal(err)
 	}
 	if c.contains(2) || !c.contains(1) {
 		t.Fatal("density order should evict the big zero-value item first")
 	}
 	c = mk()
-	if err := c.evictForDemand(5, probOf, retrOf, core.SubNone, ByValue); err != nil {
+	if err := c.evictForDemand(5, probOf, retrOf, make([]int64, 3), core.SubNone, ByValue); err != nil {
 		t.Fatal(err)
 	}
 	// Value order with a 0-0 tie evicts id 1 (2 bytes) first, which is not
