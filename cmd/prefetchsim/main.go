@@ -6,7 +6,8 @@
 //	prefetchsim -mode prefetch-only -n 10 -gen skewy -iters 50000 \
 //	            -policies none,perfect,kp,skp,skp-paper
 //
-// Prefetch-cache mode (§5.3; Figure 7):
+// Prefetch-cache mode (§5.3; Figure 7). -policies takes Figure 7 planner
+// labels or "all" and refuses any other name:
 //
 //	prefetchsim -mode cache -states 100 -requests 50000 -cachesize 40 \
 //	            -policies "No+Pr,KP+Pr,SKP+Pr,SKP+Pr+LFU,SKP+Pr+DS"
@@ -487,7 +488,46 @@ func runPrefetchOnly(out io.Writer, seed uint64, n int, genName string, iters in
 	return nil
 }
 
+// parseCachePlanners selects Fig. 7 planners by label, in the paper's
+// order. "all", or the untouched prefetch-only default, selects all five;
+// any other name is an error.
+func parseCachePlanners(list string) ([]sim.CachePlanner, error) {
+	all := prefetch.Fig7Planners(prefetch.DeltaTheorem3)
+	if list == "none,perfect,kp,skp" {
+		return all, nil
+	}
+	known := map[string]bool{"all": true}
+	for _, p := range all {
+		known[p.Label] = true
+	}
+	wanted := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if !known[name] {
+			return nil, fmt.Errorf("unknown cache policy %q (want all, No+Pr, KP+Pr, SKP+Pr, SKP+Pr+LFU or SKP+Pr+DS)", name)
+		}
+		wanted[name] = true
+	}
+	var out []sim.CachePlanner
+	for _, p := range all {
+		if wanted["all"] || wanted[p.Label] {
+			out = append(out, p)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no policies given")
+	}
+	return out, nil
+}
+
 func runCache(out io.Writer, seed uint64, states, requests, cacheSize int, skew float64, policyList string, tr obs.Tracer) error {
+	planners, err := parseCachePlanners(policyList)
+	if err != nil {
+		return err
+	}
 	r := prefetch.NewRand(seed)
 	cfg := prefetch.Fig7MarkovConfig()
 	cfg.States = states
@@ -500,24 +540,12 @@ func runCache(out io.Writer, seed uint64, states, requests, cacheSize int, skew 
 	if err != nil {
 		return err
 	}
-	// The cache mode ignores unknown names and runs the Fig. 7 planners the
-	// user listed; "all" (or the prefetch-only default) runs all five.
-	wanted := map[string]bool{}
-	for _, name := range strings.Split(policyList, ",") {
-		wanted[strings.TrimSpace(name)] = true
-	}
-	runAll := wanted["all"] || policyList == "none,perfect,kp,skp"
 	fmt.Fprintf(out, "%-12s %10s %10s %8s %14s %14s\n", "policy", "mean T", "±95%", "hit%", "prefetch-net", "demand-net")
-	track := 0 // one trace track per planner actually run
-	for _, planner := range prefetch.Fig7Planners(prefetch.DeltaTheorem3) {
-		if !runAll && !wanted[planner.Label] {
-			continue
-		}
+	for track, planner := range planners { // one trace track per planner
 		res, err := sim.RunPrefetchCacheOpts(trace, planner, cacheSize, sim.CacheOptions{Tracer: tr, Track: track})
 		if err != nil {
 			return err
 		}
-		track++
 		fmt.Fprintf(out, "%-12s %10.4f %10.4f %7.1f%% %14.0f %14.0f\n",
 			res.Policy, res.Access.Mean(), res.Access.CI95(), 100*res.HitRate(),
 			res.Prefetch, res.Demand)

@@ -63,6 +63,29 @@ func TestRunCacheMode(t *testing.T) {
 	}
 }
 
+// TestRunCachePlannerSelection: the untouched default and "all" run the
+// five Fig. 7 planners; a list runs its planners in the paper's order.
+func TestRunCachePlannerSelection(t *testing.T) {
+	base := []string{"-mode", "cache", "-states", "20", "-requests", "200", "-cachesize", "5"}
+	for _, tc := range []struct {
+		policies []string
+		want     []string
+	}{
+		{nil, []string{"No+Pr", "KP+Pr", "SKP+Pr", "SKP+Pr+LFU", "SKP+Pr+DS"}},
+		{[]string{"-policies", "all"}, []string{"No+Pr", "KP+Pr", "SKP+Pr", "SKP+Pr+LFU", "SKP+Pr+DS"}},
+		{[]string{"-policies", "SKP+Pr+DS, No+Pr"}, []string{"No+Pr", "SKP+Pr+DS"}},
+	} {
+		out := runOut(t, append(base, tc.policies...)...)
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+			got = append(got, strings.Fields(line)[0])
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v: ran %v, want %v", tc.policies, got, tc.want)
+		}
+	}
+}
+
 func TestRunSessionMode(t *testing.T) {
 	out := runOut(t, "-mode", "session", "-states", "15", "-requests", "150")
 	for _, want := range []string{"planner", "skp-depth2", "net/request"} {
@@ -113,6 +136,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-mode", "nope"},
 		{"-mode", "prefetch-only", "-policies", "unknown"},
 		{"-mode", "prefetch-only", "-gen", "unknown"},
+		{"-mode", "cache", "-requests", "50", "-policies", "SKP+PR"},         // case typo
+		{"-mode", "cache", "-requests", "50", "-policies", "skp"},            // a prefetch-only name
+		{"-mode", "cache", "-requests", "50", "-policies", "all,SKP+Pr+LRU"}, // "all" does not excuse a typo
+		{"-mode", "cache", "-requests", "50", "-policies", ","},
 		{"-mode", "multiclient", "-clients", "zero"},
 		{"-mode", "multiclient", "-clients", ""},
 		{"-not-a-flag"},
