@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,24 +55,33 @@ type jsonOutput struct {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "skpsolve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, reads the problem from -f or stdin, and writes the
+// plan to stdout.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("skpsolve", flag.ContinueOnError)
+	fs.SetOutput(stdout)
 	var (
-		algo    = flag.String("algo", "skp", "algorithm: skp | skp-paper | kp | greedy | exhaustive | costaware | stretchaware")
-		lambda  = flag.Float64("lambda", 0, "network-usage price for -algo costaware")
-		stretch = flag.Float64("stretchcost", 0, "stretch price for -algo stretchaware")
-		file    = flag.String("f", "", "input file (default stdin)")
-		asJSON  = flag.Bool("json", false, "emit JSON instead of text")
-		explain = flag.Bool("explain", false, "print the per-item gain decomposition")
+		algo    = fs.String("algo", "skp", "algorithm: skp | skp-paper | kp | greedy | exhaustive | costaware | stretchaware")
+		lambda  = fs.Float64("lambda", 0, "network-usage price for -algo costaware")
+		stretch = fs.Float64("stretchcost", 0, "stretch price for -algo stretchaware")
+		file    = fs.String("f", "", "input file (default stdin)")
+		asJSON  = fs.Bool("json", false, "emit JSON instead of text")
+		explain = fs.Bool("explain", false, "print the per-item gain decomposition")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
-	in := io.Reader(os.Stdin)
+	in := stdin
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
@@ -140,26 +150,26 @@ func run() error {
 		out.PlanIDs = []int{}
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(out)
 	}
-	fmt.Printf("algorithm:    %s\n", out.Algorithm)
-	fmt.Printf("plan:         %v\n", out.PlanIDs)
-	fmt.Printf("gain (Eq.3):  %.6g\n", out.Gain)
-	fmt.Printf("stretch:      %.6g\n", out.Stretch)
-	fmt.Printf("waste:        %.6g\n", out.Waste)
-	fmt.Printf("upper bound:  %.6g (Eq.7)\n", out.UpperBound)
+	fmt.Fprintf(stdout, "algorithm:    %s\n", out.Algorithm)
+	fmt.Fprintf(stdout, "plan:         %v\n", out.PlanIDs)
+	fmt.Fprintf(stdout, "gain (Eq.3):  %.6g\n", out.Gain)
+	fmt.Fprintf(stdout, "stretch:      %.6g\n", out.Stretch)
+	fmt.Fprintf(stdout, "waste:        %.6g\n", out.Waste)
+	fmt.Fprintf(stdout, "upper bound:  %.6g (Eq.7)\n", out.UpperBound)
 	if out.Nodes > 0 {
-		fmt.Printf("search:       %d nodes, %d prunes\n", out.Nodes, out.Prunes)
+		fmt.Fprintf(stdout, "search:       %d nodes, %d prunes\n", out.Nodes, out.Prunes)
 	}
 	if *explain {
 		ex, err := prefetch.Explain(problem, plan)
 		if err != nil {
 			return err
 		}
-		fmt.Println()
-		fmt.Print(ex.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, ex.String())
 	}
 	return nil
 }
