@@ -110,7 +110,7 @@ type CacheOptions struct {
 // (TotalProb = 1 per Eq. 9's universe), Pr-arbitration admits prefetches
 // against the cache, the request States[k+1] arrives, and a miss demand-
 // fetches with a mandatory victim. Per-item request counts over the walk
-// drive LFU/DS; no path reads the cache's recency order.
+// drive LFU/DS.
 func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int) (CacheResult, error) {
 	return RunPrefetchCacheOpts(trace, planner, cacheSize, CacheOptions{})
 }
