@@ -14,7 +14,10 @@
 GO ?= go
 SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 
-# The tracked hot paths: the shared event-queue heap, the scheduling
+# The tracked hot paths: the generic event-queue heap and netsim
+# Clock's inline 4-ary event heap (BenchmarkClockChurn at 1k and 16k
+# pending events; it runs ungated until the baseline is re-recorded,
+# since cmd/benchjson passes benchmarks the baseline lacks), the scheduling
 # subsystem's submit/dispatch/complete cycle and its completion cost at
 # in-flight 64/1024/16384 (flat when completion is O(1)), the end-to-end
 # multiclient simulation round (the N-scaling family N=64…16384 over the
@@ -30,8 +33,8 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # (BenchmarkWriterEmit: ns per event over a recorded multiclient
 # stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
-BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
 .PHONY: test lint lint-allows bench bench-raw bench-baseline clean-bench profile sweep-learned sweep-drift sweep-fleet trace

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -67,13 +68,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.cacheStep = 10
 	}
 
-	if err := os.MkdirAll(cfg.out, 0o755); err != nil {
-		return err
-	}
-	var summary strings.Builder
-	fmt.Fprintf(&summary, "figures run: seed=%d iters=%d requests=%d cachestep=%d\n",
-		cfg.seed, cfg.iters, cfg.requests, cfg.cacheStep)
-
 	type job struct {
 		name string
 		fn   func(config, *strings.Builder) error
@@ -88,21 +82,29 @@ func run(args []string, stdout io.Writer) error {
 		{"lambda", runLambda},
 		{"sizes", runSizes},
 	}
-	ran := false
-	for _, j := range jobs {
-		if cfg.fig != "all" && cfg.fig != j.name {
-			continue
+	// Select before creating -out, so an unknown figure leaves no
+	// directory behind.
+	if cfg.fig != "all" {
+		i := slices.IndexFunc(jobs, func(j job) bool { return j.name == cfg.fig })
+		if i < 0 {
+			return fmt.Errorf("unknown figure %q", cfg.fig)
 		}
-		ran = true
+		jobs = jobs[i : i+1]
+	}
+
+	if err := os.MkdirAll(cfg.out, 0o755); err != nil {
+		return err
+	}
+	var summary strings.Builder
+	fmt.Fprintf(&summary, "figures run: seed=%d iters=%d requests=%d cachestep=%d\n",
+		cfg.seed, cfg.iters, cfg.requests, cfg.cacheStep)
+	for _, j := range jobs {
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "== figure %s ==\n", j.name)
 		if err := j.fn(cfg, &summary); err != nil {
 			return fmt.Errorf("figure %s: %w", j.name, err)
 		}
 		fmt.Fprintf(os.Stderr, "   done in %v\n", time.Since(start).Round(time.Millisecond))
-	}
-	if !ran {
-		return fmt.Errorf("unknown figure %q", cfg.fig)
 	}
 	path := filepath.Join(cfg.out, "summary.txt")
 	if err := os.WriteFile(path, []byte(summary.String()), 0o644); err != nil {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,5 +115,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(args, &strings.Builder{}); err == nil {
 			t.Errorf("run(%q) accepted", args)
 		}
+	}
+}
+
+// TestUnknownFigureCreatesNoDirectory: an unknown -fig is rejected before
+// -out is created, so a failed run leaves nothing behind.
+func TestUnknownFigureCreatesNoDirectory(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "figs")
+	if err := run([]string{"-fig", "8", "-out", out}, &strings.Builder{}); err == nil {
+		t.Fatal("run(-fig 8) accepted")
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("-out %s after a rejected -fig: Stat error %v, want not-exist", out, err)
 	}
 }

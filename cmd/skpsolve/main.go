@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"prefetch"
@@ -79,6 +80,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return nil
 		}
 		return err
+	}
+	// Both prices are checked whichever -algo reads them, so a bad value
+	// never passes silently under an algorithm that ignores it.
+	if math.IsNaN(*lambda) || math.IsInf(*lambda, 0) || *lambda < 0 {
+		return fmt.Errorf("-lambda must be finite and non-negative (got %v)", *lambda)
+	}
+	if math.IsNaN(*stretch) || *stretch < 0 {
+		return fmt.Errorf("-stretchcost must be non-negative, +Inf included (got %v)", *stretch)
 	}
 
 	in := stdin

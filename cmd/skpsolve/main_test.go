@@ -45,6 +45,8 @@ func TestRunAlgorithms(t *testing.T) {
 		{[]string{"-algo", "stretchaware", "-stretchcost", "2"}, jsonOutput{Algorithm: "stretchaware", PlanIDs: []int{1, 3}, Gain: 2.6, Waste: 3.4, Nodes: 6, Prunes: 1}},
 		// An infinite stretch price is KP's objective, so it is accepted.
 		{[]string{"-algo", "stretchaware", "-stretchcost", "+Inf"}, jsonOutput{Algorithm: "stretchaware", PlanIDs: []int{1, 3}, Gain: 2.6, Waste: 3.4, Nodes: 6, Prunes: 1}},
+		// Valid prices an algorithm does not read leave its plan alone.
+		{[]string{"-algo", "skp", "-lambda", "0.5", "-stretchcost", "+Inf"}, jsonOutput{Algorithm: "skp", PlanIDs: []int{1, 2}, Gain: 2.7, Stretch: 3, Waste: 5.1, Nodes: 4, Prunes: 2}},
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 	for _, tc := range cases {
@@ -126,6 +128,16 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{docProblem, []string{"-algo", "costaware", "-lambda", "-Inf"}},
 		{docProblem, []string{"-algo", "stretchaware", "-stretchcost", "NaN"}},
 		{docProblem, []string{"-algo", "stretchaware", "-stretchcost", "-Inf"}},
+		// Both prices are checked under every algorithm, not only the one
+		// that reads them.
+		{docProblem, []string{"-algo", "skp", "-lambda", "NaN"}},
+		{docProblem, []string{"-algo", "kp", "-lambda", "+Inf"}},
+		{docProblem, []string{"-algo", "greedy", "-lambda", "-Inf"}},
+		{docProblem, []string{"-algo", "stretchaware", "-lambda", "-0.5"}},
+		{docProblem, []string{"-algo", "skp", "-stretchcost", "NaN"}},
+		{docProblem, []string{"-algo", "exhaustive", "-stretchcost", "-Inf"}},
+		{docProblem, []string{"-algo", "costaware", "-stretchcost", "-5"}},
+		{docProblem, []string{"-algo", "skp-paper", "-lambda", "NaN", "-stretchcost", "-5"}},
 		{docProblem, []string{"-algo", "nope"}},
 		{docProblem, []string{"-not-a-flag"}},
 		{`{"viewing": 6, "items": [], "extra": 1}`, nil},

@@ -40,8 +40,9 @@
 // pluggable prediction subsystem — the oracle and every learned source,
 // built on shared count stores; see MultiClientConfig.Predict), cache
 // (the client cache container), sim (the paper's Monte-Carlo harnesses),
-// netsim (an event-driven validation simulator), eventq (the binary-heap
-// priority queue under every discrete-event scheduler), multiclient (N
+// netsim (an event-driven validation simulator, on its own 4-ary event
+// heap), eventq (the binary-heap priority queue under the WFQ discipline,
+// and the free lists of the schedulers' pooled nodes), multiclient (N
 // concurrent sessions contending for a shared server — see
 // RunMultiClient), schedsrv (the server's pluggable scheduling
 // subsystem), stats, plot, rng and sweep.

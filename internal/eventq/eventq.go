@@ -1,16 +1,17 @@
-// Package eventq provides the binary-heap priority queue shared by the
-// discrete-event schedulers in this repository: netsim's Clock (which
-// previously carried its own container/heap implementation) and the
-// schedsrv server-scheduling disciplines. Both need the same operation
-// mix — push an element with a priority, pop the minimum, peek — on hot
+// Package eventq provides a generic binary-heap priority queue, used by
+// schedsrv's WFQ discipline and by bench/'s layer replay. The operation
+// mix — push an element with a priority, pop the minimum, peek — sits on
 // paths that grow linearly with the number of concurrent clients, where a
 // sorted-slice insert degrades to O(n) per operation while the heap stays
-// O(log n); BenchmarkEventQueue documents that gap.
+// O(log n); BenchmarkEventQueue documents that gap. netsim's Clock, the
+// hottest queue of all, keeps its own inline 4-ary heap instead, because
+// calling less through a func value costs it more than the heap itself
+// (BenchmarkClockChurn times it).
 //
 // The queue is ordered by a caller-supplied strict less function. Callers
 // that need FIFO behaviour among equal priorities must fold a sequence
-// number into less (as netsim.Clock and schedsrv do); the heap itself does
-// not promise stability.
+// number into less (as schedsrv's WFQ does); the heap itself does not
+// promise stability.
 package eventq
 
 // Queue is a binary min-heap ordered by the less function given to New.

@@ -13,11 +13,7 @@
 //     window (§4.4).
 package netsim
 
-import (
-	"math"
-
-	"prefetch/internal/eventq"
-)
+import "math"
 
 // event is a scheduled callback. The firing time is stored as an integer
 // tick (see timeTick): simulated times are non-negative, and the IEEE-754
@@ -49,10 +45,16 @@ func timeTick(t float64) int64 {
 }
 
 // Clock is a discrete-event scheduler. The zero value is ready to use.
+//
+// events is a 4-ary min-heap under eventLess, held inline rather than in
+// a generic queue: sift-up and sift-down call eventLess directly, so the
+// compiler inlines the two integer compares, and four children per node
+// halve the heap's depth. (tick, seq) is a strict total order, so the pop
+// order is fixed by the keys alone, whatever the heap's shape.
 type Clock struct {
 	now    float64
 	nextID int64
-	events *eventq.Queue[event]
+	events []event
 }
 
 // Now returns the current simulated time.
@@ -64,11 +66,9 @@ func (c *Clock) Schedule(t float64, fn func()) {
 	if t < c.now {
 		panic("netsim: scheduling into the past")
 	}
-	if c.events == nil {
-		c.events = eventq.New(eventLess)
-	}
 	c.nextID++
-	c.events.Push(event{tick: timeTick(t), seq: c.nextID, fn: fn})
+	c.events = append(c.events, event{tick: timeTick(t), seq: c.nextID, fn: fn})
+	c.up(len(c.events) - 1)
 }
 
 // After schedules fn after a delay (>= 0).
@@ -86,18 +86,62 @@ func (c *Clock) Run() {
 // step processes the single earliest event; the caller must ensure at least
 // one event is pending.
 func (c *Clock) step() {
-	e, ok := c.events.Pop()
-	if !ok {
+	if len(c.events) == 0 {
 		panic("netsim: step with no pending events")
+	}
+	e := c.events[0]
+	last := len(c.events) - 1
+	c.events[0] = c.events[last]
+	c.events[last] = event{} // release the callback for the GC
+	c.events = c.events[:last]
+	if last > 0 {
+		c.down(0)
 	}
 	c.now = math.Float64frombits(uint64(e.tick))
 	e.fn()
 }
 
 // Pending returns the number of scheduled events.
-func (c *Clock) Pending() int {
-	if c.events == nil {
-		return 0
+func (c *Clock) Pending() int { return len(c.events) }
+
+// up moves the event at i toward the root until its parent is smaller,
+// shifting parents down into the hole rather than swapping.
+func (c *Clock) up(i int) {
+	h := c.events
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !eventLess(e, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return c.events.Len()
+	h[i] = e
+}
+
+// down moves the event at i toward the leaves until no child is smaller,
+// shifting the smallest child up into the hole at each level.
+func (c *Clock) down(i int) {
+	h := c.events
+	n := len(h)
+	e := h[i]
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		child := first
+		for j := first + 1; j < first+4 && j < n; j++ {
+			if eventLess(h[j], h[child]) {
+				child = j
+			}
+		}
+		if !eventLess(h[child], e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
 }

@@ -5,53 +5,58 @@ import "fmt"
 // fifo is the seed server's behaviour, extracted: one queue, strict
 // arrival order, demand and speculative traffic indistinguishable.
 //
-// index accelerates Promote from a backlog scan to a map lookup: clients
-// hold at most one outstanding transfer per page, so (client, page)
-// identifies the queued speculative request uniquely. Push panics on a
-// duplicate key, which would make Promote ambiguous.
+// spec indexes the queued speculative requests for Promote: spec[c]
+// holds client c's, in push order. A client has few transfers
+// outstanding, so Promote scans one short list instead of the backlog.
+// Requests leave their list when they are popped or promoted; because
+// the queue and every list keep push order, a speculative request
+// reaching the head of the queue is always the head of its client's
+// list, and Pop asserts it. Clients hold at most one outstanding
+// transfer per page, so (client, page) identifies a queued speculative
+// request uniquely; Push panics on a duplicate, which would make
+// Promote ambiguous.
 type fifo struct {
-	queue []*Request
-	index map[uint64]*Request // queued speculative requests by (client, page)
+	queue reqDeque
+	spec  [][]*Request // queued speculative requests per client id, grown lazily
 }
 
 func newFIFO() *fifo { return &fifo{} }
 
 func (f *fifo) Name() string { return string(KindFIFO) }
 
-// promoteKey packs (client, page) into the index key.
-func promoteKey(client, page int) uint64 {
-	return uint64(uint32(client))<<32 | uint64(uint32(page))
-}
-
 func (f *fifo) Push(r *Request) {
-	f.queue = append(f.queue, r)
-	if r.Demand {
-		return
+	if !r.Demand {
+		if r.Client >= len(f.spec) {
+			f.spec = append(f.spec, make([][]*Request, r.Client+1-len(f.spec))...)
+		}
+		list := f.spec[r.Client]
+		for _, q := range list {
+			if q.Page == r.Page {
+				panic(fmt.Sprintf("schedsrv: speculative request for client %d page %d already queued", r.Client, r.Page))
+			}
+		}
+		f.spec[r.Client] = append(list, r)
 	}
-	k := promoteKey(r.Client, r.Page)
-	if f.index == nil {
-		f.index = map[uint64]*Request{}
-	} else if _, dup := f.index[k]; dup {
-		panic(fmt.Sprintf("schedsrv: speculative request for client %d page %d already queued", r.Client, r.Page))
-	}
-	f.index[k] = r
+	f.queue.pushBack(r)
 }
 
 func (f *fifo) Pop(now float64) (*Request, bool) {
-	if len(f.queue) == 0 {
+	if f.queue.n == 0 {
 		return nil, false
 	}
-	r := f.queue[0]
-	f.queue[0] = nil
-	f.queue = f.queue[1:]
+	r := f.queue.popFront()
 	if !r.Demand {
-		delete(f.index, promoteKey(r.Client, r.Page))
+		list := f.spec[r.Client]
+		if list[0] != r {
+			panic(fmt.Sprintf("schedsrv: fifo popped client %d page %d out of its client's push order", r.Client, r.Page))
+		}
+		f.spec[r.Client] = deleteReq(list, 0)
 	}
 	return r, true
 }
 
 func (f *fifo) ReadyAt(now float64) (float64, bool) {
-	if len(f.queue) == 0 {
+	if f.queue.n == 0 {
 		return 0, false
 	}
 	return now, true
@@ -61,18 +66,33 @@ func (f *fifo) ReadyAt(now float64) (float64, bool) {
 // for accounting, but deliberately does not reorder: FIFO serves arrival
 // order, which keeps the extracted discipline identical to the seed.
 func (f *fifo) Promote(client, page int) bool {
-	k := promoteKey(client, page)
-	r, ok := f.index[k]
-	if ok {
-		r.Demand = true
-		delete(f.index, k)
+	if client < 0 || client >= len(f.spec) {
+		return false
 	}
-	return ok
+	list := f.spec[client]
+	for i, r := range list {
+		if r.Page == page {
+			r.Demand = true
+			f.spec[client] = deleteReq(list, i)
+			return true
+		}
+	}
+	return false
 }
 
-func (f *fifo) Len() int { return len(f.queue) }
+func (f *fifo) Len() int { return f.queue.n }
 
-func (f *fifo) Backlog(dst []*Request) []*Request { return append(dst, f.queue...) }
+func (f *fifo) Backlog(dst []*Request) []*Request { return f.queue.appendTo(dst) }
+
+// deleteReq removes list[i] in place, keeping the order of the rest and
+// the backing array, so a client's list stops allocating once it has
+// reached its peak length.
+func deleteReq(list []*Request, i int) []*Request {
+	last := len(list) - 1
+	copy(list[i:], list[i+1:])
+	list[last] = nil
+	return list[:last]
+}
 
 // priority is strict demand priority: two FIFO queues, and a slot never
 // serves speculative work while any demand request is queued.
@@ -135,11 +155,7 @@ func (p *priority) requeueFront(r *Request) { p.spec.pushFront(r) }
 func (p *priority) Len() int { return len(p.demand) + p.spec.n }
 
 func (p *priority) Backlog(dst []*Request) []*Request {
-	dst = append(dst, p.demand...)
-	for i := 0; i < p.spec.n; i++ {
-		dst = append(dst, p.spec.at(i))
-	}
-	return dst
+	return p.spec.appendTo(append(dst, p.demand...))
 }
 
 // reqDeque is a request FIFO that also takes requests back at its head:
@@ -153,6 +169,14 @@ type reqDeque struct {
 
 // at returns the i-th queued request from the front.
 func (q *reqDeque) at(i int) *Request { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// appendTo appends the queued requests to dst, front first.
+func (q *reqDeque) appendTo(dst []*Request) []*Request {
+	for i := 0; i < q.n; i++ {
+		dst = append(dst, q.at(i))
+	}
+	return dst
+}
 
 // grow doubles a full ring, unrolling it to start at index 0.
 func (q *reqDeque) grow() {

@@ -152,7 +152,7 @@ type Clock interface {
 
 // Request is one transfer submitted to the scheduler.
 type Request struct {
-	Client  int     // submitting client, a small dense id
+	Client  int     // submitting client, a small dense id >= 0 (fifo indexes by it)
 	Page    int     // page being transferred (promotion key)
 	Service float64 // origin service-time demand (> 0)
 	Demand  bool    // demand fetch (true) or speculative prefetch (false)
