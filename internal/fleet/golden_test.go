@@ -48,7 +48,10 @@ func goldenBase() multiclient.Config {
 // slots, shared+warm, target-util) under least-loaded and hash routing
 // with failures off and on, and failures under priority+preempt, wfq,
 // shaped and priority+preempt with deferring admission (3 least-loaded
-// replicas, shared+warm, aimd).
+// replicas, shared+warm, aimd). Three multiclient rows under
+// priority+preempt cover the controller settings the matrix leaves at
+// their defaults: delay-gradient, aimd at Lambda0 0.2 and target-util
+// at TargetUtil 0.6.
 func goldenCases() []goldenCase {
 	scheds := []struct {
 		name string
@@ -83,6 +86,26 @@ func goldenCases() []goldenCase {
 				}
 			}
 		}
+	}
+	for _, row := range []struct {
+		name string
+		ac   adaptive.Config
+	}{
+		{"delay-gradient", adaptive.Config{Kind: adaptive.KindDelayGradient}},
+		{"aimd/lambda0=0.2", adaptive.Config{Kind: adaptive.KindAIMD, Lambda0: 0.2}},
+		{"target-util/target-util=0.6", adaptive.Config{Kind: adaptive.KindTargetUtil, TargetUtil: 0.6}},
+	} {
+		cfg := goldenBase()
+		cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+		cfg.Adaptive = row.ac
+		cases = append(cases, goldenCase{
+			name: "mc/controller/" + row.name,
+			run: func(tr obs.Tracer) (any, error) {
+				c := cfg
+				c.Tracer = tr
+				return multiclient.Run(c)
+			},
+		})
 	}
 	for _, rk := range Kinds() {
 		for _, reps := range []int{1, 3} {
