@@ -87,7 +87,7 @@ func BenchmarkFigure7Point(b *testing.B) {
 	b.ResetTimer()
 	var res sim.CacheResult
 	for i := 0; i < b.N; i++ {
-		res, err = sim.RunPrefetchCache(trace, planner, 40)
+		res, err = sim.RunPrefetchCache(trace, planner, 40, sim.CacheOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkFigure7NoPrefetch(b *testing.B) {
 	planner := sim.Fig7Planners(core.DeltaTheorem3)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunPrefetchCache(trace, planner, 40); err != nil {
+		if _, err := sim.RunPrefetchCache(trace, planner, 40, sim.CacheOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

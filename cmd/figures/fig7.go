@@ -66,7 +66,7 @@ func runFig7Variant(cfg config, summary *strings.Builder, name string, mcfg acce
 		}
 	}
 	means, err := sweep.Map(cells, func(c cell) (float64, error) {
-		res, err := sim.RunPrefetchCache(trace, c.planner, c.size)
+		res, err := sim.RunPrefetchCache(trace, c.planner, c.size, sim.CacheOptions{})
 		if err != nil {
 			return 0, err
 		}

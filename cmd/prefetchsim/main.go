@@ -542,7 +542,7 @@ func runCache(out io.Writer, seed uint64, states, requests, cacheSize int, skew 
 	}
 	fmt.Fprintf(out, "%-12s %10s %10s %8s %14s %14s\n", "policy", "mean T", "±95%", "hit%", "prefetch-net", "demand-net")
 	for track, planner := range planners { // one trace track per planner
-		res, err := sim.RunPrefetchCacheOpts(trace, planner, cacheSize, sim.CacheOptions{Tracer: tr, Track: track})
+		res, err := sim.RunPrefetchCache(trace, planner, cacheSize, sim.CacheOptions{Tracer: tr, Track: track})
 		if err != nil {
 			return err
 		}

@@ -84,13 +84,13 @@
 // multiclient client can instead run a feedback controller
 // (MultiClientConfig.Adaptive, a ControllerConfig): every browsing
 // round it observes the server's congestion feedback (SchedFeedback —
-// sliding-window utilisation, queue depths, admission drop/defer
-// totals) together with its own demand queueing delay, and the
-// controller sets the λ the round's plan is solved with. Built-in
-// controllers: ControllerStatic (λ fixed at Lambda0; the default, and
-// with Lambda0 = 0 bit-for-bit the plain planner), ControllerAIMD
-// (multiplicative back-off on congestion, additive recovery),
-// ControllerTargetUtil (integral control toward a utilisation
+// sliding-window utilisation, queue depths and the admission deferral
+// total) together with its own demand queueing delay and admission
+// drops, and the controller sets the λ the round's plan is solved
+// with. Built-in controllers: ControllerStatic (λ fixed at Lambda0; the
+// default, and with Lambda0 = 0 bit-for-bit the plain planner),
+// ControllerAIMD (multiplicative back-off on congestion, additive
+// recovery), ControllerTargetUtil (integral control toward a utilisation
 // setpoint) and ControllerDelayGradient (backs off when the client's
 // own demand delay rises round-over-round). Controllers are pure
 // functions of the feedback stream — identical seeds replay

@@ -66,7 +66,7 @@ func TestEndToEndFigure7Ordering(t *testing.T) {
 	}
 	planners := sim.Fig7Planners(core.DeltaTheorem3)
 	means, err := sweep.Map(planners, func(pl sim.CachePlanner) (float64, error) {
-		res, err := sim.RunPrefetchCache(trace, pl, 30)
+		res, err := sim.RunPrefetchCache(trace, pl, 30, sim.CacheOptions{})
 		if err != nil {
 			return 0, err
 		}

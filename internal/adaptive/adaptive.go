@@ -21,30 +21,30 @@
 //   - KindStatic — λ ≡ Lambda0 every round; with Lambda0 = 0 this is the
 //     plain SKP planner, bit-for-bit.
 //   - KindAIMD — additive-decrease, multiplicative-increase, mirrored
-//     from congestion control: λ is a brake, so congestion multiplies it
-//     up sharply (plus an additive kick so λ can leave zero) and each
-//     calm round walks it back down by a small constant.
+//     from congestion control: λ is a brake, so a congested round
+//     (utilisation ≥ 0.75, or any drop or deferral) sets λ·2 + 0.25 (the
+//     additive kick lets λ leave zero) and each calm round subtracts 0.05.
 //   - KindTargetUtil — an integral controller tracking a utilisation
-//     setpoint: λ accumulates Gain·(util − TargetUtil) each round, so
+//     setpoint: λ accumulates 2·(util − TargetUtil) each round, so
 //     speculation is throttled exactly hard enough to hold the server at
 //     the target.
-//   - KindDelayGradient — backs off when the client's own demand
-//     queueing delay rises round-over-round, and relaxes otherwise; it
-//     needs no server-side signal at all.
+//   - KindDelayGradient — adds 0.5 when the client's own demand queueing
+//     delay rises round-over-round and subtracts 0.1 otherwise; it needs
+//     no server-side signal at all.
 //
-// Every controller clamps λ to [Lambda0, MaxLambda]: Lambda0 is the
-// configured base price (the floor a calm system converges back to, which
-// makes "no congestion ⇒ the static-λ plan" a provable property), and
-// MaxLambda bounds how hard speculation can be squeezed — at λ the
-// cost-aware profit r·((1+λ)P − λ) admits only items with
-// P > λ/(1+λ), so MaxLambda = 8 already restricts plans to candidates
-// at ≥ 8/9 certainty.
+// The gains are fixed; only the base price Lambda0 and the target-util
+// setpoint are configurable. Every controller clamps λ to
+// [Lambda0, maxLambda]: Lambda0 is the configured base price (the floor a
+// calm system converges back to, which makes "no congestion ⇒ the
+// static-λ plan" a provable property), and maxLambda = 8 bounds how hard
+// speculation can be squeezed — at λ the cost-aware profit
+// r·((1+λ)P − λ) admits only items with P > λ/(1+λ), so λ = 8 already
+// restricts plans to candidates at ≥ 8/9 certainty.
 package adaptive
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrBadConfig reports an invalid controller configuration.
@@ -80,11 +80,11 @@ type Feedback struct {
 	Deferred     int64   // server-wide speculative deferrals since last round
 }
 
-// congested reports whether the feedback signals an overloaded server for
-// threshold-style controllers: the utilisation estimate at or above the
-// threshold, or the admission controller actively refusing speculation.
-func (fb Feedback) congested(threshold float64) bool {
-	return fb.Utilization >= threshold || fb.Dropped > 0 || fb.Deferred > 0
+// congested reports whether the feedback signals an overloaded server to
+// aimd: the utilisation estimate at or above congestUtil, or the
+// admission controller actively refusing speculation.
+func (fb Feedback) congested() bool {
+	return fb.Utilization >= congestUtil || fb.Dropped > 0 || fb.Deferred > 0
 }
 
 // Controller maps the per-round feedback stream to the network-usage
@@ -96,70 +96,40 @@ type Controller interface {
 	Lambda(fb Feedback) float64
 }
 
+// The controllers' fixed gains.
+const (
+	maxLambda   = 8    // clamp ceiling of every controller
+	congestUtil = 0.75 // aimd: utilisation at/above which a round counts congested
+	increase    = 2    // aimd: multiplicative λ factor on congestion (>= 1)
+	kick        = 0.25 // aimd: additive λ bump on congestion, bootstraps λ off zero
+	decrease    = 0.05 // aimd: additive λ decay per calm round
+	gain        = 2    // target-util: integral gain on the utilisation error
+	delayStep   = 0.5  // delay-gradient: additive λ increase when own demand delay rises
+	delayDecay  = 0.1  // delay-gradient: additive λ decay otherwise
+)
+
 // Config parameterises a controller. The zero value is the static λ = 0
 // controller — the plain SKP planner.
 type Config struct {
-	Kind    Kind    // controller; "" means KindStatic
-	Lambda0 float64 // base λ and clamp floor (>= 0)
-
-	// MaxLambda caps how hard speculation can be squeezed (0 = default 8).
-	MaxLambda float64
-
-	// AIMD tunables.
-	CongestUtil float64 // utilisation at/above which a round counts congested (0 = default 0.75)
-	Increase    float64 // multiplicative λ factor on congestion (0 = default 2; >= 1)
-	Kick        float64 // additive λ bump on congestion, bootstraps λ off zero (0 = default 0.25)
-	Decrease    float64 // additive λ decay per calm round (0 = default 0.05)
-
-	// Target-utilisation tunables.
-	TargetUtil float64 // utilisation setpoint (0 = default 0.7; in (0, 1))
-	Gain       float64 // integral gain on the utilisation error (0 = default 2)
-
-	// Delay-gradient tunables.
-	DelayStep  float64 // additive λ increase when own demand delay rises (0 = default 0.5)
-	DelayDecay float64 // additive λ decay otherwise (0 = default 0.1)
+	Kind       Kind    // controller; "" means KindStatic
+	Lambda0    float64 // base λ and clamp floor, in [0, 8]
+	TargetUtil float64 // target-util setpoint (0 = default 0.7; in (0, 1))
 }
 
-// withDefaults fills zero-valued tunables.
+// withDefaults fills the zero-valued kind and setpoint.
 func (cfg Config) withDefaults() Config {
 	if cfg.Kind == "" {
 		cfg.Kind = KindStatic
 	}
-	if cfg.MaxLambda == 0 {
-		cfg.MaxLambda = 8
-	}
-	if cfg.CongestUtil == 0 {
-		cfg.CongestUtil = 0.75
-	}
-	if cfg.Increase == 0 {
-		cfg.Increase = 2
-	}
-	if cfg.Kick == 0 {
-		cfg.Kick = 0.25
-	}
-	if cfg.Decrease == 0 {
-		cfg.Decrease = 0.05
-	}
 	if cfg.TargetUtil == 0 {
 		cfg.TargetUtil = 0.7
-	}
-	if cfg.Gain == 0 {
-		cfg.Gain = 2
-	}
-	if cfg.DelayStep == 0 {
-		cfg.DelayStep = 0.5
-	}
-	if cfg.DelayDecay == 0 {
-		cfg.DelayDecay = 0.1
 	}
 	return cfg
 }
 
 // Validate checks the configuration (after defaulting). Checks are in
 // positive form so NaN inputs are rejected rather than slipping past
-// every comparison, and every diagnostic reports the defaulted value
-// actually compared against — a Lambda0 above the *default* MaxLambda
-// must say "max lambda 8", not echo the zero the caller left unset.
+// every comparison.
 func (cfg Config) Validate() error {
 	c := cfg.withDefaults()
 	known := false
@@ -172,30 +142,12 @@ func (cfg Config) Validate() error {
 	switch {
 	case !known:
 		return fmt.Errorf("%w: unknown controller %q", ErrBadConfig, c.Kind)
-	case !(c.Lambda0 >= 0) || math.IsInf(c.Lambda0, 0):
+	case !(c.Lambda0 >= 0):
 		return fmt.Errorf("%w: lambda0 %v (need finite >= 0)", ErrBadConfig, c.Lambda0)
-	case !(c.MaxLambda >= c.Lambda0) || math.IsInf(c.MaxLambda, 0):
-		// Report the defaulted value actually compared against, so
-		// "lambda0 9 above the (default) max lambda 8" is diagnosable.
-		return fmt.Errorf("%w: max lambda %v below lambda0 %v", ErrBadConfig, c.MaxLambda, c.Lambda0)
-	case !(c.CongestUtil > 0 && c.CongestUtil <= 1):
-		return fmt.Errorf("%w: congestion threshold %v outside (0, 1]", ErrBadConfig, c.CongestUtil)
-	case !(c.Increase >= 1):
-		// Increase < 1 would break the AIMD monotonicity guarantee: a
-		// congested round could yield a lower λ than a calm one.
-		return fmt.Errorf("%w: aimd increase factor %v (need >= 1)", ErrBadConfig, c.Increase)
-	case !(c.Kick > 0):
-		return fmt.Errorf("%w: aimd kick %v (need > 0)", ErrBadConfig, c.Kick)
-	case !(c.Decrease > 0):
-		return fmt.Errorf("%w: aimd decrease %v (need > 0)", ErrBadConfig, c.Decrease)
+	case !(c.Lambda0 <= maxLambda):
+		return fmt.Errorf("%w: lambda0 %v above max lambda %v", ErrBadConfig, c.Lambda0, maxLambda)
 	case !(c.TargetUtil > 0 && c.TargetUtil < 1):
 		return fmt.Errorf("%w: target utilisation %v outside (0, 1)", ErrBadConfig, c.TargetUtil)
-	case !(c.Gain > 0):
-		return fmt.Errorf("%w: integral gain %v (need > 0)", ErrBadConfig, c.Gain)
-	case !(c.DelayStep > 0):
-		return fmt.Errorf("%w: delay step %v (need > 0)", ErrBadConfig, c.DelayStep)
-	case !(c.DelayDecay > 0):
-		return fmt.Errorf("%w: delay decay %v (need > 0)", ErrBadConfig, c.DelayDecay)
 	}
 	return nil
 }
@@ -220,13 +172,13 @@ func New(cfg Config) (Controller, error) {
 	return nil, fmt.Errorf("%w: unknown controller %q", ErrBadConfig, cfg.Kind)
 }
 
-// clamp bounds λ to the configured [Lambda0, MaxLambda] band.
+// clamp bounds λ to the [Lambda0, maxLambda] band.
 func (cfg Config) clamp(lambda float64) float64 {
 	if lambda < cfg.Lambda0 {
 		return cfg.Lambda0
 	}
-	if lambda > cfg.MaxLambda {
-		return cfg.MaxLambda
+	if lambda > maxLambda {
+		return maxLambda
 	}
 	return lambda
 }
@@ -241,8 +193,8 @@ func (s *static) Lambda(Feedback) float64 { return s.cfg.Lambda0 }
 // aimd treats λ like a congestion-control brake: multiplicative increase
 // (plus a bootstrap kick) on congested rounds, additive decrease on calm
 // ones. For any fixed internal state the next λ is monotone
-// non-decreasing in the observed utilisation — the step from λ−Decrease
-// to λ·Increase+Kick at CongestUtil only ever goes up (Increase >= 1).
+// non-decreasing in the observed utilisation — the step from λ−decrease
+// to λ·increase+kick at congestUtil only ever goes up (increase >= 1).
 type aimd struct {
 	cfg    Config
 	lambda float64
@@ -251,17 +203,17 @@ type aimd struct {
 func (a *aimd) Name() string { return string(KindAIMD) }
 
 func (a *aimd) Lambda(fb Feedback) float64 {
-	if fb.congested(a.cfg.CongestUtil) {
-		a.lambda = a.lambda*a.cfg.Increase + a.cfg.Kick
+	if fb.congested() {
+		a.lambda = a.lambda*increase + kick
 	} else {
-		a.lambda -= a.cfg.Decrease
+		a.lambda -= decrease
 	}
 	a.lambda = a.cfg.clamp(a.lambda)
 	return a.lambda
 }
 
 // targetUtil is an integral controller on the utilisation error: λ
-// accumulates Gain·(util − TargetUtil) per round, throttling speculation
+// accumulates gain·(util − TargetUtil) per round, throttling speculation
 // exactly hard enough to hold the server at the setpoint. Below the
 // setpoint the error is negative, so an idle system drains λ back to
 // Lambda0.
@@ -273,7 +225,7 @@ type targetUtil struct {
 func (t *targetUtil) Name() string { return string(KindTargetUtil) }
 
 func (t *targetUtil) Lambda(fb Feedback) float64 {
-	t.lambda = t.cfg.clamp(t.lambda + t.cfg.Gain*(fb.Utilization-t.cfg.TargetUtil))
+	t.lambda = t.cfg.clamp(t.lambda + gain*(fb.Utilization-t.cfg.TargetUtil))
 	return t.lambda
 }
 
@@ -295,9 +247,9 @@ func (d *delayGradient) Lambda(fb Feedback) float64 {
 	d.prevDelay = fb.DemandDelay
 	d.seen = true
 	if rising {
-		d.lambda += d.cfg.DelayStep
+		d.lambda += delayStep
 	} else {
-		d.lambda -= d.cfg.DelayDecay
+		d.lambda -= delayDecay
 	}
 	d.lambda = d.cfg.clamp(d.lambda)
 	return d.lambda

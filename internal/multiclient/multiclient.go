@@ -68,7 +68,7 @@ type Config struct {
 
 	MeanViewing float64 // mean of the exponential viewing (reading) time
 	MinViewing  float64 // truncation floor for viewing times
-	FollowProb  float64 // surfer link-follow probability in [0,1]; 0 or 1 selects the surfer default 0.85
+	FollowProb  float64 // surfer link-follow probability in (0, 1); 0 selects the surfer default 0.85
 
 	// DriftEvery makes the workload non-stationary: every DriftEvery
 	// browsing rounds each client's surfer re-draws its preference vector
@@ -170,8 +170,10 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: mean viewing %v", ErrBadConfig, cfg.MeanViewing)
 	case !(cfg.MinViewing >= 0) || math.IsInf(cfg.MinViewing, 1):
 		return fmt.Errorf("%w: min viewing %v", ErrBadConfig, cfg.MinViewing)
-	case !(cfg.FollowProb >= 0 && cfg.FollowProb <= 1):
-		return fmt.Errorf("%w: follow probability %v (need 0 <= p <= 1)", ErrBadConfig, cfg.FollowProb)
+	case !(cfg.FollowProb >= 0 && cfg.FollowProb < 1):
+		// 1 would be replaced by the surfer's 0.85 default, so reject it
+		// rather than run a different walk than the one asked for.
+		return fmt.Errorf("%w: follow probability %v (need 0 < p < 1, or 0 for the default)", ErrBadConfig, cfg.FollowProb)
 	case cfg.MaxCandidates < 1:
 		return fmt.Errorf("%w: max candidates %d", ErrBadConfig, cfg.MaxCandidates)
 	case cfg.DriftEvery < 0:

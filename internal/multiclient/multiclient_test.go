@@ -42,6 +42,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.FollowProb = math.NaN() },
 		func(c *Config) { c.FollowProb = 2 },
 		func(c *Config) { c.FollowProb = -1 },
+		func(c *Config) { c.FollowProb = 1 }, // the surfer would silently run 0.85
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -52,6 +53,13 @@ func TestValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("DefaultConfig invalid: %v", err)
+	}
+	for _, p := range []float64{0, 0.5, 0.99} {
+		cfg := DefaultConfig()
+		cfg.FollowProb = p
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("FollowProb %v rejected: %v", p, err)
+		}
 	}
 }
 

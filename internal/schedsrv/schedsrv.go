@@ -708,17 +708,13 @@ func (s *Scheduler) scheduleDeferRetry(now float64) {
 // their own private link. Reading a snapshot never mutates the scheduler,
 // so feedback consumers cannot perturb the timeline.
 type Feedback struct {
-	Time        float64 // clock time the snapshot was taken
-	Utilization float64 // sliding-window utilisation estimate at Time
+	Utilization float64 // sliding-window utilisation estimate at the snapshot
 
 	Queued       int // requests held by the discipline
 	QueuedDemand int // of those, demand class
 	InFlight     int // occupied transfer slots
-	DeferredNow  int // speculative requests currently parked by admission
 
-	DroppedTotal     int64 // cumulative speculative drops
-	DeferredTotal    int64 // cumulative speculative deferrals
-	PreemptionsTotal int64 // cumulative aborted speculative transfers
+	DeferredTotal int64 // cumulative speculative deferrals
 }
 
 // Snapshot returns the congestion feedback at now. When tracing, each
@@ -726,15 +722,11 @@ type Feedback struct {
 // read, the scheduler's own state is untouched.
 func (s *Scheduler) Snapshot(now float64) Feedback {
 	fb := Feedback{
-		Time:             now,
-		Utilization:      s.util.estimate(now),
-		Queued:           s.disc.Len(),
-		QueuedDemand:     s.queuedDemand,
-		InFlight:         s.inCount,
-		DeferredNow:      len(s.deferred),
-		DroppedTotal:     s.dropped,
-		DeferredTotal:    s.deferredTotal,
-		PreemptionsTotal: s.preemptions,
+		Utilization:   s.util.estimate(now),
+		Queued:        s.disc.Len(),
+		QueuedDemand:  s.queuedDemand,
+		InFlight:      s.inCount,
+		DeferredTotal: s.deferredTotal,
 	}
 	if s.Tracer != nil {
 		ev := obs.Ev(now, obs.KindQueueDepth, obs.ServerClient)

@@ -78,7 +78,7 @@ func goldenCases() []goldenCase {
 						if err != nil {
 							return nil, err
 						}
-						return RunPrefetchCacheOpts(trace, pl, size, CacheOptions{Tracer: tr})
+						return RunPrefetchCache(trace, pl, size, CacheOptions{Tracer: tr})
 					},
 				})
 			}

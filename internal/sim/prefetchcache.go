@@ -90,7 +90,8 @@ func (r CacheResult) HitRate() float64 {
 	return float64(r.Hits) / float64(r.Requests)
 }
 
-// CacheOptions tunes RunPrefetchCacheOpts beyond the §5.3 defaults.
+// CacheOptions tunes RunPrefetchCache beyond the §5.3 defaults; the zero
+// value runs untraced.
 type CacheOptions struct {
 	// Tracer, when non-nil and enabled, receives a decision trace on
 	// track (client id) Track against a virtual clock advancing by
@@ -111,13 +112,7 @@ type CacheOptions struct {
 // against the cache, the request States[k+1] arrives, and a miss demand-
 // fetches with a mandatory victim. Per-item request counts over the walk
 // drive LFU/DS.
-func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int) (CacheResult, error) {
-	return RunPrefetchCacheOpts(trace, planner, cacheSize, CacheOptions{})
-}
-
-// RunPrefetchCacheOpts is RunPrefetchCache with an optional decision
-// trace; zero options replay it exactly.
-func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize int, opts CacheOptions) (CacheResult, error) {
+func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, opts CacheOptions) (CacheResult, error) {
 	if trace == nil || len(trace.States) < 2 {
 		return CacheResult{}, fmt.Errorf("%w: empty trace", ErrBadSim)
 	}

@@ -47,7 +47,7 @@ func TestFrequencySurvivesEviction(t *testing.T) {
 		t.Fatalf("planner %q, want SKP+Pr+LFU", planner.Label)
 	}
 	var col obs.Collector
-	if _, err := RunPrefetchCacheOpts(trace, planner, 5, CacheOptions{Tracer: &col}); err != nil {
+	if _, err := RunPrefetchCache(trace, planner, 5, CacheOptions{Tracer: &col}); err != nil {
 		t.Fatal(err)
 	}
 

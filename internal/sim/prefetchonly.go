@@ -21,9 +21,6 @@ type PrefetchOnlyOptions struct {
 	// ScatterLimit caps the number of scatter points kept per policy
 	// (the paper plots the first 500 iterations). 0 keeps none.
 	ScatterLimit int
-	// VBinLo/VBinHi bound the by-viewing-time series (Fig. 5 bins average
-	// access time per integer v). Defaults to [1, 100] when both are zero.
-	VBinLo, VBinHi int
 
 	// Tracer, when non-nil and enabled, receives a harness-level
 	// decision trace: each policy runs on its own track (client id =
@@ -38,7 +35,7 @@ type PrefetchOnlyOptions struct {
 type PrefetchOnlyResult struct {
 	Policy    string
 	Overall   stats.Accumulator   // access time across all rounds
-	ByViewing *stats.BinnedSeries // average access time per integer v
+	ByViewing *stats.BinnedSeries // average access time per integer v, clamped to [1, 100] (Fig. 5)
 	Scatter   []ScatterPoint      // first ScatterLimit observations
 	Waste     stats.Accumulator   // wasted network time per round
 	Usage     stats.Accumulator   // total prefetch network time per round
@@ -53,16 +50,9 @@ func RunPrefetchOnly(rounds []workload.Round, policies []Policy, opts PrefetchOn
 	if len(policies) == 0 {
 		return nil, fmt.Errorf("%w: no policies", ErrBadSim)
 	}
-	lo, hi := opts.VBinLo, opts.VBinHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 100
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("%w: viewing bins [%d,%d]", ErrBadSim, lo, hi)
-	}
 	results := make([]PrefetchOnlyResult, len(policies))
 	for i, pol := range policies {
-		results[i] = PrefetchOnlyResult{Policy: pol.Name(), ByViewing: stats.NewBinnedSeries(lo, hi)}
+		results[i] = PrefetchOnlyResult{Policy: pol.Name(), ByViewing: stats.NewBinnedSeries(1, 100)}
 	}
 	tr := obs.Active(opts.Tracer)
 	clocks := make([]float64, len(policies)) // per-policy virtual time

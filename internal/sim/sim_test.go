@@ -146,9 +146,6 @@ func TestRunPrefetchOnlyValidation(t *testing.T) {
 	if _, err := RunPrefetchOnly(bad, []Policy{NoPrefetch{}}, PrefetchOnlyOptions{}); err == nil {
 		t.Fatal("invalid round accepted")
 	}
-	if _, err := RunPrefetchOnly(rounds, []Policy{NoPrefetch{}}, PrefetchOnlyOptions{VBinLo: 5, VBinHi: 2}); err == nil {
-		t.Fatal("inverted bins accepted")
-	}
 }
 
 func TestPolicyNames(t *testing.T) {
@@ -232,7 +229,7 @@ func TestRunPrefetchCacheBasics(t *testing.T) {
 	planners := Fig7Planners(core.DeltaTheorem3)
 	var means []float64
 	for _, pl := range planners {
-		res, err := RunPrefetchCache(trace, pl, 20)
+		res, err := RunPrefetchCache(trace, pl, 20, CacheOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +250,7 @@ func TestRunPrefetchCacheBasics(t *testing.T) {
 		t.Fatalf("prefetch (kp %v, skp %v) did not beat No+Pr (%v)", kp, skp, noPr)
 	}
 	// No+Pr performs no prefetch network traffic.
-	res, err := RunPrefetchCache(trace, planners[0], 20)
+	res, err := RunPrefetchCache(trace, planners[0], 20, CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +262,7 @@ func TestRunPrefetchCacheBasics(t *testing.T) {
 func TestRunPrefetchCacheLargeCacheApproachesZero(t *testing.T) {
 	trace := buildTrace(t, 114, 30, 4000)
 	for _, pl := range Fig7Planners(core.DeltaTheorem3) {
-		res, err := RunPrefetchCache(trace, pl, 30) // cache fits everything
+		res, err := RunPrefetchCache(trace, pl, 30, CacheOptions{}) // cache fits everything
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +282,7 @@ func TestRunPrefetchCacheMonotoneInCacheSize(t *testing.T) {
 	pl := Fig7Planners(core.DeltaTheorem3)[4] // SKP+Pr+DS
 	var prev float64 = math.Inf(1)
 	for _, size := range []int{2, 10, 25, 40} {
-		res, err := RunPrefetchCache(trace, pl, size)
+		res, err := RunPrefetchCache(trace, pl, size, CacheOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,10 +298,10 @@ func TestRunPrefetchCacheMonotoneInCacheSize(t *testing.T) {
 func TestRunPrefetchCacheValidation(t *testing.T) {
 	trace := buildTrace(t, 116, 10, 50)
 	pl := Fig7Planners(core.DeltaTheorem3)[2]
-	if _, err := RunPrefetchCache(nil, pl, 5); err == nil {
+	if _, err := RunPrefetchCache(nil, pl, 5, CacheOptions{}); err == nil {
 		t.Fatal("nil trace accepted")
 	}
-	if _, err := RunPrefetchCache(trace, pl, 0); err == nil {
+	if _, err := RunPrefetchCache(trace, pl, 0, CacheOptions{}); err == nil {
 		t.Fatal("zero cache accepted")
 	}
 }
@@ -313,11 +310,11 @@ func TestRunPrefetchCacheDeterministic(t *testing.T) {
 	a := buildTrace(t, 117, 30, 1000)
 	b := buildTrace(t, 117, 30, 1000)
 	pl := Fig7Planners(core.DeltaTheorem3)[4]
-	ra, err := RunPrefetchCache(a, pl, 10)
+	ra, err := RunPrefetchCache(a, pl, 10, CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RunPrefetchCache(b, pl, 10)
+	rb, err := RunPrefetchCache(b, pl, 10, CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +440,7 @@ func BenchmarkPrefetchCacheRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	if _, err := RunPrefetchCache(trace, Fig7Planners(core.DeltaTheorem3)[4], 50); err != nil {
+	if _, err := RunPrefetchCache(trace, Fig7Planners(core.DeltaTheorem3)[4], 50, CacheOptions{}); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -214,7 +214,7 @@ func RunSizedPrefetchCache(trace *MarkovTrace, sizes []int64, planner SizedPlann
 		}
 	}
 	c := newSizedCache(cacheBytes)
-	freq := make([]int64, len(trace.Retrievals)) // as in RunPrefetchCacheOpts
+	freq := make([]int64, len(trace.Retrievals)) // as in RunPrefetchCache
 	retrOf := func(id int) float64 { return trace.Retrievals[id] }
 	res := SizedResultRow{Policy: planner.Label, CacheBytes: cacheBytes}
 

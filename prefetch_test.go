@@ -185,7 +185,7 @@ func TestFacadeSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, planner := range prefetch.Fig7Planners(prefetch.DeltaTheorem3) {
-		res, err := prefetch.RunPrefetchCache(trace, planner, 8)
+		res, err := prefetch.RunPrefetchCache(trace, planner, 8, prefetch.CacheOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

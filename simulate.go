@@ -117,15 +117,10 @@ func BuildMarkovTrace(r *Rand, cfg MarkovConfig, rMin, rMax, requests int) (*Mar
 func Fig7Planners(mode DeltaMode) []CachePlanner { return sim.Fig7Planners(mode) }
 
 // RunPrefetchCache replays a Markov trace under one planner and cache size
-// (§5.3 harness).
-func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int) (CacheResult, error) {
-	return sim.RunPrefetchCache(trace, planner, cacheSize)
-}
-
-// RunPrefetchCacheOpts is RunPrefetchCache with harness options (a
-// decision Tracer and the track id its events carry).
-func RunPrefetchCacheOpts(trace *MarkovTrace, planner CachePlanner, cacheSize int, opts CacheOptions) (CacheResult, error) {
-	return sim.RunPrefetchCacheOpts(trace, planner, cacheSize, opts)
+// (§5.3 harness). opts carries an optional decision Tracer and the track
+// id its events carry; zero options run untraced.
+func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, opts CacheOptions) (CacheResult, error) {
+	return sim.RunPrefetchCache(trace, planner, cacheSize, opts)
 }
 
 // NewDependencyGraph returns an empty order-1 predictor.
