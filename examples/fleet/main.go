@@ -15,13 +15,23 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the sweep and writes its tables to w.
+func run(w io.Writer) error {
 	cfg := prefetch.DefaultFleetConfig()
 	cfg.Base.Clients = 12
 	cfg.Base.Rounds = 300
@@ -33,9 +43,9 @@ func main() {
 	routers := prefetch.RouterKinds()
 	replicas := []int{1, 2, 4}
 
-	fmt.Printf("router × replica-count sweep, %d clients, %d rounds/client, %d reps\n",
+	fmt.Fprintf(w, "router × replica-count sweep, %d clients, %d rounds/client, %d reps\n",
 		cfg.Base.Clients, cfg.Base.Rounds, reps)
-	fmt.Printf("(each replica: concurrency %d, %d cache slots)\n",
+	fmt.Fprintf(w, "(each replica: concurrency %d, %d cache slots)\n",
 		cfg.Base.ServerConcurrency, cfg.Base.ServerCacheSlots)
 
 	demandUnderChurn := map[prefetch.FleetRouterKind]float64{}
@@ -50,13 +60,13 @@ func main() {
 		}
 		points, err := prefetch.SweepFleetRouters(c, routers, replicas, reps, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\n-- %s --\n", label)
-		fmt.Printf("%-13s %8s %10s %10s %10s %7s %7s %9s %6s\n",
+		fmt.Fprintf(w, "\n-- %s --\n", label)
+		fmt.Fprintf(w, "%-13s %8s %10s %10s %10s %7s %7s %9s %6s\n",
 			"router", "replicas", "demand T", "mean T", "q wait", "hit%", "avail%", "rerouted", "lost")
 		for _, p := range points {
-			fmt.Printf("%-13s %8s %10.3f %10.3f %10.3f %6.1f%% %6.1f%% %9d %6d\n",
+			fmt.Fprintf(w, "%-13s %8s %10.3f %10.3f %10.3f %6.1f%% %6.1f%% %9d %6d\n",
 				p.Labels[0], p.Labels[1],
 				p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
 				100*p.HitRatio.Mean(), 100*p.Availability.Mean(),
@@ -77,20 +87,21 @@ func main() {
 		}
 	}
 	if !rest {
-		log.Fatal("demand latency identical across routers under churn — injection too weak for this configuration")
+		return errors.New("demand latency identical across routers under churn — injection too weak for this configuration")
 	}
 
-	fmt.Println("\nThe repair regime sets the availability column — roughly the same")
-	fmt.Println("fraction of fleet slot-time is lost whoever routes — but the routers")
-	fmt.Println("split the damage differently. Least-loaded wins latency in both")
-	fmt.Println("regimes: scheduler feedback spreads bursts over idle replicas while")
-	fmt.Println("the fleet is calm and routes around the hole automatically when a")
-	fmt.Println("replica dies. Affinity (hash) routing pays twice for pinning each")
-	fmt.Println("client to a home replica — a burst of home traffic queues on one")
-	fmt.Println("server while its siblings idle, and a dead home replica scatters its")
-	fmt.Println("clients onto caches that never saw them. Round-robin sits between:")
-	fmt.Println("blind but even. A one-replica fleet is the degenerate column: every")
-	fmt.Println("failure is a full outage and demands park until the repair completes,")
-	fmt.Println("so the router label doesn't matter — all three collapse to the same")
-	fmt.Println("run.")
+	fmt.Fprintln(w, "\nThe repair regime sets the availability column — roughly the same")
+	fmt.Fprintln(w, "fraction of fleet slot-time is lost whoever routes — but the routers")
+	fmt.Fprintln(w, "split the damage differently. Least-loaded wins latency in both")
+	fmt.Fprintln(w, "regimes: scheduler feedback spreads bursts over idle replicas while")
+	fmt.Fprintln(w, "the fleet is calm and routes around the hole automatically when a")
+	fmt.Fprintln(w, "replica dies. Affinity (hash) routing pays twice for pinning each")
+	fmt.Fprintln(w, "client to a home replica — a burst of home traffic queues on one")
+	fmt.Fprintln(w, "server while its siblings idle, and a dead home replica scatters its")
+	fmt.Fprintln(w, "clients onto caches that never saw them. Round-robin sits between:")
+	fmt.Fprintln(w, "blind but even. A one-replica fleet is the degenerate column: every")
+	fmt.Fprintln(w, "failure is a full outage and demands park until the repair completes,")
+	fmt.Fprintln(w, "so the router label doesn't matter — all three collapse to the same")
+	fmt.Fprintln(w, "run.")
+	return nil
 }

@@ -46,7 +46,8 @@ func goldenBase() multiclient.Config {
 // router × {1, 3} replicas × failures {off, on} × {oracle, shared+warm},
 // plus the fleet-churn shape (4 replicas of 8 slots, 48 server-cache
 // slots, shared+warm, target-util) under least-loaded and hash routing
-// with failures off and on, and failures under priority+preempt, wfq,
+// with failures off and on, the same shape at 2 slots per replica under
+// least-loaded routing with failures off and on, and failures under priority+preempt, wfq,
 // shaped and priority+preempt with deferring admission (3 least-loaded
 // replicas, shared+warm, aimd). Three multiclient rows under
 // priority+preempt cover the controller settings the matrix leaves at
@@ -136,20 +137,28 @@ func goldenCases() []goldenCase {
 	}
 	// The fleet-churn shape: prefetchbench's workload at golden scale.
 	// Unlike the rows above it keeps several transfers in flight per
-	// replica, so least-loaded routing compares real backlogs.
+	// replica, so least-loaded routing compares real backlogs. At 8
+	// slots per replica the fleet runs far under target-util's setpoint
+	// and λ stays 0; the conc=2 rows squeeze the same workload onto 2
+	// slots, where utilisation passes 0.5 and λ must leave 0, so they
+	// pin the controller's trajectory.
+	churn := func(rk Kind, conc int, fail bool) Config {
+		cfg := Config{Base: goldenBase(), Replicas: 4, Router: rk}
+		cfg.Base.Clients = 32
+		cfg.Base.Rounds = 30
+		cfg.Base.ServerConcurrency = conc
+		cfg.Base.ServerCacheSlots = 48
+		cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
+		cfg.Base.WarmServerCache = true
+		cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindTargetUtil}
+		if fail {
+			cfg.FailEvery, cfg.RecoverAfter = 25, 8
+		}
+		return cfg
+	}
 	for _, rk := range []Kind{KindLeastLoaded, KindHash} {
 		for _, fail := range []bool{false, true} {
-			cfg := Config{Base: goldenBase(), Replicas: 4, Router: rk}
-			cfg.Base.Clients = 32
-			cfg.Base.Rounds = 30
-			cfg.Base.ServerConcurrency = 8
-			cfg.Base.ServerCacheSlots = 48
-			cfg.Base.Predict = predict.Config{Kind: predict.KindShared}
-			cfg.Base.WarmServerCache = true
-			cfg.Base.Adaptive = adaptive.Config{Kind: adaptive.KindTargetUtil}
-			if fail {
-				cfg.FailEvery, cfg.RecoverAfter = 25, 8
-			}
+			cfg := churn(rk, 8, fail)
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("fleet-churn/%s/fail=%t", rk, fail),
 				run: func(tr obs.Tracer) (any, error) {
@@ -159,6 +168,21 @@ func goldenCases() []goldenCase {
 				},
 			})
 		}
+	}
+	for _, fail := range []bool{false, true} {
+		cfg := churn(KindLeastLoaded, 2, fail)
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("fleet-churn/%s/conc=2/fail=%t", KindLeastLoaded, fail),
+			run: func(tr obs.Tracer) (any, error) {
+				c := cfg
+				c.Base.Tracer = tr
+				res, err := Run(c)
+				if err == nil && !(res.Lambda.Max() > 0) {
+					err = fmt.Errorf("λ never left 0 (utilisation %.2f): the row pins nothing of target-util", res.Utilization())
+				}
+				return res, err
+			},
+		})
 	}
 	// Failures under every non-FIFO discipline: each failure loses a
 	// backlog the discipline itself holds, and the admission row also
