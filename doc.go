@@ -169,14 +169,16 @@
 // replica's queued and in-flight transfers, re-routes the displaced
 // demand fetches to live replicas (or parks them for a total outage),
 // and cold-starts the replica's scheduler and cache on recovery while
-// its learned predictor state survives. Results add per-replica
-// breakdowns, availability, re-route and lost-transfer counts; the
-// trace gains route, reroute and replica fail/recover events, each
-// stamped with its replica. A one-replica fleet without failures
-// reproduces RunMultiClient bit for bit, and identical seeds replay
-// byte-identical traces under any GOMAXPROCS. SweepFleetRouters (or the
-// composable SweepFleet axes) crosses router kind × replica count under
-// a failure regime; see examples/fleet for availability under churn.
+// its learned predictor state survives. RunFleet returns the same
+// result type as RunMultiClient (FleetResult is MultiClientResult), with
+// its per-replica breakdown, availability, re-route and lost-transfer
+// fields filled; the trace gains route, reroute and replica
+// fail/recover events, each stamped with its replica. A one-replica
+// fleet without failures reproduces RunMultiClient bit for bit, and
+// identical seeds replay byte-identical traces under any GOMAXPROCS.
+// SweepFleetRouters (or the composable SweepFleet axes) crosses router
+// kind × replica count under a failure regime; see examples/fleet for
+// availability under churn.
 //
 // # One sweep engine
 //

@@ -16,8 +16,8 @@ import (
 type (
 	// FleetConfig parameterises RunFleet.
 	FleetConfig = fleet.Config
-	// FleetResult aggregates one fleet run, including availability and
-	// re-routing metrics.
+	// FleetResult is MultiClientResult: a fleet run fills its per-replica
+	// table, router name, availability and re-routing metrics.
 	FleetResult = fleet.Result
 	// FleetReplicaResult is one replica's view of the run.
 	FleetReplicaResult = fleet.ReplicaResult

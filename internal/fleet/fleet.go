@@ -10,9 +10,10 @@
 // There is no second simulator here. The clients and servers are the
 // multiclient core's (multiclient.RunReplicated), which already owns
 // replication: per-server shared models and caches, replica-stamped
-// tracing, routing, and failure and recovery. This package contributes
-// the configuration, the routers, the result shape and the sweeps; a
-// multiclient run is the same core with one server and no router.
+// tracing, routing, and failure and recovery, and returns the one
+// multiclient.Result. This package contributes the configuration, the
+// routers and the sweeps; a multiclient run is the same core with one
+// server and no router.
 //
 // Replicas fail. Each one draws an exponential time-to-failure from its
 // own derived RNG stream; a failure loses the scheduler backlog, every
@@ -38,7 +39,6 @@ import (
 	"math"
 
 	"prefetch/internal/multiclient"
-	"prefetch/internal/stats"
 )
 
 // ErrBadConfig reports an invalid fleet configuration.
@@ -114,108 +114,9 @@ func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // recovers in place and keeps counting.
 type ReplicaResult = multiclient.ReplicaResult
 
-// Result aggregates one fleet run. The single-server fields carry the
-// same meaning as multiclient.Result; server-side counters are summed
-// over the fleet.
-type Result struct {
-	Clients     int
-	Replicas    int
-	Concurrency int // per replica
-	Router      string
-	Discipline  string
-	Controller  string
-	Predictor   string
-
-	PerClient  []multiclient.ClientResult
-	PerReplica []ReplicaResult
-
-	Access       stats.Accumulator
-	DemandAccess stats.Accumulator
-	QueueWait    stats.Accumulator
-	Lambda       stats.Accumulator
-	L1Error      stats.Accumulator
-
-	// Elapsed is the time of the last meaningful fleet event (transfer
-	// completion, round end, failure or recovery) — the denominator for
-	// utilisation and availability.
-	Elapsed         float64
-	ServerBusy      float64 // summed over replicas and incarnations
-	ServerRequests  int64
-	ServerCacheHits int64
-
-	SpecCompleted    int64
-	Preemptions      int64
-	PrefetchDropped  int64
-	PrefetchDeferred int64
-
-	PrefetchCompleted int64
-	PrefetchUseful    int64
-
-	WarmInserted int64
-	WarmHits     int64
-
-	Failures      int64   // replica failures injected
-	Recoveries    int64   // replicas that came back
-	ReRoutes      int64   // demand fetches displaced by a failure
-	LostTransfers int64   // outstanding transfers lost to failures
-	Downtime      float64 // summed replica downtime
-}
-
-// Availability returns the fraction of replica-time the fleet was up:
-// 1 − Downtime / (Elapsed × Replicas), clamped at 0 for the edge where
-// a repair completes after the last workload event.
-func (r Result) Availability() float64 {
-	if r.Elapsed <= 0 {
-		return 1
-	}
-	a := 1 - r.Downtime/(r.Elapsed*float64(r.Replicas))
-	if a < 0 {
-		return 0
-	}
-	return a
-}
-
-// Utilization returns the fraction of fleet slot-time spent serving.
-func (r Result) Utilization() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return r.ServerBusy / (r.Elapsed * float64(r.Concurrency) * float64(r.Replicas))
-}
-
-// HitRate returns the fleet-wide server cache hit rate.
-func (r Result) HitRate() float64 {
-	if r.ServerRequests == 0 {
-		return 0
-	}
-	return float64(r.ServerCacheHits) / float64(r.ServerRequests)
-}
-
-// SpecThroughput returns completed speculative transfers per unit time.
-func (r Result) SpecThroughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.SpecCompleted) / r.Elapsed
-}
-
-// WastedPrefetchFraction returns the fraction of completed speculative
-// transfers whose page never served a demand access.
-func (r Result) WastedPrefetchFraction() float64 {
-	if r.PrefetchCompleted == 0 {
-		return 0
-	}
-	return 1 - float64(r.PrefetchUseful)/float64(r.PrefetchCompleted)
-}
-
-// HitRatio returns the fraction of rounds answered without a network
-// fetch.
-func (r Result) HitRatio() float64 {
-	if r.Access.N() == 0 {
-		return 0
-	}
-	return 1 - float64(r.DemandAccess.N())/float64(r.Access.N())
-}
+// Result is the multiclient Result: a fleet run fills its replica,
+// router and failure fields.
+type Result = multiclient.Result
 
 // Run plays the full fleet simulation: all clients start browsing at
 // time zero, replicas fail and recover on their derived schedules, and
@@ -229,44 +130,5 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	mc, per, reroutes, err := multiclient.RunReplicated(cfg.Base, cfg.Replicas, router, cfg.FailEvery, cfg.RecoverAfter)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Clients:           mc.Clients,
-		Replicas:          cfg.Replicas,
-		Concurrency:       mc.Concurrency,
-		Router:            router.Name(),
-		Discipline:        mc.Discipline,
-		Controller:        mc.Controller,
-		Predictor:         mc.Predictor,
-		PerClient:         mc.PerClient,
-		PerReplica:        per,
-		Access:            mc.Access,
-		DemandAccess:      mc.DemandAccess,
-		QueueWait:         mc.QueueWait,
-		Lambda:            mc.Lambda,
-		L1Error:           mc.L1Error,
-		Elapsed:           mc.Elapsed,
-		ServerBusy:        mc.ServerBusy,
-		ServerRequests:    mc.ServerRequests,
-		ServerCacheHits:   mc.ServerCacheHits,
-		SpecCompleted:     mc.SpecCompleted,
-		Preemptions:       mc.Preemptions,
-		PrefetchDropped:   mc.PrefetchDropped,
-		PrefetchDeferred:  mc.PrefetchDeferred,
-		PrefetchCompleted: mc.PrefetchCompleted,
-		PrefetchUseful:    mc.PrefetchUseful,
-		WarmInserted:      mc.WarmInserted,
-		WarmHits:          mc.WarmHits,
-		ReRoutes:          reroutes,
-	}
-	for _, rr := range per {
-		res.Failures += int64(rr.Failures)
-		res.Recoveries += int64(rr.Recoveries)
-		res.LostTransfers += rr.Lost
-		res.Downtime += rr.Downtime
-	}
-	return res, nil
+	return multiclient.RunReplicated(cfg.Base, cfg.Replicas, router, cfg.FailEvery, cfg.RecoverAfter)
 }

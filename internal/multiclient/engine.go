@@ -124,19 +124,18 @@ type engine struct {
 // repair time). The caller validates the failure regime. With one server,
 // a nil router and no failures it is exactly Run.
 //
-// The returned Result is the single-server view with server-side counters
-// summed over servers; the ReplicaResults are each server's own totals,
-// and the count is the demand fetches re-routed after a failure.
-func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAfter float64) (Result, []ReplicaResult, int64, error) {
+// The Result's server-side counters are summed over the servers, and its
+// PerReplica holds each server's own totals.
+func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAfter float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, nil, 0, err
+		return Result{}, err
 	}
 	if replicas < 1 || (replicas > 1 && router == nil) {
-		return Result{}, nil, 0, fmt.Errorf("%w: %d servers need a router", ErrBadConfig, replicas)
+		return Result{}, fmt.Errorf("%w: %d servers need a router", ErrBadConfig, replicas)
 	}
 	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
 	if err != nil {
-		return Result{}, nil, 0, err
+		return Result{}, err
 	}
 	e := &engine{
 		cfg:          &cfg,
@@ -152,7 +151,7 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 	e.servers = make([]*server, replicas)
 	for i := range e.servers {
 		if e.servers[i], err = newServer(i, e); err != nil {
-			return Result{}, nil, 0, err
+			return Result{}, err
 		}
 	}
 	// Probing a learned source once names it for the result and surfaces
@@ -162,7 +161,7 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 	if !oracleSource(&cfg) {
 		probe, err := predict.New(cfg.Predict, 0, nil, e.servers[0].agg)
 		if err != nil {
-			return Result{}, nil, 0, err
+			return Result{}, err
 		}
 		e.predName = probe.Name()
 	}
@@ -172,7 +171,7 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 	var scripts *Scripts
 	if Scriptable(cfg) {
 		if scripts, err = GenerateScripts(cfg, site); err != nil {
-			return Result{}, nil, 0, err
+			return Result{}, err
 		}
 	}
 	e.clients = make([]*client, cfg.Clients)
@@ -182,7 +181,7 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 			sc = &scripts.PerClient[i]
 		}
 		if e.clients[i], err = newClient(i, e, scripts, sc); err != nil {
-			return Result{}, nil, 0, err
+			return Result{}, err
 		}
 	}
 	e.run()
@@ -236,21 +235,26 @@ func (e *engine) run() {
 
 // result assembles the drained run: per-client results in id order,
 // per-server totals in id order, and their sums.
-func (e *engine) result() (Result, []ReplicaResult, int64, error) {
+func (e *engine) result() (Result, error) {
 	cfg := e.cfg
 	res := Result{
 		Clients:     cfg.Clients,
+		Replicas:    len(e.servers),
 		Concurrency: cfg.ServerConcurrency,
 		Discipline:  e.servers[0].sched.Discipline(),
 		Controller:  e.clients[0].ctrl.Name(),
 		Predictor:   e.predName,
 		PerClient:   make([]ClientResult, cfg.Clients),
+		PerReplica:  make([]ReplicaResult, len(e.servers)),
 		Elapsed:     e.lastT,
+		ReRoutes:    e.reroutes,
 	}
-	per := make([]ReplicaResult, len(e.servers))
+	if e.router != nil {
+		res.Router = e.router.Name()
+	}
 	for i, s := range e.servers {
 		rr := s.result(e.lastT)
-		per[i] = rr
+		res.PerReplica[i] = rr
 		res.ServerBusy += rr.Busy
 		res.ServerRequests += rr.Requests
 		res.ServerCacheHits += rr.CacheHits
@@ -260,10 +264,14 @@ func (e *engine) result() (Result, []ReplicaResult, int64, error) {
 		res.PrefetchDeferred += rr.PrefetchDeferred
 		res.WarmInserted += rr.WarmInserted
 		res.WarmHits += rr.WarmHits
+		res.Failures += int64(rr.Failures)
+		res.Recoveries += int64(rr.Recoveries)
+		res.LostTransfers += rr.Lost
+		res.Downtime += rr.Downtime
 	}
 	for i, c := range e.clients {
 		if c.access.N() != int64(cfg.Rounds) {
-			return Result{}, nil, 0, fmt.Errorf("multiclient: client %d finished %d/%d rounds", i, c.access.N(), cfg.Rounds)
+			return Result{}, fmt.Errorf("multiclient: client %d finished %d/%d rounds", i, c.access.N(), cfg.Rounds)
 		}
 		res.PerClient[i] = ClientResult{
 			Client:            i,
@@ -287,7 +295,7 @@ func (e *engine) result() (Result, []ReplicaResult, int64, error) {
 		res.PrefetchCompleted += c.prefetchCompleted
 		res.PrefetchUseful += c.prefetchUseful
 	}
-	return res, per, e.reroutes, nil
+	return res, nil
 }
 
 // route places a new transfer of page for client c and traces the

@@ -14,8 +14,9 @@
 // shared model, optionally failing and recovering on derived schedules
 // (package fleet drives it). Run is that core with one server, no router
 // and no failures — the routing step is then a direct call, with no route
-// decision and no replica-stamped tracer. What a failure loses comes from
-// the server's scheduler, the one record of outstanding transfers.
+// decision and no replica-stamped tracer — and both return the same
+// Result. What a failure loses comes from the server's scheduler, the one
+// record of outstanding transfers.
 //
 // Determinism: everything runs on one netsim.Clock (FIFO tie-breaks), and
 // every random stream is derived up front from one master seed via
@@ -229,14 +230,19 @@ func (c ClientResult) WastedPrefetchFraction() float64 {
 	return 1 - float64(c.PrefetchUseful)/float64(c.PrefetchCompleted)
 }
 
-// Result aggregates one multi-client run.
+// Result aggregates one run, on one server (Run) or several
+// (RunReplicated). Server-side counters are summed over the servers in id
+// order; PerReplica keeps each server's own totals.
 type Result struct {
 	Clients     int
-	Concurrency int
-	Discipline  string // scheduling discipline the server ran
+	Replicas    int    // servers the clients were spread over (1 for Run)
+	Concurrency int    // transfer slots per server
+	Router      string // routing policy that placed transfers ("" for one server)
+	Discipline  string // scheduling discipline the servers ran
 	Controller  string // λ controller the clients ran
 	Predictor   string // prediction source the clients planned over
 	PerClient   []ClientResult
+	PerReplica  []ReplicaResult
 
 	Access       stats.Accumulator // all clients' rounds merged
 	DemandAccess stats.Accumulator // all clients' fetching rounds merged
@@ -244,8 +250,11 @@ type Result struct {
 	Lambda       stats.Accumulator // all clients' per-round λ merged
 	L1Error      stats.Accumulator // all clients' per-round prediction L1 errors merged
 
-	Elapsed         float64 // simulated time until the last event
-	ServerBusy      float64 // slot-seconds of service performed
+	// Elapsed is the time of the last meaningful event (transfer
+	// completion, round end, failure or recovery) — the denominator for
+	// utilisation and availability.
+	Elapsed         float64
+	ServerBusy      float64 // slot-seconds of service, across servers and incarnations
 	ServerRequests  int64
 	ServerCacheHits int64
 
@@ -257,19 +266,40 @@ type Result struct {
 	PrefetchCompleted int64 // speculative transfers that finished, all clients
 	PrefetchUseful    int64 // completed speculative transfers that served a demand
 
-	WarmInserted int64 // pages the server pre-admitted from the shared model
+	WarmInserted int64 // pages the servers pre-admitted from the shared model
 	WarmHits     int64 // server-cache hits on warm-inserted pages
+
+	Failures      int64   // server failures injected
+	Recoveries    int64   // servers that came back
+	ReRoutes      int64   // demand fetches displaced by a failure
+	LostTransfers int64   // outstanding transfers lost to failures
+	Downtime      float64 // summed server downtime
 }
 
-// Utilization returns the fraction of server slot-time spent serving.
+// Availability returns the fraction of server-time the servers were up:
+// 1 − Downtime / (Elapsed × Replicas), clamped at 0 for the edge where
+// a repair completes after the last workload event.
+func (r Result) Availability() float64 {
+	if r.Elapsed <= 0 {
+		return 1
+	}
+	a := 1 - r.Downtime/(r.Elapsed*float64(r.Replicas))
+	if a < 0 {
+		return 0
+	}
+	return a
+}
+
+// Utilization returns the fraction of server slot-time, over every
+// server, spent serving.
 func (r Result) Utilization() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return r.ServerBusy / (r.Elapsed * float64(r.Concurrency))
+	return r.ServerBusy / (r.Elapsed * float64(r.Concurrency) * float64(r.Replicas))
 }
 
-// HitRate returns the shared server cache hit rate over all requests.
+// HitRate returns the server cache hit rate over all requests.
 func (r Result) HitRate() float64 {
 	if r.ServerRequests == 0 {
 		return 0
@@ -319,8 +349,7 @@ func driftLabel(i int) string { return fmt.Sprintf("client/%d/drift", i) }
 // browsing at time zero and the event loop drains every scheduled
 // transfer, including stale prefetches left over after the last round.
 func Run(cfg Config) (Result, error) {
-	res, _, _, err := RunReplicated(cfg, 1, nil, 0, 0)
-	return res, err
+	return RunReplicated(cfg, 1, nil, 0, 0)
 }
 
 // Comparison pairs a prefetching run with its no-prefetch baseline over the

@@ -508,7 +508,7 @@ func TestRouterSeesBacklogLoad(t *testing.T) {
 	cfg := testConfig()
 	cfg.Clients = 8
 	r := &recordingRouter{}
-	if _, _, _, err := RunReplicated(cfg, 3, r, 20, 5); err != nil {
+	if _, err := RunReplicated(cfg, 3, r, 20, 5); err != nil {
 		t.Fatal(err)
 	}
 	var down, loaded int

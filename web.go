@@ -67,7 +67,8 @@ func SimulateNetRound(round NetRound) (NetRoundResult, error) { return netsim.Si
 type (
 	// MultiClientConfig parameterises RunMultiClient.
 	MultiClientConfig = multiclient.Config
-	// MultiClientResult aggregates one multi-client run.
+	// MultiClientResult aggregates one multi-client run, on one server
+	// or a fleet.
 	MultiClientResult = multiclient.Result
 	// MultiClientClientResult is one session's view of the run.
 	MultiClientClientResult = multiclient.ClientResult
