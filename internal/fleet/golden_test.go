@@ -23,7 +23,7 @@ const goldenPath = "testdata/golden_fingerprints.txt"
 // tracer and returns the run's Result for fingerprinting.
 type goldenCase struct {
 	name string
-	run  func(tr obs.Tracer) (any, error)
+	run  func(tr obs.Tracer) (Result, error)
 }
 
 // goldenBase is the small contended configuration every golden case
@@ -78,7 +78,7 @@ func goldenCases() []goldenCase {
 					}
 					cases = append(cases, goldenCase{
 						name: fmt.Sprintf("mc/%s/%s/%s/drift=%d", pk, sc.name, ck, drift),
-						run: func(tr obs.Tracer) (any, error) {
+						run: func(tr obs.Tracer) (Result, error) {
 							c := cfg
 							c.Tracer = tr
 							return multiclient.Run(c)
@@ -101,7 +101,7 @@ func goldenCases() []goldenCase {
 		cfg.Adaptive = row.ac
 		cases = append(cases, goldenCase{
 			name: "mc/controller/" + row.name,
-			run: func(tr obs.Tracer) (any, error) {
+			run: func(tr obs.Tracer) (Result, error) {
 				c := cfg
 				c.Tracer = tr
 				return multiclient.Run(c)
@@ -125,7 +125,7 @@ func goldenCases() []goldenCase {
 					}
 					cases = append(cases, goldenCase{
 						name: fmt.Sprintf("fleet/%s/r=%d/fail=%t/%s", rk, reps, fail, pred),
-						run: func(tr obs.Tracer) (any, error) {
+						run: func(tr obs.Tracer) (Result, error) {
 							c := cfg
 							c.Base.Tracer = tr
 							return Run(c)
@@ -161,7 +161,7 @@ func goldenCases() []goldenCase {
 			cfg := churn(rk, 8, fail)
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("fleet-churn/%s/fail=%t", rk, fail),
-				run: func(tr obs.Tracer) (any, error) {
+				run: func(tr obs.Tracer) (Result, error) {
 					c := cfg
 					c.Base.Tracer = tr
 					return Run(c)
@@ -173,7 +173,7 @@ func goldenCases() []goldenCase {
 		cfg := churn(KindLeastLoaded, 2, fail)
 		cases = append(cases, goldenCase{
 			name: fmt.Sprintf("fleet-churn/%s/conc=2/fail=%t", KindLeastLoaded, fail),
-			run: func(tr obs.Tracer) (any, error) {
+			run: func(tr obs.Tracer) (Result, error) {
 				c := cfg
 				c.Base.Tracer = tr
 				res, err := Run(c)
@@ -204,7 +204,7 @@ func goldenCases() []goldenCase {
 		cfg.FailEvery, cfg.RecoverAfter = 25, 8
 		cases = append(cases, goldenCase{
 			name: fmt.Sprintf("fleet/%s/r=3/fail=true/shared-warm/%s", KindLeastLoaded, sc.name),
-			run: func(tr obs.Tracer) (any, error) {
+			run: func(tr obs.Tracer) (Result, error) {
 				c := cfg
 				c.Base.Tracer = tr
 				return Run(c)
@@ -215,20 +215,83 @@ func goldenCases() []goldenCase {
 }
 
 // fingerprint runs one case with a JSONL writer attached and returns the
-// golden line for it.
-func (gc goldenCase) fingerprint() (string, error) {
+// golden line for it and the run's Result.
+func (gc goldenCase) fingerprint() (string, Result, error) {
 	th := fnv.New64a()
 	w := obs.NewWriter(th)
 	res, err := gc.run(w)
 	if err != nil {
-		return "", err
+		return "", Result{}, err
 	}
 	if err := w.Flush(); err != nil {
-		return "", err
+		return "", Result{}, err
 	}
 	rh := fnv.New64a()
 	fmt.Fprintf(rh, "%+v", res)
-	return fmt.Sprintf("%s %016x %016x", gc.name, th.Sum64(), rh.Sum64()), nil
+	return fmt.Sprintf("%s %016x %016x", gc.name, th.Sum64(), rh.Sum64()), res, nil
+}
+
+// checkSums checks that the per-replica and per-client tables add up to
+// the aggregates. Per-replica sums run in server-id order, as the
+// engine's do, so the float sums compare exactly.
+func checkSums(t *testing.T, name string, res Result) {
+	t.Helper()
+	var r ReplicaResult
+	for _, rr := range res.PerReplica {
+		r.Busy += rr.Busy
+		r.Requests += rr.Requests
+		r.CacheHits += rr.CacheHits
+		r.SpecCompleted += rr.SpecCompleted
+		r.Preemptions += rr.Preemptions
+		r.PrefetchDropped += rr.PrefetchDropped
+		r.PrefetchDeferred += rr.PrefetchDeferred
+		r.WarmInserted += rr.WarmInserted
+		r.WarmHits += rr.WarmHits
+		r.Failures += rr.Failures
+		r.Recoveries += rr.Recoveries
+		r.Lost += rr.Lost
+		r.Downtime += rr.Downtime
+	}
+	var c multiclient.ClientResult
+	var rounds int64
+	for _, cr := range res.PerClient {
+		rounds += cr.Access.N()
+		c.PrefetchCompleted += cr.PrefetchCompleted
+		c.PrefetchUseful += cr.PrefetchUseful
+		c.PrefetchDropped += cr.PrefetchDropped
+	}
+	for _, s := range []struct {
+		what     string
+		sum, agg any
+	}{
+		{"per-replica busy", r.Busy, res.ServerBusy},
+		{"per-replica requests", r.Requests, res.ServerRequests},
+		{"per-replica cache hits", r.CacheHits, res.ServerCacheHits},
+		{"per-replica spec completed", r.SpecCompleted, res.SpecCompleted},
+		{"per-replica preemptions", r.Preemptions, res.Preemptions},
+		{"per-replica dropped", r.PrefetchDropped, res.PrefetchDropped},
+		{"per-replica deferred", r.PrefetchDeferred, res.PrefetchDeferred},
+		{"per-replica warm inserted", r.WarmInserted, res.WarmInserted},
+		{"per-replica warm hits", r.WarmHits, res.WarmHits},
+		{"per-replica failures", int64(r.Failures), res.Failures},
+		{"per-replica recoveries", int64(r.Recoveries), res.Recoveries},
+		{"per-replica lost", r.Lost, res.LostTransfers},
+		{"per-replica downtime", r.Downtime, res.Downtime},
+		{"per-client rounds", rounds, res.Access.N()},
+		{"per-client prefetch completed", c.PrefetchCompleted, res.PrefetchCompleted},
+		{"per-client prefetch useful", c.PrefetchUseful, res.PrefetchUseful},
+	} {
+		if s.sum != s.agg {
+			t.Errorf("%s: Σ %s = %v, aggregate %v", name, s.what, s.sum, s.agg)
+		}
+	}
+	// A client also counts the prefetches it could not place while every
+	// server was down; the aggregate counts only admission drops. Without
+	// a failure no server is ever down, and the two agree.
+	if c.PrefetchDropped < res.PrefetchDropped || (res.Failures == 0 && c.PrefetchDropped != res.PrefetchDropped) {
+		t.Errorf("%s: Σ per-client prefetch dropped = %d, aggregate %d (%d failures)",
+			name, c.PrefetchDropped, res.PrefetchDropped, res.Failures)
+	}
 }
 
 // predictorGoldenPath holds the fingerprints of predictorGoldenCases, in
@@ -270,7 +333,7 @@ func predictorGoldenCases() []goldenCase {
 			}
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("mc/%s/drift=%d", row.name, drift),
-				run: func(tr obs.Tracer) (any, error) {
+				run: func(tr obs.Tracer) (Result, error) {
 					c := cfg
 					c.Tracer = tr
 					return multiclient.Run(c)
@@ -302,7 +365,7 @@ func predictorGoldenCases() []goldenCase {
 		}
 		cases = append(cases, goldenCase{
 			name: fmt.Sprintf("mc/pages=400/%s/drift=%d", row.name, row.drift),
-			run: func(tr obs.Tracer) (any, error) {
+			run: func(tr obs.Tracer) (Result, error) {
 				c := cfg
 				c.Tracer = tr
 				return multiclient.Run(c)
@@ -321,8 +384,8 @@ func TestReplayGoldenFingerprints(t *testing.T) {
 	checkGolden(t, predictorGoldenPath, predictorGoldenCases())
 }
 
-// checkGolden runs every case and compares its line with the one
-// recorded in path.
+// checkGolden runs every case, checks its sums and compares its line
+// with the one recorded in path.
 func checkGolden(t *testing.T, path string, cases []goldenCase) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -344,11 +407,12 @@ func checkGolden(t *testing.T, path string, cases []goldenCase) {
 		t.Errorf("%s has %d fingerprints, the matrix has %d cases", path, len(want), len(cases))
 	}
 	for _, gc := range cases {
-		got, err := gc.fingerprint()
+		got, res, err := gc.fingerprint()
 		if err != nil {
 			t.Errorf("%s: %v", gc.name, err)
 			continue
 		}
+		checkSums(t, gc.name, res)
 		if got != want[gc.name] {
 			t.Errorf("fingerprint mismatch:\n got  %s\n want %s", got, want[gc.name])
 		}

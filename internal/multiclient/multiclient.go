@@ -213,7 +213,7 @@ type ClientResult struct {
 	Lambda            stats.Accumulator // per-round controller λ (empty without prefetching)
 	L1Error           stats.Accumulator // per-round prediction L1 error vs the true distribution
 	PrefetchIssued    int64
-	PrefetchDropped   int64 // speculative submissions refused by admission
+	PrefetchDropped   int64 // speculative submissions refused by admission or not placed while every server was down
 	PrefetchCompleted int64 // speculative transfers that finished
 	PrefetchUseful    int64 // completed speculative transfers that served a demand
 	DemandFetches     int64
@@ -260,7 +260,7 @@ type Result struct {
 
 	SpecCompleted    int64 // transfers completed still speculative-class
 	Preemptions      int64 // in-flight speculative transfers aborted
-	PrefetchDropped  int64 // speculative requests dropped by admission
+	PrefetchDropped  int64 // speculative requests the servers' admission dropped
 	PrefetchDeferred int64 // speculative requests deferred by admission
 
 	PrefetchCompleted int64 // speculative transfers that finished, all clients
