@@ -90,7 +90,7 @@ type client struct {
 	lambdaTrace       stats.Accumulator // λ used each planned round
 	l1Trace           stats.Accumulator // prediction L1 error each planned round
 	prefetchIssued    int64
-	prefetchDropped   int64 // speculative submissions admission refused or no server was up to take
+	prefetchDropped   int64 // speculative submissions refused by admission or while every server was down
 	prefetchCompleted int64 // speculative transfers that finished
 	prefetchUseful    int64 // completed speculative transfers that served a demand
 	demandFetches     int64

@@ -213,7 +213,7 @@ type ClientResult struct {
 	Lambda            stats.Accumulator // per-round controller λ (empty without prefetching)
 	L1Error           stats.Accumulator // per-round prediction L1 error vs the true distribution
 	PrefetchIssued    int64
-	PrefetchDropped   int64 // speculative submissions refused by admission or not placed while every server was down
+	PrefetchDropped   int64 // speculative submissions refused by admission or while every server was down
 	PrefetchCompleted int64 // speculative transfers that finished
 	PrefetchUseful    int64 // completed speculative transfers that served a demand
 	DemandFetches     int64
