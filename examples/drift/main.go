@@ -13,13 +13,23 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the sweep and writes its tables to w.
+func run(w io.Writer) error {
 	cfg := prefetch.DefaultMultiClientConfig()
 	cfg.Clients = 12
 	cfg.Rounds = 600
@@ -44,9 +54,9 @@ func main() {
 		prefetch.PredictorPPMEscape,
 	}
 
-	fmt.Printf("stationary vs drifting workloads, %d clients, %d rounds/client, %d reps\n",
+	fmt.Fprintf(w, "stationary vs drifting workloads, %d clients, %d rounds/client, %d reps\n",
 		cfg.Clients, cfg.Rounds, reps)
-	fmt.Printf("(drift: each surfer's hot set re-drawn every %d rounds; decay half-life %g, mix weight %g)\n",
+	fmt.Fprintf(w, "(drift: each surfer's hot set re-drawn every %d rounds; decay half-life %g, mix weight %g)\n",
 		driftEvery, cfg.Predict.HalfLife, cfg.Predict.MixWeight)
 
 	l1 := map[bool]map[prefetch.PredictorKind]float64{}
@@ -61,15 +71,15 @@ func main() {
 		}
 		points, err := prefetch.SweepMultiClientGrid(c, reps, 0, true, prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\n-- %s --\n", label)
-		fmt.Printf("%-12s %10s %10s %8s %8s %8s %10s\n",
+		fmt.Fprintf(w, "\n-- %s --\n", label)
+		fmt.Fprintf(w, "%-12s %10s %10s %8s %8s %8s %10s\n",
 			"predictor", "demand T", "mean T", "L1 err", "waste%", "hit%", "improve%")
 		l1[drifting] = map[prefetch.PredictorKind]float64{}
 		demand[drifting] = map[prefetch.PredictorKind]float64{}
 		for i, p := range points {
-			fmt.Printf("%-12s %10.3f %10.3f %8.3f %7.1f%% %7.1f%% %9.1f%%\n",
+			fmt.Fprintf(w, "%-12s %10.3f %10.3f %8.3f %7.1f%% %7.1f%% %9.1f%%\n",
 				preds[i], p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
 				100*p.WastedFraction.Mean(), 100*p.HitRatio.Mean(), 100*p.Improvement.Mean())
 			l1[drifting][preds[i]] = p.L1Error.Mean()
@@ -79,7 +89,7 @@ func main() {
 
 	// A ranking inversion: predictor a beats b while the workload stands
 	// still, b beats a once it drifts.
-	fmt.Println("\npredictor-ranking inversions (stationary → drifting):")
+	fmt.Fprintln(w, "\npredictor-ranking inversions (stationary → drifting):")
 	inversions := 0
 	for _, metric := range []struct {
 		name string
@@ -97,7 +107,7 @@ func main() {
 					win, lose = b, a
 				}
 				inversions++
-				fmt.Printf("  %-9s %-10s beats %-10s stationary (%.3f vs %.3f) but loses drifting (%.3f vs %.3f)\n",
+				fmt.Fprintf(w, "  %-9s %-10s beats %-10s stationary (%.3f vs %.3f) but loses drifting (%.3f vs %.3f)\n",
 					metric.name+":", win, lose,
 					metric.by[false][win], metric.by[false][lose],
 					metric.by[true][win], metric.by[true][lose])
@@ -105,15 +115,16 @@ func main() {
 		}
 	}
 	if inversions == 0 {
-		log.Fatal("no ranking inversion found — drift too weak for this configuration")
+		return errors.New("no ranking inversion found — drift too weak for this configuration")
 	}
 
-	fmt.Println("\nWhile the hot set stands still, hoarded evidence wins: depgraph's")
-	fmt.Println("counts only sharpen, and decay keeps throwing away information it")
-	fmt.Println("will see again. As soon as the hot set moves, the hoard turns into an")
-	fmt.Println("anchor — stale transitions keep predicting the dead phase — while the")
-	fmt.Println("decayed model forgets its way back to the truth within a half-life or")
-	fmt.Println("two. The mixture and escape-PPM models sit between: popularity and")
-	fmt.Println("shorter contexts partially track the shift, full re-convergence needs")
-	fmt.Println("forgetting.")
+	fmt.Fprintln(w, "\nWhile the hot set stands still, hoarded evidence wins: depgraph's")
+	fmt.Fprintln(w, "counts only sharpen, and decay keeps throwing away information it")
+	fmt.Fprintln(w, "will see again. As soon as the hot set moves, the hoard turns into an")
+	fmt.Fprintln(w, "anchor — stale transitions keep predicting the dead phase — while the")
+	fmt.Fprintln(w, "decayed model forgets its way back to the truth within a half-life or")
+	fmt.Fprintln(w, "two. The mixture and escape-PPM models sit between: popularity and")
+	fmt.Fprintln(w, "shorter contexts partially track the shift, full re-convergence needs")
+	fmt.Fprintln(w, "forgetting.")
+	return nil
 }

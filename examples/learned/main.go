@@ -24,12 +24,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the sweep and writes its tables to w.
+func run(w io.Writer) error {
 	cfg := prefetch.DefaultMultiClientConfig()
 	cfg.Clients = 16
 	cfg.Rounds = 120
@@ -42,9 +51,9 @@ func main() {
 	discs := []prefetch.SchedKind{prefetch.SchedFIFO, prefetch.SchedPriority}
 	const reps = 2
 
-	fmt.Printf("oracle vs learned prefetching, %d clients, server concurrency %d, %d rounds/client, %d reps\n",
+	fmt.Fprintf(w, "oracle vs learned prefetching, %d clients, server concurrency %d, %d rounds/client, %d reps\n",
 		cfg.Clients, cfg.ServerConcurrency, cfg.Rounds, reps)
-	fmt.Println("(* = on the controller's (demand T, spec/s) Pareto frontier)")
+	fmt.Fprintln(w, "(* = on the controller's (demand T, spec/s) Pareto frontier)")
 
 	// gap[disc][ctl][pred] demand access means, for the closing summary.
 	gap := map[prefetch.SchedKind]map[prefetch.ControllerKind]map[prefetch.PredictorKind]float64{}
@@ -54,12 +63,12 @@ func main() {
 		points, err := prefetch.SweepMultiClientGrid(c, reps, 0, false,
 			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gap[disc] = map[prefetch.ControllerKind]map[prefetch.PredictorKind]float64{}
 		for ci, ctl := range ctls {
-			fmt.Printf("\n-- discipline %s, controller %s --\n", disc, ctl)
-			fmt.Printf("%-10s %10s %10s %8s %8s %8s %10s %7s\n",
+			fmt.Fprintf(w, "\n-- discipline %s, controller %s --\n", disc, ctl)
+			fmt.Fprintf(w, "%-10s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "waste%", "L1 err", "hit%", "spec/s", "pareto")
 			gap[disc][ctl] = map[prefetch.PredictorKind]float64{}
 			group := points[ci*len(preds) : (ci+1)*len(preds)]
@@ -69,7 +78,7 @@ func main() {
 				if onFrontier(group, pi) {
 					mark = "*"
 				}
-				fmt.Printf("%-10s %10.3f %10.3f %7.1f%% %8.3f %7.1f%% %10.4f %7s\n",
+				fmt.Fprintf(w, "%-10s %10.3f %10.3f %7.1f%% %8.3f %7.1f%% %10.4f %7s\n",
 					pred, p.DemandAccess.Mean(), p.Access.Mean(),
 					100*p.WastedFraction.Mean(), p.L1Error.Mean(),
 					100*p.HitRatio.Mean(), p.SpecThroughput.Mean(), mark)
@@ -79,22 +88,23 @@ func main() {
 	}
 
 	f := gap[prefetch.SchedFIFO]
-	fmt.Printf("\nAdaptive-λ win at N=16 FIFO (static → aimd demand T):\n")
+	fmt.Fprintf(w, "\nAdaptive-λ win at N=16 FIFO (static → aimd demand T):\n")
 	for _, pred := range preds {
-		fmt.Printf("  %-10s %8.2f → %5.2f  (%.1fx)\n", pred,
+		fmt.Fprintf(w, "  %-10s %8.2f → %5.2f  (%.1fx)\n", pred,
 			f[prefetch.ControllerStatic][pred], f[prefetch.ControllerAIMD][pred],
 			f[prefetch.ControllerStatic][pred]/f[prefetch.ControllerAIMD][pred])
 	}
 
-	fmt.Println("\nThe oracle floods the shared server with confident speculation, so at")
-	fmt.Println("static λ its perfect knowledge buys the worst demand latency on FIFO —")
-	fmt.Println("cold-started learned models speculate less and queue less. Closed-loop")
-	fmt.Println("λ control erases most of that difference: once congestion prices")
-	fmt.Println("speculation, every predictor converges to near-certain prefetches only,")
-	fmt.Println("and raw latency no longer separates oracle from learned — exactly the")
-	fmt.Println("masking the Pareto marks expose: the learned rows buy their latency")
-	fmt.Println("with less speculative throughput delivered (and the waste% and L1")
-	fmt.Println("columns show the prediction quality behind it).")
+	fmt.Fprintln(w, "\nThe oracle floods the shared server with confident speculation, so at")
+	fmt.Fprintln(w, "static λ its perfect knowledge buys the worst demand latency on FIFO —")
+	fmt.Fprintln(w, "cold-started learned models speculate less and queue less. Closed-loop")
+	fmt.Fprintln(w, "λ control erases most of that difference: once congestion prices")
+	fmt.Fprintln(w, "speculation, every predictor converges to near-certain prefetches only,")
+	fmt.Fprintln(w, "and raw latency no longer separates oracle from learned — exactly the")
+	fmt.Fprintln(w, "masking the Pareto marks expose: the learned rows buy their latency")
+	fmt.Fprintln(w, "with less speculative throughput delivered (and the waste% and L1")
+	fmt.Fprintln(w, "columns show the prediction quality behind it).")
+	return nil
 }
 
 // onFrontier reports whether group[i] is on the group's (demand latency ↓,

@@ -1,0 +1,26 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
+	"testing"
+)
+
+// outputSHA256 pins the SHA-256 of the example's whole stdout.
+const outputSHA256 = "29e0c8b854568f17ccb1d1f0e910ef2728d4cd67ccdf36c993afb4e972fe5fab"
+
+// TestOutputDeterministic replays the oracle-vs-learned sweep and checks
+// its stdout against the pin, so a change that moves any printed number
+// fails here. A change that moves the output on purpose re-pins it and
+// says why.
+func TestOutputDeterministic(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(out.String()))
+	if got := hex.EncodeToString(sum[:]); got != outputSHA256 {
+		t.Errorf("stdout SHA-256 %s, pinned %s; output:\n%s", got, outputSHA256, out.String())
+	}
+}

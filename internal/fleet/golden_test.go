@@ -344,7 +344,11 @@ func predictorGoldenCases() []goldenCase {
 	// A 400-page site, whose oracle rows have a support of 400 pages:
 	// past the candidate ranker's insertion cutoff, so these replays
 	// reach its fallback sort (the shared ranked table when stationary,
-	// a full-support ranking every round under drift).
+	// a full-support ranking every round under drift). The drift-free
+	// learned rows read the truth rows of the larger site — Phase A's
+	// for ppm-escape, the live walkers' for shared — and the shared row
+	// warms its server cache from a popularity ranking with many tied
+	// counts.
 	for _, row := range []struct {
 		name  string
 		pc    predict.Config
@@ -352,11 +356,14 @@ func predictorGoldenCases() []goldenCase {
 	}{
 		{"oracle", predict.Config{Kind: predict.KindOracle}, 0},
 		{"oracle", predict.Config{Kind: predict.KindOracle}, 7},
+		{"ppm-escape", predict.Config{Kind: predict.KindPPMEscape}, 0},
 		{"ppm-escape", predict.Config{Kind: predict.KindPPMEscape}, 7},
+		{"shared", predict.Config{Kind: predict.KindShared}, 0},
 	} {
 		cfg := goldenBase()
 		cfg.Site.Pages = 400
 		cfg.Predict = row.pc
+		cfg.WarmServerCache = row.pc.Kind == predict.KindShared
 		cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
 		cfg.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
 		if row.drift > 0 {
