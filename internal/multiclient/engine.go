@@ -108,7 +108,8 @@ type engine struct {
 	// plan() shares — the event loop runs clients one at a time and each
 	// plan is consumed before the next Solve, so a single solver is safe.
 	// scratch is the live walkers' step scratch, shared the same way: a
-	// step's ranked candidates are planned before the next step.
+	// step's ranked candidates are planned before the next step. It is
+	// nil when Phase A scripts every client.
 	reqPool eventq.FreeList[request]
 	solver  *core.Solver
 	planBuf []core.Item
@@ -146,7 +147,6 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 		recoverAfter: recoverAfter,
 		active:       cfg.Clients,
 		solver:       core.NewSolver(),
-		scratch:      newStepScratch(len(site.Pages)),
 	}
 	e.servers = make([]*server, replicas)
 	for i := range e.servers {
@@ -173,6 +173,8 @@ func RunReplicated(cfg Config, replicas int, router Router, failEvery, recoverAf
 		if scripts, err = GenerateScripts(cfg, site); err != nil {
 			return Result{}, err
 		}
+	} else {
+		e.scratch = newStepScratch(len(site.Pages), truthTable(&cfg, site))
 	}
 	e.clients = make([]*client, cfg.Clients)
 	for i := range e.clients {

@@ -97,6 +97,7 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 	if !cfg.DisablePrefetch && cfg.DriftEvery == 0 && oracleSource(&cfg) {
 		sc.Table = buildRankedTable(site, cfg.FollowProb)
 	}
+	truth := truthTable(&cfg, site)
 
 	workers := cfg.Shards
 	if workers <= 0 {
@@ -115,7 +116,7 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			buf := newStepScratch(len(site.Pages))
+			buf := newStepScratch(len(site.Pages), truth)
 			for i := lo; i < hi; i++ {
 				if err := generateScript(&cfg, site, i, &sc.PerClient[i], sc.Table != nil, buf); err != nil {
 					errs[w] = err
@@ -223,12 +224,18 @@ func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 	if w.ranks {
 		b := w.buf
 		state := w.surfer.Current()
-		w.surfer.NextDistributionInto(state, b.truth)
-		probs := b.truth
+		truth := b.truth
+		if b.table != nil {
+			n := len(w.site.Pages)
+			truth = b.table[state*n : (state+1)*n]
+		} else {
+			w.surfer.NextDistributionInto(state, truth)
+		}
+		probs := truth
 		if w.pred != nil {
 			probs = b.pred
 			w.pred.NextInto(state, probs)
-			l1 = predict.L1Dense(probs, b.truth)
+			l1 = predict.L1Dense(probs, truth)
 		}
 		b.ranked = rankProbs(b.ranked, probs, w.site)
 		cands = b.ranked
@@ -261,17 +268,46 @@ func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 	return table
 }
 
+// truthTable returns the truth table a run's walkers share, or nil when
+// they cannot share one. A learned source ranks against the true
+// next-page distribution for its L1 error, and without drift that
+// depends only on the current page. Row p, at [p·pages, (p+1)·pages), is
+// site.NextDistributionInto(p, FollowProb), the function a drift-free
+// surfer runs, so every float has the bits of a per-step computation.
+// pages² floats: 115 KB at the default 120 pages. The oracle ranks into
+// buildRankedTable instead, and a drifting walker computes its row each
+// step.
+func truthTable(cfg *Config, site *webgraph.Site) []float64 {
+	if cfg.DisablePrefetch || cfg.DriftEvery > 0 || oracleSource(cfg) {
+		return nil
+	}
+	n := len(site.Pages)
+	table := make([]float64, n*n)
+	for p := range site.Pages {
+		site.NextDistributionInto(p, cfg.FollowProb, table[p*n:(p+1)*n])
+	}
+	return table
+}
+
 // stepScratch is the reusable scratch of walker steps that never run at
 // once — one Phase-A worker's clients, or every live client on the event
 // loop: the true next-page distribution and the learned prediction, one
-// float per page, and the ranked candidates.
+// float per page, and the ranked candidates. table is the run's truth
+// table (see truthTable), or nil; every scratch of a run shares it
+// read-only, and a walker reads its current page's row from it in place
+// of computing truth.
 type stepScratch struct {
 	truth, pred []float64
 	ranked      []core.Item
+	table       []float64
 }
 
-func newStepScratch(pages int) *stepScratch {
-	return &stepScratch{truth: make([]float64, pages), pred: make([]float64, pages)}
+func newStepScratch(pages int, table []float64) *stepScratch {
+	b := &stepScratch{pred: make([]float64, pages), table: table}
+	if table == nil {
+		b.truth = make([]float64, pages)
+	}
+	return b
 }
 
 // scriptSlab is the smallest slab generateScript allocates for a

@@ -164,6 +164,52 @@ func siteOf(t testing.TB, pages int) *webgraph.Site {
 	return site
 }
 
+// TestTruthTableMatchesSurfer: every row of a run's truth table has, bit
+// for bit, what the surfer's own NextDistributionInto reports for that
+// page, on the default site and on one past the ranker's insertion
+// cutoff, at the default follow probability, another, and an invalid one
+// that both default. Runs whose walkers cannot share a table get none.
+func TestTruthTableMatchesSurfer(t *testing.T) {
+	for _, pages := range []int{120, 400} {
+		site := siteOf(t, pages)
+		want := make([]float64, pages)
+		for _, follow := range []float64{0.85, 0.6, 0} {
+			cfg := DefaultConfig()
+			cfg.Predict = predict.Config{Kind: predict.KindPPMEscape}
+			cfg.FollowProb = follow
+			table := truthTable(&cfg, site)
+			if len(table) != pages*pages {
+				t.Fatalf("pages=%d follow=%v: table holds %d floats, want %d", pages, follow, len(table), pages*pages)
+			}
+			surfer := webgraph.NewSurfer(rng.New(1), site, follow)
+			for p := range site.Pages {
+				surfer.NextDistributionInto(p, want)
+				for i, v := range table[p*pages : (p+1)*pages] {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("pages=%d follow=%v: row %d page %d = %v, surfer %v", pages, follow, p, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+	site := siteOf(t, 40)
+	for _, row := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"oracle", func(c *Config) { c.Predict = predict.Config{} }},
+		{"drift", func(c *Config) { c.DriftEvery = 7 }},
+		{"no prefetch", func(c *Config) { c.DisablePrefetch = true }},
+	} {
+		cfg := DefaultConfig()
+		cfg.Predict = predict.Config{Kind: predict.KindShared}
+		row.edit(&cfg)
+		if table := truthTable(&cfg, site); table != nil {
+			t.Errorf("%s: got a truth table of %d floats, want none", row.name, len(table))
+		}
+	}
+}
+
 // sortSliceRank is the reference ranking: the positive entries of probs
 // through a closure-based sort.Slice, probability descending then page id.
 func sortSliceRank(probs []float64, site *webgraph.Site) []core.Item {

@@ -1,13 +1,14 @@
 package predict
 
-// This file holds the three count stores every integer-count learned
-// source is built from: popularity (how often each page was seen),
-// transitions (popularity per previous page — the order-1 dependency
-// graph) and contexts (popularity per PPM context, kept as a tree). Every
-// count is an integer and every probability is one expression,
-// w·n/total, so a source's output value for a page is the same
-// floating-point expression whichever store produced it. The stores'
-// zero values are empty and ready to use.
+// This file holds the count stores every integer-count learned source is
+// built from: popularity (how often each page was seen), ranking (the
+// same counts kept in warm order, for the shared aggregate's cache
+// warming), transitions (popularity per previous page — the order-1
+// dependency graph) and contexts (popularity per PPM context, kept as a
+// tree). Every count is an integer and every probability is one
+// expression, w·n/total, so a source's output value for a page is the
+// same floating-point expression whichever store produced it. The
+// stores' zero values are empty and ready to use.
 
 // popularity counts observations per page: global page popularity, or
 // the successor counts of one state or context. The counts live in one
@@ -82,6 +83,55 @@ func (p *popularity) blend(out []float64, w float64) {
 	for _, e := range p.seen {
 		out[e.page] += w * float64(e.n) / float64(p.total)
 	}
+}
+
+// ranking counts observations per page, as popularity does, and keeps
+// the pages in warm order: count descending, page id ascending. A count
+// only grows by one, so an observation moves its page left only past the
+// pages its new count overtakes — those one count below, and those at the
+// new count with larger ids — as an LFU bucket list moves an entry to the
+// next bucket. at is a dense page → position index; page ids are
+// non-negative.
+type ranking struct {
+	order []pageCount // warm order
+	at    []int32     // page → 1 + its index in order; 0 = never observed
+	total int64
+}
+
+// add counts one observation of page and restores warm order.
+func (r *ranking) add(page int) {
+	if page >= len(r.at) {
+		r.at = append(r.at, make([]int32, page+1-len(r.at))...)
+	}
+	i := int(r.at[page]) - 1
+	if i < 0 {
+		i = len(r.order)
+		r.order = append(r.order, pageCount{page: page})
+	}
+	e := r.order[i]
+	e.n++
+	for ; i > 0 && warmBefore(e, r.order[i-1]); i-- {
+		r.order[i] = r.order[i-1]
+		r.at[r.order[i].page] = int32(i + 1)
+	}
+	r.order[i] = e
+	r.at[page] = int32(i + 1)
+	r.total++
+}
+
+// warmBefore reports whether a precedes b in warm order.
+func warmBefore(a, b pageCount) bool {
+	return a.n > b.n || (a.n == b.n && a.page < b.page)
+}
+
+// freq returns the observation count of page.
+func (r *ranking) freq(page int) int64 {
+	if uint(page) < uint(len(r.at)) {
+		if i := r.at[page]; i > 0 {
+			return r.order[i-1].n
+		}
+	}
+	return 0
 }
 
 // transitions counts order-1 transitions: edges[prev] is the popularity

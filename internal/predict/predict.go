@@ -52,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"prefetch/internal/webgraph"
 )
@@ -353,10 +352,10 @@ func (f *fallback) Next(state int) map[int]float64 { return nextView(f, state) }
 // Source view with ForClient. It is not safe for concurrent use — the
 // simulators are single-goroutine per replica.
 type Aggregate struct {
-	pageSpan
 	trans transitions
-	pop   popularity
+	pop   ranking
 	last  map[int]int
+	top   []int // TopPages' reused result
 }
 
 // NewAggregate returns an empty aggregate model.
@@ -370,7 +369,6 @@ func (a *Aggregate) ObserveClient(client, page int) {
 	}
 	a.last[client] = page
 	a.pop.add(page)
-	a.see(page)
 }
 
 // NextInto writes the pooled transition distribution out of state into
@@ -388,27 +386,24 @@ func (a *Aggregate) Observations() int64 { return a.pop.total }
 
 // TopPages returns the n most frequently accessed pages over the pooled
 // stream, most popular first, ties broken by lowest page ID — the warm
-// set a server-side prefetcher should hold.
+// set a server-side prefetcher should hold. The pooled counts are kept in
+// that order as they grow, so this copies a prefix. The slice is reused:
+// it is valid until the next ObserveClient or TopPages call, and nil when
+// n <= 0 or nothing was observed.
 func (a *Aggregate) TopPages(n int) []int {
-	if n <= 0 || len(a.pop.seen) == 0 {
+	if n <= 0 || len(a.pop.order) == 0 {
 		return nil
 	}
-	top := append([]pageCount(nil), a.pop.seen...)
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].n != top[j].n {
-			return top[i].n > top[j].n
-		}
-		return top[i].page < top[j].page
-	})
-	if len(top) > n {
-		top = top[:n]
+	a.top = a.top[:0]
+	for _, e := range a.pop.order[:min(n, len(a.pop.order))] {
+		a.top = append(a.top, e.page)
 	}
-	pages := make([]int, len(top))
-	for i, e := range top {
-		pages[i] = e.page
-	}
-	return pages
+	return a.top
 }
+
+// span covers every page the aggregate has pooled: the page index holds
+// one entry per id up to the largest.
+func (a *Aggregate) span() int { return len(a.pop.at) }
 
 // clientView adapts one client's slot in the Aggregate to the Source
 // interface.

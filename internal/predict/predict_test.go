@@ -3,6 +3,8 @@ package predict
 import (
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"prefetch/internal/rng"
@@ -186,6 +188,64 @@ func TestAggregateTopPages(t *testing.T) {
 	got = a.TopPages(4)
 	if got[2] != 2 || got[3] != 9 {
 		t.Errorf("tie-break order = %v, want [... 2 9]", got)
+	}
+}
+
+// sortTopPages is the warm order as TopPages computed it before the
+// aggregate kept its counts ranked: copy the first-seen counts, sort by
+// count descending then page id, and keep the first n.
+func sortTopPages(seen []pageCount, n int) []int {
+	top := append([]pageCount(nil), seen...)
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].n != top[j].n {
+			return top[i].n > top[j].n
+		}
+		return top[i].page < top[j].page
+	})
+	if len(top) > n {
+		top = top[:n]
+	}
+	pages := make([]int, len(top))
+	for i, e := range top {
+		pages[i] = e.page
+	}
+	return pages
+}
+
+// TestTopPagesMatchesSort: over random multi-client streams, after every
+// observation, TopPages(n) equals the copy-and-sort of the same counts
+// for n from 1 past the number of distinct pages, and Freq agrees with
+// the counts. The streams draw from a skewed distribution over a sparse
+// id range, so counts tie often and a page can enter late with an id
+// below or above every page already ranked.
+func TestTopPagesMatchesSort(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.New(seed)
+		pages := 20 + r.IntN(200)
+		weights := make([]float64, pages)
+		for i := range weights {
+			weights[i] = 1 / float64(1+r.IntN(pages))
+		}
+		a := NewAggregate()
+		var ref popularity
+		for step := 0; step < 3000; step++ {
+			page := 3 * r.Categorical(weights)
+			a.ObserveClient(r.IntN(4), page)
+			ref.add(page)
+			distinct := len(ref.seen)
+			for _, n := range []int{1, 8, 48, distinct + 5} {
+				got, want := a.TopPages(n), sortTopPages(ref.seen, n)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: TopPages(%d) = %v, sorted counts give %v", seed, step, n, got, want)
+				}
+			}
+			if got, want := a.Freq(page), ref.freq(page); got != want {
+				t.Fatalf("seed %d step %d: Freq(%d) = %d, want %d", seed, step, page, got, want)
+			}
+		}
+		if a.Freq(-1) != 0 || a.Freq(3*pages) != 0 || a.Freq(1) != 0 {
+			t.Errorf("seed %d: an unobserved page has a count", seed)
+		}
 	}
 }
 

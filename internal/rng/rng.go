@@ -216,8 +216,10 @@ func (r *Source) SampleWithoutReplacement(n, k int) []int {
 
 // Categorical draws an index in [0, len(weights)) with probability
 // proportional to weights[i]. Weights must be non-negative with a positive
-// sum; otherwise Categorical panics. Linear scan: the candidate lists in
-// this codebase are tens of items, so alias tables would be overkill.
+// sum; otherwise Categorical panics. Linear scan, twice over the weights:
+// it suits one-off draws. A vector drawn from many times is prepared once
+// as a Cumulative, whose draws pick the same index from the same stream
+// by binary search.
 func (r *Source) Categorical(weights []float64) int {
 	var total float64
 	for _, w := range weights {
@@ -244,6 +246,68 @@ func (r *Source) Categorical(weights []float64) int {
 	}
 	// Floating-point slack: u landed at or beyond the accumulated total.
 	return last
+}
+
+// Cumulative is a weight vector prepared for repeated Categorical draws:
+// the running sums of the weights, in index order, and the last index
+// with positive weight. The zero value holds no vector; Reset prepares
+// one.
+type Cumulative struct {
+	sums []float64
+	last int
+}
+
+// Reset prepares the n weights weight(0) … weight(n−1) for Draw,
+// reusing c's storage, so a caller whose weights live elsewhere (in
+// struct fields, say) copies nothing. It validates as Categorical does
+// and panics with the same messages. sums[i] is the running total through
+// weight(i), accumulated in index order as Categorical accumulates both
+// its total and its scan: a zero weight adds nothing to either, so every
+// sum has Categorical's bits.
+func (c *Cumulative) Reset(n int, weight func(i int) float64) {
+	if cap(c.sums) < n {
+		c.sums = make([]float64, 0, n)
+	}
+	c.sums = c.sums[:0]
+	var total float64
+	for i := 0; i < n; i++ {
+		w := weight(i)
+		if w < 0 || math.IsNaN(w) {
+			panic("rng: Categorical with negative or NaN weight")
+		}
+		total += w
+		c.sums = append(c.sums, total)
+		if w != 0 {
+			c.last = i
+		}
+	}
+	if total <= 0 {
+		panic("rng: Categorical with non-positive weight sum")
+	}
+}
+
+// Draw returns the index r.Categorical would return for the prepared
+// weights, consuming the same one Float64 from r: the first index whose
+// running sum exceeds u = Float64()·total. That index has positive weight,
+// since the sum before it is at most u. When u lands at or past the total,
+// it returns the last positive-weight index, as Categorical does, even a
+// weight too small to move the sum. Nothing is allocated.
+func (c *Cumulative) Draw(r *Source) int {
+	n := len(c.sums)
+	u := r.Float64() * c.sums[n-1]
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < c.sums[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == n {
+		return c.last
+	}
+	return lo
 }
 
 // Dirichlet fills out with a sample from a symmetric Dirichlet distribution

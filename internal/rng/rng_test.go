@@ -380,3 +380,94 @@ func BenchmarkCategorical10(b *testing.B) {
 		_ = r.Categorical(w)
 	}
 }
+
+// decodeWeights turns fuzz bytes into a weight vector of up to 64
+// entries. Each entry starts with a tag byte choosing its kind, so the
+// corpus reaches zeros, subnormals, sums that saturate and then meet
+// weights too small to move them, overflow to +Inf, and the invalid
+// negatives and NaNs; the last kind takes eight raw bytes as the bits.
+func decodeWeights(data []byte) []float64 {
+	var w []float64
+	for len(data) > 0 && len(w) < 64 {
+		tag, arg := data[0], byte(0)
+		data = data[1:]
+		if len(data) > 0 {
+			arg = data[0]
+		}
+		switch tag % 9 {
+		case 0:
+			w = append(w, 0)
+		case 1:
+			w = append(w, math.Float64frombits(uint64(arg)+1)) // subnormal
+		case 2:
+			w = append(w, math.MaxFloat64/float64(2+int(arg%4))) // sums overflow
+		case 3:
+			w = append(w, 1e-20*float64(1+int(arg))) // lost once the sum is large
+		case 4:
+			w = append(w, float64(arg)+1)
+		case 5:
+			w = append(w, -float64(arg)-1)
+		case 6:
+			w = append(w, math.NaN())
+		case 7:
+			w = append(w, float64(arg)/256) // zero or a fraction
+		default:
+			var bits uint64
+			for i := 0; i < 8 && len(data) > 0; i++ {
+				bits = bits<<8 | uint64(data[0])
+				data = data[1:]
+			}
+			w = append(w, math.Float64frombits(bits))
+			continue
+		}
+		if len(data) > 0 {
+			data = data[1:]
+		}
+	}
+	return w
+}
+
+// panicMessage runs f and returns what it panicked with, or nil.
+func panicMessage(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+// FuzzCumulativeMatchesCategorical: for any weight vector and seed, the
+// prepared draw returns Categorical's index on every draw and leaves the
+// stream where Categorical leaves it, and a vector Categorical rejects
+// makes Reset panic with the same message.
+func FuzzCumulativeMatchesCategorical(f *testing.F) {
+	f.Add(uint64(1), []byte{4, 0, 4, 2})                       // {1, 3}
+	f.Add(uint64(2), []byte{0, 0, 0, 0, 4, 9, 0, 0})           // one positive among zeros
+	f.Add(uint64(3), []byte{1, 0, 1, 7, 0, 0, 1, 255})         // subnormals
+	f.Add(uint64(4), []byte{4, 0, 4, 5, 3, 0, 3, 9, 0, 0})     // weights too small to move the sum
+	f.Add(uint64(5), []byte{2, 0, 2, 0, 2, 0, 4, 0})           // the sum overflows to +Inf
+	f.Add(uint64(6), []byte{2, 0, 2, 0, 2, 0, 3, 0, 0, 0})     // then the last positive weight is lost in it
+	f.Add(uint64(7), []byte{4, 0, 5, 0})                       // a negative weight
+	f.Add(uint64(8), []byte{4, 0, 6, 0})                       // NaN
+	f.Add(uint64(9), []byte{0, 0, 7, 0})                       // zero sum
+	f.Add(uint64(10), []byte{})                                // empty
+	f.Add(uint64(11), []byte{8, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0}) // +Inf
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		w := decodeWeights(data)
+		want := panicMessage(func() { New(seed).Categorical(w) })
+		var c Cumulative
+		if got := panicMessage(func() { c.Reset(len(w), func(i int) float64 { return w[i] }) }); got != want {
+			t.Fatalf("weights %v: Reset panicked with %v, Categorical with %v", w, got, want)
+		}
+		if want != nil {
+			return
+		}
+		a, b := New(seed), New(seed)
+		for d := 0; d < 16; d++ {
+			if got, want := c.Draw(b), a.Categorical(w); got != want {
+				t.Fatalf("weights %v, draw %d: Draw = %d, Categorical = %d", w, d, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("weights %v: the two forms left the stream at different positions", w)
+		}
+	})
+}

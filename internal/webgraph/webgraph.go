@@ -215,11 +215,14 @@ type Surfer struct {
 	steps      int
 	phase      int
 
-	// stationary caches the site's popularity vector for teleport draws
-	// (built once instead of per teleporting step); lw is the drift link-
-	// bias scratch. Neither changes any draw — only where the slices live.
-	stationary []float64
-	lw         []float64
+	// teleport holds the running sums of the teleport weights — the
+	// site's popularity, or the current phase's preferences under drift —
+	// prepared once (and again at every phase shift) instead of scanned
+	// twice per teleporting step; lw is the drift link-bias scratch.
+	// Neither changes any draw: a prepared draw picks Categorical's index
+	// from the same stream.
+	teleport rng.Cumulative
+	lw       []float64
 }
 
 // NewSurfer starts a surfer at page 0. followProb outside (0,1) defaults
@@ -228,11 +231,9 @@ func NewSurfer(r *rng.Source, site *Site, followProb float64) *Surfer {
 	if followProb <= 0 || followProb >= 1 {
 		followProb = 0.85
 	}
-	stationary := make([]float64, len(site.Pages))
-	for i := range site.Pages {
-		stationary[i] = site.Pages[i].Weight
-	}
-	return &Surfer{site: site, rand: r.Split(), followProb: followProb, stationary: stationary}
+	s := &Surfer{site: site, rand: r.Split(), followProb: followProb}
+	s.teleport.Reset(len(site.Pages), func(i int) float64 { return site.Pages[i].Weight })
+	return s
 }
 
 // Current returns the current page ID.
@@ -284,11 +285,7 @@ func (s *Surfer) Step() int {
 			s.current = links[s.rand.Categorical(lw)]
 		}
 	} else {
-		weights := s.weights
-		if weights == nil {
-			weights = s.stationary
-		}
-		s.current = s.rand.Categorical(weights)
+		s.current = s.teleport.Draw(s.rand)
 	}
 	s.maybeShift()
 	return s.current
@@ -313,6 +310,13 @@ func (s *Surfer) EnableDrift(r *rng.Source, every int) {
 	for i := range s.site.Pages {
 		s.weights[i] = s.site.Pages[i].Weight
 	}
+	s.resetTeleport()
+}
+
+// resetTeleport prepares the current phase's preferences for teleport
+// draws.
+func (s *Surfer) resetTeleport() {
+	s.teleport.Reset(len(s.weights), func(i int) float64 { return s.weights[i] })
 }
 
 // maybeShift applies a phase shift when the drift cadence has elapsed.
@@ -331,6 +335,7 @@ func (s *Surfer) maybeShift() {
 	for i := range s.weights {
 		s.weights[i] = s.site.Pages[perm[i]].Weight
 	}
+	s.resetTeleport()
 	s.phase++
 }
 

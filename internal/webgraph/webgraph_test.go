@@ -346,6 +346,61 @@ func TestDriftReplayDeterministic(t *testing.T) {
 	}
 }
 
+// categoricalStep is Step with its teleport drawn by rng.Categorical
+// over the current preference weights, as Step drew it before teleports
+// used prepared sums: the reference TestTeleportsMatchCategorical holds
+// the prepared draws to.
+func categoricalStep(s *Surfer) int {
+	links := s.site.Pages[s.current].Links
+	if len(links) > 0 && s.rand.Float64() < s.followProb {
+		if s.weights == nil {
+			s.current = links[s.rand.IntN(len(links))]
+		} else {
+			lw := make([]float64, len(links))
+			for i, t := range links {
+				lw[i] = s.weights[t]
+			}
+			s.current = links[s.rand.Categorical(lw)]
+		}
+	} else {
+		weights := s.weights
+		if weights == nil {
+			weights = make([]float64, len(s.site.Pages))
+			for i := range s.site.Pages {
+				weights[i] = s.site.Pages[i].Weight
+			}
+		}
+		s.current = s.rand.Categorical(weights)
+	}
+	s.maybeShift()
+	return s.current
+}
+
+// TestTeleportsMatchCategorical: a stationary and a drifting surfer that
+// teleport often walk the same trajectory as twins drawing every
+// teleport with Categorical, through every phase shift.
+func TestTeleportsMatchCategorical(t *testing.T) {
+	for _, every := range []int{0, 3} {
+		twins := [2]*Surfer{}
+		for i := range twins {
+			r := rng.New(21)
+			site, err := Generate(r, DefaultSiteConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins[i] = NewSurfer(r, site, 0.3)
+			if every > 0 {
+				twins[i].EnableDrift(rng.Derive(21, "drift"), every)
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			if got, want := twins[0].Step(), categoricalStep(twins[1]); got != want {
+				t.Fatalf("drift every %d, step %d: Step = %d, Categorical twin %d", every, i, got, want)
+			}
+		}
+	}
+}
+
 // TestDriftOracleExactAcrossPhases: the exposed next-page distribution
 // is exactly the distribution the next Step samples from, through every
 // phase shift — within a phase it is constant per page, it changes only
