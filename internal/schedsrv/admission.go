@@ -56,10 +56,20 @@ func (g UtilizationGate) Admit(r Request, now, util float64) Decision {
 }
 
 // utilWindow estimates server utilisation over a sliding window: it
-// integrates the in-flight slot count over time, keeps the busy segments
-// that overlap [now-window, now], and reports busy slot-seconds divided
-// by window capacity. Before one full window has elapsed it divides by
-// elapsed time, so early estimates are honest rather than diluted.
+// integrates the in-flight slot count over time and reports the busy
+// slot-seconds in [now-window, now] divided by the window's capacity.
+// Before one full window has elapsed it divides by elapsed time, so early
+// estimates are honest rather than diluted.
+//
+// Each completed busy segment carries cum, the busy slot-seconds of every
+// segment up to and including it, so a read costs O(1) plus a binary
+// search instead of a pass over the window. The busy time of the window
+// is cum(last) − cum(first live segment), which covers every live segment
+// after the first, plus the first live segment clipped at now−window, plus
+// the open segment. transition expires segments and compacts the slice;
+// estimate writes nothing, so its value depends only on the transition
+// history and now — a run read more often (a traced one, say) sees the
+// same estimates as one read less often.
 type utilWindow struct {
 	window float64
 	conc   int
@@ -73,6 +83,7 @@ type utilWindow struct {
 type utilSeg struct {
 	from, to float64
 	slots    int
+	cum      float64 // busy slot-seconds of segs[:i+1], less the last rebase
 }
 
 func newUtilWindow(window float64, conc int) *utilWindow {
@@ -82,27 +93,38 @@ func newUtilWindow(window float64, conc int) *utilWindow {
 // transition records that the in-flight count changed to slots at now.
 func (u *utilWindow) transition(now float64, slots int) {
 	if u.cur > 0 && now > u.since {
-		u.segs = append(u.segs, utilSeg{from: u.since, to: now, slots: u.cur})
+		cum := float64(u.cur) * (now - u.since)
+		if n := len(u.segs); n > 0 {
+			cum += u.segs[n-1].cum
+		}
+		u.segs = append(u.segs, utilSeg{from: u.since, to: now, slots: u.cur, cum: cum})
 	}
 	u.cur = slots
 	u.since = now
 	// Trim segments that fell wholly out of the window. Expiry only moves
 	// the head index; the slice is compacted when the dead prefix dominates,
 	// so each segment is copied O(1) times over its life instead of once per
-	// transition.
+	// transition. Compaction also subtracts the dead prefix's total from
+	// every cum, so cum stays within a few windows' busy time however long
+	// the run and the subtractions in estimate lose no more precision late
+	// in a run than early.
 	lo := now - u.window
 	for u.head < len(u.segs) && u.segs[u.head].to <= lo {
 		u.head++
 	}
 	if u.head > 32 && u.head > len(u.segs)/2 {
+		base := u.segs[u.head-1].cum
 		n := copy(u.segs, u.segs[u.head:])
 		u.segs = u.segs[:n]
+		for i := range u.segs {
+			u.segs[i].cum -= base
+		}
 		u.head = 0
 	}
 }
 
 // estimate returns the busy fraction of slot capacity over the window
-// ending at now.
+// ending at now. It assigns no field.
 func (u *utilWindow) estimate(now float64) float64 {
 	span := u.window
 	if now < span {
@@ -113,21 +135,28 @@ func (u *utilWindow) estimate(now float64) float64 {
 	}
 	lo := now - span
 	var busy float64
-	for _, s := range u.segs[u.head:] {
-		from := s.from
-		if from < lo {
-			from = lo
+	// The first live segment is the first after head to end after lo:
+	// usually head itself, otherwise found by binary search, as segment
+	// ends strictly increase.
+	first, n := u.head, len(u.segs)
+	if first < n && u.segs[first].to <= lo {
+		i, j := first+1, n
+		for i < j {
+			mid := int(uint(i+j) >> 1)
+			if u.segs[mid].to <= lo {
+				i = mid + 1
+			} else {
+				j = mid
+			}
 		}
-		if s.to > from {
-			busy += float64(s.slots) * (s.to - from)
-		}
+		first = i
+	}
+	if first < n {
+		s := u.segs[first]
+		busy = u.segs[n-1].cum - s.cum + float64(s.slots)*(s.to-max(s.from, lo))
 	}
 	if u.cur > 0 && now > u.since {
-		from := u.since
-		if from < lo {
-			from = lo
-		}
-		busy += float64(u.cur) * (now - from)
+		busy += float64(u.cur) * (now - max(u.since, lo))
 	}
 	return busy / (span * float64(u.conc))
 }
