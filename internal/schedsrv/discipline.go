@@ -6,19 +6,23 @@ import "fmt"
 // arrival order, demand and speculative traffic indistinguishable.
 //
 // spec indexes the queued speculative requests for Promote: spec[c]
-// holds client c's, in push order. A client has few transfers
-// outstanding, so Promote scans one short list instead of the backlog.
-// Requests leave their list when they are popped or promoted; because
-// the queue and every list keep push order, a speculative request
-// reaching the head of the queue is always the head of its client's
-// list, and Pop asserts it. Clients hold at most one outstanding
-// transfer per page, so (client, page) identifies a queued speculative
-// request uniquely; Push panics on a duplicate, which would make
-// Promote ambiguous.
+// lists client c's, in push order, threaded through the requests' own
+// specNext links, so queueing one allocates nothing beyond the ring. A
+// client has few transfers outstanding, so Promote walks one short list
+// instead of the backlog. Requests leave their list when they are popped
+// or promoted; because the queue and every list keep push order, a
+// speculative request reaching the head of the queue is always the head
+// of its client's list, and Pop asserts it. Clients hold at most one
+// outstanding transfer per page, so (client, page) identifies a queued
+// speculative request uniquely; Push panics on a duplicate, which would
+// make Promote ambiguous.
 type fifo struct {
 	queue reqDeque
-	spec  [][]*Request // queued speculative requests per client id, grown lazily
+	spec  []reqList // queued speculative requests per client id, grown lazily
 }
+
+// reqList is a singly linked list of requests through specNext.
+type reqList struct{ head, tail *Request }
 
 func newFIFO() *fifo { return &fifo{} }
 
@@ -27,15 +31,21 @@ func (f *fifo) Name() string { return string(KindFIFO) }
 func (f *fifo) Push(r *Request) {
 	if !r.Demand {
 		if r.Client >= len(f.spec) {
-			f.spec = append(f.spec, make([][]*Request, r.Client+1-len(f.spec))...)
+			f.spec = append(f.spec, make([]reqList, r.Client+1-len(f.spec))...)
 		}
-		list := f.spec[r.Client]
-		for _, q := range list {
+		l := &f.spec[r.Client]
+		for q := l.head; q != nil; q = q.specNext {
 			if q.Page == r.Page {
 				panic(fmt.Sprintf("schedsrv: speculative request for client %d page %d already queued", r.Client, r.Page))
 			}
 		}
-		f.spec[r.Client] = append(list, r)
+		r.specNext = nil
+		if l.tail == nil {
+			l.head = r
+		} else {
+			l.tail.specNext = r
+		}
+		l.tail = r
 	}
 	f.queue.pushBack(r)
 }
@@ -46,11 +56,11 @@ func (f *fifo) Pop(now float64) (*Request, bool) {
 	}
 	r := f.queue.popFront()
 	if !r.Demand {
-		list := f.spec[r.Client]
-		if list[0] != r {
+		l := &f.spec[r.Client]
+		if l.head != r {
 			panic(fmt.Sprintf("schedsrv: fifo popped client %d page %d out of its client's push order", r.Client, r.Page))
 		}
-		f.spec[r.Client] = deleteReq(list, 0)
+		l.unlink(nil, r)
 	}
 	return r, true
 }
@@ -69,11 +79,12 @@ func (f *fifo) Promote(client, page int) bool {
 	if client < 0 || client >= len(f.spec) {
 		return false
 	}
-	list := f.spec[client]
-	for i, r := range list {
+	l := &f.spec[client]
+	var prev *Request
+	for r := l.head; r != nil; prev, r = r, r.specNext {
 		if r.Page == page {
 			r.Demand = true
-			f.spec[client] = deleteReq(list, i)
+			l.unlink(prev, r)
 			return true
 		}
 	}
@@ -84,14 +95,19 @@ func (f *fifo) Len() int { return f.queue.n }
 
 func (f *fifo) Backlog(dst []*Request) []*Request { return f.queue.appendTo(dst) }
 
-// deleteReq removes list[i] in place, keeping the order of the rest and
-// the backing array, so a client's list stops allocating once it has
-// reached its peak length.
-func deleteReq(list []*Request, i int) []*Request {
-	last := len(list) - 1
-	copy(list[i:], list[i+1:])
-	list[last] = nil
-	return list[:last]
+// unlink removes r, which follows prev (nil when r is the head), and
+// clears its link, so a request never leaves the list still pointing
+// into it.
+func (l *reqList) unlink(prev, r *Request) {
+	if prev == nil {
+		l.head = r.specNext
+	} else {
+		prev.specNext = r.specNext
+	}
+	if l.tail == r {
+		l.tail = prev
+	}
+	r.specNext = nil
 }
 
 // priority is strict demand priority: two FIFO queues, and a slot never

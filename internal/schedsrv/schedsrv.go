@@ -165,8 +165,9 @@ type Request struct {
 	// Tag is an opaque caller payload carried through to Done.
 	Tag any
 
-	seq     int64 // arrival sequence; the universal deterministic tie-break
-	attempt int   // service starts so far; > 1 only after preemption
+	seq      int64    // arrival sequence; the universal deterministic tie-break
+	attempt  int      // service starts so far; > 1 only after preemption
+	specNext *Request // fifo: the client's next queued speculative request
 }
 
 // Attempt returns the 1-based service attempt, valid inside the
