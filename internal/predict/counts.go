@@ -135,29 +135,34 @@ func (r *ranking) freq(page int) int64 {
 }
 
 // transitions counts order-1 transitions: edges[prev] is the popularity
-// of the pages that followed prev.
+// of the pages that followed prev, indexed densely by page id like
+// ranking.at; a page with no observed successor has a zero total.
 type transitions struct {
-	edges map[int]*popularity
+	edges []popularity
 }
 
 // add counts one transition prev → next.
 func (t *transitions) add(prev, next int) {
-	succ := t.edges[prev]
-	if succ == nil {
-		if t.edges == nil {
-			t.edges = map[int]*popularity{}
-		}
-		succ = &popularity{}
-		t.edges[prev] = succ
+	if prev >= len(t.edges) {
+		t.edges = append(t.edges, make([]popularity, prev+1-len(t.edges))...)
 	}
-	succ.add(next)
+	t.edges[prev].add(next)
+}
+
+// succ returns the successor counts of state, or nil when state has no
+// observed successors.
+func (t *transitions) succ(state int) *popularity {
+	if uint(state) < uint(len(t.edges)) && t.edges[state].total > 0 {
+		return &t.edges[state]
+	}
+	return nil
 }
 
 // nextInto writes the normalised successor counts of state into out and
 // returns how many pages it wrote; zero when state has no observed
 // successors. out must be zeroed.
 func (t *transitions) nextInto(state int, out []float64) int {
-	succ := t.edges[state]
+	succ := t.succ(state)
 	if succ == nil {
 		return 0
 	}

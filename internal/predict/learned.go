@@ -262,7 +262,7 @@ func (m *mixtureSource) NextInto(state int, out []float64) int {
 	clear(out)
 	// No transition evidence: the full mass escapes to popularity.
 	popShare := 1.0
-	if succ := m.trans.trans.edges[state]; succ != nil {
+	if succ := m.trans.trans.succ(state); succ != nil {
 		succ.blend(out, 1)
 		for _, e := range succ.seen {
 			out[e.page] = (1 - m.weight) * out[e.page]

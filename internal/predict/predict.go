@@ -354,20 +354,23 @@ func (f *fallback) Next(state int) map[int]float64 { return nextView(f, state) }
 type Aggregate struct {
 	trans transitions
 	pop   ranking
-	last  map[int]int
+	last  []int // client → 1 + its previous page; 0 = none yet
 	top   []int // TopPages' reused result
 }
 
 // NewAggregate returns an empty aggregate model.
-func NewAggregate() *Aggregate { return &Aggregate{last: map[int]int{}} }
+func NewAggregate() *Aggregate { return &Aggregate{} }
 
 // ObserveClient feeds one page of a client's access stream into the
-// pooled model.
+// pooled model. Client ids are small and non-negative.
 func (a *Aggregate) ObserveClient(client, page int) {
-	if prev, ok := a.last[client]; ok {
+	if client >= len(a.last) {
+		a.last = append(a.last, make([]int, client+1-len(a.last))...)
+	}
+	if prev := a.last[client] - 1; prev >= 0 {
 		a.trans.add(prev, page)
 	}
-	a.last[client] = page
+	a.last[client] = page + 1
 	a.pop.add(page)
 }
 
