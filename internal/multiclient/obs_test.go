@@ -2,12 +2,16 @@ package multiclient
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"prefetch/internal/adaptive"
 	"prefetch/internal/obs"
+	"prefetch/internal/schedsrv"
 )
 
 // traceBytes runs cfg with a JSONL writer attached and returns the raw
@@ -119,6 +123,79 @@ func TestTracerDoesNotPerturbRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain, nop) {
 		t.Fatalf("Nop tracer changed the result")
+	}
+}
+
+// utilRecorder is the utilisation gate with a log: it decides as
+// schedsrv.UtilizationGate does and records the bits of every estimate
+// it is shown.
+type utilRecorder struct {
+	gate schedsrv.UtilizationGate
+	seen []uint64
+}
+
+func (g *utilRecorder) Name() string { return g.gate.Name() }
+
+func (g *utilRecorder) Admit(r schedsrv.Request, now, util float64) schedsrv.Decision {
+	g.seen = append(g.seen, math.Float64bits(util))
+	return g.gate.Admit(r, now, util)
+}
+
+// TestTracerDoesNotPerturbAdmission is TestTracerDoesNotPerturbRun where
+// tracing adds reads: with a static controller an untraced client never
+// takes a scheduler Snapshot, while a traced one takes one every round,
+// between the admission gate's own estimates. The gate must see the
+// same estimates, bit for bit, and the run must not change, in drop and
+// defer mode over several seeds.
+func TestTracerDoesNotPerturbAdmission(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, deferInstead := range []bool{false, true} {
+			name := fmt.Sprintf("seed=%d/defer=%t", seed, deferInstead)
+			cfg := testConfig()
+			cfg.Seed = seed
+			cfg.Adaptive = adaptive.Config{Kind: adaptive.KindStatic}
+			cfg.Sched = schedsrv.Config{AdmitUtil: 0.5, AdmitDefer: deferInstead}
+			plain, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &obs.Collector{}
+			cfg.Tracer = c
+			traced, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("%s: tracer changed the result under admission", name)
+			}
+			if plain.PrefetchDropped+plain.PrefetchDeferred == 0 {
+				t.Fatalf("%s: the gate never acted; the case tests nothing", name)
+			}
+			snaps := 0
+			for _, ev := range c.Events {
+				if ev.Kind == obs.KindQueueDepth {
+					snaps++
+				}
+			}
+			if snaps == 0 {
+				t.Fatalf("%s: the traced run took no snapshot", name)
+			}
+
+			var seen [2][]uint64
+			for i, tr := range []obs.Tracer{nil, &obs.Collector{}} {
+				rec := &utilRecorder{gate: schedsrv.UtilizationGate{Threshold: 0.5, DeferInstead: deferInstead}}
+				cfg.Sched = schedsrv.Config{Admission: rec}
+				cfg.Tracer = tr
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				seen[i] = rec.seen
+			}
+			if len(seen[0]) == 0 || !reflect.DeepEqual(seen[0], seen[1]) {
+				t.Errorf("%s: the gate saw %d estimates untraced and %d traced, or different bits",
+					name, len(seen[0]), len(seen[1]))
+			}
+		}
 	}
 }
 
