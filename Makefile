@@ -19,7 +19,10 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # pending events; it runs ungated until the baseline is re-recorded,
 # since cmd/benchjson passes benchmarks the baseline lacks), the scheduling
 # subsystem's submit/dispatch/complete cycle and its completion cost at
-# in-flight 64/1024/16384 (flat when completion is O(1)), the end-to-end
+# in-flight 64/1024/16384 (flat when completion is O(1)), one Snapshot
+# against a utilisation window of 64/1024/16384 live busy segments
+# (BenchmarkSnapshot: flat when the estimate is O(1); ungated until the
+# baseline is re-recorded, like BenchmarkClockChurn), the end-to-end
 # multiclient simulation round (the N-scaling family N=64…16384 over the
 # sharded core, reporting ns/client-round, plus oracle/learned/drift
 # variants and the traced and
@@ -33,7 +36,7 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # (BenchmarkWriterEmit: ns per event over a recorded multiclient
 # stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
 BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
