@@ -61,15 +61,16 @@ func (g UtilizationGate) Admit(r Request, now, util float64) Decision {
 // Before one full window has elapsed it divides by elapsed time, so early
 // estimates are honest rather than diluted.
 //
-// Each completed busy segment carries cum, the busy slot-seconds of every
-// segment up to and including it, so a read costs O(1) plus a binary
-// search instead of a pass over the window. The busy time of the window
-// is cum(last) − cum(first live segment), which covers every live segment
-// after the first, plus the first live segment clipped at now−window, plus
-// the open segment. transition expires segments and compacts the slice;
-// estimate writes nothing, so its value depends only on the transition
-// history and now — a run read more often (a traced one, say) sees the
-// same estimates as one read less often.
+// The busy time is read off a cumulative integral, not summed: each
+// completed segment carries cum, the busy slot-seconds of it and of every
+// segment before it in segs. The window holds cum(last) − cum(first live
+// segment), which covers the live segments after the first, plus the
+// first live segment clipped at now−window, plus the open segment. That
+// is O(1) work however many segments the window holds, and a binary
+// search when some expired since the last transition. transition expires
+// and compacts; estimate assigns no field, so its value depends only on
+// the transition history and now, and a run that reads more often (a
+// traced one) sees the same estimates as one that reads less.
 type utilWindow struct {
 	window float64
 	conc   int
@@ -83,7 +84,7 @@ type utilWindow struct {
 type utilSeg struct {
 	from, to float64
 	slots    int
-	cum      float64 // busy slot-seconds of segs[:i+1], less the last rebase
+	cum      float64 // busy slot-seconds of this segment and those before it in segs
 }
 
 func newUtilWindow(window float64, conc int) *utilWindow {

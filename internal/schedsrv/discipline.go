@@ -39,7 +39,7 @@ func (f *fifo) Push(r *Request) {
 				panic(fmt.Sprintf("schedsrv: speculative request for client %d page %d already queued", r.Client, r.Page))
 			}
 		}
-		r.specNext = nil
+		r.specNext = nil // a resubmitted copy of a lost request may carry a stale link
 		if l.tail == nil {
 			l.head = r
 		} else {
