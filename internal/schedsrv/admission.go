@@ -106,9 +106,10 @@ func (u *utilWindow) transition(now float64, slots int) {
 	// the head index; the slice is compacted when the dead prefix dominates,
 	// so each segment is copied O(1) times over its life instead of once per
 	// transition. Compaction also subtracts the dead prefix's total from
-	// every cum, so cum stays within a few windows' busy time however long
-	// the run and the subtractions in estimate lose no more precision late
-	// in a run than early.
+	// every cum, so cum spans only the live segments and a dead prefix no
+	// longer than them (or 32 segments), however long the run: the
+	// subtractions in estimate lose no more precision late in a run than
+	// early.
 	lo := now - u.window
 	for u.head < len(u.segs) && u.segs[u.head].to <= lo {
 		u.head++
