@@ -27,12 +27,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps the controllers, then the priority reference, and writes both tables to w.
+func run(w io.Writer) error {
 	cfg := prefetch.DefaultMultiClientConfig()
 	cfg.Rounds = 120
 	cfg.Seed = 2026
@@ -41,19 +50,19 @@ func main() {
 	ns := []int{4, 8, 16}
 	const reps = 3
 
-	fmt.Printf("site of %d pages, server concurrency %d, %d rounds/client, %d reps, FIFO discipline\n",
+	fmt.Fprintf(w, "site of %d pages, server concurrency %d, %d rounds/client, %d reps, FIFO discipline\n",
 		cfg.Site.Pages, cfg.ServerConcurrency, cfg.Rounds, reps)
-	fmt.Println("\n-- closed-loop λ control on a plain FIFO server --")
-	header()
+	fmt.Fprintln(w, "\n-- closed-loop λ control on a plain FIFO server --")
+	header(w)
 	var static16, aimd16 float64
 	for _, n := range ns {
 		cfg.Clients = n
 		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientControllerAxis(ctls))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for i, p := range points {
-			row(n, p.Labels[0], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
+			row(w, n, p.Labels[0], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
 			if n == 16 {
 				switch ctls[i] {
 				case prefetch.ControllerStatic:
@@ -63,11 +72,11 @@ func main() {
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("-- reference: static λ under priority scheduling (the server-side fix) --")
-	header()
+	fmt.Fprintln(w, "-- reference: static λ under priority scheduling (the server-side fix) --")
+	header(w)
 	for _, n := range ns {
 		cfg.Clients = n
 		cfg.Sched = prefetch.SchedConfig{Kind: prefetch.SchedPriority}
@@ -75,28 +84,29 @@ func main() {
 		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true,
 			prefetch.MultiClientControllerAxis([]prefetch.ControllerKind{prefetch.ControllerStatic}))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		p := points[0]
-		row(n, "priority+static", p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
+		row(w, n, "priority+static", p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(), p.SpecThroughput.Mean())
 	}
 
-	fmt.Printf("\nN=16 FIFO demand access: static λ %.2f vs aimd %.2f — %.1fx better.\n",
+	fmt.Fprintf(w, "\nN=16 FIFO demand access: static λ %.2f vs aimd %.2f — %.1fx better.\n",
 		static16, aimd16, static16/aimd16)
-	fmt.Println("\nThe static planner optimises the paper's private-link objective and")
-	fmt.Println("drowns the shared server in speculation everyone else's demands queue")
-	fmt.Println("behind. Closing the loop prices speculation at its observed congestion")
-	fmt.Println("cost: λ rises until only near-certain prefetches survive, demand")
-	fmt.Println("latency collapses back toward the priority-discipline reference, and")
-	fmt.Println("when load clears λ drains back to its floor and full speculation")
-	fmt.Println("resumes — no server-side scheduling changes required.")
+	fmt.Fprintln(w, "\nThe static planner optimises the paper's private-link objective and")
+	fmt.Fprintln(w, "drowns the shared server in speculation everyone else's demands queue")
+	fmt.Fprintln(w, "behind. Closing the loop prices speculation at its observed congestion")
+	fmt.Fprintln(w, "cost: λ rises until only near-certain prefetches survive, demand")
+	fmt.Fprintln(w, "latency collapses back toward the priority-discipline reference, and")
+	fmt.Fprintln(w, "when load clears λ drains back to its floor and full speculation")
+	fmt.Fprintln(w, "resumes — no server-side scheduling changes required.")
+	return nil
 }
 
-func header() {
-	fmt.Printf("%-8s %-16s %10s %10s %8s %10s\n",
+func header(w io.Writer) {
+	fmt.Fprintf(w, "%-8s %-16s %10s %10s %8s %10s\n",
 		"clients", "controller", "demand T", "mean T", "mean λ", "spec/s")
 }
 
-func row(n int, label string, demandT, meanT, lambda, spec float64) {
-	fmt.Printf("%-8d %-16s %10.3f %10.3f %8.3f %10.3f\n", n, label, demandT, meanT, lambda, spec)
+func row(w io.Writer, n int, label string, demandT, meanT, lambda, spec float64) {
+	fmt.Fprintf(w, "%-8d %-16s %10.3f %10.3f %8.3f %10.3f\n", n, label, demandT, meanT, lambda, spec)
 }

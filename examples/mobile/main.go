@@ -15,7 +15,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
@@ -23,6 +25,13 @@ import (
 const rounds = 8000
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the contention-semantics and metered-link experiments and writes their tables to w.
+func run(w io.Writer) error {
 	r := prefetch.NewRand(99)
 
 	// A 9.6 kbit/s-era link: items take 2..45 seconds to pull.
@@ -31,19 +40,19 @@ func main() {
 	}
 	src, err := prefetch.NewRandomRounds(r, cfg, rounds)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	workload := prefetch.CollectRounds(src)
 
-	fmt.Println("== contention semantics on a slow link (event-driven) ==")
-	fmt.Printf("%-12s %12s %14s %14s\n", "mode", "mean T (s)", "net busy (s)", "aborted (s)")
+	fmt.Fprintln(w, "== contention semantics on a slow link (event-driven) ==")
+	fmt.Fprintf(w, "%-12s %12s %14s %14s\n", "mode", "mean T (s)", "net busy (s)", "aborted (s)")
 	for _, mode := range []prefetch.NetMode{prefetch.ModeSequential, prefetch.ModePreempt, prefetch.ModeShared} {
 		var totalT, totalBusy, totalAborted float64
 		for _, rd := range workload {
 			problem := rd.Problem()
 			plan, _, err := prefetch.SolveSKP(problem)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			transfers := make([]prefetch.Transfer, 0, plan.Len())
 			for _, it := range plan.Items {
@@ -57,18 +66,18 @@ func main() {
 				Mode:      mode,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			totalT += res.AccessTime
 			totalBusy += res.NetworkBusy
 			totalAborted += res.AbortedWork
 		}
 		n := float64(len(workload))
-		fmt.Printf("%-12s %12.3f %14.2f %14.2f\n", mode, totalT/n, totalBusy/n, totalAborted/n)
+		fmt.Fprintf(w, "%-12s %12.3f %14.2f %14.2f\n", mode, totalT/n, totalBusy/n, totalAborted/n)
 	}
 
-	fmt.Println("\n== metered link: λ-priced prefetching (paper §6) ==")
-	fmt.Printf("%-8s %12s %16s %14s\n", "λ", "mean T (s)", "prefetch (s/rd)", "waste (s/rd)")
+	fmt.Fprintln(w, "\n== metered link: λ-priced prefetching (paper §6) ==")
+	fmt.Fprintf(w, "%-8s %12s %16s %14s\n", "λ", "mean T (s)", "prefetch (s/rd)", "waste (s/rd)")
 	var policies []prefetch.Policy
 	lambdas := []float64{0, 0.05, 0.15, 0.4, 1, 3}
 	for _, l := range lambdas {
@@ -76,12 +85,13 @@ func main() {
 	}
 	results, err := prefetch.RunPrefetchOnly(workload, policies, prefetch.PrefetchOnlyOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, res := range results {
-		fmt.Printf("%-8.2f %12.3f %16.2f %14.2f\n",
+		fmt.Fprintf(w, "%-8.2f %12.3f %16.2f %14.2f\n",
 			lambdas[i], res.Overall.Mean(), res.Usage.Mean(), res.Waste.Mean())
 	}
-	fmt.Println("\nλ≈0.15 keeps most of the latency win at a fraction of the airtime —")
-	fmt.Println("the knob the paper's conclusion asks for.")
+	fmt.Fprintln(w, "\nλ≈0.15 keeps most of the latency win at a fraction of the airtime —")
+	fmt.Fprintln(w, "the knob the paper's conclusion asks for.")
+	return nil
 }

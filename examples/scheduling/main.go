@@ -22,12 +22,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"prefetch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run sweeps the disciplines, then FIFO with admission control, and writes both tables to w.
+func run(w io.Writer) error {
 	cfg := prefetch.DefaultMultiClientConfig()
 	cfg.Rounds = 120
 	cfg.Seed = 2026
@@ -36,49 +45,50 @@ func main() {
 	ns := []int{2, 4, 8, 16, 32}
 	const reps = 3
 
-	fmt.Printf("site of %d pages, server concurrency %d, %d rounds/client, %d reps\n",
+	fmt.Fprintf(w, "site of %d pages, server concurrency %d, %d rounds/client, %d reps\n",
 		cfg.Site.Pages, cfg.ServerConcurrency, cfg.Rounds, reps)
-	fmt.Println("\n-- scheduling disciplines: demand latency vs speculative throughput --")
-	header()
+	fmt.Fprintln(w, "\n-- scheduling disciplines: demand latency vs speculative throughput --")
+	header(w)
 	for _, n := range ns {
 		cfg.Clients = n
 		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientDisciplineAxis(kinds))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, p := range points {
-			row(n, p.Labels[0], p)
+			row(w, n, p.Labels[0], p)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("-- fifo + admission control (drop speculation above 85% utilisation) --")
+	fmt.Fprintln(w, "-- fifo + admission control (drop speculation above 85% utilisation) --")
 	cfg.Sched = prefetch.SchedConfig{AdmitUtil: 0.85, AdmitWindow: 50}
-	header()
+	header(w)
 	for _, n := range ns {
 		cfg.Clients = n
 		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true,
 			prefetch.MultiClientDisciplineAxis([]prefetch.SchedKind{prefetch.SchedFIFO}))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		row(n, "fifo+admit", points[0])
+		row(w, n, "fifo+admit", points[0])
 	}
 
-	fmt.Println("\nFIFO burns the server on stale speculation and every demand pays for")
-	fmt.Println("it; demand priority restores interactive latency at scale and prices")
-	fmt.Println("speculation at exactly the idle bandwidth; WFQ buys isolation between")
-	fmt.Println("clients on top; shaping and admission control cap speculation at the")
-	fmt.Println("source — the knob the paper's single-client model never needed.")
+	fmt.Fprintln(w, "\nFIFO burns the server on stale speculation and every demand pays for")
+	fmt.Fprintln(w, "it; demand priority restores interactive latency at scale and prices")
+	fmt.Fprintln(w, "speculation at exactly the idle bandwidth; WFQ buys isolation between")
+	fmt.Fprintln(w, "clients on top; shaping and admission control cap speculation at the")
+	fmt.Fprintln(w, "source — the knob the paper's single-client model never needed.")
+	return nil
 }
 
-func header() {
-	fmt.Printf("%-8s %-11s %10s %10s %10s %8s %10s\n",
+func header(w io.Writer) {
+	fmt.Fprintf(w, "%-8s %-11s %10s %10s %10s %8s %10s\n",
 		"clients", "discipline", "demand T", "mean T", "spec/s", "drops", "improve%")
 }
 
-func row(n int, label string, p prefetch.MultiClientPoint) {
-	fmt.Printf("%-8d %-11s %10.3f %10.3f %10.3f %8d %9.1f%%\n",
+func row(w io.Writer, n int, label string, p prefetch.MultiClientPoint) {
+	fmt.Fprintf(w, "%-8d %-11s %10.3f %10.3f %10.3f %8d %9.1f%%\n",
 		n, label, p.DemandAccess.Mean(), p.Access.Mean(),
 		p.SpecThroughput.Mean(), p.PrefetchDropped, 100*p.Improvement.Mean())
 }
