@@ -59,7 +59,7 @@ func ArbitrateSized(candidates []SizedCandidate, cache []SizedEntry, freeBytes i
 	sort.SliceStable(pool, func(a, b int) bool {
 		da := pool[a].prValue() / float64(pool[a].Size)
 		db := pool[b].prValue() / float64(pool[b].Size)
-		const tie = 1e-15
+		const tie = 1e-12
 		if da < db-tie {
 			return true
 		}

@@ -131,7 +131,7 @@ func (c *sizedCache) evictForDemand(need int64, probOf map[int]float64, retrOf f
 			ka /= float64(entries[a].Size)
 			kb /= float64(entries[b].Size)
 		}
-		const tie = 1e-15
+		const tie = 1e-12
 		if ka < kb-tie {
 			return true
 		}
