@@ -197,15 +197,15 @@ func BenchmarkSizedCachePoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sizes := sim.BuildSizes(r, trace.Retrievals)
+	trace.Sizes = sim.BuildSizes(r, trace.Retrievals)
 	var total int64
-	for _, s := range sizes {
+	for _, s := range trace.Sizes {
 		total += s
 	}
-	pl := sim.SizedPlanner{Label: "skp", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: sim.ByDensity}
+	pl := sim.CachePlanner{Label: "skp", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunSizedPrefetchCache(trace, sizes, pl, total/3); err != nil {
+		if _, err := sim.RunPrefetchCache(trace, pl, int(total/3), sim.CacheOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

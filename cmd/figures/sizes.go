@@ -13,11 +13,12 @@ import (
 )
 
 // runSizes is experiment E9: the non-uniform item-size extension. Item
-// sizes track retrieval times (unit-bandwidth link); the cache is byte-
-// capacity. Compared: no prefetch, SKP with size-aware (value-per-byte)
-// demand eviction, and SKP with size-blind (absolute-value) demand
-// eviction. Prefetch admission always uses the size-aware Figure-6
-// generalisation (core.ArbitrateSized).
+// sizes track retrieval times (unit-bandwidth link) and ride on the trace,
+// so sim.RunPrefetchCache, the Figure 7 replay, runs a byte-capacity
+// cache. Compared, each without prefetching and with SKP: size-aware
+// (value-per-byte) and size-blind (absolute-value) demand eviction.
+// Prefetch admission always uses the size-aware Figure-6 generalisation
+// (core.ArbitrateSized).
 func runSizes(cfg config, summary *strings.Builder) error {
 	fmt.Fprintf(summary, "\n--- Extension: non-uniform item sizes (E9) ---\n")
 	r := rng.New(cfg.seed ^ 0x512E5)
@@ -31,16 +32,16 @@ func runSizes(cfg config, summary *strings.Builder) error {
 	if err != nil {
 		return err
 	}
-	sizes := sim.BuildSizes(r, trace.Retrievals)
+	trace.Sizes = sim.BuildSizes(r, trace.Retrievals)
 	var totalBytes int64
-	for _, s := range sizes {
+	for _, s := range trace.Sizes {
 		totalBytes += s
 	}
-	planners := []sim.SizedPlanner{
-		{Label: "no prefetch, size-aware", Solver: nil, Sub: core.SubDS, Ordering: sim.ByDensity},
-		{Label: "no prefetch, size-blind", Solver: nil, Sub: core.SubDS, Ordering: sim.ByValue},
-		{Label: "SKP, size-aware eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: sim.ByDensity},
-		{Label: "SKP, size-blind eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: sim.ByValue},
+	planners := []sim.CachePlanner{
+		{Label: "no prefetch, size-aware", Solver: nil, Sub: core.SubDS, Ordering: core.ByDensity},
+		{Label: "no prefetch, size-blind", Solver: nil, Sub: core.SubDS, Ordering: core.ByValue},
+		{Label: "SKP, size-aware eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity},
+		{Label: "SKP, size-blind eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByValue},
 	}
 	fracs := []float64{0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 1.0}
 
@@ -50,7 +51,7 @@ func runSizes(cfg config, summary *strings.Builder) error {
 		YLabel: "mean access time",
 	}
 	type cell struct {
-		planner sim.SizedPlanner
+		planner sim.CachePlanner
 		frac    float64
 	}
 	var cells []cell
@@ -64,7 +65,7 @@ func runSizes(cfg config, summary *strings.Builder) error {
 		if capBytes < 1 {
 			capBytes = 1
 		}
-		res, err := sim.RunSizedPrefetchCache(trace, sizes, c.planner, capBytes)
+		res, err := sim.RunPrefetchCache(trace, c.planner, int(capBytes), sim.CacheOptions{})
 		if err != nil {
 			return 0, err
 		}

@@ -121,18 +121,18 @@ func TestEndToEndSizedCacheOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := sim.BuildSizes(r, trace.Retrievals)
+	trace.Sizes = sim.BuildSizes(r, trace.Retrievals)
 	var total int64
-	for _, s := range sizes {
+	for _, s := range trace.Sizes {
 		total += s
 	}
-	noPf := sim.SizedPlanner{Label: "none", Solver: nil, Sub: core.SubDS, Ordering: sim.ByDensity}
-	skp := sim.SizedPlanner{Label: "skp", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: sim.ByDensity}
-	a, err := sim.RunSizedPrefetchCache(trace, sizes, noPf, total/4)
+	noPf := sim.CachePlanner{Label: "none", Solver: nil, Sub: core.SubDS, Ordering: core.ByDensity}
+	skp := sim.CachePlanner{Label: "skp", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity}
+	a, err := sim.RunPrefetchCache(trace, noPf, int(total/4), sim.CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunSizedPrefetchCache(trace, sizes, skp, total/4)
+	b, err := sim.RunPrefetchCache(trace, skp, int(total/4), sim.CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,63 @@ type CacheEntry struct {
 // prValue is the Pr-arbitration key.
 func (e CacheEntry) prValue() float64 { return e.Prob * e.Retrieval }
 
-// dsValue is the delay-saving profit freq·r.
-func (e CacheEntry) dsValue() float64 { return float64(e.Freq) * e.Retrieval }
+// victimTie is Figure 6's tie tolerance: Pr-values, and sub-arbitration
+// metrics, closer than this are equal, so values that differ only by
+// float rounding fall through to the next rule.
+const victimTie = 1e-12
+
+// victimKey is a cached item's place in an eviction order: the lowest
+// Pr-value goes first, ties fall to the lowest sub-arbitration metric
+// (freq under LFU, the delay-saving profit freq·r under DS, none under
+// SubNone), and the rest to the lowest ID.
+type victimKey struct {
+	pr, sub float64
+	id      int
+}
+
+// victimKey returns e's key under sub, its Pr-value divided by prDiv and
+// its sub-metric by subDiv: 1 for the paper's absolute order, the item's
+// size for a per-byte one.
+func (e CacheEntry) victimKey(sub SubArbitration, prDiv, subDiv float64) victimKey {
+	k := victimKey{pr: e.prValue() / prDiv, id: e.ID}
+	switch sub {
+	case SubLFU:
+		k.sub = float64(e.Freq) / subDiv
+	case SubDS:
+		k.sub = float64(e.Freq) * e.Retrieval / subDiv
+	}
+	return k
+}
+
+// less reports whether a is a strictly better victim than b.
+func (a victimKey) less(b victimKey) bool {
+	switch {
+	case a.pr < b.pr-victimTie:
+		return true
+	case a.pr > b.pr+victimTie:
+		return false
+	}
+	if d := a.sub - b.sub; d < -victimTie {
+		return true
+	} else if d > victimTie {
+		return false
+	}
+	return a.id < b.id
+}
+
+// cheapest returns the index of the best victim in pool under key, or -1
+// if pool is empty. It scans rather than sorts: one victim is usually all
+// a round needs.
+func cheapest[E any](pool []E, key func(E) victimKey) int {
+	best := -1
+	var bk victimKey
+	for i, e := range pool {
+		if k := key(e); best < 0 || k.less(bk) {
+			best, bk = i, k
+		}
+	}
+	return best
+}
 
 // ArbitrationResult is the outcome of Arbitrate: the admitted prefetch items
 // (in canonical prefetch order) and the victims to eject. Victims[i] is the
@@ -83,45 +138,7 @@ func (r ArbitrationResult) Ejected() []int {
 // pickVictim returns the index of the best victim in cache per
 // Pr-arbitration with the given sub-arbitration, or -1 if cache is empty.
 func pickVictim(cache []CacheEntry, sub SubArbitration) int {
-	const tie = 1e-12
-	best := -1
-	for i := range cache {
-		if best == -1 {
-			best = i
-			continue
-		}
-		b, c := cache[best], cache[i]
-		switch {
-		case c.prValue() < b.prValue()-tie:
-			best = i
-		case c.prValue() > b.prValue()+tie:
-			// keep best
-		default: // Pr tie → sub-arbitration
-			if subLess(c, b, sub) {
-				best = i
-			}
-		}
-	}
-	return best
-}
-
-// subLess reports whether a is a strictly better victim than b under the
-// sub-arbitration (ties fall through to lowest ID for determinism).
-func subLess(a, b CacheEntry, sub SubArbitration) bool {
-	switch sub {
-	case SubLFU:
-		if a.Freq != b.Freq {
-			return a.Freq < b.Freq
-		}
-	case SubDS:
-		const tie = 1e-12
-		if d := a.dsValue() - b.dsValue(); d < -tie {
-			return true
-		} else if d > tie {
-			return false
-		}
-	}
-	return a.ID < b.ID
+	return cheapest(cache, func(e CacheEntry) victimKey { return e.victimKey(sub, 1, 1) })
 }
 
 // Arbitrate admits candidate prefetch items against the cache per Figure 6.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"prefetch/internal/rng"
@@ -315,39 +317,115 @@ func TestArbitrateSizedValidation(t *testing.T) {
 	}
 }
 
-// Equal sizes must reduce the sized arbitration to the classic one for the
-// number of admissions.
+// Equal sizes must reduce the sized arbitration to the classic one, and
+// the sized demand eviction to DemandVictim: the same admissions, each
+// with the same victim, and the same demand victim under either order.
 func TestArbitrateSizedReducesToEqualSize(t *testing.T) {
-	r := rng.New(52)
-	for iter := 0; iter < 200; iter++ {
-		nc := r.IntRange(0, 6)
-		cand := Plan{}
+	check := func(name string, cand Plan, cache []CacheEntry, sub SubArbitration) {
+		t.Helper()
 		var sized []SizedCandidate
-		for i := 0; i < nc; i++ {
-			it := Item{ID: 100 + i, Prob: r.Float64(), Retrieval: float64(r.IntRange(1, 30))}
-			cand.Items = append(cand.Items, it)
+		for _, it := range cand.Items {
 			sized = append(sized, SizedCandidate{Item: it, Size: 1})
 		}
-		ncache := r.IntRange(0, 6)
-		var cache []CacheEntry
-		var sizedCache []SizedEntry
-		for i := 0; i < ncache; i++ {
-			e := CacheEntry{ID: i, Prob: r.Float64() * 0.3, Retrieval: float64(r.IntRange(1, 30)), Freq: int64(r.IntRange(0, 9))}
-			cache = append(cache, e)
-			sizedCache = append(sizedCache, SizedEntry{CacheEntry: e, Size: 1})
+		var sizedEntries []SizedEntry
+		for _, e := range cache {
+			sizedEntries = append(sizedEntries, SizedEntry{CacheEntry: e, Size: 1})
 		}
-		a := Arbitrate(cand, cache, 0, SubDS)
-		b, err := ArbitrateSized(sized, sizedCache, 0, SubDS)
+		a := Arbitrate(cand, cache, 0, sub)
+		b, err := ArbitrateSized(sized, sizedEntries, 0, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Accepted.Len() != len(b.Accepted) {
-			t.Fatalf("iter %d: equal-size admissions differ: classic %d vs sized %d",
-				iter, a.Accepted.Len(), len(b.Accepted))
+			t.Fatalf("%s: equal-size admissions differ: classic %d vs sized %d",
+				name, a.Accepted.Len(), len(b.Accepted))
 		}
 		if len(a.Ejected()) != len(b.Ejected) {
-			t.Fatalf("iter %d: equal-size ejections differ", iter)
+			t.Fatalf("%s: equal-size ejections differ: classic %v vs sized %v", name, a.Ejected(), b.Ejected)
 		}
+		for i, it := range a.Accepted.Items {
+			want := []int{a.Victims[i]}
+			if a.Victims[i] == NoVictim {
+				want = nil
+			}
+			if b.Accepted[i].Item != it || len(b.Victims[i]) != len(want) || (want != nil && b.Victims[i][0] != want[0]) {
+				t.Fatalf("%s: admission %d: classic %v evicting %v, sized %v evicting %v",
+					name, i, it, want, b.Accepted[i].Item, b.Victims[i])
+			}
+		}
+		for _, order := range []VictimOrder{ByDensity, ByValue} {
+			want, wantOK := DemandVictim(cache, sub)
+			got, ok := DemandVictimsSized(sizedEntries, 1, 0, sub, order)
+			if ok != wantOK || (ok && (len(got) != 1 || got[0] != want)) {
+				t.Fatalf("%s, %s: demand victims %v (%v), DemandVictim %d (%v)", name, order, got, ok, want, wantOK)
+			}
+		}
+	}
+
+	r := rng.New(52)
+	for iter := 0; iter < 200; iter++ {
+		nc := r.IntRange(0, 6)
+		cand := Plan{}
+		for i := 0; i < nc; i++ {
+			cand.Items = append(cand.Items, Item{ID: 100 + i, Prob: r.Float64(), Retrieval: float64(r.IntRange(1, 30))})
+		}
+		ncache := r.IntRange(0, 6)
+		var cache []CacheEntry
+		for i := 0; i < ncache; i++ {
+			cache = append(cache, CacheEntry{ID: i, Prob: r.Float64() * 0.3, Retrieval: float64(r.IntRange(1, 30)), Freq: int64(r.IntRange(0, 9))})
+		}
+		for _, sub := range []SubArbitration{SubNone, SubLFU, SubDS} {
+			check(fmt.Sprintf("iter %d, %s", iter, sub), cand, cache, sub)
+		}
+	}
+
+	// A near tie: the two victims' P·r differ by about 1e-13, inside
+	// Figure 6's tolerance, so the sub-arbitration decides, and it
+	// disagrees with the Pr order (item 1 is cheaper by Pr, item 2 by
+	// frequency and by delay-saving).
+	cand := Plan{Items: []Item{{ID: 10, Prob: 0.5, Retrieval: 10}}}
+	cache := []CacheEntry{
+		{ID: 1, Prob: 0.1, Retrieval: 10, Freq: 9},
+		{ID: 2, Prob: 0.1 + 1e-14, Retrieval: 10, Freq: 1},
+	}
+	if d := cache[1].prValue() - cache[0].prValue(); d <= 1e-15 || d >= 1e-12 {
+		t.Fatalf("near-tie gap %g, want between 1e-15 and 1e-12", d)
+	}
+	for _, sub := range []SubArbitration{SubLFU, SubDS} {
+		if got := Arbitrate(cand, cache, 0, sub).Ejected(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("near tie, %s: classic evicts %v, want [2]", sub, got)
+		}
+		check("near tie, "+sub.String(), cand, cache, sub)
+	}
+}
+
+// TestDemandVictimsSizedOrdering: two victims with equal Pr value
+// (0.1 × 10 = 1.0 each). The big one is cheaper per byte, so the density
+// order evicts it first and stops; the value order ties, falls to the ID
+// tie-break, evicts the small item first (not enough bytes) and must take
+// both.
+func TestDemandVictimsSizedOrdering(t *testing.T) {
+	cache := []SizedEntry{
+		{CacheEntry: CacheEntry{ID: 1, Prob: 0.1, Retrieval: 10}, Size: 2},
+		{CacheEntry: CacheEntry{ID: 2, Prob: 0.1, Retrieval: 10}, Size: 8},
+	}
+	if got, ok := DemandVictimsSized(cache, 5, 0, SubNone, ByDensity); !ok || !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("density order evicts %v (%v), want [2]", got, ok)
+	}
+	if got, ok := DemandVictimsSized(cache, 5, 0, SubNone, ByValue); !ok || !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("value order evicts %v (%v), want [1 2]", got, ok)
+	}
+	if got, ok := DemandVictimsSized(cache, 5, 5, SubNone, ByValue); !ok || len(got) != 0 {
+		t.Fatalf("an item that fits evicts %v (%v)", got, ok)
+	}
+	if _, ok := DemandVictimsSized(cache, 11, 0, SubNone, ByDensity); ok {
+		t.Fatal("an item larger than the cache found room")
+	}
+}
+
+func TestVictimOrderString(t *testing.T) {
+	if ByDensity.String() != "by-density" || ByValue.String() != "by-value" {
+		t.Fatal("order names wrong")
 	}
 }
 

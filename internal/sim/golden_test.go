@@ -84,21 +84,21 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
-	for _, order := range []SizedVictimOrder{ByDensity, ByValue} {
+	for _, order := range []core.VictimOrder{core.ByDensity, core.ByValue} {
 		for _, solver := range []Policy{nil, SKPPolicy{}} {
-			pl := SizedPlanner{Label: "demand", Solver: solver, Sub: core.SubDS, Ordering: order}
+			pl := CachePlanner{Label: "demand", Solver: solver, Sub: core.SubDS, Ordering: order}
 			if solver != nil {
 				pl.Label = solver.Name()
 			}
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("sized/%s/%s", order, pl.Label),
-				run: func(obs.Tracer) (any, error) {
+				run: func(tr obs.Tracer) (any, error) {
 					trace, err := goldenTrace(9, 400)
 					if err != nil {
 						return nil, err
 					}
-					sizes := BuildSizes(rng.New(10), trace.Retrievals)
-					return RunSizedPrefetchCache(trace, sizes, pl, 150)
+					trace.Sizes = BuildSizes(rng.New(10), trace.Retrievals)
+					return RunPrefetchCache(trace, pl, 150, CacheOptions{Tracer: tr})
 				},
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"prefetch/internal/access"
-	"prefetch/internal/cache"
 	"prefetch/internal/core"
 	"prefetch/internal/obs"
 	"prefetch/internal/rng"
@@ -18,6 +17,10 @@ type MarkovTrace struct {
 	Chain      *access.MarkovSource
 	States     []int     // visited states; States[k+1] is round k's request
 	Retrievals []float64 // r_i per item
+	// Sizes holds each item's size for the non-uniform size extension
+	// (BuildSizes); nil means every item fills one equal-size slot, as
+	// the paper assumes.
+	Sizes []int64
 }
 
 // BuildMarkovTrace constructs the Fig. 7 workload: a Markov source from
@@ -49,12 +52,30 @@ func BuildMarkovTrace(r *rng.Source, cfg access.MarkovConfig, rMin, rMax, reques
 	return tr, nil
 }
 
+// BuildSizes derives item sizes from retrieval times on a unit-bandwidth
+// link, with a small multiplicative jitter so sizes and retrievals are
+// correlated but not identical.
+func BuildSizes(r *rng.Source, retrievals []float64) []int64 {
+	sizes := make([]int64, len(retrievals))
+	for i, ret := range retrievals {
+		jitter := 0.75 + 0.5*r.Float64()
+		s := int64(ret*jitter + 0.5)
+		if s < 1 {
+			s = 1
+		}
+		sizes[i] = s
+	}
+	return sizes
+}
+
 // CachePlanner is one prefetch-cache policy of §5.3: a prefetch solver
-// (nil for No+Pr) combined with a sub-arbitration for victim ties.
+// (nil for No+Pr) combined with a sub-arbitration for victim ties, and
+// for sized items the order a demand fetch evicts in.
 type CachePlanner struct {
-	Label  string
-	Solver Policy // nil: no prefetching, demand caching only
-	Sub    core.SubArbitration
+	Label    string
+	Solver   Policy // nil: no prefetching, demand caching only
+	Sub      core.SubArbitration
+	Ordering core.VictimOrder // demand victims by size; either order is Figure 6's at unit sizes
 }
 
 // Fig7Planners returns the five policies of Figure 7 in the paper's order:
@@ -74,7 +95,7 @@ func Fig7Planners(mode core.DeltaMode) []CachePlanner {
 // CacheResult aggregates one policy run at one cache size.
 type CacheResult struct {
 	Policy    string
-	CacheSize int
+	CacheSize int               // slots, or size units when the trace has Sizes
 	Access    stats.Accumulator // access time per request
 	Hits      int64             // requests answered with T = 0
 	Requests  int64
@@ -112,6 +133,11 @@ type CacheOptions struct {
 // against the cache, the request States[k+1] arrives, and a miss demand-
 // fetches with a mandatory victim. Per-item request counts over the walk
 // drive LFU/DS.
+//
+// When the trace has Sizes, cacheSize is a capacity in size units, one
+// prefetch or demand fetch may evict several items (core.ArbitrateSized,
+// core.DemandVictimsSized), and an item larger than the whole cache is
+// never cached, so its misses always pay full price, as at a real proxy.
 func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, opts CacheOptions) (CacheResult, error) {
 	if trace == nil || len(trace.States) < 2 {
 		return CacheResult{}, fmt.Errorf("%w: empty trace", ErrBadSim)
@@ -119,16 +145,36 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 	if cacheSize <= 0 {
 		return CacheResult{}, fmt.Errorf("%w: cache size %d", ErrBadSim, cacheSize)
 	}
-	c, err := cache.New(cacheSize)
-	if err != nil {
-		return CacheResult{}, err
+	sizes := trace.Sizes
+	if sizes == nil {
+		sizes = make([]int64, len(trace.Retrievals))
+		for i := range sizes {
+			sizes[i] = 1
+		}
 	}
+	if len(sizes) != len(trace.Retrievals) {
+		return CacheResult{}, fmt.Errorf("%w: %d sizes for %d items", ErrBadSim, len(sizes), len(trace.Retrievals))
+	}
+	for i, s := range sizes {
+		if s <= 0 {
+			return CacheResult{}, fmt.Errorf("%w: item %d size %d", ErrBadSim, i, s)
+		}
+	}
+	c := newItemCache(int64(cacheSize), len(sizes))
 	res := CacheResult{Policy: planner.Label, CacheSize: cacheSize}
 	// freq_i counts every request of the walk, cached or not, so an
 	// evicted and re-fetched item keeps its history (WATCHMAN-style
 	// delay-saving needs this).
 	freq := make([]int64, len(trace.Retrievals))
+	// prob holds P for the current state's successors and 0 elsewhere;
+	// each round sets and then clears its own entries.
+	prob := make([]float64, len(trace.Retrievals))
 	retrOf := func(id int) float64 { return trace.Retrievals[id] }
+	var entries []core.SizedEntry // the cache snapshot, reused across rounds
+	snapshot := func() []core.SizedEntry {
+		entries = c.entries(entries[:0], prob, trace.Retrievals, freq)
+		return entries
+	}
 
 	tr := obs.Active(opts.Tracer)
 	var now float64 // virtual clock; advances by viewing + access per round
@@ -137,15 +183,22 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 		ev.Note = planner.Label
 		tr.Emit(ev)
 	}
+	traceEvict := func(at float64, round, id int) {
+		if tr != nil {
+			ev := obs.Ev(at, obs.KindCacheEvict, opts.Track)
+			ev.Round = round
+			ev.Page = id
+			tr.Emit(ev)
+		}
+	}
 
 	for k := 0; k+1 < len(trace.States); k++ {
 		s := trace.States[k]
 		requested := trace.States[k+1]
 		v := trace.Chain.Viewing(s)
 		succ, probs := trace.Chain.Successors(s)
-		probOf := make(map[int]float64, len(succ))
 		for i, id := range succ {
-			probOf[id] = probs[i]
+			prob[id] = probs[i]
 		}
 
 		if tr != nil {
@@ -159,7 +212,7 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 		if planner.Solver != nil {
 			var candidates []core.Item
 			for i, id := range succ {
-				if !c.Contains(id) {
+				if !c.contains(id) && sizes[id] <= c.capacity {
 					candidates = append(candidates, core.Item{ID: id, Prob: probs[i], Retrieval: trace.Retrievals[id]})
 				}
 			}
@@ -168,33 +221,39 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 			if err != nil {
 				return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 			}
-			entries := arbitrationEntries(c, probOf, freq)
-			arb := core.Arbitrate(plan, entries, c.Free(), planner.Sub)
-			for i, it := range arb.Accepted.Items {
-				if victim := arb.Victims[i]; victim != core.NoVictim {
-					if err := c.Evict(victim); err != nil {
-						return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
-					}
-					if tr != nil {
-						ev := obs.Ev(now, obs.KindCacheEvict, opts.Track)
-						ev.Round = k + 1
-						ev.Page = victim
-						tr.Emit(ev)
-					}
+			sized := make([]core.SizedCandidate, len(plan.Items))
+			for i, it := range plan.Items {
+				sized[i] = core.SizedCandidate{Item: it, Size: sizes[it.ID]}
+			}
+			arb, err := core.ArbitrateSized(sized, snapshot(), c.free(), planner.Sub)
+			if err != nil {
+				return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
+			}
+			// Evict every victim before inserting anything: with sizes, a
+			// later item may fill bytes an earlier item's victims freed.
+			for _, id := range arb.Ejected {
+				if err := c.evict(id); err != nil {
+					return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 				}
-				if err := c.Insert(it.ID, it.Retrieval); err != nil {
+			}
+			accepted.Items = make([]core.Item, len(arb.Accepted))
+			for i, sc := range arb.Accepted {
+				for _, id := range arb.Victims[i] {
+					traceEvict(now, k+1, id)
+				}
+				if err := c.insert(sc.ID, sc.Size); err != nil {
 					return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 				}
 				if tr != nil {
 					ev := obs.Ev(now, obs.KindSpecIssue, opts.Track)
 					ev.Round = k + 1
-					ev.Page = it.ID
-					ev.Prob = it.Prob
-					ev.Service = it.Retrieval
+					ev.Page = sc.ID
+					ev.Prob = sc.Prob
+					ev.Service = sc.Retrieval
 					tr.Emit(ev)
 				}
+				accepted.Items[i] = sc.Item
 			}
-			accepted = arb.Accepted
 			res.Prefetch += accepted.TotalRetrieval()
 		}
 
@@ -209,10 +268,10 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 				ev := obs.Ev(reqAt, obs.KindSpecUseful, opts.Track)
 				ev.Round = k + 1
 				ev.Page = requested
-				ev.Prob = probOf[requested]
+				ev.Prob = prob[requested]
 				tr.Emit(ev)
 			}
-		case c.Contains(requested):
+		case c.contains(requested):
 			t = 0
 			if tr != nil {
 				ev := obs.Ev(reqAt, obs.KindCacheHit, opts.Track)
@@ -232,26 +291,28 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 				ev.Service = trace.Retrievals[requested]
 				tr.Emit(ev)
 			}
-			if c.Free() == 0 {
-				victim, ok := core.DemandVictim(arbitrationEntries(c, probOf, freq), planner.Sub)
-				if !ok {
-					return CacheResult{}, fmt.Errorf("round %d: full cache with no victim", k)
+			if need := sizes[requested]; need <= c.capacity {
+				if need > c.free() {
+					victims, ok := core.DemandVictimsSized(snapshot(), need, c.free(), planner.Sub, planner.Ordering)
+					if !ok {
+						return CacheResult{}, fmt.Errorf("round %d: no room for item %d", k, requested)
+					}
+					for _, id := range victims {
+						if err := c.evict(id); err != nil {
+							return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
+						}
+						traceEvict(reqAt, k+1, id)
+					}
 				}
-				if err := c.Evict(victim); err != nil {
+				if err := c.insert(requested, need); err != nil {
 					return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 				}
-				if tr != nil {
-					ev := obs.Ev(reqAt, obs.KindCacheEvict, opts.Track)
-					ev.Round = k + 1
-					ev.Page = victim
-					tr.Emit(ev)
-				}
-			}
-			if err := c.Insert(requested, trace.Retrievals[requested]); err != nil {
-				return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
 			}
 		}
 
+		for _, id := range succ {
+			prob[id] = 0
+		}
 		freq[requested]++
 		res.Access.Add(t)
 		res.Requests++
@@ -270,19 +331,53 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 	return res, nil
 }
 
-// arbitrationEntries snapshots the cache for core's arbitration: P_d is the
-// next-access probability (zero for non-candidates), freq is the item's
-// access count over the walk so far.
-func arbitrationEntries(c *cache.Cache, probOf map[int]float64, freq []int64) []core.CacheEntry {
-	entries := c.Entries()
-	out := make([]core.CacheEntry, len(entries))
-	for i, e := range entries {
-		out[i] = core.CacheEntry{
-			ID:        e.ID,
-			Prob:      probOf[e.ID],
-			Retrieval: e.Retrieval,
-			Freq:      freq[e.ID],
+// itemCache is the replay's cache: a capacity in size units and each
+// item's cached size by id (0: not cached), so probes are array reads
+// and a snapshot walks the ids in order without a sort.
+type itemCache struct {
+	capacity, used int64
+	size           []int64
+}
+
+func newItemCache(capacity int64, items int) *itemCache {
+	return &itemCache{capacity: capacity, size: make([]int64, items)}
+}
+
+func (c *itemCache) contains(id int) bool { return c.size[id] > 0 }
+func (c *itemCache) free() int64          { return c.capacity - c.used }
+
+func (c *itemCache) insert(id int, size int64) error {
+	if c.contains(id) {
+		return fmt.Errorf("%w: insert of cached item %d", ErrBadSim, id)
+	}
+	if size > c.free() {
+		return fmt.Errorf("%w: insert of size %d with %d free", ErrBadSim, size, c.free())
+	}
+	c.size[id] = size
+	c.used += size
+	return nil
+}
+
+// entries appends the cache's snapshot for core's arbitration to buf, in
+// id order: P_d is the next-access probability (zero for
+// non-candidates), freq the item's access count over the walk so far.
+func (c *itemCache) entries(buf []core.SizedEntry, prob, retrievals []float64, freq []int64) []core.SizedEntry {
+	for id, size := range c.size {
+		if size > 0 {
+			buf = append(buf, core.SizedEntry{
+				CacheEntry: core.CacheEntry{ID: id, Prob: prob[id], Retrieval: retrievals[id], Freq: freq[id]},
+				Size:       size,
+			})
 		}
 	}
-	return out
+	return buf
+}
+
+func (c *itemCache) evict(id int) error {
+	if !c.contains(id) {
+		return fmt.Errorf("%w: evict of non-cached item %d", ErrBadSim, id)
+	}
+	c.used -= c.size[id]
+	c.size[id] = 0
+	return nil
 }

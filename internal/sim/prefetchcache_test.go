@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"prefetch/internal/cache"
 	"prefetch/internal/core"
 	"prefetch/internal/obs"
 )
@@ -14,23 +13,20 @@ import (
 // re-inserted item keeps its history (WATCHMAN-style).
 func TestFrequencySurvivesEviction(t *testing.T) {
 	// The snapshot reads the count it is given, for any cache residency.
-	c, err := cache.New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newItemCache(1, 3)
 	freq := make([]int64, 3)
-	if err := c.Insert(1, 5); err != nil {
+	if err := c.insert(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	freq[1] += 2
-	if err := c.Evict(1); err != nil {
+	if err := c.evict(1); err != nil {
 		t.Fatal(err)
 	}
 	freq[1]++ // a miss counts too
-	if err := c.Insert(1, 5); err != nil {
+	if err := c.insert(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if es := arbitrationEntries(c, nil, freq); len(es) != 1 || es[0].Freq != 3 {
+	if es := c.entries(nil, make([]float64, 3), []float64{5, 5, 5}, freq); len(es) != 1 || es[0].Freq != 3 {
 		t.Fatalf("re-inserted entries = %+v, want freq 3", es)
 	}
 
