@@ -90,7 +90,7 @@ type client struct {
 	lambdaTrace       stats.Accumulator // λ used each planned round
 	l1Trace           stats.Accumulator // prediction L1 error each planned round
 	prefetchIssued    int64
-	prefetchDropped   int64 // speculative submissions refused by admission or while every server was down
+	prefetchDropped   int64 // speculative submissions the servers' admission refused
 	prefetchCompleted int64 // speculative transfers that finished
 	prefetchUseful    int64 // completed speculative transfers that served a demand
 	demandFetches     int64
@@ -217,20 +217,20 @@ func (c *client) startRound(now float64) {
 				ev.Service = it.Retrieval
 				c.tr.Emit(ev)
 			}
+			// Either way no transfer will happen, so the page must stay
+			// requestable on demand. Only an admission refusal counts as
+			// a drop: an outage is not admission pressure.
 			srv, ok := c.target(it.ID, false)
-			if ok {
-				ok = srv.enqueue(request{
-					client:   c,
-					page:     it.ID,
-					duration: it.Retrieval,
-					round:    c.round,
-					prob:     it.Prob,
-				})
-			}
 			if !ok {
-				// Admission control dropped it (or every server is down):
-				// no transfer will happen, so the page must stay
-				// requestable on demand.
+				continue // every server is down
+			}
+			if !srv.enqueue(request{
+				client:   c,
+				page:     it.ID,
+				duration: it.Retrieval,
+				round:    c.round,
+				prob:     it.Prob,
+			}) {
 				c.prefetchDropped++
 				continue
 			}
