@@ -91,6 +91,13 @@ func newUtilWindow(window float64, conc int) *utilWindow {
 	return &utilWindow{window: window, conc: conc}
 }
 
+// reset empties the window as newUtilWindow leaves it, keeping the
+// segment array so the next busy period does not regrow it.
+func (u *utilWindow) reset() {
+	u.segs = u.segs[:0]
+	u.head, u.cur, u.since = 0, 0, 0
+}
+
 // transition records that the in-flight count changed to slots at now.
 func (u *utilWindow) transition(now float64, slots int) {
 	if u.cur > 0 && now > u.since {

@@ -102,8 +102,8 @@ func utilScript(r *rng.Source, n int, window, perWindow float64, conc int) []uti
 // than the window, on utilWindow and on scanWindow and compares every
 // read to a relative 1e-9. The scripts start at t=0, so the first reads
 // divide by elapsed time; they run long enough to compact the segment
-// slice many times; and a rare failure swaps in a fresh window partway
-// through, as Recover does.
+// slice many times; and a rare failure empties the window partway
+// through, in place, as Recover does.
 func TestUtilWindowMatchesScan(t *testing.T) {
 	worst := 0.0
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -117,7 +117,11 @@ func TestUtilWindowMatchesScan(t *testing.T) {
 			switch op.kind {
 			case 'r':
 				u.transition(op.t, 0)
-				u = newUtilWindow(window, conc)
+				grown := cap(u.segs)
+				u.reset()
+				if cap(u.segs) != grown {
+					t.Fatalf("seed %d: reset dropped the segment array", seed)
+				}
 				o = &scanWindow{window: window, conc: conc}
 				recoveries++
 			case 't':
@@ -224,7 +228,7 @@ func TestUtilWindowEstimateIsPure(t *testing.T) {
 				switch op.kind {
 				case 'r':
 					u.transition(op.t, 0)
-					u = newUtilWindow(window, conc)
+					u.reset()
 				case 't':
 					u.transition(op.t, op.slots)
 				case 'q':

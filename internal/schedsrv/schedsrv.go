@@ -780,15 +780,15 @@ func (s *Scheduler) Fail() []*Request {
 }
 
 // Recover reopens a failed scheduler, modelling the repaired server: it
-// accepts work again on the empty backlog Fail left, with a fresh
-// utilisation window. Counters keep running across the failure. Recover
-// on a scheduler that has not failed does nothing.
+// accepts work again on the empty backlog Fail left, with its
+// utilisation window emptied in place. Counters keep running across the
+// failure. Recover on a scheduler that has not failed does nothing.
 func (s *Scheduler) Recover() {
 	if !s.failed {
 		return
 	}
 	s.failed = false
-	s.util = newUtilWindow(s.cfg.AdmitWindow, s.cfg.Concurrency)
+	s.util.reset()
 }
 
 // Failed reports whether the scheduler is down: Fail was called and
