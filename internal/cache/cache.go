@@ -1,10 +1,9 @@
-// Package cache provides the cache substrate for the prefetch-cache
-// integration (paper §5) and the multiclient client and server caches: a
+// Package cache provides the multiclient client and server caches: a
 // fixed-capacity, equal-item-size slab ordered by an intrusive recency
-// list, whose head is the LRU victim. The paper's Pr-arbitration and its
-// LFU and delay-saving sub-arbitration live in internal/core; the access
-// counts freq_i they read belong to the request stream, so the replays in
-// internal/sim keep them. This package supplies the container.
+// list, whose head is the LRU victim. The paper's prefetch-cache
+// integration (§5) does not use it: its Pr-arbitration and LFU and
+// delay-saving sub-arbitration live in internal/core, and the replay in
+// internal/sim keeps its own per-item cache state and access counts.
 package cache
 
 import (

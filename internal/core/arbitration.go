@@ -141,6 +141,15 @@ func pickVictim(cache []CacheEntry, sub SubArbitration) int {
 	return cheapest(cache, func(e CacheEntry) victimKey { return e.victimKey(sub, 1, 1) })
 }
 
+// admitsFirst is the order arbitration considers candidates in: highest
+// P_f·r_f first, then lowest ID.
+func admitsFirst(a, b Item) bool {
+	if va, vb := a.Prob*a.Retrieval, b.Prob*b.Retrieval; va != vb {
+		return va > vb
+	}
+	return a.ID < b.ID
+}
+
 // Arbitrate admits candidate prefetch items against the cache per Figure 6.
 // Candidates are considered in descending P_f·r_f. Each first consumes a
 // free slot if any remain; otherwise it must find a victim d minimising
@@ -157,14 +166,7 @@ func Arbitrate(candidate Plan, cache []CacheEntry, freeSlots int, sub SubArbitra
 	copy(pool, cache)
 	byValue := make([]Item, len(candidate.Items))
 	copy(byValue, candidate.Items)
-	sort.SliceStable(byValue, func(a, b int) bool {
-		va := byValue[a].Prob * byValue[a].Retrieval
-		vb := byValue[b].Prob * byValue[b].Retrieval
-		if va != vb {
-			return va > vb
-		}
-		return byValue[a].ID < byValue[b].ID
-	})
+	sort.SliceStable(byValue, func(a, b int) bool { return admitsFirst(byValue[a], byValue[b]) })
 
 	var accepted []Item
 	var victims []int

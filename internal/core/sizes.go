@@ -106,14 +106,7 @@ func ArbitrateSized(candidates []SizedCandidate, cache []SizedEntry, freeBytes i
 
 	ordered := make([]SizedCandidate, len(candidates))
 	copy(ordered, candidates)
-	sort.SliceStable(ordered, func(a, b int) bool {
-		va := ordered[a].Prob * ordered[a].Retrieval
-		vb := ordered[b].Prob * ordered[b].Retrieval
-		if va != vb {
-			return va > vb
-		}
-		return ordered[a].ID < ordered[b].ID
-	})
+	sort.SliceStable(ordered, func(a, b int) bool { return admitsFirst(ordered[a].Item, ordered[b].Item) })
 
 	res := SizedResult{FreeAfter: freeBytes}
 	for _, f := range ordered {
@@ -130,13 +123,11 @@ func ArbitrateSized(candidates []SizedCandidate, cache []SizedEntry, freeBytes i
 			victimBytes += v.Size
 			res.Ejected = append(res.Ejected, v.ID)
 		}
-		if res.FreeAfter+victimBytes < f.Size {
+		// Fig. 6 stops at the first candidate the whole cache cannot hold
+		// or that is not worth its evictions.
+		if res.FreeAfter+victimBytes < f.Size || (victimBytes > 0 && f.Prob*f.Retrieval <= victimValue) {
 			res.Ejected = res.Ejected[:first]
-			break // cache cannot make enough room even evicting everything
-		}
-		if victimBytes > 0 && f.Prob*f.Retrieval <= victimValue {
-			res.Ejected = res.Ejected[:first]
-			break // not worth the evictions; Fig. 6 stops at first rejection
+			break
 		}
 		res.FreeAfter += victimBytes - f.Size
 		res.Accepted = append(res.Accepted, f)

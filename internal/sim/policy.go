@@ -1,8 +1,10 @@
 // Package sim contains the Monte-Carlo harnesses that reproduce the
 // paper's evaluation: the "prefetch only" simulation behind Figures 4 and 5
-// (§4.4), the prefetch-cache simulation behind Figure 7 (§5.3), and a
-// netsim-backed Markov session that exposes the stretch-intrusion effect
-// the one-step model ignores (used by the lookahead ablation).
+// (§4.4), the prefetch-cache replay behind Figure 7 (§5.3), which with
+// item sizes on the trace also runs the byte-capacity cache of the
+// non-uniform size extension (E9), and a netsim-backed Markov session that
+// exposes the stretch-intrusion effect the one-step model ignores (used by
+// the lookahead ablation).
 package sim
 
 import (
