@@ -30,13 +30,18 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # — off must stay within noise of the untraced baseline), the learned
 # predictors' observe/predict cycle, the plan-time prediction error in
 # its map and dense forms, Phase A's candidate ranking at learned,
-# default-oracle and 1,000-page supports, the multi-replica fleet
+# default-oracle and 1,000-page supports and on rows recorded from a
+# trained ppm-escape (BenchmarkRankProbs/ppm-escape*, ranked alone and
+# scored and ranked in one pass), Phase A whole at the mc-learned shape
+# (BenchmarkGenerateScripts: prediction, truth rows, scoring, ranking
+# and script storage; it and the ppm-escape cases run ungated until the
+# baseline is re-recorded, like BenchmarkClockChurn), the multi-replica fleet
 # round (routing + failure injection overhead on top of the
 # single-server round), and the obs layer's JSONL encoder on its own
 # (BenchmarkWriterEmit: ns per event over a recorded multiclient
 # stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkGenerateScripts|BenchmarkFleetRound|BenchmarkWriterEmit)$$
 BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 

@@ -32,6 +32,8 @@ package multiclient
 // clients step their walkers live, once per round, from the event loop.
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -216,10 +218,12 @@ func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predic
 // page: the ranked candidates with the prediction's dense-L1 error (nil
 // and 0 when the walker does not rank; the error is 0 for the oracle),
 // the clamped viewing time from the client stream, and the next page from
-// the surfer's split stream. The candidates live in the shared scratch
-// until the next step. NextInto is read-only for every source, the shared
-// aggregate included, so a live client may step before its round's
-// feedback read and enqueues without moving a byte.
+// the surfer's split stream. A learned source is scored and ranked in one
+// pass over its prediction and the truth (rankScored); the oracle ranks
+// the truth itself. The candidates live in the shared scratch until the
+// next step. NextInto is read-only for every source, the shared aggregate
+// included, so a live client may step before its round's feedback read
+// and enqueues without moving a byte.
 func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 	if w.ranks {
 		b := w.buf
@@ -231,13 +235,12 @@ func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 		} else {
 			w.surfer.NextDistributionInto(state, truth)
 		}
-		probs := truth
 		if w.pred != nil {
-			probs = b.pred
-			w.pred.NextInto(state, probs)
-			l1 = predict.L1Dense(probs, truth)
+			w.pred.NextInto(state, b.pred)
+			b.ranked, l1 = rankScored(b.ranked, b.pred, truth, w.site)
+		} else {
+			b.ranked = rankProbs(b.ranked, truth, w.site)
 		}
-		b.ranked = rankProbs(b.ranked, probs, w.site)
 		cands = b.ranked
 	}
 	viewing = w.rand.Exp(1 / w.cfg.MeanViewing)
@@ -315,49 +318,86 @@ func newStepScratch(pages int, table []float64) *stepScratch {
 // candidates.
 const scriptSlab = 1024
 
-// rankInsertMax is the largest support rankProbs ranks by insertion.
-// Learned sources predict a few dozen pages and the default site's
-// oracle 120, where inserting each page in place beats a sort. The
-// insertion moves O(n²) items, so longer lists are sorted instead. On
-// full-support oracle rows the two break even near 400 pages; 128
-// keeps a margin for probabilities that ascend with page id, where
-// every insertion moves the whole ranked prefix.
+// rankInsertMax is the largest support ranked by insertion. Learned
+// sources predict a few dozen pages and the default site's oracle 120,
+// where inserting each page in place beats a sort. The insertion moves
+// O(n²) items, so longer lists are sorted instead. On full-support
+// oracle rows the two break even between 500 and 700 pages (insertion
+// takes 0.45× the sort's time at 120 pages, 0.83× at 500 and 1.12× at
+// 700); 128 keeps a margin for probabilities that ascend with page id,
+// where every insertion moves the whole ranked prefix. A linear scan of
+// the last 2, 4 or 8 ranked items before the binary search measured no
+// faster on learned rows and slower on oracle rows, so there is none.
 const rankInsertMax = 128
 
 // rankProbs ranks a dense distribution over page ids into dst's backing
 // array, in the candidate form plan() consumes: positive-probability pages
 // only, probability descending with page id breaking ties. It scans pages
-// in ascending id and inserts each one ahead of the first ranked item of
-// strictly smaller probability (found by binary search), so equal
-// probabilities keep ascending id order. Past rankInsertMax candidates
-// the remaining pages are appended as they come and the whole list is
-// sorted by the same order.
+// in ascending id and places each one with rankInsert, so equal
+// probabilities keep ascending id order; past rankInsertMax candidates
+// rankSort orders the whole list the same way.
 func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site) []core.Item {
 	items := dst[:0]
 	for page, prob := range probs {
-		if prob <= 0 {
-			continue
-		}
-		it := core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval}
-		n := len(items)
-		items = append(items, it)
-		if n >= rankInsertMax {
-			continue
-		}
-		lo, hi := 0, n
-		for lo < hi {
-			m := int(uint(lo+hi) >> 1)
-			if items[m].Prob < prob {
-				hi = m
-			} else {
-				lo = m + 1
-			}
-		}
-		if lo < n {
-			copy(items[lo+1:], items[lo:n])
-			items[lo] = it
+		if prob > 0 {
+			items = rankInsert(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
 		}
 	}
+	return rankSort(items)
+}
+
+// rankScored is rankProbs over a learned prediction, fused with its
+// score: the same ranked list, and predict.L1Dense(probs, truth), in one
+// ascending-id pass over both vectors. Each term is math.Abs(probs[i] −
+// truth[i]) added in ascending i, L1Dense's expression in L1Dense's
+// order, so the sum has its bits. probs and truth must have the same
+// length, and rankScored panics otherwise.
+func rankScored(dst []core.Item, probs, truth []float64, site *webgraph.Site) ([]core.Item, float64) {
+	if len(probs) != len(truth) {
+		panic(fmt.Sprintf("multiclient: scoring a prediction of length %d against a truth of length %d", len(probs), len(truth)))
+	}
+	items := dst[:0]
+	var l1 float64
+	for page, prob := range probs {
+		l1 += math.Abs(prob - truth[page])
+		if prob > 0 {
+			items = rankInsert(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+		}
+	}
+	return rankSort(items), l1
+}
+
+// rankInsert appends it to a ranked list, in ascending-id arrival. While
+// the list is within rankInsertMax it puts it ahead of the first item of
+// strictly smaller probability, found by binary search, so equal
+// probabilities keep their arrival order; past that it only appends, and
+// rankSort orders the list at the end.
+func rankInsert(items []core.Item, it core.Item) []core.Item {
+	n := len(items)
+	items = append(items, it)
+	if n >= rankInsertMax {
+		return items
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if items[m].Prob < it.Prob {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo < n {
+		copy(items[lo+1:], items[lo:n])
+		items[lo] = it
+	}
+	return items
+}
+
+// rankSort sorts a list rankInsert stopped inserting into by the same
+// order: probability descending, page id ascending. A list within
+// rankInsertMax is already in that order and is returned as it is.
+func rankSort(items []core.Item) []core.Item {
 	if len(items) > rankInsertMax {
 		slices.SortFunc(items, func(a, b core.Item) int {
 			switch {

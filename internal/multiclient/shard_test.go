@@ -317,6 +317,115 @@ func TestRankProbsZeroAlloc(t *testing.T) {
 	}
 }
 
+// scoreLevels extend rankLevels with the values a fused score meets at
+// the edges of float64: subnormals, the smallest normal and values just
+// below 1, where a term's rounding shows in the sum's last ulp.
+var scoreLevels = append(slices.Clone(rankLevels),
+	math.SmallestNonzeroFloat64, 3*math.SmallestNonzeroFloat64, 0x1p-1022,
+	math.Nextafter(1, 0), 1-0x1p-40, 1)
+
+// checkScored fails unless rankScored returns rankProbs' ranked list and
+// predict.L1Dense's sum, bit for bit.
+func checkScored(t testing.TB, name string, probs, truth []float64, site *webgraph.Site) {
+	t.Helper()
+	want := rankProbs(nil, probs, site)
+	wantL1 := predict.L1Dense(probs, truth)
+	got, l1 := rankScored(nil, probs, truth, site)
+	if math.Float64bits(l1) != math.Float64bits(wantL1) {
+		t.Fatalf("%s: fused L1 %v (%#x), L1Dense %v (%#x)", name, l1, math.Float64bits(l1), wantL1, math.Float64bits(wantL1))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: fused ranking %v, rankProbs %v", name, got, want)
+	}
+}
+
+// TestRankScoredMatchesTwoPasses: the fused pass ranks and scores exactly
+// as rankProbs followed by predict.L1Dense, on tie-heavy vectors with
+// subnormal and near-1 values at 120 and 1,000 pages, at supports on
+// both sides of rankInsertMax, and on a truth that is the site's own
+// next-page row; vectors of unequal length panic.
+func TestRankScoredMatchesTwoPasses(t *testing.T) {
+	r := rng.New(37)
+	draw := func(v []float64, n int) {
+		clear(v)
+		for ; n > 0; n-- {
+			v[r.IntN(len(v))] = scoreLevels[r.IntN(len(scoreLevels))]
+		}
+	}
+	for _, pages := range []int{120, 1000} {
+		site := siteOf(t, pages)
+		probs := make([]float64, pages)
+		truth := make([]float64, pages)
+		for iter := 0; iter < 300; iter++ {
+			draw(probs, r.IntN(pages))
+			if iter%2 == 0 {
+				draw(truth, r.IntN(pages))
+			} else {
+				site.NextDistributionInto(r.IntN(pages), DefaultConfig().FollowProb, truth)
+			}
+			checkScored(t, fmt.Sprintf("pages=%d iter %d", pages, iter), probs, truth, site)
+		}
+	}
+	site := siteOf(t, 1000)
+	probs := make([]float64, len(site.Pages))
+	truth := make([]float64, len(site.Pages))
+	for _, support := range []int{rankInsertMax - 1, rankInsertMax, rankInsertMax + 1} {
+		for iter := 0; iter < 50; iter++ {
+			clear(probs)
+			perm := r.Perm(len(probs))
+			for _, page := range perm[:support] {
+				probs[page] = scoreLevels[3+r.IntN(len(scoreLevels)-3)]
+			}
+			for _, page := range perm[support : support+50] {
+				probs[page] = scoreLevels[r.IntN(3)]
+			}
+			draw(truth, support)
+			checkScored(t, fmt.Sprintf("support=%d iter %d", support, iter), probs, truth, site)
+		}
+	}
+	for _, n := range []int{len(probs) - 1, len(probs) + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rankScored over lengths %d and %d did not panic", len(probs), n)
+				}
+			}()
+			rankScored(nil, probs, make([]float64, n), site)
+		}()
+	}
+}
+
+// FuzzRankScored: for any pair of vectors over scoreLevels, the fused
+// pass equals rankProbs and predict.L1Dense bit for bit. The first byte
+// picks a 120- or 1,000-page site; every following 3-byte chunk writes
+// one level into the prediction or the truth.
+func FuzzRankScored(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6})
+	f.Add([]byte{1, 0, 0, 7, 0, 0, 8, 0, 1, 9, 0, 1, 10})
+	f.Add(bytes.Repeat([]byte{0, 3, 1, 6}, 200))
+	sites := map[int]*webgraph.Site{120: siteOf(f, 120), 1000: siteOf(f, 1000)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		pages := 120
+		if data[0]&1 != 0 {
+			pages = 1000
+		}
+		probs := make([]float64, pages)
+		truth := make([]float64, pages)
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
+			page := (int(b[0])<<8 | int(b[1])) % pages
+			v := probs
+			if b[2]&1 != 0 {
+				v = truth
+			}
+			v[page] = scoreLevels[int(b[2]>>1)%len(scoreLevels)]
+		}
+		checkScored(t, "fuzz", probs, truth, sites[pages])
+	})
+}
+
 // learnedScriptConfig is prefetchbench's mc-learned shape: 64 clients ×
 // 200 rounds on an escape-PPM predictor with drift every 100 rounds.
 func learnedScriptConfig() Config {
@@ -362,9 +471,13 @@ func TestScriptCandsCapped(t *testing.T) {
 }
 
 // BenchmarkRankProbs ranks dense distributions, cycling through 16 of
-// them: learned-size supports of 25 pages, the default site's
-// full-support oracle rows (120 pages, by insertion) and full-support
-// rows of a 1,000-page site (the fallback sort).
+// them: learned-size supports of 25 uniform draws, the default site's
+// full-support oracle rows (120 pages, by insertion), full-support rows
+// of a 1,000-page site (the fallback sort), and rows recorded from a
+// trained ppm-escape over a drifting surfer on the default site, whose
+// probabilities tie the way a learned source's counts do. ppm-escape
+// ranks with rankProbs; ppm-escape-scored runs the learned step's fused
+// pass, rankScored against the truth row recorded with each prediction.
 func BenchmarkRankProbs(b *testing.B) {
 	for _, bc := range []struct {
 		name           string
@@ -396,6 +509,62 @@ func BenchmarkRankProbs(b *testing.B) {
 			}
 		})
 	}
+	site, preds, truths := ppmEscapeRows(b)
+	b.Run("ppm-escape", func(b *testing.B) {
+		dst := rankProbs(nil, preds[0], site)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = rankProbs(dst, preds[i%len(preds)], site)
+		}
+	})
+	b.Run("ppm-escape-scored", func(b *testing.B) {
+		dst, _ := rankScored(nil, preds[0], truths[0], site)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			var l1 float64
+			k := i % len(preds)
+			dst, l1 = rankScored(dst, preds[k], truths[k], site)
+			sum += l1
+		}
+		l1Sink = sum
+	})
+}
+
+// l1Sink keeps BenchmarkRankProbs' scores live.
+var l1Sink float64
+
+// ppmEscapeRows records 16 (prediction, truth) row pairs of a learned
+// step at the mc-learned shape: client 0's ppm-escape over its surfer on
+// the default site, which drifts every 100 steps, sampled every 12 of
+// the run's 200 rounds, so the rows span both phases and every stage of
+// training.
+func ppmEscapeRows(b *testing.B) (site *webgraph.Site, preds, truths [][]float64) {
+	cfg := learnedScriptConfig()
+	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
+	if err != nil {
+		b.Fatal(err)
+	}
+	surfer := webgraph.NewSurfer(rng.Derive(cfg.Seed, clientLabel(0)), site, cfg.FollowProb)
+	surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(0)), cfg.DriftEvery)
+	src, err := predict.New(cfg.Predict, 0, surfer, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.Observe(surfer.Current())
+	for step := 1; len(preds) < 16; step++ {
+		if step%12 == 0 {
+			pred := make([]float64, len(site.Pages))
+			truth := make([]float64, len(site.Pages))
+			src.NextInto(surfer.Current(), pred)
+			surfer.NextDistributionInto(surfer.Current(), truth)
+			preds, truths = append(preds, pred), append(truths, truth)
+		}
+		src.Observe(surfer.Step())
+	}
+	return site, preds, truths
 }
 
 // BenchmarkGenerateScripts runs Phase A alone at the mc-learned shape:

@@ -442,7 +442,11 @@ func (v *clientView) Next(state int) map[int]float64 { return nextView(v, state)
 // disjoint). The terms are summed over i ascending, a fixed order, so
 // the last ulp replays bit for bit; ids in neither support add +0, which
 // leaves a sum that starts at +0 unchanged, so the result equals the
-// sorted-key sum over the two supports. It neither allocates nor sorts.
+// sorted-key sum over the two supports. Each term is math.Abs(p(i) −
+// q(i)), which is branch-free and differs from negating a negative
+// difference only at −0, where it gives +0; added to a sum that is never
+// −0, either zero leaves it unchanged, so the result's bits equal the
+// branch form's for every non-NaN input. It neither allocates nor sorts.
 // p and q must have the same length, and L1Dense panics otherwise.
 func L1Dense(p, q []float64) float64 {
 	if len(p) != len(q) {
@@ -450,11 +454,7 @@ func L1Dense(p, q []float64) float64 {
 	}
 	var sum float64
 	for i, qv := range q {
-		d := p[i] - qv
-		if d < 0 {
-			d = -d
-		}
-		sum += d
+		sum += math.Abs(p[i] - qv)
 	}
 	return sum
 }

@@ -150,16 +150,7 @@ func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) 
 				probs[t] += per
 			}
 		} else {
-			// Drifting: link choice is biased by the phase preferences.
-			// Links is duplicate-free and in fixed order, so the sum is
-			// deterministic.
-			var wsum float64
-			for _, t := range links {
-				wsum += weights[t]
-			}
-			for _, t := range links {
-				probs[t] += followProb * weights[t] / wsum
-			}
+			addBiasedLinks(probs, links, followProb, weights)
 		}
 	}
 	teleport := 1 - followProb
@@ -190,6 +181,19 @@ func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) 
 	return support
 }
 
+// addBiasedLinks adds a drifting surfer's link mass to probs: link
+// choice is biased by the phase preferences. Links is duplicate-free and
+// in fixed order, so the sum is deterministic.
+func addBiasedLinks(probs []float64, links []int, followProb float64, weights []float64) {
+	var wsum float64
+	for _, t := range links {
+		wsum += weights[t]
+	}
+	for _, t := range links {
+		probs[t] += followProb * weights[t] / wsum
+	}
+}
+
 // Surfer is a random-surfer browsing model over a Site: with probability
 // FollowProb it follows a uniformly chosen link of the current page,
 // otherwise it teleports to a page drawn from the popularity weights.
@@ -198,6 +202,9 @@ func (s *Site) nextInto(page int, followProb float64, weights, probs []float64) 
 // mode in which browsing is driven by a mutable preference vector that is
 // re-drawn at a fixed cadence — the hot set moves while the link
 // structure stays put. A stationary surfer's behaviour is untouched.
+// A drifting surfer keeps the phase's teleport row, the teleport mass of
+// every page, so its next-page distribution from a page with links is
+// that row plus the link mass rather than a sweep over the whole site.
 type Surfer struct {
 	site       *Site
 	rand       *rng.Source
@@ -223,6 +230,13 @@ type Surfer struct {
 	// from the same stream.
 	teleport rng.Cumulative
 	lw       []float64
+
+	// row is the current phase's teleport row under drift: row[i] =
+	// weights[i]·(1−followProb) where that product is > 0, and 0
+	// elsewhere; rowSupport counts its positive entries. Like teleport it
+	// is rebuilt at every phase shift, and nil for a stationary surfer.
+	row        []float64
+	rowSupport int
 }
 
 // NewSurfer starts a surfer at page 0. followProb outside (0,1) defaults
@@ -263,8 +277,28 @@ func (s *Surfer) Pages() int { return len(s.site.Pages) }
 // exactly: shifts are applied at the end of Step, so the distribution
 // queried between steps always matches what the next Step will sample
 // from. Nothing is allocated.
+//
+// Under drift a page with links starts from the phase's teleport row and
+// adds each link target's mass to it: teleport + link where Site's sweep
+// adds (0 + link) + teleport, the same bits because IEEE addition is
+// commutative and 0 + x = x. The support is the row's positive count
+// plus every link target the row leaves at 0, the count the sweep
+// returns. A linkless page (teleport mass 1) and a stationary surfer
+// take the sweep.
 func (s *Surfer) NextDistributionInto(page int, probs []float64) int {
-	return s.site.nextInto(page, s.followProb, s.weights, probs)
+	links := s.site.Pages[page].Links
+	if s.row == nil || len(links) == 0 {
+		return s.site.nextInto(page, s.followProb, s.weights, probs)
+	}
+	clear(probs[copy(probs, s.row):])
+	support := s.rowSupport
+	for _, t := range links {
+		if !(probs[t] > 0) {
+			support++
+		}
+	}
+	addBiasedLinks(probs, links, s.followProb, s.weights)
+	return support
 }
 
 // Step advances the surfer and returns the new page ID. Under drift the
@@ -306,7 +340,10 @@ func (s *Surfer) EnableDrift(r *rng.Source, every int) {
 	}
 	s.driftRand = r
 	s.driftEvery = every
-	s.weights = make([]float64, len(s.site.Pages))
+	// One allocation holds the preferences and the teleport row.
+	n := len(s.site.Pages)
+	buf := make([]float64, 2*n)
+	s.weights, s.row = buf[:n:n], buf[n:]
 	for i := range s.site.Pages {
 		s.weights[i] = s.site.Pages[i].Weight
 	}
@@ -314,9 +351,19 @@ func (s *Surfer) EnableDrift(r *rng.Source, every int) {
 }
 
 // resetTeleport prepares the current phase's preferences for teleport
-// draws.
+// draws and rebuilds the teleport row from them.
 func (s *Surfer) resetTeleport() {
 	s.teleport.Reset(len(s.weights), func(i int) float64 { return s.weights[i] })
+	teleport := 1 - s.followProb
+	s.rowSupport = 0
+	for i, w := range s.weights {
+		if w *= teleport; w > 0 {
+			s.row[i] = w
+			s.rowSupport++
+		} else {
+			s.row[i] = 0
+		}
+	}
 }
 
 // maybeShift applies a phase shift when the drift cadence has elapsed.

@@ -259,15 +259,18 @@ func refNextDistribution(s *Surfer, page int) map[int]float64 {
 // TestNextDistributionIntoMatchesMap: for every page of a stationary and
 // a drifting surfer, through several phase shifts, NextDistributionInto
 // and Site.NextDistributionInto hold exactly the reference map's values
-// (zero off its support), and NextDistributionInto's support size is the
-// reference's key count — also when a link target carries no mass.
+// (zero off its support, and in any tail past the page count), and
+// NextDistributionInto's support size is the reference's key count —
+// also when a link target carries no mass. Under drift that covers both
+// the teleport-row path and the sweep a linkless page falls back to.
 func TestNextDistributionIntoMatchesMap(t *testing.T) {
 	site := mustSite(t, 21)
 	// A page without links teleports with full mass: cover that branch.
 	site.Pages[7].Links = nil
 	check := func(label string, s *Surfer) {
 		t.Helper()
-		probs := make([]float64, len(site.Pages))
+		site := s.site
+		probs := make([]float64, len(site.Pages)+3)
 		siteProbs := make([]float64, len(site.Pages))
 		for page := range site.Pages {
 			want := refNextDistribution(s, page)
@@ -284,7 +287,7 @@ func TestNextDistributionIntoMatchesMap(t *testing.T) {
 				if math.Float64bits(p) != math.Float64bits(want[i]) {
 					t.Fatalf("%s page %d: dense[%d] = %v, reference %v", label, page, i, p, want[i])
 				}
-				if s.weights == nil && math.Float64bits(siteProbs[i]) != math.Float64bits(p) {
+				if s.weights == nil && i < len(siteProbs) && math.Float64bits(siteProbs[i]) != math.Float64bits(p) {
 					t.Fatalf("%s page %d: Site.NextDistributionInto[%d] = %v, surfer %v", label, page, i, siteProbs[i], p)
 				}
 			}
@@ -304,11 +307,44 @@ func TestNextDistributionIntoMatchesMap(t *testing.T) {
 	}
 
 	// A link target whose preference weight is zero keeps its place in
-	// the support with zero mass.
+	// the support with zero mass. The weight is written directly, so the
+	// teleport row is rebuilt from it as a phase shift would.
 	s = NewSurfer(rng.New(4), site, 0.85)
 	s.EnableDrift(rng.Derive(4, "drift"), 5)
 	s.weights[site.Pages[0].Links[0]] = 0
+	s.resetTeleport()
 	check("zero-weight link target", s)
+
+	// Zero-weight pages in the site's own profile move with every phase
+	// shift, so across phases link targets land on zero entries of the
+	// teleport row; two linkless pages take the sweep in every phase.
+	zsite := mustSite(t, 22)
+	zsite.Pages[7].Links, zsite.Pages[30].Links = nil, nil
+	for i := 0; i < len(zsite.Pages); i += 4 {
+		zsite.Pages[i].Weight = 0
+	}
+	s = NewSurfer(rng.New(5), zsite, 0.85)
+	s.EnableDrift(rng.Derive(5, "drift"), 3)
+	zeroTargets := 0
+	for phase := 0; ; phase++ {
+		check(fmt.Sprintf("zero-weight site phase %d", phase), s)
+		for _, pg := range zsite.Pages {
+			for _, t := range pg.Links {
+				if s.row[t] == 0 {
+					zeroTargets++
+				}
+			}
+		}
+		if phase == 4 {
+			break
+		}
+		for s.Phase() == phase {
+			s.Step()
+		}
+	}
+	if zeroTargets == 0 {
+		t.Fatal("no link target met a zero teleport-row entry")
+	}
 }
 
 // driftSite builds a small site and a drifting surfer for the drift
