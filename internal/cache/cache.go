@@ -1,6 +1,8 @@
 // Package cache provides the multiclient client and server caches: a
 // fixed-capacity, equal-item-size slab ordered by an intrusive recency
-// list, whose head is the LRU victim. The paper's prefetch-cache
+// list, whose head is the LRU victim. Callers probe it (Contains), touch
+// it (RecordAccess) and fill it (Insert, InsertLRU); no operation lists
+// or scans the cached entries. The paper's prefetch-cache
 // integration (§5) does not use it: its Pr-arbitration and LFU and
 // delay-saving sub-arbitration live in internal/core, and the replay in
 // internal/sim keeps its own per-item cache state and access counts.
@@ -15,7 +17,8 @@ import (
 // ErrBadCache reports invalid cache construction or use.
 var ErrBadCache = errors.New("cache: bad cache operation")
 
-// Entry is the bookkeeping record for one cached item.
+// Entry is the bookkeeping record for one cached item. Retrieval is
+// stored as inserted; no eviction order reads it.
 type Entry struct {
 	ID        int
 	Retrieval float64 // r_i, retrieval time if it had to be refetched
@@ -23,9 +26,8 @@ type Entry struct {
 	// prev/next link the entry's slab slot into the cache's recency list
 	// (while cached) or its free chain (while free), as slot+1 with 0 for
 	// none. Keeping the recency list intrusive makes the LRU victim an
-	// O(1) head read instead of an Entries() copy-and-scan — the dominant
-	// cost of every eviction at fleet scale. The copies handed out by
-	// Entries have these cleared.
+	// O(1) head read instead of a copy-and-scan of every entry — the
+	// dominant cost of every eviction at fleet scale.
 	prev, next int32
 }
 
@@ -41,8 +43,7 @@ const maxCapacity = math.MaxInt32 - 1
 // in New, and an index from id to slab slot. Every slot is in exactly one
 // of two chains threaded through Entry.prev/next: the recency list (the
 // slot is cached and index[ID] names it) or the free chain. Probes are
-// array reads, and Entries walks the index, so it comes out ordered by id
-// without a sort.
+// array reads.
 type Cache struct {
 	capacity int
 	slab     []Entry
@@ -203,24 +204,6 @@ func (c *Cache) InsertLRU(id int, retrieval float64) (victim int, evicted bool) 
 		panic(err)
 	}
 	return victim, evicted
-}
-
-// public returns a copy of e with the chain links cleared.
-func (e *Entry) public() Entry {
-	out := *e
-	out.prev, out.next = 0, 0
-	return out
-}
-
-// Entries returns copies of all entries, sorted by ID for determinism.
-func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, c.n)
-	for _, slot := range c.index {
-		if slot != 0 {
-			out = append(out, c.at(slot).public())
-		}
-	}
-	return out
 }
 
 // LRU names the least-recently-used victim for Victim.
