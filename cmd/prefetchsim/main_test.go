@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
@@ -934,6 +936,36 @@ func TestRunTraceDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s and %s differ", pair[0], pair[1])
+		}
+	}
+}
+
+// TestSweepTablesDeterministic pins the SHA-256 of the whole stdout of
+// four sweep tables: the fleet router × replicas table, the client-count
+// table, the discipline table and the controller × predictor Pareto
+// table. A change that moves a number, a column or its format fails
+// here; a change that moves a table on purpose re-pins it and says why.
+func TestSweepTablesDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		sum  string
+	}{
+		{"fleet", []string{"-mode", "fleet", "-clients", "6", "-rounds", "50", "-serverconc", "1", "-reps", "2",
+			"-replicas", "1,2,4", "-router", "all", "-fail-every", "40", "-recover-after", "15"},
+			"d92f7316f37f8b16f3a3cb061cfbb4ae695488b87509355653ce4cce023fb729"},
+		{"clients", []string{"-mode", "multiclient", "-clients", "1,2,4", "-rounds", "40", "-reps", "2"},
+			"c27b6b019126e624e5ae541793f6c2ccab0134b2ba40dac9a2d8eaa274974eaa"},
+		{"discipline", []string{"-mode", "multiclient", "-clients", "6", "-rounds", "60", "-reps", "2", "-discipline", "all"},
+			"34899a6e524b5bed701a3e2bbedf3f4138d55a4e37707a4b123a9b8e1eb6cc9a"},
+		{"pareto", []string{"-mode", "multiclient", "-clients", "6", "-rounds", "40", "-reps", "2",
+			"-predictor", "oracle,depgraph,ppm", "-controller", "static,aimd"},
+			"037d9b6db474e3c9836d7bcedeeffc6074db4c9d6dc6a7c972c96569d1295797"},
+	} {
+		out := runOut(t, tc.args...)
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != tc.sum {
+			t.Errorf("%s table SHA-256 %s, pinned %s; output:\n%s", tc.name, got, tc.sum, out)
 		}
 	}
 }
