@@ -988,18 +988,22 @@ var (
 	colPreempt   = column{"preempt", "%8s", "%8d", func(p prefetch.MultiClientPoint) any { return p.Preemptions }}
 	colUtil      = column{"util%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Utilization.Mean() }}
 	colImprove   = column{"improve%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Improvement.Mean() }}
+	colAvail     = column{"avail%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Availability.Mean() }}
+	colReroutes  = column{"reroutes", "%9s", "%9d", func(p prefetch.MultiClientPoint) any { return p.ReRoutes }}
+	colLost      = column{"lost", "%6s", "%6d", func(p prefetch.MultiClientPoint) any { return p.LostTransfers }}
 )
 
-// labelColumn shows each cell's first axis label.
-func labelColumn(name, format string) column {
-	return column{name, format, format, func(p prefetch.MultiClientPoint) any { return p.Labels[0] }}
+// labelColumn shows each cell's label on the given axis.
+func labelColumn(axis int, name, format string) column {
+	return column{name, format, format, func(p prefetch.MultiClientPoint) any { return p.Labels[axis] }}
 }
 
-// The single-axis sweep tables.
+// The tables that name each cell by its axis labels.
 var (
-	disciplineColumns = []column{labelColumn("discipline", "%-10s"), colDemandT, colMeanT, colQueueWait, colSpec, colDrops, colPreempt, colImprove}
-	controllerColumns = []column{labelColumn("controller", "%-15s"), colDemandT, colMeanT, colQueueWait, colLambda, colSpec, colDrops, colImprove}
-	predictorColumns  = []column{labelColumn("predictor", "%-10s"), colDemandT, colMeanT, colL1, colWaste, colHit, colSpec, colImprove}
+	disciplineColumns = []column{labelColumn(0, "discipline", "%-10s"), colDemandT, colMeanT, colQueueWait, colSpec, colDrops, colPreempt, colImprove}
+	controllerColumns = []column{labelColumn(0, "controller", "%-15s"), colDemandT, colMeanT, colQueueWait, colLambda, colSpec, colDrops, colImprove}
+	predictorColumns  = []column{labelColumn(0, "predictor", "%-10s"), colDemandT, colMeanT, colL1, colWaste, colHit, colSpec, colImprove}
+	fleetColumns      = []column{labelColumn(0, "router", "%-13s"), labelColumn(1, "replicas", "%9s"), colDemandT, colMeanT, colQueueWait, colAvail, colReroutes, colLost}
 )
 
 // printTable writes a header row and one row per grid cell.
@@ -1061,7 +1065,7 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 		fmt.Fprintf(out, "(* = on the controller's (demand T, spec/s) Pareto frontier)\n")
 		for ci, ctl := range ctls {
 			group := points[ci*len(preds) : (ci+1)*len(preds)]
-			frontier := markPareto(group)
+			frontier := prefetch.ParetoFrontier(group)
 			fmt.Fprintf(out, "\ncontroller %s\n", ctl)
 			fmt.Fprintf(out, "%-12s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "mean λ", "L1 err", "waste%", "spec/s", "pareto")
@@ -1077,37 +1081,6 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 		}
 	}
 	return nil
-}
-
-// markPareto reports which cells of one controller group are
-// non-dominated: a cell is dominated when another cell is at least as
-// good on both objectives (demand latency minimised, speculative
-// throughput maximised) and strictly better on one.
-//
-// Tie handling: domination requires a strict improvement on at least one
-// objective, so a cell can never dominate an exact duplicate of itself.
-// Cells with identical (demand latency, spec/s) are therefore always
-// marked together — both on the frontier, or both dominated by a
-// strictly better third cell — and the full pairwise scan makes the
-// result independent of slice order.
-func markPareto(group []prefetch.MultiClientPoint) []bool {
-	frontier := make([]bool, len(group))
-	for i := range group {
-		dominated := false
-		di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
-		for j := range group {
-			if i == j {
-				continue
-			}
-			dj, sj := group[j].DemandAccess.Mean(), group[j].SpecThroughput.Mean()
-			if dj <= di && sj >= si && (dj < di || sj > si) {
-				dominated = true
-				break
-			}
-		}
-		frontier[i] = !dominated
-	}
-	return frontier
 }
 
 // runFleet plays the multiclient workload against an R-replica fleet
@@ -1181,18 +1154,16 @@ func runFleet(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 // runFleetSweep prints the fleet's headline table: router kind ×
 // replica count under the configured failure regime, router-major.
 func runFleetSweep(out io.Writer, cfg prefetch.FleetConfig, routers []prefetch.FleetRouterKind, replicas []int, reps int, failNote string) error {
-	points, err := prefetch.SweepFleetRouters(cfg, routers, replicas, reps, 0)
+	replicaAxis, err := prefetch.FleetReplicasAxis(replicas)
+	if err != nil {
+		return err
+	}
+	points, err := prefetch.SweepFleet(cfg, reps, 0, prefetch.FleetRouterAxis(routers), replicaAxis)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "fleet sweep, %d clients, discipline %s, server concurrency %d per replica, %d reps, %d rounds each%s\n\n",
 		cfg.Base.Clients, cfg.Base.Sched.Kind, cfg.Base.ServerConcurrency, reps, cfg.Base.Rounds, failNote)
-	fmt.Fprintf(out, "%-13s %9s %10s %10s %12s %8s %9s %6s\n",
-		"router", "replicas", "demand T", "mean T", "queue wait", "avail%", "reroutes", "lost")
-	for _, p := range points {
-		fmt.Fprintf(out, "%-13s %9s %10.4f %10.4f %12.4f %7.1f%% %9d %6d\n",
-			p.Labels[0], p.Labels[1], p.DemandAccess.Mean(), p.Access.Mean(),
-			p.QueueWait.Mean(), 100*p.Availability.Mean(), p.ReRoutes, p.LostTransfers)
-	}
+	printTable(out, fleetColumns, points)
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"prefetch"
 	"prefetch/internal/obs"
 )
 
@@ -966,62 +965,6 @@ func TestSweepTablesDeterministic(t *testing.T) {
 		sum := sha256.Sum256([]byte(out))
 		if got := hex.EncodeToString(sum[:]); got != tc.sum {
 			t.Errorf("%s table SHA-256 %s, pinned %s; output:\n%s", tc.name, got, tc.sum, out)
-		}
-	}
-}
-
-// paretoGroup builds one controller group of grid cells with the given
-// (demand latency, speculative throughput) pairs.
-func paretoGroup(pairs ...[2]float64) []prefetch.MultiClientPoint {
-	group := make([]prefetch.MultiClientPoint, len(pairs))
-	for i, dp := range pairs {
-		group[i].DemandAccess.Add(dp[0])
-		group[i].SpecThroughput.Add(dp[1])
-	}
-	return group
-}
-
-// TestMarkPareto pins the dominance logic on a hand-built group.
-func TestMarkPareto(t *testing.T) {
-	got := markPareto(paretoGroup(
-		[2]float64{1, 5},   // frontier: best latency
-		[2]float64{2, 9},   // frontier: best throughput
-		[2]float64{3, 7},   // dominated by (2,9)
-		[2]float64{2, 9},   // duplicate of frontier point: also non-dominated
-		[2]float64{1.5, 6}, // frontier: between (1,5) and (2,9)
-	))
-	want := []bool{true, true, false, true, true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("markPareto = %v, want %v", got, want)
-	}
-}
-
-// TestMarkParetoDuplicates: cells with identical (demand latency,
-// spec/s) are marked together — both dominated or both on the frontier —
-// and the marking does not depend on slice order.
-func TestMarkParetoDuplicates(t *testing.T) {
-	// Dominated duplicates: (3,7) twice, both strictly beaten by (2,9).
-	if got := markPareto(paretoGroup([2]float64{3, 7}, [2]float64{2, 9}, [2]float64{3, 7})); got[0] || got[2] || !got[1] {
-		t.Errorf("dominated duplicates marked inconsistently: %v", got)
-	}
-	// Frontier duplicates: (2,9) twice, nothing dominates them.
-	if got := markPareto(paretoGroup([2]float64{2, 9}, [2]float64{3, 7}, [2]float64{2, 9})); !got[0] || !got[2] {
-		t.Errorf("frontier duplicates marked inconsistently: %v", got)
-	}
-	// Order independence: every rotation of the group yields the same
-	// flags for the same (demand, spec) values.
-	base := [][2]float64{{1, 5}, {2, 9}, {3, 7}, {2, 9}, {1.5, 6}}
-	marks := markPareto(paretoGroup(base...))
-	want := map[[2]float64]bool{}
-	for i, dp := range base {
-		want[dp] = marks[i]
-	}
-	for rot := 1; rot < len(base); rot++ {
-		rotated := append(append([][2]float64{}, base[rot:]...), base[:rot]...)
-		for i, mark := range markPareto(paretoGroup(rotated...)) {
-			if mark != want[rotated[i]] {
-				t.Errorf("rotation %d point %d (%v): Pareto = %v, want %v", rot, i, rotated[i], mark, want[rotated[i]])
-			}
 		}
 	}
 }

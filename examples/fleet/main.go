@@ -41,7 +41,10 @@ func run(w io.Writer) error {
 	const failEvery, recoverAfter = 60.0, 20.0
 
 	routers := prefetch.RouterKinds()
-	replicas := []int{1, 2, 4}
+	replicas, err := prefetch.FleetReplicasAxis([]int{1, 2, 4})
+	if err != nil {
+		return err
+	}
 
 	fmt.Fprintf(w, "router × replica-count sweep, %d clients, %d rounds/client, %d reps\n",
 		cfg.Base.Clients, cfg.Base.Rounds, reps)
@@ -58,7 +61,7 @@ func run(w io.Writer) error {
 			label = fmt.Sprintf("churn: each replica fails every ~%g, repairs take %g",
 				c.FailEvery, c.RecoverAfter)
 		}
-		points, err := prefetch.SweepFleetRouters(c, routers, replicas, reps, 0)
+		points, err := prefetch.SweepFleet(c, reps, 0, prefetch.FleetRouterAxis(routers), replicas)
 		if err != nil {
 			return err
 		}

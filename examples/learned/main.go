@@ -72,10 +72,11 @@ func run(w io.Writer) error {
 				"predictor", "demand T", "mean T", "waste%", "L1 err", "hit%", "spec/s", "pareto")
 			gap[disc][ctl] = map[prefetch.PredictorKind]float64{}
 			group := points[ci*len(preds) : (ci+1)*len(preds)]
+			frontier := prefetch.ParetoFrontier(group)
 			for pi, pred := range preds {
 				p := group[pi]
 				mark := ""
-				if onFrontier(group, pi) {
+				if frontier[pi] {
 					mark = "*"
 				}
 				fmt.Fprintf(w, "%-10s %10.3f %10.3f %7.1f%% %8.3f %7.1f%% %10.4f %7s\n",
@@ -105,18 +106,4 @@ func run(w io.Writer) error {
 	fmt.Fprintln(w, "with less speculative throughput delivered (and the waste% and L1")
 	fmt.Fprintln(w, "columns show the prediction quality behind it).")
 	return nil
-}
-
-// onFrontier reports whether group[i] is on the group's (demand latency ↓,
-// speculative throughput ↑) Pareto frontier: no other cell is at least as
-// good on both and strictly better on one.
-func onFrontier(group []prefetch.MultiClientPoint, i int) bool {
-	di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
-	for j := range group {
-		dj, sj := group[j].DemandAccess.Mean(), group[j].SpecThroughput.Mean()
-		if j != i && dj <= di && sj >= si && (dj < di || sj > si) {
-			return false
-		}
-	}
-	return true
 }

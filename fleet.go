@@ -27,7 +27,7 @@ type (
 	FleetRouter = fleet.Router
 	// FleetReplicaState is one replica's routing-time state.
 	FleetReplicaState = fleet.ReplicaState
-	// FleetPoint is one cell of a fleet sweep.
+	// FleetPoint is one cell of a fleet sweep: the MultiClientPoint.
 	FleetPoint = fleet.Point
 	// FleetAxis is one swept dimension of a fleet configuration.
 	FleetAxis = fleet.Axis
@@ -64,15 +64,11 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) { return fleet.Run(cfg) }
 
 // SweepFleet runs the cross product of fleet axes (FleetRouterAxis,
 // FleetReplicasAxis, FleetFailEveryAxis) over the base config with seed
-// replications, on the generic grid engine.
+// replications, on the generic grid engine. The headline experiment is
+// router kind × replica count, router-major: FleetRouterAxis first,
+// FleetReplicasAxis second.
 func SweepFleet(cfg FleetConfig, reps, workers int, axes ...FleetAxis) ([]FleetPoint, error) {
 	return fleet.Sweep(cfg, reps, workers, axes...)
-}
-
-// SweepFleetRouters is the fleet's headline experiment: router kind ×
-// replica count under the configured failure regime, router-major.
-func SweepFleetRouters(cfg FleetConfig, routers []FleetRouterKind, replicas []int, reps, workers int) ([]FleetPoint, error) {
-	return fleet.SweepRouters(cfg, routers, replicas, reps, workers)
 }
 
 // FleetRouterAxis sweeps the routing policy.
@@ -93,7 +89,7 @@ type (
 	MultiClientAxis = multiclient.Axis
 	// MultiClientAxisValue is one labelled setting on an axis.
 	MultiClientAxisValue = multiclient.AxisValue
-	// MultiClientPoint is one cell of a generic multiclient sweep.
+	// MultiClientPoint is one cell of a multiclient or fleet sweep.
 	MultiClientPoint = multiclient.Point
 )
 
@@ -106,6 +102,11 @@ type (
 func SweepMultiClientGrid(cfg MultiClientConfig, reps, workers int, baseline bool, axes ...MultiClientAxis) ([]MultiClientPoint, error) {
 	return multiclient.Sweep(cfg, reps, workers, baseline, axes...)
 }
+
+// ParetoFrontier reports which points of a group are on its (demand
+// latency ↓, speculative throughput ↑) Pareto frontier. A point never
+// dominates its exact duplicate, so tied points are marked together.
+func ParetoFrontier(group []MultiClientPoint) []bool { return multiclient.ParetoFrontier(group) }
 
 // MultiClientClientsAxis sweeps the client count.
 func MultiClientClientsAxis(ns []int) (MultiClientAxis, error) { return multiclient.ClientsAxis(ns) }

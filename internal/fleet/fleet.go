@@ -12,7 +12,8 @@
 // replication: per-server shared models and caches, replica-stamped
 // tracing, routing, and failure and recovery, and returns the one
 // multiclient.Result. This package contributes the configuration, the
-// routers and the sweeps; a multiclient run is the same core with one
+// routers and the sweep axes; its sweeps fold into the one
+// multiclient.Point, and a multiclient run is the same core with one
 // server and no router.
 //
 // Replicas fail. Each one draws an exponential time-to-failure from its

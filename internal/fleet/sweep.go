@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"prefetch/internal/stats"
+	"prefetch/internal/multiclient"
 	"prefetch/internal/sweep"
 )
 
@@ -62,33 +62,16 @@ func FailEveryAxis(means []float64) (Axis, error) {
 	return ax, nil
 }
 
-// Point is one cell of a fleet sweep: the axis labels that select it,
-// the fully-applied config, and the replicated metrics.
-type Point struct {
-	Labels []string
-	Config Config
-	Reps   int
-
-	Access       stats.Accumulator // all reps' rounds merged
-	DemandAccess stats.Accumulator
-	QueueWait    stats.Accumulator
-	L1Error      stats.Accumulator
-
-	Availability   stats.Accumulator // per-rep fleet availability
-	Utilization    stats.Accumulator // per-rep fleet utilisation
-	HitRatio       stats.Accumulator // per-rep zero-fetch round fraction
-	WastedFraction stats.Accumulator // per-rep wasted-prefetch fraction
-
-	Failures      int64
-	Recoveries    int64
-	ReRoutes      int64
-	LostTransfers int64
-}
+// Point is one cell of a fleet sweep: the multiclient sweep cell,
+// folded from the same Result.
+type Point = multiclient.Point
 
 // Sweep runs the cross product of axes over the base config, reps
 // replications per cell (rep r runs at Seed+r), on up to workers
 // goroutines. Cells come back row-major — first axis slowest — and are
-// deterministic regardless of worker count.
+// deterministic regardless of worker count. The headline experiment is
+// router × replicas: Sweep(cfg, reps, workers, RouterAxis(kinds),
+// ReplicasAxis(ns)) keeps each router's scaling curve contiguous.
 func Sweep(cfg Config, reps, workers int, axes ...Axis) ([]Point, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -107,40 +90,11 @@ func Sweep(cfg Config, reps, workers int, axes ...Axis) ([]Point, error) {
 	}
 	points := make([]Point, len(cells))
 	for i, cell := range cells {
-		p := Point{Labels: cell.Labels, Config: cell.Config, Reps: reps}
+		p := &points[i]
+		p.Labels, p.Clients, p.Reps = cell.Labels, cell.Config.Base.Clients, reps
 		for r := range cell.Results {
-			res := &cell.Results[r]
-			p.Access.Merge(&res.Access)
-			p.DemandAccess.Merge(&res.DemandAccess)
-			p.QueueWait.Merge(&res.QueueWait)
-			p.L1Error.Merge(&res.L1Error)
-			p.Availability.Add(res.Availability())
-			p.Utilization.Add(res.Utilization())
-			p.HitRatio.Add(res.HitRatio())
-			p.WastedFraction.Add(res.WastedPrefetchFraction())
-			p.Failures += res.Failures
-			p.Recoveries += res.Recoveries
-			p.ReRoutes += res.ReRoutes
-			p.LostTransfers += res.LostTransfers
+			p.Add(&cell.Results[r])
 		}
-		points[i] = p
 	}
 	return points, nil
-}
-
-// SweepRouters is the fleet's headline experiment: router kind ×
-// replica count under the configured failure regime. Router-major, so
-// each router's scaling curve is contiguous in the output.
-func SweepRouters(cfg Config, routers []Kind, replicas []int, reps, workers int) ([]Point, error) {
-	if len(routers) == 0 {
-		return nil, fmt.Errorf("%w: no routers to sweep", ErrBadConfig)
-	}
-	if len(replicas) == 0 {
-		return nil, fmt.Errorf("%w: no replica counts to sweep", ErrBadConfig)
-	}
-	repAxis, err := ReplicasAxis(replicas)
-	if err != nil {
-		return nil, err
-	}
-	return Sweep(cfg, reps, workers, RouterAxis(routers), repAxis)
 }

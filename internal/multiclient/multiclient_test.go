@@ -418,7 +418,7 @@ func TestSweepDisciplines(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(a), len(kinds))
 	}
 	for i, p := range a {
-		if p.Labels[0] != string(kinds[i]) || p.Config.Sched.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
+		if p.Labels[0] != string(kinds[i]) || p.Clients != cfg.Clients || p.Reps != 2 {
 			t.Errorf("point %d = (%v, N=%d, reps=%d)", i, p.Labels, p.Clients, p.Reps)
 		}
 		if want := int64(cfg.Clients * cfg.Rounds * 2); p.Access.N() != want {

@@ -76,15 +76,14 @@ func PredictorAxis(kinds []predict.Kind) Axis {
 	return ax
 }
 
-// Point is one cell of a sweep grid: the axis labels that select it and
-// the union of every metric the per-axis sweeps report, folded over the
-// seed replications. Merged accumulators pool every underlying
-// observation; per-rep accumulators hold one observation per
+// Point is one cell of a sweep grid, single-server or fleet: the axis
+// labels that select it and every metric the sweeps report, folded by
+// Add over the seed replications. Merged accumulators pool every
+// underlying observation; per-rep accumulators hold one observation per
 // replication; the int64 counters are summed over replications.
-// Improvement is only populated when the sweep ran with a baseline leg.
+// Improvement is only populated by a Sweep that ran its baseline leg.
 type Point struct {
 	Labels  []string // one label per axis, in axis order
-	Config  Config   // the combined configuration (rep-0 seed)
 	Clients int
 	Reps    int
 
@@ -95,6 +94,7 @@ type Point struct {
 	L1Error      stats.Accumulator // every planned round's prediction L1 error merged
 
 	Utilization    stats.Accumulator // one observation per rep
+	Availability   stats.Accumulator // one server availability per rep
 	Improvement    stats.Accumulator // one aggregate improvement per rep (baseline sweeps only)
 	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
 	HitRatio       stats.Accumulator // one no-fetch round fraction per rep
@@ -108,21 +108,23 @@ type Point struct {
 	PrefetchUseful   int64
 	WarmInserted     int64
 	WarmHits         int64
+	Failures         int64
+	Recoveries       int64
+	ReRoutes         int64
+	LostTransfers    int64
 }
 
-// fold accumulates one replication into the point, in replication
-// order — the merge order is part of the sweep's determinism contract.
-func (p *Point) fold(cmp Comparison, baseline bool) {
-	res := cmp.Prefetch
+// Add folds one replication's result into the point. Callers add the
+// replications in replication order: the merge order is part of the
+// sweep's determinism contract.
+func (p *Point) Add(res *Result) {
 	p.Access.Merge(&res.Access)
 	p.DemandAccess.Merge(&res.DemandAccess)
 	p.QueueWait.Merge(&res.QueueWait)
 	p.Lambda.Merge(&res.Lambda)
 	p.L1Error.Merge(&res.L1Error)
 	p.Utilization.Add(res.Utilization())
-	if baseline {
-		p.Improvement.Add(cmp.Improvement())
-	}
+	p.Availability.Add(res.Availability())
 	p.SpecThroughput.Add(res.SpecThroughput())
 	p.HitRatio.Add(res.HitRatio())
 	p.WastedFraction.Add(res.WastedPrefetchFraction())
@@ -133,9 +135,40 @@ func (p *Point) fold(cmp Comparison, baseline bool) {
 	p.PrefetchUseful += res.PrefetchUseful
 	p.WarmInserted += res.WarmInserted
 	p.WarmHits += res.WarmHits
+	p.Failures += res.Failures
+	p.Recoveries += res.Recoveries
+	p.ReRoutes += res.ReRoutes
+	p.LostTransfers += res.LostTransfers
 	for _, pc := range res.PerClient {
 		p.PrefetchIssued += pc.PrefetchIssued
 	}
+}
+
+// ParetoFrontier reports which points of a group are non-dominated on
+// (mean demand latency minimised, mean speculative throughput
+// maximised): a point is dominated when another point is at least as
+// good on both objectives and strictly better on one.
+//
+// Tie handling: domination requires a strict improvement on at least one
+// objective, so a point can never dominate an exact duplicate of itself.
+// Points with identical (demand latency, spec/s) are therefore always
+// marked together — both on the frontier, or both dominated by a
+// strictly better third point — and the full pairwise scan makes the
+// result independent of slice order.
+func ParetoFrontier(group []Point) []bool {
+	frontier := make([]bool, len(group))
+	for i := range group {
+		frontier[i] = true
+		di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
+		for j := range group {
+			dj, sj := group[j].DemandAccess.Mean(), group[j].SpecThroughput.Mean()
+			if j != i && dj <= di && sj >= si && (dj < di || sj > si) {
+				frontier[i] = false
+				break
+			}
+		}
+	}
+	return frontier
 }
 
 // Sweep is THE sweep engine: it runs the full cross product of axes
@@ -143,14 +176,14 @@ func (p *Point) fold(cmp Comparison, baseline bool) {
 // each grid point with reps derived seeds (rep r uses master seed
 // cfg.Seed + r) across the sweep worker pool. With baseline set, every
 // task runs both the prefetching configuration and its no-prefetch
-// baseline (Compare) so each point carries an access-improvement
-// estimate; without it only the prefetch leg runs. Every combination
-// is validated before any simulation starts, and tasks derive all
-// randomness from their own (seed, client) pairs, so the result is
-// independent of worker scheduling.
+// baseline (Compare), and each point also carries the access
+// improvement of every rep; without it only the prefetch leg runs.
+// Every combination is validated before any simulation starts, and
+// tasks derive all randomness from their own (seed, client) pairs, so
+// the result is independent of worker scheduling.
 //
-// The fleet's router×replicas sweep (package fleet) runs on the same
-// grid engine.
+// The fleet's sweeps (package fleet) run on the same grid engine and
+// fold into the same Point.
 func Sweep(cfg Config, reps, workers int, baseline bool, axes ...Axis) ([]Point, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -173,12 +206,14 @@ func Sweep(cfg Config, reps, workers int, baseline bool, axes ...Axis) ([]Point,
 	}
 	points := make([]Point, len(cells))
 	for i, cell := range cells {
-		points[i].Labels = cell.Labels
-		points[i].Config = cell.Config
-		points[i].Clients = cell.Config.Clients
-		points[i].Reps = reps
-		for _, cmp := range cell.Results {
-			points[i].fold(cmp, baseline)
+		p := &points[i]
+		p.Labels, p.Clients, p.Reps = cell.Labels, cell.Config.Clients, reps
+		for r := range cell.Results {
+			cmp := &cell.Results[r]
+			p.Add(&cmp.Prefetch)
+			if baseline {
+				p.Improvement.Add(cmp.Improvement())
+			}
 		}
 	}
 	return points, nil

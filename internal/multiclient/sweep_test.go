@@ -41,15 +41,16 @@ func TestSweepDisciplineAxisKeepsPreemptRules(t *testing.T) {
 	cfg := sweepTestConfig()
 	cfg.Sched.Kind = schedsrv.KindPriority
 	cfg.Sched.Preempt = true
-	pts, err := Sweep(cfg, 1, 0, false, DisciplineAxis([]schedsrv.Kind{schedsrv.KindFIFO, schedsrv.KindPriority}))
-	if err != nil {
+	ax := DisciplineAxis([]schedsrv.Kind{schedsrv.KindFIFO, schedsrv.KindPriority})
+	for i, wantPreempt := range []bool{false, true} {
+		c := cfg
+		ax.Values[i].Apply(&c)
+		if c.Sched.Preempt != wantPreempt {
+			t.Errorf("%s cell: preempt = %v, want %v", ax.Values[i].Label, c.Sched.Preempt, wantPreempt)
+		}
+	}
+	if _, err := Sweep(cfg, 1, 0, false, ax); err != nil {
 		t.Fatal(err)
-	}
-	if pts[0].Config.Sched.Preempt {
-		t.Error("fifo cell kept the preempt flag")
-	}
-	if !pts[1].Config.Sched.Preempt {
-		t.Error("priority cell lost the preempt flag")
 	}
 }
 
@@ -78,5 +79,61 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}}}
 	if _, err := Sweep(withPreempt, 1, 0, false, manual); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("invalid combo: err = %v, want ErrBadConfig", err)
+	}
+}
+
+// paretoGroup builds a group of sweep points with the given (demand
+// latency, speculative throughput) pairs.
+func paretoGroup(pairs ...[2]float64) []Point {
+	group := make([]Point, len(pairs))
+	for i, dp := range pairs {
+		group[i].DemandAccess.Add(dp[0])
+		group[i].SpecThroughput.Add(dp[1])
+	}
+	return group
+}
+
+// TestParetoFrontier pins the dominance logic on a hand-built group.
+func TestParetoFrontier(t *testing.T) {
+	got := ParetoFrontier(paretoGroup(
+		[2]float64{1, 5},   // frontier: best latency
+		[2]float64{2, 9},   // frontier: best throughput
+		[2]float64{3, 7},   // dominated by (2,9)
+		[2]float64{2, 9},   // duplicate of frontier point: also non-dominated
+		[2]float64{1.5, 6}, // frontier: between (1,5) and (2,9)
+	))
+	want := []bool{true, true, false, true, true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ParetoFrontier = %v, want %v", got, want)
+	}
+}
+
+// TestParetoFrontierDuplicates: cells with identical (demand latency,
+// spec/s) are marked together — both dominated or both on the frontier —
+// and the marking does not depend on slice order.
+func TestParetoFrontierDuplicates(t *testing.T) {
+	// Dominated duplicates: (3,7) twice, both strictly beaten by (2,9).
+	if got := ParetoFrontier(paretoGroup([2]float64{3, 7}, [2]float64{2, 9}, [2]float64{3, 7})); got[0] || got[2] || !got[1] {
+		t.Errorf("dominated duplicates marked inconsistently: %v", got)
+	}
+	// Frontier duplicates: (2,9) twice, nothing dominates them.
+	if got := ParetoFrontier(paretoGroup([2]float64{2, 9}, [2]float64{3, 7}, [2]float64{2, 9})); !got[0] || !got[2] {
+		t.Errorf("frontier duplicates marked inconsistently: %v", got)
+	}
+	// Order independence: every rotation of the group yields the same
+	// flags for the same (demand, spec) values.
+	base := [][2]float64{{1, 5}, {2, 9}, {3, 7}, {2, 9}, {1.5, 6}}
+	marks := ParetoFrontier(paretoGroup(base...))
+	want := map[[2]float64]bool{}
+	for i, dp := range base {
+		want[dp] = marks[i]
+	}
+	for rot := 1; rot < len(base); rot++ {
+		rotated := append(append([][2]float64{}, base[rot:]...), base[:rot]...)
+		for i, mark := range ParetoFrontier(paretoGroup(rotated...)) {
+			if mark != want[rotated[i]] {
+				t.Errorf("rotation %d point %d (%v): Pareto = %v, want %v", rot, i, rotated[i], mark, want[rotated[i]])
+			}
+		}
 	}
 }
