@@ -176,7 +176,7 @@
 // fail/recover events, each stamped with its replica. A one-replica
 // fleet without failures reproduces RunMultiClient bit for bit, and
 // identical seeds replay byte-identical traces under any GOMAXPROCS.
-// SweepFleetRouters (or the composable SweepFleet axes) crosses router
+// SweepFleet over FleetRouterAxis × FleetReplicasAxis crosses router
 // kind × replica count under a failure regime; see examples/fleet for
 // availability under churn.
 //
@@ -190,6 +190,9 @@
 // FleetFailEveryAxis — and the engine runs their cross product
 // row-major (first axis slowest) with seed-replicated repetitions,
 // validating every cell up front, deterministic for any worker count.
+// Both fold each replication into the one sweep cell (FleetPoint is
+// MultiClientPoint), and ParetoFrontier marks a group's
+// (demand latency, speculative throughput) frontier.
 //
 // # Observability: the decision trace
 //
