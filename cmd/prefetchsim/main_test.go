@@ -968,3 +968,33 @@ func TestSweepTablesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperModesDeterministic pins the SHA-256 of the whole stdout of the
+// three paper harnesses: prefetch-only (§4.4) with every one-step policy,
+// the Figure 7 prefetch-cache replay with all five planners, and the
+// stretch-intrusion session. At the session's default uniform transitions
+// every SKP planner picks KP's plans, so a second, skewed session run
+// holds the rows where lookahead and depth-2 differ from plain SKP. A
+// change that moves a number or a label in any of them fails here.
+func TestPaperModesDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		sum  string
+	}{
+		{"prefetch-only", []string{"-mode", "prefetch-only", "-policies", "none,perfect,kp,greedy,skp,skp-paper", "-iters", "5000"},
+			"7774a8efab069ab550a061c9e2432d1655581d926156bcabea4fafbed8851349"},
+		{"cache", []string{"-mode", "cache", "-policies", "all", "-cachesize", "7", "-skew", "8", "-requests", "5000"},
+			"d7867cf93436791d5425b453a9de7bf8f51919a62eb9693f1730f52636b60d22"},
+		{"session", []string{"-mode", "session", "-requests", "5000"},
+			"b389c371cbbb984a9b0cbbb0cf0b57a22cb294aabec7f519ccf090f616ad7594"},
+		{"session-skewed", []string{"-mode", "session", "-requests", "5000", "-skew", "8"},
+			"37a7cc38c02c1aac693d58bd68e4e8caffd1f569dda25ba49656cb78cf3ba971"},
+	} {
+		out := runOut(t, tc.args...)
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != tc.sum {
+			t.Errorf("%s table SHA-256 %s, pinned %s; output:\n%s", tc.name, got, tc.sum, out)
+		}
+	}
+}
