@@ -20,11 +20,11 @@ import (
 // benchRounds builds a reproducible prefetch-only workload.
 func benchRounds(b *testing.B, n, count int, gen access.ProbGen) []workload.Round {
 	b.Helper()
-	src, err := workload.NewRandomSource(rng.New(42), workload.Fig45Config(n, gen), count)
+	rounds, err := workload.Random(rng.New(42), workload.Fig45Config(n, gen), count)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return workload.Collect(src)
+	return rounds
 }
 
 // BenchmarkFigure4Scatter runs the Figure-4 pipeline (SKP scatter, skewy,
@@ -168,7 +168,7 @@ func BenchmarkLookaheadSession(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunMarkovSession(trace, sim.LookaheadPlanner{}, sim.SessionOptions{}); err != nil {
+		if _, err := sim.RunMarkovSession(trace, sim.LookaheadPolicy{}, sim.SessionOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

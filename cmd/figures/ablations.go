@@ -140,17 +140,17 @@ func runLookahead(cfg config, summary *strings.Builder) error {
 		requests = 20000 // event-driven; keep the default run snappy
 	}
 	planners := []struct {
-		planner sim.SessionPlanner
-		opts    sim.SessionOptions
-		label   string
+		pol   sim.Policy
+		opts  sim.SessionOptions
+		label string
 	}{
-		{sim.PlainPlanner{Policy: sim.NoPrefetch{}}, sim.SessionOptions{}, "no prefetch"},
-		{sim.PlainPlanner{Policy: sim.KPPolicy{}}, sim.SessionOptions{}, "KP"},
-		{sim.PlainPlanner{Policy: sim.SKPPolicy{}}, sim.SessionOptions{}, "SKP"},
-		{sim.LookaheadPlanner{}, sim.SessionOptions{}, "SKP+lookahead"},
-		{sim.Depth2Planner{}, sim.SessionOptions{}, "SKP+depth2-exact"},
-		{sim.PlainPlanner{Policy: sim.SKPPolicy{}}, sim.SessionOptions{EffectiveViewing: true}, "SKP+effective-v"},
-		{sim.Depth2Planner{}, sim.SessionOptions{EffectiveViewing: true}, "SKP+depth2+effective-v"},
+		{sim.NoPrefetch{}, sim.SessionOptions{}, "no prefetch"},
+		{sim.KPPolicy{}, sim.SessionOptions{}, "KP"},
+		{sim.SKPPolicy{}, sim.SessionOptions{}, "SKP"},
+		{sim.LookaheadPolicy{}, sim.SessionOptions{}, "SKP+lookahead"},
+		{sim.Depth2Policy{}, sim.SessionOptions{}, "SKP+depth2-exact"},
+		{sim.SKPPolicy{}, sim.SessionOptions{EffectiveViewing: true}, "SKP+effective-v"},
+		{sim.Depth2Policy{}, sim.SessionOptions{EffectiveViewing: true}, "SKP+depth2+effective-v"},
 	}
 	// Use a tighter-viewing-time, skew-transition chain so that stretching
 	// is actually attractive and its intrusion into the next window shows.
@@ -164,7 +164,7 @@ func runLookahead(cfg config, summary *strings.Builder) error {
 	var names []string
 	var means, busy []float64
 	for _, pl := range planners {
-		res, err := sim.RunMarkovSession(trace, pl.planner, pl.opts)
+		res, err := sim.RunMarkovSession(trace, pl.pol, pl.opts)
 		if err != nil {
 			return err
 		}
@@ -207,11 +207,10 @@ func runLambda(cfg config, summary *strings.Builder) error {
 	if iters > 20000 {
 		iters = 20000
 	}
-	src, err := workload.NewRandomSource(r, workload.Fig45Config(10, access.SkewyGen{}), iters)
+	rounds, err := workload.Random(r, workload.Fig45Config(10, access.SkewyGen{}), iters)
 	if err != nil {
 		return err
 	}
-	rounds := workload.Collect(src)
 	lambdas := []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6}
 	policies := make([]sim.Policy, 0, len(lambdas))
 	for _, l := range lambdas {

@@ -47,11 +47,10 @@ func prettyName(p string) string {
 func runPrefetchOnlyPanel(cfg config, n int, gen access.ProbGen, scatter int) ([]sim.PrefetchOnlyResult, []workload.Round, error) {
 	// Seed derivation keeps panels independent but reproducible.
 	r := rng.New(cfg.seed ^ uint64(n)<<32 ^ uint64(len(gen.Name())))
-	src, err := workload.NewRandomSource(r, workload.Fig45Config(n, gen), cfg.iters)
+	rounds, err := workload.Random(r, workload.Fig45Config(n, gen), cfg.iters)
 	if err != nil {
 		return nil, nil, err
 	}
-	rounds := workload.Collect(src)
 	results, err := sim.RunPrefetchOnly(rounds, fig45Policies(), sim.PrefetchOnlyOptions{ScatterLimit: scatter})
 	if err != nil {
 		return nil, nil, err

@@ -38,8 +38,8 @@ func runSizes(cfg config, summary *strings.Builder) error {
 		totalBytes += s
 	}
 	planners := []sim.CachePlanner{
-		{Label: "no prefetch, size-aware", Solver: nil, Sub: core.SubDS, Ordering: core.ByDensity},
-		{Label: "no prefetch, size-blind", Solver: nil, Sub: core.SubDS, Ordering: core.ByValue},
+		{Label: "no prefetch, size-aware", Solver: sim.NoPrefetch{}, Sub: core.SubDS, Ordering: core.ByDensity},
+		{Label: "no prefetch, size-blind", Solver: sim.NoPrefetch{}, Sub: core.SubDS, Ordering: core.ByValue},
 		{Label: "SKP, size-aware eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity},
 		{Label: "SKP, size-blind eviction", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByValue},
 	}

@@ -451,11 +451,10 @@ func runPrefetchOnly(out io.Writer, seed uint64, n int, genName string, iters in
 			return err
 		}
 		r := prefetch.NewRand(seed)
-		src, err := workload.NewRandomSource(r, workload.Fig45Config(n, pg), iters)
+		rounds, err = workload.Random(r, workload.Fig45Config(n, pg), iters)
 		if err != nil {
 			return err
 		}
-		rounds = workload.Collect(src)
 	}
 	if record != "" {
 		f, err := createOutput(record, force)
@@ -567,21 +566,21 @@ func runSession(out io.Writer, seed uint64, states, requests int, skew float64, 
 		return err
 	}
 	planners := []struct {
-		planner sim.SessionPlanner
-		opts    sim.SessionOptions
+		pol  sim.Policy
+		opts sim.SessionOptions
 	}{
-		{sim.PlainPlanner{Policy: sim.NoPrefetch{}}, sim.SessionOptions{}},
-		{sim.PlainPlanner{Policy: sim.KPPolicy{}}, sim.SessionOptions{}},
-		{sim.PlainPlanner{Policy: sim.SKPPolicy{}}, sim.SessionOptions{}},
-		{sim.LookaheadPlanner{}, sim.SessionOptions{}},
-		{sim.Depth2Planner{}, sim.SessionOptions{}},
-		{sim.Depth2Planner{}, sim.SessionOptions{EffectiveViewing: true}},
+		{sim.NoPrefetch{}, sim.SessionOptions{}},
+		{sim.KPPolicy{}, sim.SessionOptions{}},
+		{sim.SKPPolicy{}, sim.SessionOptions{}},
+		{sim.LookaheadPolicy{}, sim.SessionOptions{}},
+		{sim.Depth2Policy{}, sim.SessionOptions{}},
+		{sim.Depth2Policy{}, sim.SessionOptions{EffectiveViewing: true}},
 	}
 	fmt.Fprintf(out, "%-16s %10s %14s\n", "planner", "mean T", "net/request")
 	for i, pl := range planners {
 		pl.opts.Tracer = tr
 		pl.opts.Track = i
-		res, err := sim.RunMarkovSession(trace, pl.planner, pl.opts)
+		res, err := sim.RunMarkovSession(trace, pl.pol, pl.opts)
 		if err != nil {
 			return err
 		}

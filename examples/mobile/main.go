@@ -38,11 +38,10 @@ func run(w io.Writer) error {
 	cfg := prefetch.PrefetchOnlyConfig{
 		N: 8, RMin: 2, RMax: 45, VMin: 5, VMax: 60, Gen: prefetch.SkewyGen{},
 	}
-	src, err := prefetch.NewRandomRounds(r, cfg, rounds)
+	workload, err := prefetch.RandomRounds(r, cfg, rounds)
 	if err != nil {
 		return err
 	}
-	workload := prefetch.CollectRounds(src)
 
 	fmt.Fprintln(w, "== contention semantics on a slow link (event-driven) ==")
 	fmt.Fprintf(w, "%-12s %12s %14s %14s\n", "mode", "mean T (s)", "net busy (s)", "aborted (s)")

@@ -18,11 +18,10 @@ import (
 )
 
 func TestEndToEndFigure5Ordering(t *testing.T) {
-	src, err := workload.NewRandomSource(rng.New(900), workload.Fig45Config(10, access.SkewyGen{}), 6000)
+	rounds, err := workload.Random(rng.New(900), workload.Fig45Config(10, access.SkewyGen{}), 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := workload.Collect(src)
 	results, err := sim.RunPrefetchOnly(rounds, []sim.Policy{
 		sim.NoPrefetch{}, sim.PerfectPolicy{}, sim.KPPolicy{}, sim.SKPPolicy{},
 	}, sim.PrefetchOnlyOptions{})
@@ -44,11 +43,10 @@ func TestEndToEndFigure5Ordering(t *testing.T) {
 func TestEndToEndFigure5FlatCollapsesSKPToKP(t *testing.T) {
 	// Paper: "the performances of the SKP prefetch and the KP prefetch are
 	// almost the same" under the flat method.
-	src, err := workload.NewRandomSource(rng.New(901), workload.Fig45Config(10, access.FlatGen{}), 6000)
+	rounds, err := workload.Random(rng.New(901), workload.Fig45Config(10, access.FlatGen{}), 6000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := workload.Collect(src)
 	results, err := sim.RunPrefetchOnly(rounds, []sim.Policy{sim.KPPolicy{}, sim.SKPPolicy{}}, sim.PrefetchOnlyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -87,11 +85,10 @@ func TestEndToEndFigure7Ordering(t *testing.T) {
 }
 
 func TestEndToEndLambdaFrontierMonotone(t *testing.T) {
-	src, err := workload.NewRandomSource(rng.New(903), workload.Fig45Config(10, access.SkewyGen{}), 4000)
+	rounds, err := workload.Random(rng.New(903), workload.Fig45Config(10, access.SkewyGen{}), 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := workload.Collect(src)
 	lambdas := []float64{0, 0.1, 0.5, 2}
 	var pols []sim.Policy
 	for _, l := range lambdas {
@@ -126,7 +123,7 @@ func TestEndToEndSizedCacheOrdering(t *testing.T) {
 	for _, s := range trace.Sizes {
 		total += s
 	}
-	noPf := sim.CachePlanner{Label: "none", Solver: nil, Sub: core.SubDS, Ordering: core.ByDensity}
+	noPf := sim.CachePlanner{Label: "none", Solver: sim.NoPrefetch{}, Sub: core.SubDS, Ordering: core.ByDensity}
 	skp := sim.CachePlanner{Label: "skp", Solver: sim.SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity}
 	a, err := sim.RunPrefetchCache(trace, noPf, int(total/4), sim.CacheOptions{})
 	if err != nil {

@@ -46,7 +46,7 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{
 			name: "prefetch-only/" + gen.Name(),
 			run: func(tr obs.Tracer) (any, error) {
-				src, err := workload.NewRandomSource(rng.New(5), workload.Fig45Config(10, gen), 300)
+				rounds, err := workload.Random(rng.New(5), workload.Fig45Config(10, gen), 300)
 				if err != nil {
 					return nil, err
 				}
@@ -54,7 +54,7 @@ func goldenCases() []goldenCase {
 					NoPrefetch{}, PerfectPolicy{}, KPPolicy{},
 					SKPPolicy{Mode: core.DeltaPaperTail}, SKPPolicy{Mode: core.DeltaTheorem3},
 				}
-				results, err := RunPrefetchOnly(workload.Collect(src), pols, PrefetchOnlyOptions{ScatterLimit: 20, Tracer: tr})
+				results, err := RunPrefetchOnly(rounds, pols, PrefetchOnlyOptions{ScatterLimit: 20, Tracer: tr})
 				if err != nil {
 					return nil, err
 				}
@@ -85,11 +85,11 @@ func goldenCases() []goldenCase {
 		}
 	}
 	for _, order := range []core.VictimOrder{core.ByDensity, core.ByValue} {
-		for _, solver := range []Policy{nil, SKPPolicy{}} {
-			pl := CachePlanner{Label: "demand", Solver: solver, Sub: core.SubDS, Ordering: order}
-			if solver != nil {
-				pl.Label = solver.Name()
-			}
+		for _, pl := range []CachePlanner{
+			{Label: "demand", Solver: NoPrefetch{}, Sub: core.SubDS, Ordering: order},
+			{Label: "skp", Solver: SKPPolicy{}, Sub: core.SubDS, Ordering: order},
+		} {
+			pl := pl
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("sized/%s/%s", order, pl.Label),
 				run: func(tr obs.Tracer) (any, error) {
@@ -103,18 +103,17 @@ func goldenCases() []goldenCase {
 			})
 		}
 	}
-	planners := []SessionPlanner{PlainPlanner{Policy: SKPPolicy{}}, LookaheadPlanner{}, Depth2Planner{}}
-	for _, planner := range planners {
+	for _, pol := range []Policy{SKPPolicy{}, LookaheadPolicy{}, Depth2Policy{}} {
 		for _, eff := range []bool{false, true} {
-			planner, eff := planner, eff
+			pol, eff := pol, eff
 			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("session/%s/effective=%t", planner.Name(), eff),
+				name: fmt.Sprintf("session/%s/effective=%t", pol.Name(), eff),
 				run: func(tr obs.Tracer) (any, error) {
 					trace, err := goldenTrace(13, 150)
 					if err != nil {
 						return nil, err
 					}
-					return RunMarkovSession(trace, planner, SessionOptions{EffectiveViewing: eff, Tracer: tr})
+					return RunMarkovSession(trace, pol, SessionOptions{EffectiveViewing: eff, Tracer: tr})
 				},
 			})
 		}

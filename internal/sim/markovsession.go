@@ -9,55 +9,9 @@ import (
 	"prefetch/internal/stats"
 )
 
-// SessionPlanner plans a round given the decision problem and the weighted
-// successor problems (for policies that look one step further ahead).
-type SessionPlanner interface {
-	Name() string
-	Plan(problem core.Problem, successors []core.WeightedProblem) (core.Plan, error)
-}
-
-// PlainPlanner adapts a Policy (SKP, KP, …) that ignores the successors.
-type PlainPlanner struct {
-	Policy Policy
-}
-
-// Name implements SessionPlanner.
-func (p PlainPlanner) Name() string { return p.Policy.Name() }
-
-// Plan implements SessionPlanner.
-func (p PlainPlanner) Plan(problem core.Problem, _ []core.WeightedProblem) (core.Plan, error) {
-	return p.Policy.Plan(problem)
-}
-
-// LookaheadPlanner prices the stretch at the successors' expected marginal
-// density (depth-2 surrogate; paper §6 / §4.4).
-type LookaheadPlanner struct{}
-
-// Name implements SessionPlanner.
-func (LookaheadPlanner) Name() string { return "skp-lookahead" }
-
-// Plan implements SessionPlanner.
-func (LookaheadPlanner) Plan(problem core.Problem, successors []core.WeightedProblem) (core.Plan, error) {
-	plan, _, err := core.SolveSKPLookahead(problem, successors)
-	return plan, err
-}
-
-// Depth2Planner maximises the exact two-step objective (optimal
-// continuation gain per stretch value, memoised inner solves).
-type Depth2Planner struct{}
-
-// Name implements SessionPlanner.
-func (Depth2Planner) Name() string { return "skp-depth2" }
-
-// Plan implements SessionPlanner.
-func (Depth2Planner) Plan(problem core.Problem, successors []core.WeightedProblem) (core.Plan, error) {
-	plan, _, err := core.SolveSKPDepth2(problem, successors)
-	return plan, err
-}
-
 // SessionOptions tunes RunMarkovSession.
 type SessionOptions struct {
-	// EffectiveViewing lets the planner see the true remaining capacity
+	// EffectiveViewing lets the policy see the true remaining capacity
 	// v − backlog instead of the nominal viewing time, modelling a
 	// resource-aware prefetcher (paper §1: "a resource model allows a
 	// prefetcher to predict the amount of available ... resources").
@@ -69,12 +23,12 @@ type SessionOptions struct {
 	// prefetches resolve at round end (items are flushed each round;
 	// only the link backlog persists).
 	Tracer obs.Tracer
-	// Track is the client id stamped on every event, so several planner
+	// Track is the client id stamped on every event, so several policy
 	// runs can share one trace file on distinct tracks.
 	Track int
 }
 
-// SessionResult aggregates one planner's run through the event-driven
+// SessionResult aggregates one policy's run through the event-driven
 // session, where leftover prefetch work really does intrude into the next
 // viewing window (unlike the closed-form harness, which is memoryless).
 type SessionResult struct {
@@ -85,22 +39,23 @@ type SessionResult struct {
 }
 
 // RunMarkovSession replays the trace through netsim.Session under the
-// planner: round k plans for state States[k]'s successors and the request
+// policy: round k plans for state States[k]'s successors and the request
 // is States[k+1]. Items are flushed after each request (the paper's
 // prefetch-only setting); what persists between rounds is only the link
-// backlog — the stretch intrusion of §4.4.
-func RunMarkovSession(trace *MarkovTrace, planner SessionPlanner, opts SessionOptions) (SessionResult, error) {
+// backlog — the stretch intrusion of §4.4. The policy sees the weighted
+// successor problems of every round.
+func RunMarkovSession(trace *MarkovTrace, pol Policy, opts SessionOptions) (SessionResult, error) {
 	if trace == nil || len(trace.States) < 2 {
 		return SessionResult{}, fmt.Errorf("%w: empty trace", ErrBadSim)
 	}
 	session := netsim.NewSession(netsim.SessionOptions{KeepItems: false})
-	res := SessionResult{Policy: planner.Name()}
+	res := SessionResult{Policy: pol.Name()}
 
 	tr := obs.Active(opts.Tracer)
 	var now float64 // virtual clock; advances by viewing + access per round
 	if tr != nil {
 		ev := obs.Ev(0, obs.KindTrack, opts.Track)
-		ev.Note = planner.Name()
+		ev.Note = pol.Name()
 		tr.Emit(ev)
 	}
 
@@ -136,7 +91,7 @@ func RunMarkovSession(trace *MarkovTrace, planner SessionPlanner, opts SessionOp
 			})
 		}
 
-		plan, err := planner.Plan(problem, successors)
+		plan, err := pol.Plan(problem, successors)
 		if err != nil {
 			return SessionResult{}, fmt.Errorf("round %d: %w", k, err)
 		}

@@ -4,7 +4,9 @@
 // item sizes on the trace also runs the byte-capacity cache of the
 // non-uniform size extension (E9), and a netsim-backed Markov session that
 // exposes the stretch-intrusion effect the one-step model ignores (used by
-// the lookahead ablation).
+// the lookahead ablation). All three ask one Policy what to prefetch each
+// round; only the session has a next-step model to pass it, so only there
+// do the lookahead policies see successor problems.
 package sim
 
 import (
@@ -17,12 +19,17 @@ import (
 // ErrBadSim reports invalid simulation configuration.
 var ErrBadSim = errors.New("sim: bad simulation config")
 
-// Policy decides what to prefetch for a round's decision problem.
+// Policy decides what to prefetch for a round's decision problem. It is
+// the one planning interface of the prefetch-only, prefetch-cache and
+// session harnesses.
 type Policy interface {
 	// Name labels the policy in results and figure legends.
 	Name() string
-	// Plan returns the prefetch plan for the problem.
-	Plan(p core.Problem) (core.Plan, error)
+	// Plan returns the prefetch plan for the problem. successors holds
+	// the weighted decision problems of the next round, for policies that
+	// look one step further ahead; harnesses without a next-step model
+	// pass nil, and one-step policies ignore it.
+	Plan(p core.Problem, successors []core.WeightedProblem) (core.Plan, error)
 }
 
 // NoPrefetch never prefetches (the paper's "no prefetch" series).
@@ -32,7 +39,9 @@ type NoPrefetch struct{}
 func (NoPrefetch) Name() string { return "none" }
 
 // Plan implements Policy.
-func (NoPrefetch) Plan(core.Problem) (core.Plan, error) { return core.Plan{}, nil }
+func (NoPrefetch) Plan(core.Problem, []core.WeightedProblem) (core.Plan, error) {
+	return core.Plan{}, nil
+}
 
 // SKPPolicy prefetches the stretch-knapsack solution. Mode selects the
 // Theorem-3-correct δ (default) or the literal Figure-3 tail δ.
@@ -49,7 +58,7 @@ func (p SKPPolicy) Name() string {
 }
 
 // Plan implements Policy.
-func (p SKPPolicy) Plan(prob core.Problem) (core.Plan, error) {
+func (p SKPPolicy) Plan(prob core.Problem, _ []core.WeightedProblem) (core.Plan, error) {
 	plan, _, err := core.SolveSKPOpts(prob, core.Options{Mode: p.Mode})
 	return plan, err
 }
@@ -61,7 +70,9 @@ type KPPolicy struct{}
 func (KPPolicy) Name() string { return "kp" }
 
 // Plan implements Policy.
-func (KPPolicy) Plan(p core.Problem) (core.Plan, error) { return core.SolveKP(p) }
+func (KPPolicy) Plan(p core.Problem, _ []core.WeightedProblem) (core.Plan, error) {
+	return core.SolveKP(p)
+}
 
 // GreedyPolicy prefetches the density-greedy fill (ablation baseline).
 type GreedyPolicy struct{}
@@ -70,20 +81,34 @@ type GreedyPolicy struct{}
 func (GreedyPolicy) Name() string { return "greedy" }
 
 // Plan implements Policy.
-func (GreedyPolicy) Plan(p core.Problem) (core.Plan, error) { return core.SolveGreedyPrefetch(p) }
-
-// StretchAwarePolicy prices the stretch at a fixed extra cost (the depth-2
-// lookahead surrogate; see core.SolveSKPStretchAware).
-type StretchAwarePolicy struct {
-	Cost float64
+func (GreedyPolicy) Plan(p core.Problem, _ []core.WeightedProblem) (core.Plan, error) {
+	return core.SolveGreedyPrefetch(p)
 }
 
+// LookaheadPolicy prices the stretch at the successors' expected marginal
+// density (depth-2 surrogate; paper §6 / §4.4). Without successors the
+// price is zero and it plans as SKPPolicy.
+type LookaheadPolicy struct{}
+
 // Name implements Policy.
-func (p StretchAwarePolicy) Name() string { return fmt.Sprintf("skp-sa%.2g", p.Cost) }
+func (LookaheadPolicy) Name() string { return "skp-lookahead" }
 
 // Plan implements Policy.
-func (p StretchAwarePolicy) Plan(prob core.Problem) (core.Plan, error) {
-	plan, _, err := core.SolveSKPStretchAware(prob, p.Cost)
+func (LookaheadPolicy) Plan(p core.Problem, successors []core.WeightedProblem) (core.Plan, error) {
+	plan, _, err := core.SolveSKPLookahead(p, successors)
+	return plan, err
+}
+
+// Depth2Policy maximises the exact two-step objective (optimal
+// continuation gain per stretch value, memoised inner solves).
+type Depth2Policy struct{}
+
+// Name implements Policy.
+func (Depth2Policy) Name() string { return "skp-depth2" }
+
+// Plan implements Policy.
+func (Depth2Policy) Plan(p core.Problem, successors []core.WeightedProblem) (core.Plan, error) {
+	plan, _, err := core.SolveSKPDepth2(p, successors)
 	return plan, err
 }
 
@@ -97,7 +122,7 @@ type CostAwarePolicy struct {
 func (p CostAwarePolicy) Name() string { return fmt.Sprintf("skp-λ%.2g", p.Lambda) }
 
 // Plan implements Policy.
-func (p CostAwarePolicy) Plan(prob core.Problem) (core.Plan, error) {
+func (p CostAwarePolicy) Plan(prob core.Problem, _ []core.WeightedProblem) (core.Plan, error) {
 	plan, _, err := core.SolveSKPCostAware(prob, p.Lambda)
 	return plan, err
 }
@@ -112,7 +137,9 @@ func (PerfectPolicy) Name() string { return "perfect" }
 
 // Plan implements Policy; without the request it cannot do better than
 // nothing, so the harness must use PlanOracle.
-func (PerfectPolicy) Plan(core.Problem) (core.Plan, error) { return core.Plan{}, nil }
+func (PerfectPolicy) Plan(core.Problem, []core.WeightedProblem) (core.Plan, error) {
+	return core.Plan{}, nil
+}
 
 // PlanOracle returns the plan containing only the requested item.
 func (PerfectPolicy) PlanOracle(p core.Problem, requested int) core.Plan {

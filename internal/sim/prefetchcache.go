@@ -69,11 +69,12 @@ func BuildSizes(r *rng.Source, retrievals []float64) []int64 {
 }
 
 // CachePlanner is one prefetch-cache policy of §5.3: a prefetch solver
-// (nil for No+Pr) combined with a sub-arbitration for victim ties, and
-// for sized items the order a demand fetch evicts in.
+// (NoPrefetch for No+Pr, which caches on demand only) combined with a
+// sub-arbitration for victim ties, and for sized items the order a demand
+// fetch evicts in.
 type CachePlanner struct {
 	Label    string
-	Solver   Policy // nil: no prefetching, demand caching only
+	Solver   Policy
 	Sub      core.SubArbitration
 	Ordering core.VictimOrder // demand victims by size; either order is Figure 6's at unit sizes
 }
@@ -84,7 +85,7 @@ type CachePlanner struct {
 func Fig7Planners(mode core.DeltaMode) []CachePlanner {
 	skp := SKPPolicy{Mode: mode}
 	return []CachePlanner{
-		{Label: "No+Pr", Solver: nil, Sub: core.SubNone},
+		{Label: "No+Pr", Solver: NoPrefetch{}, Sub: core.SubNone},
 		{Label: "KP+Pr", Solver: KPPolicy{}, Sub: core.SubNone},
 		{Label: "SKP+Pr", Solver: skp, Sub: core.SubNone},
 		{Label: "SKP+Pr+LFU", Solver: skp, Sub: core.SubLFU},
@@ -128,9 +129,9 @@ type CacheOptions struct {
 
 // RunPrefetchCache replays the trace under one planner and cache size —
 // the paper's §5.3 Monte-Carlo. Each round: the client sits in state s for
-// v_s, the planner runs SKP/KP over the non-cached successors of s
-// (TotalProb = 1 per Eq. 9's universe), Pr-arbitration admits prefetches
-// against the cache, the request States[k+1] arrives, and a miss demand-
+// v_s, the planner's Solver plans over the non-cached successors of s
+// (TotalProb = 1 per Eq. 9's universe), Pr-arbitration admits a non-empty
+// plan's prefetches against the cache, the request States[k+1] arrives, and a miss demand-
 // fetches with a mandatory victim. Per-item request counts over the walk
 // drive LFU/DS.
 //
@@ -144,6 +145,9 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 	}
 	if cacheSize <= 0 {
 		return CacheResult{}, fmt.Errorf("%w: cache size %d", ErrBadSim, cacheSize)
+	}
+	if planner.Solver == nil {
+		return CacheResult{}, fmt.Errorf("%w: planner %q has no solver", ErrBadSim, planner.Label)
 	}
 	sizes := trace.Sizes
 	if sizes == nil {
@@ -208,19 +212,18 @@ func RunPrefetchCache(trace *MarkovTrace, planner CachePlanner, cacheSize int, o
 			tr.Emit(ev)
 		}
 
+		var candidates []core.Item
+		for i, id := range succ {
+			if !c.contains(id) && sizes[id] <= c.capacity {
+				candidates = append(candidates, core.Item{ID: id, Prob: probs[i], Retrieval: trace.Retrievals[id]})
+			}
+		}
+		plan, err := planner.Solver.Plan(core.Problem{Items: candidates, Viewing: v, TotalProb: 1}, nil)
+		if err != nil {
+			return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
+		}
 		var accepted core.Plan
-		if planner.Solver != nil {
-			var candidates []core.Item
-			for i, id := range succ {
-				if !c.contains(id) && sizes[id] <= c.capacity {
-					candidates = append(candidates, core.Item{ID: id, Prob: probs[i], Retrieval: trace.Retrievals[id]})
-				}
-			}
-			problem := core.Problem{Items: candidates, Viewing: v, TotalProb: 1}
-			plan, err := planner.Solver.Plan(problem)
-			if err != nil {
-				return CacheResult{}, fmt.Errorf("round %d: %w", k, err)
-			}
+		if len(plan.Items) > 0 {
 			sized := make([]core.SizedCandidate, len(plan.Items))
 			for i, it := range plan.Items {
 				sized[i] = core.SizedCandidate{Item: it, Size: sizes[it.ID]}

@@ -75,7 +75,7 @@ func RunPrefetchOnly(rounds []workload.Round, policies []Policy, opts PrefetchOn
 				plan = oracle.PlanOracle(problem, rd.Requested)
 			} else {
 				var err error
-				plan, err = pol.Plan(problem)
+				plan, err = pol.Plan(problem, nil)
 				if err != nil {
 					return nil, fmt.Errorf("round %d, policy %s: %w", ri, pol.Name(), err)
 				}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -13,11 +14,11 @@ import (
 func makeRounds(t *testing.T, seed uint64, n, count int, gen access.ProbGen) []workload.Round {
 	t.Helper()
 	r := rng.New(seed)
-	src, err := workload.NewRandomSource(r, workload.Fig45Config(n, gen), count)
+	rounds, err := workload.Random(r, workload.Fig45Config(n, gen), count)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return workload.Collect(src)
+	return rounds
 }
 
 func resultByName(t *testing.T, results []PrefetchOnlyResult, name string) *PrefetchOnlyResult {
@@ -162,7 +163,7 @@ func TestPolicyNames(t *testing.T) {
 			t.Errorf("policy name %q, want %q", pol.Name(), want)
 		}
 	}
-	if (StretchAwarePolicy{Cost: 0.5}).Name() == "" || (CostAwarePolicy{Lambda: 1}).Name() == "" {
+	if (CostAwarePolicy{Lambda: 1}).Name() == "" {
 		t.Error("parametrised policies must have names")
 	}
 }
@@ -304,6 +305,10 @@ func TestRunPrefetchCacheValidation(t *testing.T) {
 	if _, err := RunPrefetchCache(trace, pl, 0, CacheOptions{}); err == nil {
 		t.Fatal("zero cache accepted")
 	}
+	pl.Solver = nil
+	if _, err := RunPrefetchCache(trace, pl, 5, CacheOptions{}); !errors.Is(err, ErrBadSim) {
+		t.Fatalf("nil solver: err %v, want ErrBadSim", err)
+	}
 }
 
 func TestRunPrefetchCacheDeterministic(t *testing.T) {
@@ -325,14 +330,14 @@ func TestRunPrefetchCacheDeterministic(t *testing.T) {
 
 func TestRunMarkovSession(t *testing.T) {
 	trace := buildTrace(t, 118, 30, 2000)
-	plain, err := RunMarkovSession(trace, PlainPlanner{Policy: SKPPolicy{}}, SessionOptions{})
+	plain, err := RunMarkovSession(trace, SKPPolicy{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Requests != 2000 {
 		t.Fatalf("requests %d", plain.Requests)
 	}
-	none, err := RunMarkovSession(trace, PlainPlanner{Policy: NoPrefetch{}}, SessionOptions{})
+	none, err := RunMarkovSession(trace, NoPrefetch{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +355,11 @@ func TestLookaheadReducesIntrusionLoss(t *testing.T) {
 	// window. The lookahead pricing should not be worse than plain SKP
 	// (it rarely stretches when successors are capacity-hungry).
 	trace := buildTrace(t, 119, 30, 4000)
-	plain, err := RunMarkovSession(trace, PlainPlanner{Policy: SKPPolicy{}}, SessionOptions{})
+	plain, err := RunMarkovSession(trace, SKPPolicy{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	look, err := RunMarkovSession(trace, LookaheadPlanner{}, SessionOptions{})
+	look, err := RunMarkovSession(trace, LookaheadPolicy{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,21 +372,21 @@ func TestLookaheadReducesIntrusionLoss(t *testing.T) {
 }
 
 func TestRunMarkovSessionValidation(t *testing.T) {
-	if _, err := RunMarkovSession(nil, LookaheadPlanner{}, SessionOptions{}); err == nil {
+	if _, err := RunMarkovSession(nil, LookaheadPolicy{}, SessionOptions{}); err == nil {
 		t.Fatal("nil trace accepted")
 	}
 }
 
 func TestDepth2PlannerInSession(t *testing.T) {
 	trace := buildTrace(t, 130, 30, 1500)
-	exact, err := RunMarkovSession(trace, Depth2Planner{}, SessionOptions{})
+	exact, err := RunMarkovSession(trace, Depth2Policy{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact.Policy != "skp-depth2" {
 		t.Fatalf("label %q", exact.Policy)
 	}
-	plain, err := RunMarkovSession(trace, PlainPlanner{Policy: SKPPolicy{}}, SessionOptions{})
+	plain, err := RunMarkovSession(trace, SKPPolicy{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,8 +408,8 @@ func TestFig7PlannersShape(t *testing.T) {
 			t.Fatalf("planner %d = %q, want %q", i, pls[i].Label, w)
 		}
 	}
-	if pls[0].Solver != nil {
-		t.Fatal("No+Pr must have nil solver")
+	if pls[0].Solver != (NoPrefetch{}) {
+		t.Fatal("No+Pr must not prefetch")
 	}
 	if pls[4].Sub != core.SubDS || pls[3].Sub != core.SubLFU {
 		t.Fatal("sub-arbitrations wrong")
@@ -413,19 +418,14 @@ func TestFig7PlannersShape(t *testing.T) {
 
 func BenchmarkPrefetchOnlyRoundSKP(b *testing.B) {
 	r := rng.New(120)
-	src, err := workload.NewRandomSource(r, workload.Fig45Config(10, access.SkewyGen{}), b.N)
+	rounds, err := workload.Random(r, workload.Fig45Config(10, access.SkewyGen{}), b.N)
 	if err != nil {
 		b.Fatal(err)
 	}
 	pol := SKPPolicy{}
 	b.ResetTimer()
-	for {
-		rd, ok := src.Next()
-		if !ok {
-			break
-		}
-		problem := rd.Problem()
-		plan, err := pol.Plan(problem)
+	for _, rd := range rounds {
+		plan, err := pol.Plan(rd.Problem(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestBuildSizesCorrelated(t *testing.T) {
 func TestRunSizedPrefetchCacheBasics(t *testing.T) {
 	trace := sizedSetup(t, 601, 40, 3000)
 	planners := []CachePlanner{
-		{Label: "no-prefetch", Solver: nil, Sub: core.SubDS, Ordering: core.ByDensity},
+		{Label: "no-prefetch", Solver: NoPrefetch{}, Sub: core.SubDS, Ordering: core.ByDensity},
 		{Label: "skp-density", Solver: SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByDensity},
 		{Label: "skp-value", Solver: SKPPolicy{}, Sub: core.SubDS, Ordering: core.ByValue},
 	}
@@ -90,7 +90,7 @@ func TestRunSizedPrefetchCacheOversizedItemNeverCached(t *testing.T) {
 
 func TestRunSizedPrefetchCacheValidation(t *testing.T) {
 	trace := sizedSetup(t, 604, 10, 100)
-	pl := CachePlanner{Label: "x", Solver: nil, Sub: core.SubNone, Ordering: core.ByDensity}
+	pl := CachePlanner{Label: "x", Solver: NoPrefetch{}, Sub: core.SubNone, Ordering: core.ByDensity}
 	if _, err := RunPrefetchCache(nil, pl, 100, CacheOptions{}); err == nil {
 		t.Fatal("nil trace accepted")
 	}

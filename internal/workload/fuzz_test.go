@@ -13,12 +13,12 @@ import (
 // FuzzReadTrace: ReadTrace never panics on any input, and every trace it
 // accepts survives WriteTrace and a second read unchanged.
 func FuzzReadTrace(f *testing.F) {
-	src, err := NewRandomSource(rng.New(3), Fig45Config(4, access.FlatGen{}), 8)
+	rounds, err := Random(rng.New(3), Fig45Config(4, access.FlatGen{}), 8)
 	if err != nil {
 		f.Fatal(err)
 	}
 	var run bytes.Buffer
-	if err := WriteTrace(&run, Collect(src)); err != nil {
+	if err := WriteTrace(&run, rounds); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(run.Bytes())

@@ -96,61 +96,33 @@ func (c PrefetchOnlyConfig) Validate() error {
 	return nil
 }
 
-// Source yields rounds until exhausted.
-type Source interface {
-	Next() (Round, bool)
-}
-
-// randomSource draws i.i.d. rounds from a PrefetchOnlyConfig.
-type randomSource struct {
-	cfg   PrefetchOnlyConfig
-	rand  *rng.Source
-	left  int
-	probs []float64
-}
-
-// NewRandomSource returns a Source producing count random rounds. The
+// Random draws count i.i.d. rounds from cfg on a stream split from r. The
 // request of each round is drawn from that round's own probabilities —
 // the model's "speculative knowledge" is exact, as in the paper.
-func NewRandomSource(r *rng.Source, cfg PrefetchOnlyConfig, count int) (Source, error) {
+func Random(r *rng.Source, cfg PrefetchOnlyConfig, count int) ([]Round, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if count < 0 {
 		return nil, fmt.Errorf("%w: count %d", ErrBadWorkload, count)
 	}
-	return &randomSource{cfg: cfg, rand: r.Split(), left: count, probs: make([]float64, cfg.N)}, nil
-}
-
-// Next implements Source.
-func (s *randomSource) Next() (Round, bool) {
-	if s.left <= 0 {
-		return Round{}, false
-	}
-	s.left--
-	s.cfg.Gen.Generate(s.rand, s.probs)
-	rd := Round{
-		Viewing:    float64(s.rand.IntRange(s.cfg.VMin, s.cfg.VMax)),
-		Probs:      append([]float64(nil), s.probs...),
-		Retrievals: make([]float64, s.cfg.N),
-		Requested:  s.rand.Categorical(s.probs),
-	}
-	for i := range rd.Retrievals {
-		rd.Retrievals[i] = float64(s.rand.IntRange(s.cfg.RMin, s.cfg.RMax))
-	}
-	return rd, true
-}
-
-// Collect drains a source into a slice (for recording traces).
-func Collect(src Source) []Round {
-	var out []Round
-	for {
-		rd, ok := src.Next()
-		if !ok {
-			return out
+	rand := r.Split()
+	probs := make([]float64, cfg.N)
+	out := make([]Round, count)
+	for k := range out {
+		cfg.Gen.Generate(rand, probs)
+		rd := Round{
+			Viewing:    float64(rand.IntRange(cfg.VMin, cfg.VMax)),
+			Probs:      append([]float64(nil), probs...),
+			Retrievals: make([]float64, cfg.N),
+			Requested:  rand.Categorical(probs),
 		}
-		out = append(out, rd)
+		for i := range rd.Retrievals {
+			rd.Retrievals[i] = float64(rand.IntRange(cfg.RMin, cfg.RMax))
+		}
+		out[k] = rd
 	}
+	return out, nil
 }
 
 // WriteTrace writes rounds as JSON lines.

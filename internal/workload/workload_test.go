@@ -13,19 +13,13 @@ import (
 func TestRandomSourceShape(t *testing.T) {
 	r := rng.New(91)
 	cfg := Fig45Config(10, access.SkewyGen{})
-	src, err := NewRandomSource(r, cfg, 500)
+	rounds, err := Random(r, cfg, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for {
-		rd, ok := src.Next()
-		if !ok {
-			break
-		}
-		count++
+	for k, rd := range rounds {
 		if err := rd.Validate(); err != nil {
-			t.Fatalf("round %d invalid: %v", count, err)
+			t.Fatalf("round %d invalid: %v", k, err)
 		}
 		if len(rd.Probs) != 10 {
 			t.Fatalf("n = %d", len(rd.Probs))
@@ -46,8 +40,8 @@ func TestRandomSourceShape(t *testing.T) {
 			t.Fatalf("probs sum %v", sum)
 		}
 	}
-	if count != 500 {
-		t.Fatalf("produced %d rounds, want 500", count)
+	if len(rounds) != 500 {
+		t.Fatalf("produced %d rounds, want 500", len(rounds))
 	}
 }
 
@@ -56,17 +50,12 @@ func TestRandomSourceRequestFollowsProbs(t *testing.T) {
 	// much more often than 1/n.
 	r := rng.New(92)
 	cfg := Fig45Config(10, access.SkewyGen{Alpha: 30})
-	src, err := NewRandomSource(r, cfg, 4000)
+	rounds, err := Random(r, cfg, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, total := 0, 0
-	for {
-		rd, ok := src.Next()
-		if !ok {
-			break
-		}
-		total++
+	hits := 0
+	for _, rd := range rounds {
 		argmax, best := 0, rd.Probs[0]
 		for i, p := range rd.Probs {
 			if p > best {
@@ -77,7 +66,7 @@ func TestRandomSourceRequestFollowsProbs(t *testing.T) {
 			hits++
 		}
 	}
-	if frac := float64(hits) / float64(total); frac < 0.5 {
+	if frac := float64(hits) / float64(len(rounds)); frac < 0.5 {
 		t.Fatalf("argmax requested only %.0f%% of the time; request not following probs", 100*frac)
 	}
 }
@@ -93,11 +82,11 @@ func TestConfigValidation(t *testing.T) {
 		{N: 5, RMin: 1, RMax: 2, VMin: 1, VMax: 2, Gen: nil},
 	}
 	for i, cfg := range bad {
-		if _, err := NewRandomSource(r, cfg, 10); err == nil {
+		if _, err := Random(r, cfg, 10); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := NewRandomSource(r, Fig45Config(10, access.FlatGen{}), -1); err == nil {
+	if _, err := Random(r, Fig45Config(10, access.FlatGen{}), -1); err == nil {
 		t.Error("negative count accepted")
 	}
 }
@@ -118,11 +107,10 @@ func TestRoundProblem(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	r := rng.New(94)
-	src, err := NewRandomSource(r, Fig45Config(5, access.FlatGen{}), 50)
+	rounds, err := Random(r, Fig45Config(5, access.FlatGen{}), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := Collect(src)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, rounds); err != nil {
 		t.Fatal(err)
@@ -209,11 +197,11 @@ func TestWriteTraceValidates(t *testing.T) {
 func TestDeterministicAcrossSeeds(t *testing.T) {
 	mk := func() []Round {
 		r := rng.New(4242)
-		src, err := NewRandomSource(r, Fig45Config(8, access.SkewyGen{}), 30)
+		rounds, err := Random(r, Fig45Config(8, access.SkewyGen{}), 30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Collect(src)
+		return rounds
 	}
 	a, b := mk(), mk()
 	for i := range a {

@@ -160,11 +160,10 @@ func TestFacadeCacheIntegration(t *testing.T) {
 
 func TestFacadeSimulation(t *testing.T) {
 	r := prefetch.NewRand(7)
-	src, err := prefetch.NewRandomRounds(r, prefetch.Fig45Config(10, prefetch.SkewyGen{}), 300)
+	rounds, err := prefetch.RandomRounds(r, prefetch.Fig45Config(10, prefetch.SkewyGen{}), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := prefetch.CollectRounds(src)
 	results, err := prefetch.RunPrefetchOnly(rounds,
 		[]prefetch.Policy{prefetch.NoPrefetch{}, prefetch.SKPPolicy{}, prefetch.PerfectPolicy{}},
 		prefetch.PrefetchOnlyOptions{ScatterLimit: 10})

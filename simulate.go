@@ -18,9 +18,10 @@ type (
 	Round = workload.Round
 	// PrefetchOnlyConfig parameterises the §4.4 workload.
 	PrefetchOnlyConfig = workload.PrefetchOnlyConfig
-	// RoundSource yields rounds (random or replayed from a trace).
-	RoundSource = workload.Source
-	// Policy decides what to prefetch for a round.
+	// Policy decides what to prefetch for a round: Plan(problem,
+	// successors), where successors holds the next round's weighted
+	// problems for lookahead policies and is nil in the prefetch-only
+	// and prefetch-cache harnesses.
 	Policy = sim.Policy
 	// PrefetchOnlyOptions tunes the §4.4 harness.
 	PrefetchOnlyOptions = sim.PrefetchOnlyOptions
@@ -77,8 +78,6 @@ type (
 	GreedyPolicy = sim.GreedyPolicy
 	// PerfectPolicy is the oracle (always fetches the true next item).
 	PerfectPolicy = sim.PerfectPolicy
-	// StretchAwarePolicy prices the stretch at a fixed cost.
-	StretchAwarePolicy = sim.StretchAwarePolicy
 	// CostAwarePolicy trades improvement against network usage.
 	CostAwarePolicy = sim.CostAwarePolicy
 )
@@ -87,16 +86,13 @@ type (
 // identical experiment runs across platforms and Go releases.
 func NewRand(seed uint64) *Rand { return rng.New(seed) }
 
-// NewRandomRounds returns a source of `count` random rounds under cfg.
-func NewRandomRounds(r *Rand, cfg PrefetchOnlyConfig, count int) (RoundSource, error) {
-	return workload.NewRandomSource(r, cfg, count)
+// RandomRounds draws `count` random rounds under cfg.
+func RandomRounds(r *Rand, cfg PrefetchOnlyConfig, count int) ([]Round, error) {
+	return workload.Random(r, cfg, count)
 }
 
 // Fig45Config returns the paper's Figure-4/5 workload parameters.
 func Fig45Config(n int, gen ProbGen) PrefetchOnlyConfig { return workload.Fig45Config(n, gen) }
-
-// CollectRounds drains a source into a slice.
-func CollectRounds(src RoundSource) []Round { return workload.Collect(src) }
 
 // RunPrefetchOnly plays every round through every policy (§4.4 harness).
 func RunPrefetchOnly(rounds []Round, policies []Policy, opts PrefetchOnlyOptions) ([]PrefetchOnlyResult, error) {
