@@ -113,6 +113,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -148,7 +149,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&a.n, "n", 10, "items per round (prefetch-only)")
 	fs.StringVar(&a.gen, "gen", "skewy", "probability generator: skewy | flat | zipf | geometric")
 	fs.IntVar(&a.iters, "iters", 50000, "iterations (prefetch-only)")
-	fs.StringVar(&a.policies, "policies", "none,perfect,kp,skp", "comma-separated policy list")
+	fs.StringVar(&a.policies, "policies", "", "comma-separated policy list; prefetch-only: none | perfect | kp | greedy | skp | skp-paper (empty: none,perfect,kp,skp); cache: Fig. 7 labels or all (empty: all)")
 	fs.StringVar(&a.record, "record", "", "write the workload trace to this file")
 	fs.StringVar(&a.replay, "replay", "", "replay a workload trace from this file")
 	fs.IntVar(&a.states, "states", 100, "Markov states (cache/session)")
@@ -406,26 +407,30 @@ func writeMemProfile(path string, force bool) error {
 	return f.Close()
 }
 
+// prefetchOnlyPolicies lists every policy -mode prefetch-only runs; a
+// -policies name selects the one whose Name it is.
+var prefetchOnlyPolicies = []sim.Policy{
+	sim.NoPrefetch{}, sim.PerfectPolicy{}, sim.KPPolicy{}, sim.GreedyPolicy{},
+	sim.SKPPolicy{}, sim.SKPPolicy{Mode: core.DeltaPaperTail},
+}
+
+// parsePolicies selects prefetch-only policies by name, in list order;
+// an empty list selects none, perfect, kp and skp.
 func parsePolicies(list string) ([]sim.Policy, error) {
+	if list == "" {
+		list = "none,perfect,kp,skp"
+	}
 	var out []sim.Policy
 	for _, name := range strings.Split(list, ",") {
-		switch strings.TrimSpace(name) {
-		case "none":
-			out = append(out, sim.NoPrefetch{})
-		case "perfect":
-			out = append(out, sim.PerfectPolicy{})
-		case "kp":
-			out = append(out, sim.KPPolicy{})
-		case "greedy":
-			out = append(out, sim.GreedyPolicy{})
-		case "skp":
-			out = append(out, sim.SKPPolicy{})
-		case "skp-paper":
-			out = append(out, sim.SKPPolicy{Mode: core.DeltaPaperTail})
-		case "":
-		default:
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		i := slices.IndexFunc(prefetchOnlyPolicies, func(p sim.Policy) bool { return p.Name() == name })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown policy %q", name)
 		}
+		out = append(out, prefetchOnlyPolicies[i])
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no policies given")
@@ -488,11 +493,11 @@ func runPrefetchOnly(out io.Writer, seed uint64, n int, genName string, iters in
 }
 
 // parseCachePlanners selects Fig. 7 planners by label, in the paper's
-// order. "all", or the untouched prefetch-only default, selects all five;
-// any other name is an error.
+// order. "all", or an empty list, selects all five; any other name is an
+// error.
 func parseCachePlanners(list string) ([]sim.CachePlanner, error) {
 	all := prefetch.Fig7Planners(prefetch.DeltaTheorem3)
-	if list == "none,perfect,kp,skp" {
+	if list == "" {
 		return all, nil
 	}
 	known := map[string]bool{"all": true}

@@ -137,9 +137,10 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-mode", "nope"},
 		{"-mode", "prefetch-only", "-policies", "unknown"},
 		{"-mode", "prefetch-only", "-gen", "unknown"},
-		{"-mode", "cache", "-requests", "50", "-policies", "SKP+PR"},         // case typo
-		{"-mode", "cache", "-requests", "50", "-policies", "skp"},            // a prefetch-only name
-		{"-mode", "cache", "-requests", "50", "-policies", "all,SKP+Pr+LRU"}, // "all" does not excuse a typo
+		{"-mode", "cache", "-requests", "50", "-policies", "SKP+PR"},              // case typo
+		{"-mode", "cache", "-requests", "50", "-policies", "skp"},                 // a prefetch-only name
+		{"-mode", "cache", "-requests", "50", "-policies", "none,perfect,kp,skp"}, // the prefetch-only default list
+		{"-mode", "cache", "-requests", "50", "-policies", "all,SKP+Pr+LRU"},      // "all" does not excuse a typo
 		{"-mode", "cache", "-requests", "50", "-policies", ","},
 		{"-mode", "multiclient", "-clients", "zero"},
 		{"-mode", "multiclient", "-clients", ""},
