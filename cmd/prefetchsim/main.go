@@ -969,37 +969,37 @@ func runMultiClient(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 }
 
 // column is one column of a sweep table: its name, the header and row
-// cell formats, and the value a grid cell shows in it.
+// cell formats, and the value the table's i-th grid cell shows in it.
 type column struct {
 	name      string
 	head, row string
-	val       func(p prefetch.MultiClientPoint) any
+	val       func(i int, p prefetch.MultiClientPoint) any
 }
 
 // The columns the sweep tables share.
 var (
-	colClients   = column{"clients", "%-8s", "%-8d", func(p prefetch.MultiClientPoint) any { return p.Clients }}
-	colDemandT   = column{"demand T", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.DemandAccess.Mean() }}
-	colMeanT     = column{"mean T", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.Access.Mean() }}
-	colCI95      = column{"±95%", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.Access.CI95() }}
-	colQueueWait = column{"queue wait", "%12s", "%12.4f", func(p prefetch.MultiClientPoint) any { return p.QueueWait.Mean() }}
-	colLambda    = column{"mean λ", "%8s", "%8.3f", func(p prefetch.MultiClientPoint) any { return p.Lambda.Mean() }}
-	colL1        = column{"L1 err", "%8s", "%8.3f", func(p prefetch.MultiClientPoint) any { return p.L1Error.Mean() }}
-	colWaste     = column{"waste%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.WastedFraction.Mean() }}
-	colHit       = column{"hit%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.HitRatio.Mean() }}
-	colSpec      = column{"spec/s", "%10s", "%10.4f", func(p prefetch.MultiClientPoint) any { return p.SpecThroughput.Mean() }}
-	colDrops     = column{"drops", "%8s", "%8d", func(p prefetch.MultiClientPoint) any { return p.PrefetchDropped }}
-	colPreempt   = column{"preempt", "%8s", "%8d", func(p prefetch.MultiClientPoint) any { return p.Preemptions }}
-	colUtil      = column{"util%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Utilization.Mean() }}
-	colImprove   = column{"improve%", "%10s", "%9.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Improvement.Mean() }}
-	colAvail     = column{"avail%", "%8s", "%7.1f%%", func(p prefetch.MultiClientPoint) any { return 100 * p.Availability.Mean() }}
-	colReroutes  = column{"reroutes", "%9s", "%9d", func(p prefetch.MultiClientPoint) any { return p.ReRoutes }}
-	colLost      = column{"lost", "%6s", "%6d", func(p prefetch.MultiClientPoint) any { return p.LostTransfers }}
+	colClients   = column{"clients", "%-8s", "%-8d", func(_ int, p prefetch.MultiClientPoint) any { return p.Clients }}
+	colDemandT   = column{"demand T", "%10s", "%10.4f", func(_ int, p prefetch.MultiClientPoint) any { return p.DemandAccess.Mean() }}
+	colMeanT     = column{"mean T", "%10s", "%10.4f", func(_ int, p prefetch.MultiClientPoint) any { return p.Access.Mean() }}
+	colCI95      = column{"±95%", "%10s", "%10.4f", func(_ int, p prefetch.MultiClientPoint) any { return p.Access.CI95() }}
+	colQueueWait = column{"queue wait", "%12s", "%12.4f", func(_ int, p prefetch.MultiClientPoint) any { return p.QueueWait.Mean() }}
+	colLambda    = column{"mean λ", "%8s", "%8.3f", func(_ int, p prefetch.MultiClientPoint) any { return p.Lambda.Mean() }}
+	colL1        = column{"L1 err", "%8s", "%8.3f", func(_ int, p prefetch.MultiClientPoint) any { return p.L1Error.Mean() }}
+	colWaste     = column{"waste%", "%8s", "%7.1f%%", func(_ int, p prefetch.MultiClientPoint) any { return 100 * p.WastedFraction.Mean() }}
+	colHit       = column{"hit%", "%8s", "%7.1f%%", func(_ int, p prefetch.MultiClientPoint) any { return 100 * p.HitRatio.Mean() }}
+	colSpec      = column{"spec/s", "%10s", "%10.4f", func(_ int, p prefetch.MultiClientPoint) any { return p.SpecThroughput.Mean() }}
+	colDrops     = column{"drops", "%8s", "%8d", func(_ int, p prefetch.MultiClientPoint) any { return p.PrefetchDropped }}
+	colPreempt   = column{"preempt", "%8s", "%8d", func(_ int, p prefetch.MultiClientPoint) any { return p.Preemptions }}
+	colUtil      = column{"util%", "%10s", "%9.1f%%", func(_ int, p prefetch.MultiClientPoint) any { return 100 * p.Utilization.Mean() }}
+	colImprove   = column{"improve%", "%10s", "%9.1f%%", func(_ int, p prefetch.MultiClientPoint) any { return 100 * p.Improvement.Mean() }}
+	colAvail     = column{"avail%", "%8s", "%7.1f%%", func(_ int, p prefetch.MultiClientPoint) any { return 100 * p.Availability.Mean() }}
+	colReroutes  = column{"reroutes", "%9s", "%9d", func(_ int, p prefetch.MultiClientPoint) any { return p.ReRoutes }}
+	colLost      = column{"lost", "%6s", "%6d", func(_ int, p prefetch.MultiClientPoint) any { return p.LostTransfers }}
 )
 
 // labelColumn shows each cell's label on the given axis.
 func labelColumn(axis int, name, format string) column {
-	return column{name, format, format, func(p prefetch.MultiClientPoint) any { return p.Labels[axis] }}
+	return column{name, format, format, func(_ int, p prefetch.MultiClientPoint) any { return p.Labels[axis] }}
 }
 
 // The tables that name each cell by its axis labels.
@@ -1018,9 +1018,9 @@ func printTable(out io.Writer, cols []column, points []prefetch.MultiClientPoint
 		heads[i], rows[i], vals[i] = c.head, c.row, c.name
 	}
 	fmt.Fprintf(out, strings.Join(heads, " ")+"\n", vals...)
-	for _, p := range points {
+	for pi, p := range points {
 		for i, c := range cols {
-			vals[i] = c.val(p)
+			vals[i] = c.val(pi, p)
 		}
 		fmt.Fprintf(out, strings.Join(rows, " ")+"\n", vals...)
 	}
@@ -1070,18 +1070,14 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 		for ci, ctl := range ctls {
 			group := points[ci*len(preds) : (ci+1)*len(preds)]
 			frontier := prefetch.ParetoFrontier(group)
-			fmt.Fprintf(out, "\ncontroller %s\n", ctl)
-			fmt.Fprintf(out, "%-12s %10s %10s %8s %8s %8s %10s %7s\n",
-				"predictor", "demand T", "mean T", "mean λ", "L1 err", "waste%", "spec/s", "pareto")
-			for pi, p := range group {
-				mark := ""
-				if frontier[pi] {
-					mark = "*"
+			colPareto := column{"pareto", "%7s", "%7s", func(i int, _ prefetch.MultiClientPoint) any {
+				if frontier[i] {
+					return "*"
 				}
-				fmt.Fprintf(out, "%-12s %10.4f %10.4f %8.3f %8.3f %7.1f%% %10.4f %7s\n",
-					p.Labels[1], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(),
-					p.L1Error.Mean(), 100*p.WastedFraction.Mean(), p.SpecThroughput.Mean(), mark)
-			}
+				return ""
+			}}
+			fmt.Fprintf(out, "\ncontroller %s\n", ctl)
+			printTable(out, []column{labelColumn(1, "predictor", "%-12s"), colDemandT, colMeanT, colLambda, colL1, colWaste, colSpec, colPareto}, group)
 		}
 	}
 	return nil
