@@ -147,11 +147,6 @@ func canonicalLess(a, b Item) bool {
 	return a.ID < b.ID
 }
 
-// Canonical returns a copy of the problem with its items in canonical order.
-func (p Problem) Canonical() Problem {
-	return Problem{Items: CanonicalOrder(p.Items), Viewing: p.Viewing, TotalProb: p.TotalProb}
-}
-
 // ItemByID returns the item with the given ID and whether it exists.
 func (p Problem) ItemByID(id int) (Item, bool) {
 	for _, it := range p.Items {

@@ -185,14 +185,6 @@ func (r *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle performs a Fisher–Yates shuffle over n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		swap(i, j)
-	}
-}
-
 // SampleWithoutReplacement returns k distinct values drawn uniformly from
 // [0, n). It panics if k > n or k < 0. The result is in random order.
 func (r *Source) SampleWithoutReplacement(n, k int) []int {

@@ -219,23 +219,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element multiset: sum %d -> %d", sum, got)
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	r := New(14)
 	f := func(nRaw, kRaw uint8) bool {

@@ -155,15 +155,6 @@ func (s *BinnedSeries) Points() (xs []float64, ys []float64) {
 	return xs, ys
 }
 
-// TotalN returns the number of observations across all bins.
-func (s *BinnedSeries) TotalN() int64 {
-	var n int64
-	for i := range s.bins {
-		n += s.bins[i].N()
-	}
-	return n
-}
-
 // Merge folds another BinnedSeries with identical bounds into s.
 func (s *BinnedSeries) Merge(o *BinnedSeries) error {
 	if o.lo != s.lo || o.hi != s.hi {

@@ -133,9 +133,6 @@ func TestBinnedSeries(t *testing.T) {
 	if !almostEq(ys[0], 130.0/3, 1e-9) || ys[1] != 7 || ys[2] != 1 {
 		t.Fatalf("Points ys = %v", ys)
 	}
-	if s.TotalN() != 5 {
-		t.Fatalf("TotalN = %d", s.TotalN())
-	}
 }
 
 func TestBinnedSeriesMerge(t *testing.T) {
