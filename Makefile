@@ -19,7 +19,11 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # pending events; it runs ungated until the baseline is re-recorded,
 # since cmd/benchjson passes benchmarks the baseline lacks), the scheduling
 # subsystem's submit/dispatch/complete cycle and its completion cost at
-# in-flight 64/1024/16384 (flat when completion is O(1)), one Snapshot
+# in-flight 64/1024/16384 (flat when completion is O(1)), promotion of a
+# queued prefetch under fifo and priority at speculative backlogs of
+# 64/1024/16384 over 64 clients (BenchmarkSchedulerPromote: Promote walks one
+# client's list, not the backlog; ungated until the baseline is re-recorded, like
+# BenchmarkClockChurn), one Snapshot
 # against a utilisation window of 64/1024/16384 live busy segments
 # (BenchmarkSnapshot: flat when the estimate is O(1); ungated until the
 # baseline is re-recorded, like BenchmarkClockChurn), the end-to-end
@@ -41,7 +45,7 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # (BenchmarkWriterEmit: ns per event over a recorded multiclient
 # stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkGenerateScripts|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSchedulerPromote|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkGenerateScripts|BenchmarkFleetRound|BenchmarkWriterEmit)$$
 BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 

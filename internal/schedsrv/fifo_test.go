@@ -42,9 +42,9 @@ func (m *sliceFIFO) Promote(client, page int) bool {
 }
 
 // pushPanic pushes r and returns the panic value, or nil.
-func pushPanic(f *fifo, r *Request) (v any) {
+func pushPanic(d Discipline, r *Request) (v any) {
 	defer func() { v = recover() }()
-	f.Push(r)
+	d.Push(r)
 	return nil
 }
 

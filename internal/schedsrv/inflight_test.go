@@ -365,3 +365,54 @@ func genSchedOps(r *rng.Source, n int) []schedOp {
 	}
 	return ops
 }
+
+// TestPreemptVictimLatestStartThenSeq pins preemptSpeculative's victim
+// rule on hand-built in-flight lists: the latest-started speculative
+// transfer and, among several started at that instant, the highest seq,
+// wherever it stands in the list. TestInFlightListMatchesSlice's scripts
+// never start a lower-seq request after a higher-seq one at one instant
+// (that takes deferred admission under priority), so they cannot tell the
+// tie-break from taking the tail.
+func TestPreemptVictimLatestStartThenSeq(t *testing.T) {
+	type entry struct {
+		startedAt float64
+		seq       int64
+		demand    bool
+	}
+	for _, tc := range []struct {
+		name string
+		list []entry // in start order
+		want int64   // victim's seq, -1 for none
+	}{
+		{"tie-break past the tail", []entry{{-2, 3, false}, {-1, 9, false}, {-1, 7, false}, {-1, 11, true}}, 9},
+		{"latest start beats seq", []entry{{-2, 8, false}, {-1, 2, false}}, 2},
+		{"past a demand to an earlier start", []entry{{-2, 3, false}, {-2, 1, false}, {-1, 4, true}}, 3},
+		{"demand only", []entry{{-2, 1, true}, {-1, 2, true}}, -1},
+	} {
+		var clock netsim.Clock
+		s, err := New(&clock, Config{Concurrency: len(tc.list), Kind: KindPriority, Preempt: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range tc.list {
+			s.linkInFlight(&transfer{req: &Request{Client: i, Page: i, Demand: e.demand, seq: e.seq}, startedAt: e.startedAt})
+		}
+		s.preemptSpeculative()
+		queued := s.disc.Backlog(nil)
+		if tc.want < 0 {
+			if s.Preemptions() != 0 || len(queued) != 0 {
+				t.Errorf("%s: %d preemptions, %d requeued; want none", tc.name, s.Preemptions(), len(queued))
+			}
+			continue
+		}
+		if len(queued) != 1 {
+			t.Fatalf("%s: %d requests requeued, want 1", tc.name, len(queued))
+		}
+		if queued[0].seq != tc.want {
+			t.Errorf("%s: preempted seq %d, want %d", tc.name, queued[0].seq, tc.want)
+		}
+		if s.InFlight() != len(tc.list)-1 {
+			t.Errorf("%s: InFlight = %d after the preemption, want %d", tc.name, s.InFlight(), len(tc.list)-1)
+		}
+	}
+}

@@ -165,9 +165,15 @@ type Request struct {
 	// Tag is an opaque caller payload carried through to Done.
 	Tag any
 
-	seq      int64    // arrival sequence; the universal deterministic tie-break
-	attempt  int      // service starts so far; > 1 only after preemption
-	specNext *Request // fifo: the client's next queued speculative request
+	seq     int64 // arrival sequence; the universal deterministic tie-break
+	attempt int   // service starts so far; > 1 only after preemption
+
+	// specNext is the client's next queued speculative request in the
+	// fifo or priority discipline's per-client index (specIndex).
+	specNext *Request
+	// queuePrev and queueNext are the neighbours in the priority
+	// discipline's speculative queue (reqQueue).
+	queuePrev, queueNext *Request
 }
 
 // Attempt returns the 1-based service attempt, valid inside the
@@ -264,8 +270,9 @@ type Scheduler struct {
 	// been preempted or been failed, in start order (head = oldest). start
 	// appends at the tail and every exit unlinks in O(1), so walking it
 	// from the head visits transfers in exactly the order an
-	// order-preserving slice would — the order preemption, Promote and
-	// Fail scan in. inCount is its length, the occupied-slot count.
+	// order-preserving slice would — the order Promote and Fail scan in;
+	// preemption walks it back from the tail. inCount is its length, the
+	// occupied-slot count.
 	inHead, inTail *transfer
 	inCount        int
 	deferred       []*Request
@@ -484,14 +491,18 @@ func (s *Scheduler) emitVerdict(kind obs.Kind, req *Request, util float64) {
 // speculative transfer, if any: its elapsed service counts as busy time
 // (the bandwidth really was spent), the remainder is discarded, and the
 // request restarts from scratch at the head of its class queue.
+//
+// The in-flight list is in start order, so startedAt never decreases
+// along it: the walk back from the tail takes the first speculative
+// transfer and goes on only through transfers that started at the same
+// time, among which the highest seq wins.
 func (s *Scheduler) preemptSpeculative() {
 	var tr *transfer
-	for cur := s.inHead; cur != nil; cur = cur.next {
-		if cur.req.Demand {
-			continue
+	for cur := s.inTail; cur != nil; cur = cur.prev {
+		if tr != nil && cur.startedAt != tr.startedAt {
+			break
 		}
-		if tr == nil || cur.startedAt > tr.startedAt ||
-			(cur.startedAt == tr.startedAt && cur.req.seq > tr.req.seq) {
+		if !cur.req.Demand && (tr == nil || cur.req.seq > tr.req.seq) {
 			tr = cur
 		}
 	}

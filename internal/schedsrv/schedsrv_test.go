@@ -893,6 +893,63 @@ func BenchmarkSchedulerComplete(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerPromote holds a speculative backlog of n requests,
+// spread evenly over 64 clients, behind one transfer slot, and times one
+// promotion of a queued request per op: each completion's Done promotes
+// the oldest queued request of the next client in turn, the freed slot
+// starts it (under fifo it heads the queue, under priority the demand
+// queue), and a replacement for the same client joins the back of the
+// backlog. A discipline that scans or shifts its speculative queue pays
+// for the whole backlog on every op, so ns/op flat across the sizes
+// shows Promote walks only its client's list. Ungated until the baseline
+// is re-recorded, like BenchmarkClockChurn.
+func BenchmarkSchedulerPromote(b *testing.B) {
+	const clients = 64
+	for _, kind := range []Kind{KindFIFO, KindPriority} {
+		for _, n := range []int{64, 1024, 16384} {
+			b.Run(fmt.Sprintf("%s/backlog=%d", kind, n), func(b *testing.B) {
+				var clock netsim.Clock
+				s, err := New(&clock, Config{Concurrency: 1, Kind: kind})
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Client c's queued pages are oldest[c] up to next[c].
+				var oldest, next [clients]int
+				submit := func(c int) {
+					s.Submit(Request{Client: c, Page: next[c], Service: 1})
+					next[c]++
+				}
+				c, done := 0, 0
+				s.Done = func(*Request, float64, float64) {
+					done++
+					if done > b.N {
+						return // the remaining completions only drain the backlog
+					}
+					if !s.Promote(c, oldest[c]) {
+						b.Fatalf("Promote(%d, %d) found nothing queued", c, oldest[c])
+					}
+					oldest[c]++
+					submit(c)
+					c = (c + 1) % clients
+					if done == b.N {
+						b.StopTimer()
+					}
+				}
+				s.Submit(Request{Client: 0, Page: -1, Service: 1, Demand: true}) // holds the slot
+				for i := 0; i < n; i++ {
+					submit(i % clients)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				clock.Run()
+				if s.Queued() != 0 || int(s.Completed()) != n+b.N+1 {
+					b.Fatalf("completed %d with %d queued", s.Completed(), s.Queued())
+				}
+			})
+		}
+	}
+}
+
 // TestShapedDrainsSustainedLoad is the regression test for a liveness
 // bug: under a long contended load, a speculative head could end up one
 // float ulp short of its token need at an instant where the computed
