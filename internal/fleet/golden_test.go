@@ -296,7 +296,9 @@ const predictorGoldenPath = "testdata/golden_predictor_fingerprints.txt"
 // leaves at their defaults: the uniform cold start (depgraph, ppm,
 // shared), PPM and escape-PPM context orders 1 and 3, a mixture weight
 // of 0.6 and a decay half-life of 40, each with drift off and on under
-// priority+preempt scheduling and the AIMD controller.
+// priority+preempt scheduling and the AIMD controller; ppm-escape and
+// depgraph at MaxCandidates 1 and 4, with and without the client cache;
+// and a 400-page site.
 func predictorGoldenCases() []goldenCase {
 	uniform := predict.FallbackUniform
 	rows := []struct {
@@ -333,6 +335,32 @@ func predictorGoldenCases() []goldenCase {
 					return multiclient.Run(c)
 				},
 			})
+		}
+	}
+	// Every row above plans from at most 16 candidates. These keep 1 and
+	// 4, with and without the client cache, so the learned planner's
+	// cut of each round's candidates shows: at 1 only the most likely
+	// unheld page survives, and without a cache nearly every candidate
+	// is unheld. The static controller keeps speculating under this
+	// contention (AIMD backs off to a few prefetches a run), so the cut
+	// changes which pages are fetched, not just the trace's counts.
+	for _, pk := range []predict.Kind{predict.KindPPMEscape, predict.KindDepGraph} {
+		for _, k := range []int{1, 4} {
+			for _, slots := range []int{0, 20} {
+				cfg := goldenBase()
+				cfg.Predict = predict.Config{Kind: pk}
+				cfg.Sched = schedsrv.Config{Kind: schedsrv.KindPriority, Preempt: true}
+				cfg.MaxCandidates = k
+				cfg.ClientCacheSlots = slots
+				cases = append(cases, goldenCase{
+					name: fmt.Sprintf("mc/%s/max-cands=%d/client-cache=%d", pk, k, slots),
+					run: func(tr obs.Tracer) (Result, error) {
+						c := cfg
+						c.Tracer = tr
+						return multiclient.Run(c)
+					},
+				})
+			}
 		}
 	}
 	// A 400-page site, whose oracle rows have a support of 400 pages:
