@@ -33,20 +33,23 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # disabled-tracer variants that hold the observability layer's overhead
 # — off must stay within noise of the untraced baseline), the learned
 # predictors' observe/predict cycle, the plan-time prediction error in
-# its map and dense forms, Phase A's candidate ranking at learned,
-# default-oracle and 1,000-page supports and on rows recorded from a
-# trained ppm-escape (BenchmarkRankProbs/ppm-escape*, ranked alone and
-# scored and ranked in one pass), Phase A whole at the mc-learned shape
-# (BenchmarkGenerateScripts: prediction, truth rows, scoring, ranking
-# and script storage; it and the ppm-escape cases run ungated until the
-# baseline is re-recorded, like BenchmarkClockChurn), the multi-replica fleet
+# its map and dense forms, the shared oracle table's row sort at the
+# default 120 and at 1,000 pages (BenchmarkRankProbs), a learned
+# round's candidate path on rows recorded from a trained ppm-escape
+# (BenchmarkChoose: the scoring pass, then the planner's filter and
+# ranking against a held set), the cache's Contains, InsertLRU and
+# victim at the client cache's shape (BenchmarkCache), Phase A whole at
+# the mc-learned shape (BenchmarkGenerateScripts: prediction, truth
+# rows, scoring and script storage; it, BenchmarkRankProbs,
+# BenchmarkChoose and BenchmarkCache run ungated until the baseline is
+# re-recorded, like BenchmarkClockChurn), the multi-replica fleet
 # round (routing + failure injection overhead on top of the
 # single-server round), and the obs layer's JSONL encoder on its own
 # (BenchmarkWriterEmit: ns per event over a recorded multiclient
 # stream, allocation-free). -benchmem feeds the allocation gate: cmd/benchjson fails any
 # tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSchedulerPromote|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkGenerateScripts|BenchmarkFleetRound|BenchmarkWriterEmit)$$
-BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkClockChurn|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkSchedulerPromote|BenchmarkSnapshot|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkPlanL1|BenchmarkRankProbs|BenchmarkChoose|BenchmarkCache|BenchmarkGenerateScripts|BenchmarkFleetRound|BenchmarkWriterEmit)$$
+BENCH_PKGS    := ./internal/eventq ./internal/netsim ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/obs ./internal/cache
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
 .PHONY: test lint lint-allows bench bench-raw bench-baseline clean-bench profile sweep-learned sweep-drift sweep-fleet trace
@@ -102,8 +105,8 @@ clean-bench:
 # CPU + heap profiles of the heaviest tracked benchmark (the N=4096
 # multiclient round over the sharded core), of Phase A alone
 # (BenchmarkGenerateScripts at the mc-learned shape: prediction,
-# candidate ranking and script storage, which the N=4096 oracle round
-# never reaches), of the routed path (BenchmarkFleetRound: routing,
+# scoring and script storage, which the N=4096 oracle round never
+# reaches), of the routed path (BenchmarkFleetRound: routing,
 # failures and per-round feedback, which a single-server round never
 # reaches) and of the traced path (BenchmarkMultiClientRoundTraced:
 # event construction and the JSONL encoder, which untraced rounds never

@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"prefetch/internal/rng"
 )
 
 func mustNew(t *testing.T, capacity int) *Cache {
@@ -238,3 +240,62 @@ func TestLRUFastPathMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCache times the operations the simulator runs on a cache, at
+// the multiclient client cache's shape: 20 slots over the default site's
+// 120 pages, probed and filled with ids from a fixed random sequence.
+// Contains is the planner's held probe, one per candidate that reaches
+// the filter; InsertLRU fills a full cache, so inserting an absent id
+// evicts the recency head; Victim reads that head.
+func BenchmarkCache(b *testing.B) {
+	const slots, pages = 20, 120
+	r := rng.New(7)
+	ids := make([]int, 1024)
+	for i := range ids {
+		ids[i] = r.IntN(pages)
+	}
+	full := func(b *testing.B) *Cache {
+		c, err := New(slots)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range ids {
+			c.InsertLRU(id, 1)
+		}
+		return c
+	}
+	var sink int
+	b.Run("Contains", func(b *testing.B) {
+		c := full(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if c.Contains(ids[i%len(ids)]) {
+				sink++
+			}
+		}
+	})
+	b.Run("InsertLRU", func(b *testing.B) {
+		c := full(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, evicted := c.InsertLRU(ids[i%len(ids)], 1); evicted {
+				sink++
+			}
+		}
+	})
+	b.Run("Victim", func(b *testing.B) {
+		c := full(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := c.Victim(LRU{})
+			sink += v
+		}
+	})
+	cacheSink = sink
+}
+
+// cacheSink keeps BenchmarkCache's results live.
+var cacheSink int

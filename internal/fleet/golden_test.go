@@ -364,13 +364,12 @@ func predictorGoldenCases() []goldenCase {
 		}
 	}
 	// A 400-page site, whose oracle rows have a support of 400 pages:
-	// past the candidate ranker's insertion cutoff, so these replays
-	// reach its fallback sort (the shared ranked table when stationary,
-	// a full-support ranking every round under drift). The drift-free
-	// learned rows read the truth rows of the larger site — Phase A's
-	// for ppm-escape, the live walkers' for shared — and the shared row
-	// warms its server cache from a popularity ranking with many tied
-	// counts.
+	// the shared ranked table when stationary, and under drift a
+	// 400-candidate id-ordered row that the planner cuts to 16 every
+	// round. The drift-free learned rows read the truth rows of the
+	// larger site — Phase A's for ppm-escape, the live walkers' for
+	// shared — and the shared row warms its server cache from a
+	// popularity ranking with many tied counts.
 	for _, row := range []struct {
 		name  string
 		pc    predict.Config

@@ -242,9 +242,11 @@ func (c *client) startRound(now float64) {
 	c.clock.Schedule(now+v, c.demandFn)
 }
 
-// draw plays the browsing model's part of this round — the ranked
-// candidates and prediction error, the viewing time and the next page —
-// from the script or, for a live client, from one walker step.
+// draw plays the browsing model's part of this round — the candidates
+// (the shared table's ranked row, or id-ordered positives that choose
+// ranks after its filter) and prediction error, the viewing time and the
+// next page — from the script or, for a live client, from one walker
+// step.
 func (c *client) draw() (cands []core.Item, l1, viewing float64, next int) {
 	if c.walk != nil {
 		return c.walk.step()
@@ -303,25 +305,11 @@ func (c *client) observe(now float64) {
 }
 
 // plan solves the cost-aware SKP at the controller's current λ over the
-// round's ranked candidates, excluding pages already held or in flight and
-// keeping the MaxCandidates highest-probability pages to bound the
-// solver's search. Filtering a ranked list then capping equals
-// filter-sort-cap because the ranking key is a total order independent of
-// the filter. Each planned round also records the prediction's L1 error
+// round's candidates (choose), and records the prediction's L1 error
 // against the surfer's true distribution (zero for the oracle).
 func (c *client) plan(viewing float64, cands []core.Item, l1 float64) core.Plan {
 	c.l1Trace.Add(l1)
-	items := c.eng.planBuf[:0]
-	for i := range cands {
-		if len(items) == c.cfg.MaxCandidates {
-			break
-		}
-		if c.holds(cands[i].ID) || c.pending[cands[i].ID] != 0 {
-			continue
-		}
-		items = append(items, cands[i])
-	}
-	c.eng.planBuf = items // retain any growth for the next plan
+	items := c.choose(cands, c.table != nil)
 	if c.tr != nil {
 		ev := obs.Ev(c.clock.Now(), obs.KindPredictNext, c.id)
 		ev.Round = c.round
@@ -338,6 +326,53 @@ func (c *client) plan(viewing float64, cands []core.Item, l1 float64) core.Plan 
 		panic(err)
 	}
 	return plan
+}
+
+// choose keeps the MaxCandidates most likely of the round's candidates
+// that are neither held nor in flight, in rankCmp's order, to bound the
+// solver's search. A ranked row (the shared oracle table) is filtered in
+// order and stops at the cap. Any other row holds id-ordered positives:
+// each survivor of the filter is inserted into a ranked buffer of at most
+// MaxCandidates items, and a candidate that cannot beat a full buffer's
+// last item is skipped before its held probe. Both give rank → filter →
+// cap's items in its order, because rankCmp is a total order that does
+// not depend on the filter. The items live in the engine's plan buffer
+// until the next choose.
+func (c *client) choose(cands []core.Item, ranked bool) []core.Item {
+	k := c.cfg.MaxCandidates
+	items := c.eng.planBuf[:0]
+	if ranked {
+		for i := range cands {
+			if len(items) == k {
+				break
+			}
+			if c.holds(cands[i].ID) || c.pending[cands[i].ID] != 0 {
+				continue
+			}
+			items = append(items, cands[i])
+		}
+	} else {
+		for _, it := range cands {
+			n := len(items)
+			if n == k && rankCmp(it, items[n-1]) >= 0 {
+				continue
+			}
+			if c.holds(it.ID) || c.pending[it.ID] != 0 {
+				continue
+			}
+			if n < k {
+				items = append(items, it)
+			} else {
+				n-- // it displaces the last item
+			}
+			for ; n > 0 && rankCmp(it, items[n-1]) < 0; n-- {
+				items[n] = items[n-1]
+			}
+			items[n] = it
+		}
+	}
+	c.eng.planBuf = items // retain any growth for the next plan
+	return items
 }
 
 // request is the demand access at the end of the viewing period. The

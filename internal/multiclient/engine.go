@@ -108,8 +108,9 @@ type engine struct {
 	// plan() shares — the event loop runs clients one at a time and each
 	// plan is consumed before the next Solve, so a single solver is safe.
 	// scratch is the live walkers' step scratch, shared the same way: a
-	// step's ranked candidates are planned before the next step. It is
-	// nil when Phase A scripts every client.
+	// step's candidates (id-ordered positives, ranked after the filter)
+	// are planned before the next step. It is nil when Phase A scripts
+	// every client.
 	reqPool eventq.FreeList[request]
 	solver  *core.Solver
 	planBuf []core.Item

@@ -26,8 +26,9 @@
 //
 // That per-client purity is what the sharded core (shard.go) exploits to
 // scale a round to 10⁵–10⁶ clients. A client's browsing model is one
-// walker whose step plays a round: ranked prefetch candidates with their
-// prediction error, viewing time, next page. Phase A loops every client's
+// walker whose step plays a round: prefetch candidates (id-ordered
+// positives, ranked after the filter) with their prediction error,
+// viewing time, next page. Phase A loops every client's
 // walker into a workload script across Config.Shards parallel workers,
 // each owning a contiguous client range; Phase B is the sequential event
 // loop, which merges the scripts in canonical (time, client) order. The

@@ -4,9 +4,9 @@ package multiclient
 // round to 10⁵–10⁶ clients.
 //
 // The simulation splits into two phases. Phase A (this file) precomputes
-// every client's workload script — viewing times, the page trace, and the
-// full ranked candidate list the planner would rank each round — in S
-// parallel shard workers, each owning a contiguous block of client ids.
+// every client's workload script — viewing times, the page trace, and
+// each round's id-ordered positives, ranked after the filter by the
+// planner — in S parallel shard workers, each owning a client-id block.
 // Phase B (engine.go, client.go, server.go) is the sequential event loop:
 // it consumes the scripts in clock order, which is exactly the canonical
 // (time, client-id) merge at every server-arbitration point.
@@ -50,9 +50,9 @@ type Script struct {
 	Viewing []float64 // clamped viewing time per round
 	Next    []int32   // demand page per round (state of round r+1)
 	L1      []float64 // per-round prediction L1 error; nil ⇒ zero (oracle)
-	// Cands is the ranked candidate list per round (probability descending,
-	// page id ascending, positive only), before Phase B's timing-dependent
-	// held/in-flight filter and MaxCandidates cap; nil when Table serves
+	// Cands is the candidate row per round: the prediction's id-ordered
+	// positives, ranked after the filter — Phase B drops held and in-flight
+	// pages, then ranks up to MaxCandidates survivors. nil when Table serves
 	// every round. Read-only: rows may share a slab, each capped at its length.
 	Cands [][]core.Item
 }
@@ -150,7 +150,7 @@ func generateScript(cfg *Config, site *webgraph.Site, id int, out *Script, table
 	}
 	out.Viewing = make([]float64, cfg.Rounds)
 	out.Next = make([]int32, cfg.Rounds)
-	if w.ranks {
+	if w.lists {
 		out.Cands = make([][]core.Item, cfg.Rounds)
 		if w.pred != nil {
 			out.L1 = make([]float64, cfg.Rounds)
@@ -186,16 +186,17 @@ type walker struct {
 	site   *webgraph.Site
 	rand   *rng.Source
 	surfer *webgraph.Surfer
-	pred   predict.Source // nil for the oracle, which ranks the dense truth
-	ranks  bool           // step ranks candidates: prefetching, no shared table
+	pred   predict.Source // nil for the oracle, whose candidates are the dense truth's
+	lists  bool           // step lists candidates: prefetching, no shared table
 	buf    *stepScratch
 }
 
-// newWalker derives client id's streams and, when the walker ranks for a
-// learned source, builds that source (agg is the run's shared aggregate,
-// nil unless the shared predictor runs) and seeds it with the start page.
-func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predict.Aggregate, buf *stepScratch) (*walker, error) {
-	w := &walker{cfg: cfg, site: site, rand: rng.Derive(cfg.Seed, clientLabel(id)), ranks: ranks, buf: buf}
+// newWalker derives client id's streams and, when the walker lists
+// candidates for a learned source, builds that source (agg is the run's
+// shared aggregate, nil unless the shared predictor runs) and seeds it
+// with the start page.
+func newWalker(cfg *Config, site *webgraph.Site, id int, lists bool, agg *predict.Aggregate, buf *stepScratch) (*walker, error) {
+	w := &walker{cfg: cfg, site: site, rand: rng.Derive(cfg.Seed, clientLabel(id)), lists: lists, buf: buf}
 	w.surfer = webgraph.NewSurfer(w.rand, site, cfg.FollowProb)
 	if cfg.DriftEvery > 0 {
 		// Non-stationary mode: the hot set re-draws every DriftEvery rounds
@@ -203,7 +204,7 @@ func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predic
 		// stream; the oracle's truth reads the current phase.
 		w.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
 	}
-	if ranks && !oracleSource(cfg) {
+	if lists && !oracleSource(cfg) {
 		p, err := predict.New(cfg.Predict, id, w.surfer, agg)
 		if err != nil {
 			return nil, err
@@ -215,17 +216,19 @@ func newWalker(cfg *Config, site *webgraph.Site, id int, ranks bool, agg *predic
 }
 
 // step plays the browsing model's part of one round from the current
-// page: the ranked candidates with the prediction's dense-L1 error (nil
-// and 0 when the walker does not rank; the error is 0 for the oracle),
-// the clamped viewing time from the client stream, and the next page from
-// the surfer's split stream. A learned source is scored and ranked in one
-// pass over its prediction and the truth (rankScored); the oracle ranks
-// the truth itself. The candidates live in the shared scratch until the
-// next step. NextInto is read-only for every source, the shared aggregate
-// included, so a live client may step before its round's feedback read
-// and enqueues without moving a byte.
+// page: the candidates — the id-ordered positives of the prediction,
+// ranked after the filter by the planner — with the prediction's
+// dense-L1 error (nil and 0 when the walker does not list candidates;
+// the error is 0 for the oracle), the clamped viewing time from the
+// client stream, and the next page from the surfer's split stream. A
+// learned source's candidates and score come from one pass over its
+// prediction and the truth (positives); the oracle's candidates are the
+// truth's own positives. The candidates live in the shared scratch until
+// the next step. NextInto is read-only for every source, the shared
+// aggregate included, so a live client may step before its round's
+// feedback read and enqueues without moving a byte.
 func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
-	if w.ranks {
+	if w.lists {
 		b := w.buf
 		state := w.surfer.Current()
 		truth := b.truth
@@ -235,13 +238,13 @@ func (w *walker) step() (cands []core.Item, l1, viewing float64, next int) {
 		} else {
 			w.surfer.NextDistributionInto(state, truth)
 		}
+		pred := truth // the oracle predicts the truth, at an error of 0
 		if w.pred != nil {
 			w.pred.NextInto(state, b.pred)
-			b.ranked, l1 = rankScored(b.ranked, b.pred, truth, w.site)
-		} else {
-			b.ranked = rankProbs(b.ranked, truth, w.site)
+			pred = b.pred
 		}
-		cands = b.ranked
+		b.cands, l1 = positives(b.cands, pred, truth, w.site)
+		cands = b.cands
 	}
 	viewing = w.rand.Exp(1 / w.cfg.MeanViewing)
 	if viewing < w.cfg.MinViewing {
@@ -272,7 +275,7 @@ func buildRankedTable(site *webgraph.Site, followProb float64) [][]core.Item {
 }
 
 // truthTable returns the truth table a run's walkers share, or nil when
-// they cannot share one. A learned source ranks against the true
+// they cannot share one. A learned source is scored against the true
 // next-page distribution for its L1 error, and without drift that
 // depends only on the current page. Row p, at [p·pages, (p+1)·pages), is
 // site.NextDistributionInto(p, FollowProb), the function a drift-free
@@ -295,13 +298,13 @@ func truthTable(cfg *Config, site *webgraph.Site) []float64 {
 // stepScratch is the reusable scratch of walker steps that never run at
 // once — one Phase-A worker's clients, or every live client on the event
 // loop: the true next-page distribution and the learned prediction, one
-// float per page, and the ranked candidates. table is the run's truth
+// float per page, and the candidates. table is the run's truth
 // table (see truthTable), or nil; every scratch of a run shares it
 // read-only, and a walker reads its current page's row from it in place
 // of computing truth.
 type stepScratch struct {
 	truth, pred []float64
-	ranked      []core.Item
+	cands       []core.Item
 	table       []float64
 }
 
@@ -318,41 +321,37 @@ func newStepScratch(pages int, table []float64) *stepScratch {
 // candidates.
 const scriptSlab = 1024
 
-// rankInsertMax is the largest support ranked by insertion. Learned
-// sources predict a few dozen pages and the default site's oracle 120,
-// where inserting each page in place beats a sort. The insertion moves
-// O(n²) items, so longer lists are sorted instead. On full-support
-// oracle rows the two break even between 500 and 700 pages (insertion
-// takes 0.45× the sort's time at 120 pages, 0.83× at 500 and 1.12× at
-// 700); 128 keeps a margin for probabilities that ascend with page id,
-// where every insertion moves the whole ranked prefix. A linear scan of
-// the last 2, 4 or 8 ranked items before the binary search measured no
-// faster on learned rows and slower on oracle rows, so there is none.
-const rankInsertMax = 128
-
 // rankProbs ranks a dense distribution over page ids into dst's backing
-// array, in the candidate form plan() consumes: positive-probability pages
-// only, probability descending with page id breaking ties. It scans pages
-// in ascending id and places each one with rankInsert, so equal
-// probabilities keep ascending id order; past rankInsertMax candidates
-// rankSort orders the whole list the same way.
+// array: its positive-probability pages in rankCmp's order. The shared
+// oracle table is the one ranked row; every other row reaches the
+// planner id-ordered and is ranked there, after the filter.
 func rankProbs(dst []core.Item, probs []float64, site *webgraph.Site) []core.Item {
-	items := dst[:0]
-	for page, prob := range probs {
-		if prob > 0 {
-			items = rankInsert(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
-		}
-	}
-	return rankSort(items)
+	items, _ := positives(dst, probs, probs, site)
+	slices.SortFunc(items, rankCmp)
+	return items
 }
 
-// rankScored is rankProbs over a learned prediction, fused with its
-// score: the same ranked list, and predict.L1Dense(probs, truth), in one
-// ascending-id pass over both vectors. Each term is math.Abs(probs[i] −
-// truth[i]) added in ascending i, L1Dense's expression in L1Dense's
-// order, so the sum has its bits. probs and truth must have the same
-// length, and rankScored panics otherwise.
-func rankScored(dst []core.Item, probs, truth []float64, site *webgraph.Site) ([]core.Item, float64) {
+// rankCmp is the candidate order the planner keeps: probability
+// descending, page id ascending. It is a total order over a row's
+// distinct pages.
+func rankCmp(a, b core.Item) int {
+	switch {
+	case a.Prob > b.Prob:
+		return -1
+	case a.Prob < b.Prob:
+		return 1
+	}
+	return a.ID - b.ID
+}
+
+// positives lists probs' positive-probability pages into dst's backing
+// array in ascending id, fused with the prediction's score: the L1
+// distance predict.L1Dense(probs, truth), in the same ascending-id pass.
+// Each term is math.Abs(probs[i] − truth[i]) added in ascending i,
+// L1Dense's expression in L1Dense's order, so the sum has its bits; a
+// row scored against itself scores 0. probs and truth must have the same
+// length, and positives panics otherwise.
+func positives(dst []core.Item, probs, truth []float64, site *webgraph.Site) ([]core.Item, float64) {
 	if len(probs) != len(truth) {
 		panic(fmt.Sprintf("multiclient: scoring a prediction of length %d against a truth of length %d", len(probs), len(truth)))
 	}
@@ -361,53 +360,8 @@ func rankScored(dst []core.Item, probs, truth []float64, site *webgraph.Site) ([
 	for page, prob := range probs {
 		l1 += math.Abs(prob - truth[page])
 		if prob > 0 {
-			items = rankInsert(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+			items = append(items, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
 		}
 	}
-	return rankSort(items), l1
-}
-
-// rankInsert appends it to a ranked list, in ascending-id arrival. While
-// the list is within rankInsertMax it puts it ahead of the first item of
-// strictly smaller probability, found by binary search, so equal
-// probabilities keep their arrival order; past that it only appends, and
-// rankSort orders the list at the end.
-func rankInsert(items []core.Item, it core.Item) []core.Item {
-	n := len(items)
-	items = append(items, it)
-	if n >= rankInsertMax {
-		return items
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if items[m].Prob < it.Prob {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	if lo < n {
-		copy(items[lo+1:], items[lo:n])
-		items[lo] = it
-	}
-	return items
-}
-
-// rankSort sorts a list rankInsert stopped inserting into by the same
-// order: probability descending, page id ascending. A list within
-// rankInsertMax is already in that order and is returned as it is.
-func rankSort(items []core.Item) []core.Item {
-	if len(items) > rankInsertMax {
-		slices.SortFunc(items, func(a, b core.Item) int {
-			switch {
-			case a.Prob > b.Prob:
-				return -1
-			case a.Prob < b.Prob:
-				return 1
-			}
-			return a.ID - b.ID
-		})
-	}
-	return items
+	return items, l1
 }

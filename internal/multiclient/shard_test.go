@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"prefetch/internal/adaptive"
+	"prefetch/internal/cache"
 	"prefetch/internal/core"
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
@@ -166,9 +167,8 @@ func siteOf(t testing.TB, pages int) *webgraph.Site {
 
 // TestTruthTableMatchesSurfer: every row of a run's truth table has, bit
 // for bit, what the surfer's own NextDistributionInto reports for that
-// page, on the default site and on one past the ranker's insertion
-// cutoff, at the default follow probability, another, and an invalid one
-// that both default. Runs whose walkers cannot share a table get none.
+// page, on the default site and a 400-page one, at the default follow
+// probability, another, and an invalid one that both default. Runs whose walkers cannot share a table get none.
 func TestTruthTableMatchesSurfer(t *testing.T) {
 	for _, pages := range []int{120, 400} {
 		site := siteOf(t, pages)
@@ -247,13 +247,12 @@ func checkRank(t *testing.T, name string, probs []float64, site *webgraph.Site) 
 // dominate, and zero, negative zero and negative entries must be excluded.
 var rankLevels = []float64{0, math.Copysign(0, -1), -0.25, 0.5, 0.25, 0.125, 1.0 / 3}
 
-// TestRankProbsMatchesSortSlice: ranking a dense distribution, by
-// insertion or past rankInsertMax by the fallback sort, gives exactly the
-// order of a closure-based sort.Slice over its positive entries, on
-// distributions dominated by probability ties (broken by page id), with
-// zero, negative-zero and negative entries excluded. It covers the
-// default 120-page site, a 1,000-page site, supports on both sides of
-// the cutoff and an all-equal vector.
+// TestRankProbsMatchesSortSlice: ranking a dense distribution, as the
+// shared oracle table does, gives exactly the order of a closure-based
+// sort.Slice over its positive entries, on distributions dominated by
+// probability ties (broken by page id), with zero, negative-zero and
+// negative entries excluded. It covers the default 120-page site, a
+// 1,000-page site and an all-equal vector.
 func TestRankProbsMatchesSortSlice(t *testing.T) {
 	r := rng.New(29)
 	for _, pages := range []int{120, 1000} {
@@ -266,8 +265,7 @@ func TestRankProbsMatchesSortSlice(t *testing.T) {
 			}
 			checkRank(t, fmt.Sprintf("pages=%d iter %d", pages, iter), probs, site)
 		}
-		// Every page equally likely: pure id order, on either side of
-		// the cutoff.
+		// Every page equally likely: pure id order.
 		for i := range probs {
 			probs[i] = 1 / float64(pages)
 		}
@@ -281,31 +279,15 @@ func TestRankProbsMatchesSortSlice(t *testing.T) {
 			t.Fatalf("pages=%d all-equal: %d ranked items", pages, len(got))
 		}
 	}
-	// Supports of exactly cutoff-1, cutoff and cutoff+1, padded with
-	// excluded entries.
-	site := siteOf(t, 1000)
-	probs := make([]float64, len(site.Pages))
-	for _, support := range []int{rankInsertMax - 1, rankInsertMax, rankInsertMax + 1} {
-		for iter := 0; iter < 50; iter++ {
-			clear(probs)
-			perm := r.Perm(len(probs))
-			for _, page := range perm[:support] {
-				probs[page] = rankLevels[3+r.IntN(len(rankLevels)-3)]
-			}
-			for _, page := range perm[support : support+50] {
-				probs[page] = rankLevels[r.IntN(3)]
-			}
-			checkRank(t, fmt.Sprintf("support=%d iter %d", support, iter), probs, site)
-		}
-	}
 }
 
-// TestRankProbsZeroAlloc: ranking into a warmed dst allocates nothing,
-// by insertion and by the fallback sort alike.
+// TestRankProbsZeroAlloc: ranking a table row into a warmed dst
+// allocates nothing, at the default site's full support and at 1,000
+// pages.
 func TestRankProbsZeroAlloc(t *testing.T) {
 	site := siteOf(t, 1000)
 	r := rng.New(31)
-	for _, support := range []int{25, rankInsertMax, rankInsertMax + 1, 1000} {
+	for _, support := range []int{120, 1000} {
 		probs := make([]float64, len(site.Pages))
 		for _, page := range r.Perm(len(probs))[:support] {
 			probs[page] = r.Float64() + 0.01
@@ -324,27 +306,82 @@ var scoreLevels = append(slices.Clone(rankLevels),
 	math.SmallestNonzeroFloat64, 3*math.SmallestNonzeroFloat64, 0x1p-1022,
 	math.Nextafter(1, 0), 1-0x1p-40, 1)
 
-// checkScored fails unless rankScored returns rankProbs' ranked list and
-// predict.L1Dense's sum, bit for bit.
-func checkScored(t testing.TB, name string, probs, truth []float64, site *webgraph.Site) {
+// chooser returns a client whose plan keeps at most k of pages pages,
+// with the pages in held held and those in pending in flight: held
+// through a client cache when cached, else through this round's ready
+// stamps.
+func chooser(pages, k int, held, pending []int, cached bool) *client {
+	c := &client{
+		cfg:     &Config{MaxCandidates: k},
+		eng:     &engine{},
+		round:   1,
+		ready:   make([]int, pages),
+		pending: make([]int32, pages),
+	}
+	if cached {
+		c.cache, _ = cache.New(len(held))
+	}
+	for _, page := range held {
+		if cached {
+			c.cache.InsertLRU(page, 1)
+		} else {
+			c.ready[page] = c.round
+		}
+	}
+	for _, page := range pending {
+		c.pending[page] = 1
+	}
+	return c
+}
+
+// checkChoose fails unless the scoring pass and the planner's selection
+// match the reference: positives lists probs' positive pages in id order
+// with predict.L1Dense(probs, truth)'s bits, and choose, over that row and
+// over the ranked row rankProbs makes of it, keeps exactly sortSliceRank's
+// order with held and pending pages filtered out, cut at k.
+func checkChoose(t testing.TB, name string, probs, truth []float64, site *webgraph.Site, held, pending []int, k int, cached bool) {
 	t.Helper()
-	want := rankProbs(nil, probs, site)
-	wantL1 := predict.L1Dense(probs, truth)
-	got, l1 := rankScored(nil, probs, truth, site)
-	if math.Float64bits(l1) != math.Float64bits(wantL1) {
+	row, l1 := positives(nil, probs, truth, site)
+	if wantL1 := predict.L1Dense(probs, truth); math.Float64bits(l1) != math.Float64bits(wantL1) {
 		t.Fatalf("%s: fused L1 %v (%#x), L1Dense %v (%#x)", name, l1, math.Float64bits(l1), wantL1, math.Float64bits(wantL1))
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: fused ranking %v, rankProbs %v", name, got, want)
+	var byID []core.Item
+	for page, prob := range probs {
+		if prob > 0 {
+			byID = append(byID, core.Item{ID: page, Prob: prob, Retrieval: site.Pages[page].Retrieval})
+		}
+	}
+	if !slices.Equal(row, byID) {
+		t.Fatalf("%s: positives %v, want %v", name, row, byID)
+	}
+	skip := make([]bool, len(probs))
+	for _, page := range append(slices.Clone(held), pending...) {
+		skip[page] = true
+	}
+	var want []core.Item
+	for _, it := range sortSliceRank(probs, site) {
+		if len(want) < k && !skip[it.ID] {
+			want = append(want, it)
+		}
+	}
+	c := chooser(len(probs), k, held, pending, cached)
+	if got := c.choose(row, false); !slices.Equal(got, want) {
+		t.Fatalf("%s: k=%d cached=%t: chose %v from the id-ordered row, want %v", name, k, cached, got, want)
+	}
+	if got := c.choose(rankProbs(nil, probs, site), true); !slices.Equal(got, want) {
+		t.Fatalf("%s: k=%d cached=%t: chose %v from the ranked row, want %v", name, k, cached, got, want)
 	}
 }
 
-// TestRankScoredMatchesTwoPasses: the fused pass ranks and scores exactly
-// as rankProbs followed by predict.L1Dense, on tie-heavy vectors with
-// subnormal and near-1 values at 120 and 1,000 pages, at supports on
-// both sides of rankInsertMax, and on a truth that is the site's own
-// next-page row; vectors of unequal length panic.
-func TestRankScoredMatchesTwoPasses(t *testing.T) {
+// TestChooseMatchesRankFilterCap: scoring a prediction lists its
+// positives in id order with L1Dense's bits, and the planner's selection
+// over that row, and over the same row ranked, equals rank → filter →
+// cap, on tie-heavy vectors with subnormal and near-1 values at 120 and
+// 1,000 pages, with random held and pending sets through the client
+// cache and through the ready stamps, at caps of 1, 16 and at least the
+// support, and on a truth that is the site's own next-page row; vectors
+// of unequal length panic.
+func TestChooseMatchesRankFilterCap(t *testing.T) {
 	r := rng.New(37)
 	draw := func(v []float64, n int) {
 		clear(v)
@@ -352,57 +389,63 @@ func TestRankScoredMatchesTwoPasses(t *testing.T) {
 			v[r.IntN(len(v))] = scoreLevels[r.IntN(len(scoreLevels))]
 		}
 	}
+	pick := func(pages int) []int {
+		ids := make([]int, r.IntN(pages))
+		for i := range ids {
+			ids[i] = r.IntN(pages)
+		}
+		return ids
+	}
 	for _, pages := range []int{120, 1000} {
 		site := siteOf(t, pages)
 		probs := make([]float64, pages)
 		truth := make([]float64, pages)
-		for iter := 0; iter < 300; iter++ {
+		for iter := 0; iter < 600; iter++ {
 			draw(probs, r.IntN(pages))
 			if iter%2 == 0 {
 				draw(truth, r.IntN(pages))
 			} else {
 				site.NextDistributionInto(r.IntN(pages), DefaultConfig().FollowProb, truth)
 			}
-			checkScored(t, fmt.Sprintf("pages=%d iter %d", pages, iter), probs, truth, site)
+			support := 0
+			for _, p := range probs {
+				if p > 0 {
+					support++
+				}
+			}
+			k := []int{1, 16, support + 1 + r.IntN(3)}[iter%3]
+			checkChoose(t, fmt.Sprintf("pages=%d iter %d", pages, iter), probs, truth, site, pick(pages), pick(pages), k, iter%4 < 2)
 		}
 	}
-	site := siteOf(t, 1000)
+	site := siteOf(t, 120)
 	probs := make([]float64, len(site.Pages))
-	truth := make([]float64, len(site.Pages))
-	for _, support := range []int{rankInsertMax - 1, rankInsertMax, rankInsertMax + 1} {
-		for iter := 0; iter < 50; iter++ {
-			clear(probs)
-			perm := r.Perm(len(probs))
-			for _, page := range perm[:support] {
-				probs[page] = scoreLevels[3+r.IntN(len(scoreLevels)-3)]
-			}
-			for _, page := range perm[support : support+50] {
-				probs[page] = scoreLevels[r.IntN(3)]
-			}
-			draw(truth, support)
-			checkScored(t, fmt.Sprintf("support=%d iter %d", support, iter), probs, truth, site)
-		}
-	}
 	for _, n := range []int{len(probs) - 1, len(probs) + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("rankScored over lengths %d and %d did not panic", len(probs), n)
+					t.Errorf("positives over lengths %d and %d did not panic", len(probs), n)
 				}
 			}()
-			rankScored(nil, probs, make([]float64, n), site)
+			positives(nil, probs, make([]float64, n), site)
 		}()
 	}
 }
 
-// FuzzRankScored: for any pair of vectors over scoreLevels, the fused
-// pass equals rankProbs and predict.L1Dense bit for bit. The first byte
-// picks a 120- or 1,000-page site; every following 3-byte chunk writes
-// one level into the prediction or the truth.
-func FuzzRankScored(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6})
-	f.Add([]byte{1, 0, 0, 7, 0, 0, 8, 0, 1, 9, 0, 1, 10})
-	f.Add(bytes.Repeat([]byte{0, 3, 1, 6}, 200))
+// FuzzChoose: for any prediction and truth over scoreLevels, held and
+// pending sets and cap, the scoring pass and the planner's selection
+// equal the reference of checkChoose. The first byte picks a 120- or
+// 1,000-page site, the client cache or the ready stamps, and a cap of 1,
+// 16 or every page; each following 3-byte chunk writes one level into
+// the prediction or the truth, or marks its page held or pending.
+func FuzzChoose(f *testing.F) {
+	r := rng.New(41)
+	for _, head := range []byte{0, 2 + 4 + 1, 8} {
+		seed := []byte{head}
+		for i := 0; i < 150; i++ {
+			seed = append(seed, 0, byte(r.IntN(256)), byte(r.IntN(256)))
+		}
+		f.Add(seed)
+	}
 	sites := map[int]*webgraph.Site{120: siteOf(f, 120), 1000: siteOf(f, 1000)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -412,17 +455,25 @@ func FuzzRankScored(f *testing.F) {
 		if data[0]&1 != 0 {
 			pages = 1000
 		}
+		k := []int{1, 16, pages}[int(data[0]>>2)%3]
 		probs := make([]float64, pages)
 		truth := make([]float64, pages)
+		var held, pending []int
 		for b := data[1:]; len(b) >= 3; b = b[3:] {
 			page := (int(b[0])<<8 | int(b[1])) % pages
-			v := probs
-			if b[2]&1 != 0 {
-				v = truth
+			level := scoreLevels[int(b[2]>>2)%len(scoreLevels)]
+			switch b[2] & 3 {
+			case 0:
+				probs[page] = level
+			case 1:
+				truth[page] = level
+			case 2:
+				held = append(held, page)
+			case 3:
+				pending = append(pending, page)
 			}
-			v[page] = scoreLevels[int(b[2]>>1)%len(scoreLevels)]
 		}
-		checkScored(t, "fuzz", probs, truth, sites[pages])
+		checkChoose(t, "fuzz", probs, truth, sites[pages], held, pending, k, data[0]&2 != 0)
 	})
 }
 
@@ -470,36 +521,17 @@ func TestScriptCandsCapped(t *testing.T) {
 	}
 }
 
-// BenchmarkRankProbs ranks dense distributions, cycling through 16 of
-// them: learned-size supports of 25 uniform draws, the default site's
-// full-support oracle rows (120 pages, by insertion), full-support rows
-// of a 1,000-page site (the fallback sort), and rows recorded from a
-// trained ppm-escape over a drifting surfer on the default site, whose
-// probabilities tie the way a learned source's counts do. ppm-escape
-// ranks with rankProbs; ppm-escape-scored runs the learned step's fused
-// pass, rankScored against the truth row recorded with each prediction.
+// BenchmarkRankProbs ranks full-support oracle rows, as the shared
+// oracle table does once per page: the default site's 120 pages and a
+// 1,000-page site, cycling through 16 rows of each.
 func BenchmarkRankProbs(b *testing.B) {
-	for _, bc := range []struct {
-		name           string
-		pages, support int
-	}{
-		{"learned-25", 120, 25},
-		{"oracle-120", 120, 120},
-		{"oracle-1000", 1000, 1000},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			site := siteOf(b, bc.pages)
-			r := rng.New(3)
+	for _, pages := range []int{120, 1000} {
+		b.Run(fmt.Sprintf("oracle-%d", pages), func(b *testing.B) {
+			site := siteOf(b, pages)
 			rows := make([][]float64, 16)
 			for i := range rows {
-				rows[i] = make([]float64, bc.pages)
-				if bc.support == bc.pages {
-					site.NextDistributionInto(i, DefaultConfig().FollowProb, rows[i])
-					continue
-				}
-				for _, page := range r.Perm(bc.pages)[:bc.support] {
-					rows[i][page] = r.Float64()
-				}
+				rows[i] = make([]float64, pages)
+				site.NextDistributionInto(i, DefaultConfig().FollowProb, rows[i])
 			}
 			dst := rankProbs(nil, rows[0], site)
 			b.ReportAllocs()
@@ -509,39 +541,44 @@ func BenchmarkRankProbs(b *testing.B) {
 			}
 		})
 	}
-	site, preds, truths := ppmEscapeRows(b)
+}
+
+// BenchmarkChoose times a learned round's candidate path, cycling
+// through 16 rows recorded from a trained ppm-escape (ppmEscapeRows):
+// the scoring pass over the prediction and its truth row, then the
+// planner's selection of at most 16 candidates, the default cap, by a
+// client whose 20-slot cache holds the pages demanded before the row.
+func BenchmarkChoose(b *testing.B) {
+	site, preds, truths, held := ppmEscapeRows(b)
+	clients := make([]*client, len(preds))
+	for i := range clients {
+		clients[i] = chooser(len(site.Pages), DefaultConfig().MaxCandidates, held[i], nil, true)
+	}
 	b.Run("ppm-escape", func(b *testing.B) {
-		dst := rankProbs(nil, preds[0], site)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = rankProbs(dst, preds[i%len(preds)], site)
-		}
-	})
-	b.Run("ppm-escape-scored", func(b *testing.B) {
-		dst, _ := rankScored(nil, preds[0], truths[0], site)
+		row, _ := positives(nil, preds[0], truths[0], site)
 		b.ReportAllocs()
 		b.ResetTimer()
 		var sum float64
 		for i := 0; i < b.N; i++ {
 			var l1 float64
 			k := i % len(preds)
-			dst, l1 = rankScored(dst, preds[k], truths[k], site)
-			sum += l1
+			row, l1 = positives(row, preds[k], truths[k], site)
+			sum += l1 + float64(len(clients[k].choose(row, false)))
 		}
 		l1Sink = sum
 	})
 }
 
-// l1Sink keeps BenchmarkRankProbs' scores live.
+// l1Sink keeps BenchmarkChoose's scores live.
 var l1Sink float64
 
 // ppmEscapeRows records 16 (prediction, truth) row pairs of a learned
 // step at the mc-learned shape: client 0's ppm-escape over its surfer on
 // the default site, which drifts every 100 steps, sampled every 12 of
 // the run's 200 rounds, so the rows span both phases and every stage of
-// training.
-func ppmEscapeRows(b *testing.B) (site *webgraph.Site, preds, truths [][]float64) {
+// training. held[i] lists the last 20 distinct pages demanded before row
+// i, what a 20-slot LRU client cache of demanded pages would hold.
+func ppmEscapeRows(b *testing.B) (site *webgraph.Site, preds, truths [][]float64, held [][]int) {
 	cfg := learnedScriptConfig()
 	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
 	if err != nil {
@@ -553,7 +590,15 @@ func ppmEscapeRows(b *testing.B) (site *webgraph.Site, preds, truths [][]float64
 	if err != nil {
 		b.Fatal(err)
 	}
-	src.Observe(surfer.Current())
+	var recent []int // demanded pages, least recent first
+	demand := func(page int) {
+		recent = append(slices.DeleteFunc(recent, func(p int) bool { return p == page }), page)
+		if len(recent) > cfg.ClientCacheSlots {
+			recent = recent[1:]
+		}
+		src.Observe(page)
+	}
+	demand(surfer.Current())
 	for step := 1; len(preds) < 16; step++ {
 		if step%12 == 0 {
 			pred := make([]float64, len(site.Pages))
@@ -561,10 +606,11 @@ func ppmEscapeRows(b *testing.B) (site *webgraph.Site, preds, truths [][]float64
 			src.NextInto(surfer.Current(), pred)
 			surfer.NextDistributionInto(surfer.Current(), truth)
 			preds, truths = append(preds, pred), append(truths, truth)
+			held = append(held, slices.Clone(recent))
 		}
-		src.Observe(surfer.Step())
+		demand(surfer.Step())
 	}
-	return site, preds, truths
+	return site, preds, truths, held
 }
 
 // BenchmarkGenerateScripts runs Phase A alone at the mc-learned shape:
