@@ -319,7 +319,7 @@ func chooser(pages, k int, held, pending []int, cached bool) *client {
 		pending: make([]int32, pages),
 	}
 	if cached {
-		c.cache, _ = cache.New(len(held))
+		c.cache, _ = cache.New(len(held)) // fails only below 0 or above MaxInt32-1 slots
 	}
 	for _, page := range held {
 		if cached {
